@@ -10,7 +10,7 @@ from .specfun import SeriesControl, bessel_k, gamma_fn, hyp2f3, log_gamma
 from .kernels import (ProcessParams, QuadratureConfig, kernel, kernel_g,
                       kernel_h, kernel_alpha_norm, tempered_frac_indicator)
 from .gaussian import (CovarianceMatrix, PathEnsemble, SampleGrid,
-                       SpectralTable, build_cov_matrix, covariance_tfbm2,
+                       build_cov_matrix, covariance_tfbm2,
                        matern_cov_integral, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density,
                        tfgn2_acvf, variance_fbm_limit, variance_tfbm2)
@@ -27,7 +27,7 @@ __all__ = [
     "SeriesControl", "bessel_k", "gamma_fn", "hyp2f3", "log_gamma",
     "ProcessParams", "QuadratureConfig", "kernel", "kernel_g", "kernel_h",
     "kernel_alpha_norm", "tempered_frac_indicator",
-    "CovarianceMatrix", "PathEnsemble", "SampleGrid", "SpectralTable",
+    "CovarianceMatrix", "PathEnsemble", "SampleGrid",
     "build_cov_matrix", "covariance_tfbm2", "matern_cov_integral",
     "simulate_gaussian_paths", "tfgn1_spectral_density",
     "tfgn2_spectral_density", "tfgn2_acvf", "variance_fbm_limit",

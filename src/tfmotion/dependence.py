@@ -21,39 +21,21 @@ import numpy as np
 from scipy import integrate
 
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD,
-                      kernel_alpha_norm, kernel_h, plus_pow)
+                      kernel, kernel_alpha_norm)
 from . import specfun
 
 
 def increment_kernel(p: ProcessParams, t: float, x: float) -> float:
     """Kernel of the unit-lag increment Y(t): k(t+1; x) - k(t; x).
 
-    Evaluated through difference forms that stay accurate when both kernel
-    values sit on the large-time plateau (the raw subtraction would cancel).
+    By stationary increments this is the unit-time kernel at x - t, a single
+    primitive difference F(t+1-x) - F(t-x) that stays accurate when both
+    kernel values sit on the large-time plateau (the raw subtraction would
+    cancel).
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if p.kind == "I":
-        a = plus_pow(t + 1.0 - x, p.kappa) * math.exp(-p.lam * max(t + 1.0 - x, 0.0))
-        b = plus_pow(t - x, p.kappa) * math.exp(-p.lam * max(t - x, 0.0))
-        return a - b
-    if t == 0.0:
-        return kernel_h(p, 1.0, x)
-    k = p.kappa
-    if k == 0.0:
-        return 1.0 if t <= x < t + 1.0 else 0.0
-    if x > t + 1.0:
-        return 0.0
-    if x == t:
-        return math.inf if k < 0.0 else (
-            k * p.lam ** (-k) * (specfun.gamma_fn(k)
-                                 - specfun.upper_gamma(k, p.lam)))
-    if t < x <= t + 1.0:
-        # h(t; x) vanishes beyond x = t; only the lag-(t+1) kernel survives
-        return kernel_h(p, t + 1.0, x)
-    ga = specfun.upper_gamma(k, p.lam * (t - x))
-    gb = specfun.upper_gamma(k, p.lam * (t + 1.0 - x))
-    return k * p.lam ** (-k) * (ga - gb)
+    return kernel(p, 1.0, x - t)
 
 
 def _stable_bracket(a: float, b: float, alpha: float) -> float:

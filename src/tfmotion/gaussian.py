@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy import special as _scipy_special
 
 from .errors import FactorizationError, PoleError, QuadratureError
 from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD
-from .rng import philox_generator
+from .rng import fan_out, philox_generator
 from . import specfun
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -102,33 +101,6 @@ class CovarianceMatrix:
         raise FactorizationError(
             "covariance matrix is indefinite beyond the jitter budget "
             f"(n={n}); this indicates a closed-form or series bug")
-
-
-@dataclass(frozen=True)
-class SpectralTable:
-    """Rows (omega, value, err_bound) of a spectral density evaluation."""
-
-    omega: np.ndarray
-    value: np.ndarray
-    err_bound: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.omega, float)
-        v = np.asarray(self.value, float)
-        e = np.asarray(self.err_bound, float)
-        if not (o.shape == v.shape == e.shape):
-            raise ValueError("omega, value, err_bound must have equal shapes")
-        if np.any(e < 0.0):
-            raise ValueError("truncation bounds must be nonnegative")
-        if np.any(v - e < 0.0) and np.any(v > 0.0):
-            # a density value indistinguishable from zero is only legal at
-            # frequencies where the density truly vanishes
-            bad = np.where((v - e < 0.0) & (v > 0.0))[0]
-            if bad.size:
-                raise ValueError(f"err_bound swallows the value at rows {bad[:5]}")
-        object.__setattr__(self, "omega", o)
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "err_bound", e)
 
 
 @dataclass(frozen=True)
@@ -480,14 +452,6 @@ def simulate_gaussian_paths(H: float, lam: float, grid: SampleGrid,
             z = philox_generator(seed, i).standard_normal(k)
             paths[i, live] = lsub @ z
 
-    if n_workers <= 1:
-        fill(0, n_paths)
-    else:
-        step = max(1, -(-n_paths // n_workers))
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            futures = [ex.submit(fill, i, min(i + step, n_paths))
-                       for i in range(0, n_paths, step)]
-            for f in futures:
-                f.result()
+    fan_out(fill, n_paths, n_workers)
     params = ProcessParams(H=H, alpha=2.0, lam=lam, kind="II")
     return PathEnsemble(params=params, grid=grid, paths=paths, seed=int(seed))

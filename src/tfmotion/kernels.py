@@ -1,20 +1,24 @@
 """Moving-average kernels of tempered fractional motions and their L^alpha norms.
 
-The first-kind kernel is
+With kappa = H - 1/alpha, each kernel is a difference of one univariate
+primitive taken at a = -y and b = t - y.  The first kind uses
 
-    g(t; y) = (t-y)_+^kappa e^{-lam (t-y)_+} - (-y)_+^kappa e^{-lam (-y)_+},
+    phi(x) = x_+^kappa e^{-lam x},          g(t; y) = phi(t - y) - phi(-y),
 
-with kappa = H - 1/alpha, and the second-kind kernel adds the tempering
-correction
+and the second kind, whose kernel is the tempered fractional integral of the
+indicator of [0, t), uses
 
-    h(t; y) = g(t; y) + lam * integral_0^t (s-y)_+^kappa e^{-lam (s-y)_+} ds.
+    R(x) = kappa lam^-kappa Gamma(kappa, lam x)   (x > 0),
+    R(x) = lam^-kappa Gamma(1 + kappa)             (x <= 0),
+                                            h(t; y) = R(-y) - R(t - y).
 
-Point evaluation, the tempered fractional integral/derivative of the interval
-indicator, and quadrature of integral |kernel|^alpha dy all live here.  The
-convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout; for
-kappa < 0 the kernels blow up one-sidedly as y increases to 0 or t, and point
-evaluation exactly there returns the signed infinite limit rather than
-overflowing.
+Every kernel value goes through _kernel_step, which evaluates these
+differences without cancellation.  Also here: the tempered fractional
+integral/derivative of the interval indicator and quadrature of
+integral |kernel|^alpha dy.  The convention (x)_+^p = x^p for x > 0 and 0
+otherwise is used throughout; for kappa < 0 the primitive at x = 0 takes its
+infinite right limit, so the kernels return the signed infinite limit at the
+singular points y = 0 and y = t rather than overflowing.
 """
 
 from __future__ import annotations
@@ -96,74 +100,70 @@ def plus_pow(x: float, p: float) -> float:
     return x ** p if x > 0.0 else 0.0
 
 
+def _phi(k: float, lam: float, x: float) -> float:
+    """phi(x) = x_+^k e^{-lam x}, with the right limit +inf at x = 0 for k < 0."""
+    if x > 0.0:
+        return x ** k * math.exp(-lam * x)
+    return math.inf if x == 0.0 and k < 0.0 else 0.0
+
+
+def _kernel_step(kind: str, k: float, lam: float, a: float, w: float) -> float:
+    """Kernel value between the primitive arguments a = -y and b = a + w = t - y.
+
+    phi(b) - phi(a) for the first kind, R(a) - R(b) for the second; lam = 0
+    reduces the second kind to the first and kappa = 0 to the indicator.
+    Taking the width w = t rather than b keeps short steps exact, and each
+    branch is free of cancellation:
+
+        first kind, 0 < a:   phi(a) expm1(kappa log1p(w/a) - lam w)
+        b <= 0:              0 (both on the plateau)
+        a <= 0 < b:          lam^-kappa gamma(1 + kappa, lam b) + phi(b)
+        0 < a:               kappa lam^-kappa int_{lam a}^{lam b} s^(kappa-1) e^-s ds
+    """
+    if w == 0.0:
+        return 0.0
+    b = a + w
+    if kind == "I" or lam == 0.0:
+        if a > 0.0:
+            return _phi(k, lam, a) * math.expm1(k * math.log1p(w / a) - lam * w)
+        return _phi(k, lam, b) - _phi(k, lam, a)
+    if k == 0.0:
+        return 1.0 if a <= 0.0 < b else 0.0
+    if b <= 0.0:
+        return math.inf if b == 0.0 and k < 0.0 else 0.0
+    if a <= 0.0:
+        if a == 0.0 and k < 0.0:
+            return -math.inf
+        return lam ** (-k) * specfun.lower_gamma(1.0 + k, lam * b) + _phi(k, lam, b)
+    return k * lam ** (-k) * specfun.gamma_interval(k, lam * a, lam * w)
+
+
 def kernel_g(p: ProcessParams, t: float, y: float) -> float:
-    """First-kind kernel g(t; y).
+    """First-kind kernel g(t; y) = phi(t - y) - phi(-y).
 
     For kappa < 0 the values at exactly y = t and y = 0 are the one-sided
     infinite limits +inf and -inf.
     """
     if t < 0.0:
         raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    k = p.kappa
-    if k < 0.0 and t > 0.0:
-        if y == t:
-            return math.inf
-        if y == 0.0:
-            return -math.inf
-    a = plus_pow(t - y, k) * math.exp(-p.lam * max(t - y, 0.0))
-    b = plus_pow(-y, k) * math.exp(-p.lam * max(-y, 0.0))
-    return a - b
-
-
-def _lam_integral_term(p: ProcessParams, t: float, y: float) -> float:
-    """lam * integral_0^t (s-y)_+^kappa e^{-lam (s-y)_+} ds in closed form."""
-    if p.lam == 0.0 or y >= t or t == 0.0:
-        return 0.0
-    k = p.kappa
-    hi = specfun.lower_gamma(k + 1.0, p.lam * (t - y))
-    lo = specfun.lower_gamma(k + 1.0, p.lam * max(-y, 0.0)) if y < 0.0 else 0.0
-    return (hi - lo) * p.lam ** (-k)
+    return _kernel_step("I", p.kappa, p.lam, -y, t)
 
 
 def kernel_h(p: ProcessParams, t: float, y: float) -> float:
-    """Second-kind kernel h(t; y).
+    """Second-kind kernel h(t; y) = R(-y) - R(t - y).
 
-    H = 1/alpha reduces to the indicator of [0, t) exactly.  For H > 1/alpha
-    the direct formula is used with the tempering integral evaluated through
-    the lower incomplete gamma function; for H < 1/alpha the evaluation
-    switches to the two-branch integral representation, which avoids the
-    cancellation of the direct form:
-
-        y < 0:      kappa lam^-kappa [Gamma(kappa, lam(-y)) - Gamma(kappa, lam(t-y))]
-        0 < y < t:  kappa lam^-kappa [Gamma(kappa) - Gamma(kappa, lam(t-y))]
-
-    with Gamma(kappa, .) the upper incomplete gamma at negative parameter.
+    H = 1/alpha gives the indicator of [0, t) exactly and lam = 0 the
+    untempered kernel (t-y)_+^kappa - (-y)_+^kappa.  For 0 <= y < t the value
+    is lam^-kappa gamma(1 + kappa, lam (t-y)) + (t-y)^kappa e^{-lam (t-y)}, a
+    sum of two positive terms, so h dies continuously as y -> t- when
+    H > 1/alpha.  For y < 0 it is kappa lam^-kappa times the integral of
+    s^(kappa-1) e^-s over [-lam y, lam (t-y)], which stays accurate far into
+    the left tail.  For kappa < 0 the values at exactly y = t and y = 0 are
+    +inf and -inf.
     """
     if t < 0.0:
         raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    k = p.kappa
-    if k == 0.0:
-        return 1.0 if 0.0 <= y < t else 0.0
-    if t == 0.0:
-        return 0.0
-    if p.lam == 0.0:
-        return kernel_g(p, t, y)
-    if k > 0.0:
-        return kernel_g(p, t, y) + _lam_integral_term(p, t, y)
-    # kappa < 0: tagged one-sided limits at the two singular points
-    if y == t:
-        return math.inf
-    if y == 0.0:
-        return -math.inf
-    if y > t:
-        return 0.0
-    lk = p.lam ** (-k)
-    if y < 0.0:
-        ga = specfun.upper_gamma(k, p.lam * (-y))
-        gb = specfun.upper_gamma(k, p.lam * (t - y))
-        return k * lk * (ga - gb)
-    gb = specfun.upper_gamma(k, p.lam * (t - y))
-    return k * lk * (specfun.gamma_fn(k) - gb)
+    return _kernel_step("II", p.kappa, p.lam, -y, t)
 
 
 def g_time_integral(p: ProcessParams, t: float, y: float) -> float:
@@ -178,7 +178,9 @@ def g_time_integral(p: ProcessParams, t: float, y: float) -> float:
         hi = plus_pow(t - y, k + 1.0) / (k + 1.0)
         lo = plus_pow(-y, k + 1.0) / (k + 1.0)
         return hi - lo + drift
-    return _lam_integral_term(p, t, y) / p.lam + drift
+    hi = specfun.lower_gamma(k + 1.0, p.lam * (t - y))
+    lo = specfun.lower_gamma(k + 1.0, p.lam * (-y)) if y < 0.0 else 0.0
+    return (hi - lo) * p.lam ** (-k - 1.0) + drift
 
 
 def tempered_frac_indicator(kappa: float, lam: float, mode: str,
@@ -262,9 +264,8 @@ def kernel_alpha_norm(p: ProcessParams, t: float,
         return 0.0
     if p.kappa == 0.0 and p.kind == "II":
         return float(t)  # indicator kernel
-    al = p.alpha
-    f = (lambda y: abs(kernel_g(p, t, y)) ** al) if p.kind == "I" \
-        else (lambda y: abs(kernel_h(p, t, y)) ** al)
+    al, k = p.alpha, p.kappa
+    f = lambda y: abs(_kernel_step(p.kind, k, p.lam, -y, t)) ** al
 
     total = 0.0
     err = 0.0

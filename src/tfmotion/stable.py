@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
-from .kernels import ProcessParams, kernel
-from .rng import philox_generator
+from .kernels import DEFAULT_QUAD, ProcessParams, kernel
+from .rng import fan_out, philox_generator
 from . import specfun
 
 
@@ -71,7 +70,7 @@ class DiscretizationPlan:
         """Plan covering the kernel support of every grid time, truncated on
         the left where the exponential tail is negligible."""
         if cutoff is None:
-            cutoff = max(50.0 / p.lam, 50.0) if p.lam > 0 else 50.0
+            cutoff = DEFAULT_QUAD.cutoff(p.lam)
         t_max = float(grid.times[-1])
         y_min = min(float(grid.times[0]), 0.0) - cutoff
         n = int(math.ceil((t_max - y_min) / dy))
@@ -165,10 +164,10 @@ def c0_scale(p: ProcessParams) -> float:
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> np.ndarray:
     """Kernel values k(t_i; y_k) on the plan nodes, n_times x n_nodes."""
-    ys = plan.nodes()
+    ys = plan.nodes().tolist()
     table = np.empty((grid.n, plan.n_nodes))
-    for i, t in enumerate(grid.times):
-        table[i] = [kernel(p, float(t), float(y)) for y in ys]
+    for i, t in enumerate(grid.times.tolist()):
+        table[i] = [kernel(p, t, y) for y in ys]
     if not np.all(np.isfinite(table)):
         raise PlanError("kernel table hit a singular node; shift y_min or dy "
                         "so midpoints avoid y = 0 and the grid times")
@@ -211,13 +210,5 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
         for i in range(i0, i1):
             paths[i] = table @ path_increments(p, plan, seed, i)
 
-    if n_workers <= 1:
-        fill(0, n_paths)
-    else:
-        step = max(1, -(-n_paths // n_workers))
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            futures = [ex.submit(fill, i, min(i + step, n_paths))
-                       for i in range(0, n_paths, step)]
-            for f in futures:
-                f.result()
+    fan_out(fill, n_paths, n_workers)
     return PathEnsemble(params=p, grid=grid, paths=paths, seed=int(seed))

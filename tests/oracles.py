@@ -132,3 +132,28 @@ def riemann_alpha_norm(kern, alpha: float, t: float, y_min: float,
     vals = np.fromiter((abs(kern(t, float(y))) ** alpha for y in mids),
                        dtype=float, count=n)
     return float(np.sum(vals) * dy)
+
+
+def mp_primitive_r(H: float, alpha: float, lam: float, x) -> mp.mpf:
+    """Second-kind primitive R(x) = kappa lam^-kappa Gamma(kappa, lam x) for
+    x > 0 and lam^-kappa Gamma(1 + kappa) for x <= 0, at mpmath precision."""
+    k = mp.mpf(H) - 1 / mp.mpf(alpha)
+    lam = mp.mpf(lam)
+    if x <= 0:
+        return lam ** -k * mp.gamma(1 + k)
+    return k * lam ** -k * mp.gammainc(k, lam * x, mp.inf)
+
+
+def mp_kernel_h(H: float, alpha: float, lam: float, t: float, y: float) -> float:
+    """h(t; y) = R(-y) - R(t - y) with both primitives in extended precision."""
+    y = mp.mpf(y)
+    return float(mp_primitive_r(H, alpha, lam, -y)
+                 - mp_primitive_r(H, alpha, lam, mp.mpf(t) - y))
+
+
+def mp_increment_kernel(H: float, alpha: float, lam: float, t: float,
+                        x: float) -> float:
+    """Kernel R(t - x) - R(t + 1 - x) of the unit-lag increment Y(t)."""
+    d = mp.mpf(t) - mp.mpf(x)
+    return float(mp_primitive_r(H, alpha, lam, d)
+                 - mp_primitive_r(H, alpha, lam, d + 1))

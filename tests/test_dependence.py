@@ -12,6 +12,8 @@ from tfmotion.gaussian import tfgn2_acvf, variance_fbm_limit
 from tfmotion.kernels import (ProcessParams, QuadratureConfig, kernel_g,
                               kernel_h)
 
+import oracles
+
 P_II = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
 P_I = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
 P_G = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="II")
@@ -31,6 +33,24 @@ class TestIncrementKernel:
             for x in (-2.0, 0.5):
                 ref = kernel_g(P_I, t + 1.0, x) - kernel_g(P_I, t, x)
                 assert increment_kernel(P_I, t, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_singular_marker_is_left_limit(self):
+        # kappa < 0: Y(t) = h(t+1; .) - h(t; .) and h(t; x) -> +inf as x -> t-
+        p = ProcessParams(H=0.4, alpha=1.5, lam=0.3)
+        assert increment_kernel(p, 3.0, 3.0) == -math.inf
+        assert increment_kernel(p, 3.0, 3.0 - 1e-9) < -100.0
+
+    def test_matches_primitive_oracle(self):
+        for H, alpha in [(0.8, 1.5), (1.3, 2.0), (0.4, 1.5), (0.55, 2.0), (0.9, 1.2)]:
+            for lam in (0.05, 0.3, 2.0):
+                p = ProcessParams(H=H, alpha=alpha, lam=lam)
+                for t in (0.0, 3.0, 60.0):
+                    xs = [t - float(u) for u in np.geomspace(1e-3, 60.0 / lam, 20)]
+                    xs += [t + f for f in (1e-6, 0.3, 0.7, 1.0 - 1e-6)]
+                    for x in xs:
+                        ref = oracles.mp_increment_kernel(H, alpha, lam, t, x)
+                        assert increment_kernel(p, t, x) == pytest.approx(
+                            ref, rel=2e-11, abs=0.0), (H, alpha, lam, t, x)
 
     def test_stable_at_large_lag(self):
         # the raw difference of plateau values would cancel; the dedicated

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from tfmotion.errors import PoleError
-from tfmotion.gaussian import (SampleGrid, SpectralTable,
+from tfmotion.gaussian import (SampleGrid,
                                build_cov_matrix, covariance_tfbm2,
                                matern_cov_integral, simulate_gaussian_paths,
                                tfgn1_spectral_density, tfgn2_spectral_density,
@@ -205,18 +205,6 @@ class TestSpectralDensities:
             tfgn2_spectral_density(0.7, 0.15, 4.0)
         with pytest.raises(ValueError):
             tfgn1_spectral_density(0.7, 0.15, -4.0)
-
-
-class TestSpectralTable:
-    def test_validation(self):
-        SpectralTable(omega=np.array([0.5]), value=np.array([1.0]),
-                      err_bound=np.array([1e-12]))
-        with pytest.raises(ValueError):
-            SpectralTable(omega=np.array([0.5]), value=np.array([1.0]),
-                          err_bound=np.array([-1e-12]))
-        with pytest.raises(ValueError):
-            SpectralTable(omega=np.array([0.5]), value=np.array([1e-13]),
-                          err_bound=np.array([1.0]))
 
 
 class TestSampleGrid:

@@ -86,6 +86,34 @@ class TestKernelH:
             kernel_h(P_HI, -1.0, 0.0)
 
 
+class TestKernelHOracle:
+    """h against R(-y) - R(t - y) evaluated in extended precision."""
+
+    # far left-tail points where g + lam * integral cancels (ROADMAP item 2)
+    FAR_TAIL = [(0.8, 1.5, 0.3, 0.1, -151.5), (1.3, 2.0, 0.3, 0.1, -200.0),
+                (1.3, 2.0, 0.3, 7.0, -60.0), (0.55, 2.0, 0.3, 0.1, -150.0)]
+    SWEEP_H_ALPHA = [(0.8, 1.5), (1.3, 2.0), (0.4, 1.5), (0.55, 2.0), (0.9, 1.2)]
+
+    def test_far_tail(self):
+        for H, alpha, lam, t, y in self.FAR_TAIL:
+            p = ProcessParams(H=H, alpha=alpha, lam=lam)
+            ref = oracles.mp_kernel_h(H, alpha, lam, t, y)
+            assert kernel_h(p, t, y) == pytest.approx(ref, rel=1e-12, abs=0.0), \
+                (H, alpha, t, y)
+
+    def test_sweep(self):
+        for H, alpha in self.SWEEP_H_ALPHA:
+            for lam in (0.05, 0.3, 2.0):
+                p = ProcessParams(H=H, alpha=alpha, lam=lam)
+                for t in (0.01, 1.0, 7.0):
+                    ys = [-float(u) for u in np.geomspace(1e-3, 60.0 / lam, 30)]
+                    ys += [t * f for f in (1e-6, 0.3, 0.7, 1.0 - 1e-6)]
+                    for y in ys:
+                        ref = oracles.mp_kernel_h(H, alpha, lam, t, y)
+                        assert kernel_h(p, t, y) == pytest.approx(
+                            ref, rel=2e-11, abs=0.0), (H, alpha, lam, t, y)
+
+
 class TestKernelG:
     def test_untempered_reduction(self):
         p = ProcessParams(H=0.7, alpha=2.0, lam=0.0)
