@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,33 +28,67 @@ from .dependence import decay_diagnostic, global_limit_check, local_limit_check
 _FLOAT_FMT = "%.17g"  # round-trip exact for binary64
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+def _spec(v) -> str:
+    """%-conversion of one cell: %.17g floats, %d ints, %s anything else."""
     if isinstance(v, float):
-        return _FLOAT_FMT % v
-    return str(v)
+        return _FLOAT_FMT
+    return "%d" if isinstance(v, int) and not isinstance(v, bool) else "%s"
+
+
+def _cell(v):
+    return ("true" if v else "false") if isinstance(v, bool) else v
+
+
+class _PathRows(Sequence):
+    """Rows [path_id, t, value] of an ensemble, read from its paths on demand."""
+
+    def __init__(self, ens):
+        self.paths = ens.paths
+        self.times = ens.grid.times
+
+    def __len__(self) -> int:
+        return self.paths.size
+
+    def __getitem__(self, k: int) -> list:
+        i, j = divmod(k, self.times.size)
+        return [i, float(self.times[j]), float(self.paths[i, j])]
+
+    def chunks(self):
+        """Flat cells of each path's rows in turn."""
+        block = np.empty((self.times.size, 3))
+        block[:, 1] = self.times
+        for i, path in enumerate(self.paths):
+            block[:, 0] = i
+            block[:, 2] = path
+            yield block.ravel().tolist()
 
 
 def _emit(path: str | None, fmt: str, command: str, meta: dict,
-          columns: list[str], rows: list[list]) -> None:
+          columns: list[str], rows: Sequence) -> None:
+    """Write one table.  CSV applies one %-format per row, built from the cell
+    types of the first row (every row must share them), one chunk at a time:
+    one per path of a path view, one for any other table.  JSON materializes
+    the rows."""
     meta = {k: meta[k] for k in sorted(meta)}
-    if fmt == "csv":
-        lines = ["# tfmotion " + command + " "
-                 + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"command": command, "meta": meta,
-                   "columns": columns, "rows": rows}
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="\n")
+    try:
+        if fmt == "csv":
+            fh.write("# tfmotion " + command + " "
+                     + " ".join(f"{k}={_spec(v) % (_cell(v),)}" for k, v in meta.items())
+                     + "\n" + ",".join(columns) + "\n")
+            if len(rows):
+                row_fmt = ",".join(_spec(v) for v in rows[0]) + "\n"
+                chunks = (rows.chunks() if isinstance(rows, _PathRows)
+                          else ([_cell(v) for row in rows for v in row],))
+                for cells in chunks:
+                    fh.write(row_fmt * (len(cells) // len(columns)) % tuple(cells))
+        else:
+            payload = {"command": command, "meta": meta,
+                       "columns": columns, "rows": list(rows)}
+            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _parse_grid_spec(spec: str) -> np.ndarray:
@@ -106,7 +141,7 @@ def _build_params(args, kind: str | None = None) -> ProcessParams:
                          kind=kind or args.kind)
 
 
-def _add_common(sp, *, kind=True, alpha=True, stable_extras=True) -> None:
+def _add_common(sp, *, kind=True, alpha=True, stable_extras=True, tol=True) -> None:
     sp.add_argument("--H", type=float, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     if alpha:
@@ -117,7 +152,8 @@ def _add_common(sp, *, kind=True, alpha=True, stable_extras=True) -> None:
     if kind:
         sp.add_argument("--kind", choices=("I", "II"), default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    if tol:
+        sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--threads", type=int, default=None)
@@ -154,7 +190,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, kind="II", seed=0,
-              tol=1e-9, format="csv", n=17, t_max=1.0, n_paths=1)
+              format="csv", n=17, t_max=1.0, n_paths=1)
     if args.H is None or args.lam is None:
         raise ValueError("simulate requires --H and --lambda")
     params = _build_params(args)
@@ -174,19 +210,18 @@ def cmd_simulate(args) -> int:
                                            cutoff=args.plan_cutoff)
         ens = simulate_tfsm_paths(params, grid, plan, args.n_paths, args.seed,
                                   n_workers=workers)
-    rows = [[i, float(t), float(ens.paths[i, j])]
-            for i in range(args.n_paths) for j, t in enumerate(grid.times)]
     meta = {"H": params.H, "alpha": params.alpha, "lambda": params.lam,
             "sigma": params.sigma, "beta": params.beta, "kind": params.kind,
             "seed": args.seed, "t_max": args.t_max, "n": args.n,
             "n_paths": args.n_paths}
-    _emit(args.out, args.format, "simulate", meta, ["path_id", "t", "value"], rows)
+    _emit(args.out, args.format, "simulate", meta, ["path_id", "t", "value"],
+          _PathRows(ens))
     return 0
 
 
 def cmd_covariance(args) -> int:
     _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, kind="II", seed=0,
-              tol=1e-9, format="csv", n=9, t_max=2.0)
+              format="csv", n=9, t_max=2.0)
     if args.H is None or args.lam is None:
         raise ValueError("covariance requires --H and --lambda")
     if args.H <= 0 or args.lam <= 0:
@@ -264,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum, alpha=2.0, sigma=1.0, beta=0.0, kind="II")
 
     sp = sub.add_parser("simulate", help="sample process paths")
-    _add_common(sp)
+    _add_common(sp, tol=False)
     sp.add_argument("--t-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None, help="grid points incl. t=0")
     sp.add_argument("--n-paths", type=int, default=None)
@@ -275,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("covariance", help="TFBM II covariance table")
-    _add_common(sp, kind=False, alpha=False, stable_extras=False)
+    _add_common(sp, kind=False, alpha=False, stable_extras=False, tol=False)
     sp.add_argument("--t-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.set_defaults(func=cmd_covariance, alpha=2.0, sigma=1.0, beta=0.0, kind="II")

@@ -70,17 +70,23 @@ class SampleGrid:
 
 @dataclass
 class CovarianceMatrix:
-    """Covariance of TFBM II over a grid, with a cached Cholesky factor."""
+    """Covariance of TFBM II over a grid, with a cached Cholesky factor.
+
+    ``jitter`` is the diagonal shift the factorization needed: None until
+    ``cholesky`` has run, 0.0 when the matrix factored as it is.
+    """
 
     grid: SampleGrid
     values: np.ndarray
     chol: np.ndarray | None = None
+    jitter: float | None = None
 
     def cholesky(self, jitters=(0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)) -> np.ndarray:
         """Lower-triangular factor, tolerating exact zero-variance rows (t = 0).
 
-        Escalating jitter eps*trace/n is added on failure; running past the
-        ladder signals a bug in the covariance closed form.
+        Escalating jitter eps*trace/n is added on failure and recorded in
+        ``jitter``; running past the ladder signals a bug in the covariance
+        closed form.
         """
         if self.chol is not None:
             return self.chol
@@ -90,13 +96,16 @@ class CovarianceMatrix:
         sub = c[np.ix_(live, live)]
         scale = np.trace(sub) / max(len(live), 1)
         for eps in jitters:
+            shift = eps * scale
             try:
-                lsub = np.linalg.cholesky(sub + eps * scale * np.eye(len(live)))
+                lsub = np.linalg.cholesky(
+                    sub + shift * np.eye(len(live)) if eps else sub)
             except np.linalg.LinAlgError:
                 continue
             full = np.zeros_like(c)
             full[np.ix_(live, live)] = lsub
             self.chol = full
+            self.jitter = float(shift)
             return full
         raise FactorizationError(
             "covariance matrix is indefinite beyond the jitter budget "
@@ -333,6 +342,32 @@ def _density_common(H: float, lam: float, omega: float, tol: float):
     return min(max(omega, -math.pi), math.pi)
 
 
+def _lattice_sum(term, H: float, lam: float, omega: float, expo: float,
+                 direct: float, w2: float, tol: float) -> tuple[float, float, float]:
+    """(direct, tail, bound) of the lattice sum of term(x) over x = omega +- 2 pi l:
+    ``direct`` plus the terms with 0 < l <= L, the Hurwitz-zeta tail beyond L
+    of term(x) = |x|^-(1+2H) (1 + lam^2/x^2)^expo, and w2/2pi times the
+    tail's remainder.  L doubles from 8 until that bound is below tol or
+    L = 4096.
+    """
+    L = 8
+    while True:
+        acc = direct
+        for ell in range(1, L + 1):
+            for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
+                acc += term(x)
+        try:
+            tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, expo, lam, omega, L,
+                                           tol * _TWO_PI / max(w2, 1e-300))
+        except ValueError:
+            L *= 2
+            continue
+        bound = w2 * rem / _TWO_PI
+        if bound <= tol or L >= 4096:
+            return acc, tail, bound
+        L *= 2
+
+
 def tfgn2_spectral_density(H: float, lam: float, omega: float,
                            tol: float = 1e-10) -> tuple[float, float]:
     """Spectral density of TFGN II on [-pi, pi] and its truncation bound.
@@ -351,23 +386,10 @@ def tfgn2_spectral_density(H: float, lam: float, omega: float,
         return lam ** (1.0 - 2.0 * H) / _TWO_PI, 0.0
     w2 = 2.0 - 2.0 * math.cos(omega)  # |e^{i w} - 1|^2
     ell0 = (lam * lam + omega * omega) ** (0.5 - H) / (omega * omega)
-    L = 8
-    while True:
-        direct = 0.0
-        for ell in range(1, L + 1):
-            for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
-                direct += (lam * lam + x * x) ** (0.5 - H) / (x * x)
-        try:
-            tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, 0.5 - H, lam, omega, L,
-                                           tol * _TWO_PI / max(w2, 1e-300))
-        except ValueError:
-            L *= 2
-            continue
-        bound = w2 * rem / _TWO_PI
-        if bound <= tol or L >= 4096:
-            value = (w2 * (ell0 + direct + tail)) / _TWO_PI
-            return value, bound
-        L *= 2
+    direct, tail, bound = _lattice_sum(
+        lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x),
+        H, lam, omega, 0.5 - H, 0.0, w2, tol)
+    return (w2 * (ell0 + direct + tail)) / _TWO_PI, bound
 
 
 def tfgn1_spectral_density(H: float, lam: float, omega: float,
@@ -383,23 +405,10 @@ def tfgn1_spectral_density(H: float, lam: float, omega: float,
     if omega == 0.0:
         return 0.0, 0.0
     w2 = 2.0 - 2.0 * math.cos(omega)
-    L = 8
-    while True:
-        direct = (lam * lam + omega * omega) ** (-(H + 0.5))
-        for ell in range(1, L + 1):
-            for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
-                direct += (lam * lam + x * x) ** (-(H + 0.5))
-        try:
-            tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, -(H + 0.5), lam, omega, L,
-                                           tol * _TWO_PI / max(w2, 1e-300))
-        except ValueError:
-            L *= 2
-            continue
-        bound = w2 * rem / _TWO_PI
-        if bound <= tol or L >= 4096:
-            value = w2 * (direct + tail) / _TWO_PI
-            return value, bound
-        L *= 2
+    direct, tail, bound = _lattice_sum(
+        lambda x: (lam * lam + x * x) ** (-(H + 0.5)), H, lam, omega, -(H + 0.5),
+        (lam * lam + omega * omega) ** (-(H + 0.5)), w2, tol)
+    return w2 * (direct + tail) / _TWO_PI, bound
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +417,25 @@ def tfgn1_spectral_density(H: float, lam: float, omega: float,
 
 def build_cov_matrix(H: float, lam: float, grid: SampleGrid,
                      ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES) -> CovarianceMatrix:
-    """Covariance matrix of TFBM II over the grid, diagonal = C_t^2."""
+    """Covariance matrix of TFBM II over the grid, diagonal = C_t^2.
+
+    Entry (i, j) is 0.5 * ((C_{t_i}^2 + C_{t_j}^2) - C_{t_i - t_j}^2).
+    ``variance_tfbm2`` runs once per distinct nonzero argument among the |t_i|
+    and the |t_i - t_j| (n of them on a regular grid starting at 0); each
+    argument finds its value by binary search in the sorted distinct ones.
+    Any grid, uniform or not, takes this one path.
+    """
     t = grid.times
-    var_cache: dict[float, float] = {0.0: 0.0}
-
-    def c2(x: float) -> float:
-        x = abs(x)
-        v = var_cache.get(x)
-        if v is None:
-            v = variance_tfbm2(H, lam, x, ctl)
-            var_cache[x] = v
-        return v
-
-    n = grid.n
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            values[i, j] = values[j, i] = 0.5 * (c2(t[i]) + c2(t[j]) - c2(t[i] - t[j]))
+    at = np.abs(t)
+    d = np.subtract.outer(t, t)
+    np.abs(d, out=d)
+    uniq = np.unique(np.concatenate((np.unique(d), at)))
+    var = np.array([variance_tfbm2(H, lam, x, ctl) if x != 0.0 else 0.0
+                    for x in uniq])
+    ct = var[np.searchsorted(uniq, at)]
+    values = var[np.searchsorted(uniq, d)]
+    np.subtract(ct[:, None] + ct[None, :], values, out=values)
+    values *= 0.5
     return CovarianceMatrix(grid=grid, values=values)
 
 

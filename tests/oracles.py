@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: special
 functions come from mpmath or direct quadrature of integral representations,
 variances from oscillatory quadrature of the defining spectral integral, and
 lattice sums from plain truncated summation with an integral-comparison tail
-bound.
+bound, covariance matrices and CLI table text from plain loops.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -157,3 +158,51 @@ def mp_increment_kernel(H: float, alpha: float, lam: float, t: float,
     d = mp.mpf(t) - mp.mpf(x)
     return float(mp_primitive_r(H, alpha, lam, d)
                  - mp_primitive_r(H, alpha, lam, d + 1))
+
+
+def loop_cov_matrix(H: float, lam: float, times) -> np.ndarray:
+    """TFBM II covariance matrix by the double loop over (i, j) with a dict
+    cache of C_x^2 keyed by |x|: the reference for bit-identity of the
+    vectorized build."""
+    from tfmotion.gaussian import variance_tfbm2
+
+    t = np.asarray(times, dtype=float)
+    var_cache: dict[float, float] = {0.0: 0.0}
+
+    def c2(x: float) -> float:
+        x = abs(x)
+        v = var_cache.get(x)
+        if v is None:
+            v = variance_tfbm2(H, lam, x)
+            var_cache[x] = v
+        return v
+
+    n = t.size
+    values = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            values[i, j] = values[j, i] = 0.5 * (c2(t[i]) + c2(t[j]) - c2(t[i] - t[j]))
+    return values
+
+
+def _fmt_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
+
+
+def render_table(fmt: str, command: str, meta: dict, columns, rows) -> str:
+    """CLI table text by a per-value join: the reference for the bytes of
+    the CLI's CSV and JSON output."""
+    meta = {k: meta[k] for k in sorted(meta)}
+    if fmt == "csv":
+        lines = ["# tfmotion " + command + " "
+                 + " ".join(f"{k}={_fmt_cell(v)}" for k, v in meta.items())]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt_cell(v) for v in row))
+        return "\n".join(lines) + "\n"
+    payload = {"command": command, "meta": meta, "columns": columns, "rows": rows}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

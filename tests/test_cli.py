@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from tfmotion import cli
 from tfmotion.cli import main
+import oracles
 
 
 def run_cli(args, tmp_path, name="out.csv", fmt=None, env=None):
@@ -206,6 +208,81 @@ class TestFormats:
         _, o1 = run_cli(args, tmp_path, "l1.json", fmt="json")
         _, o2 = run_cli(args, tmp_path, "l2.json", fmt="json")
         assert o1.read_bytes() == o2.read_bytes()
+
+
+GAUSS_33 = ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2",
+            "--n", "33", "--n-paths", "3", "--seed", "5"]
+
+
+def spy_emit(monkeypatch):
+    """Record the arguments of every table the CLI emits."""
+    calls = []
+    real = cli._emit
+
+    def spy(*args):
+        calls.append(args)
+        real(*args)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return calls
+
+
+def legacy_rows(rows):
+    """Rows of a simulate table built the way the per-value renderer got them."""
+    if isinstance(rows, list):
+        return rows
+    n_paths, n = rows.paths.shape
+    return [[i, float(t), float(rows.paths[i, j])]
+            for i in range(n_paths) for j, t in enumerate(rows.times)]
+
+
+class TestOutputBytes:
+    """The CLI's output equals the per-value join renderer byte for byte."""
+
+    @pytest.mark.parametrize("args", [
+        GAUSS_33,
+        ["simulate", "--kind", "II", "--H", "0.8", "--alpha", "1.5",
+         "--lambda", "0.3", "--n", "17", "--n-paths", "3", "--seed", "7",
+         "--plan-dy", "0.05"],
+        ["limits", "--H", "0.7", "--alpha", "2", "--lambda", "0.15",
+         "--b-global", "25", "--b-local", "0.1"],
+    ], ids=["gauss", "stable", "limits"])
+    def test_csv(self, args, tmp_path, monkeypatch):
+        calls = spy_emit(monkeypatch)
+        rc, out = run_cli(args, tmp_path)
+        assert rc == 0
+        _, fmt, command, meta, columns, rows = calls[0]
+        text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
+        assert out.read_bytes() == text.encode()
+        assert out.read_text().count("\n") == len(rows) + 2
+
+    def test_json(self, tmp_path, monkeypatch):
+        calls = spy_emit(monkeypatch)
+        rc, out = run_cli(GAUSS_33, tmp_path, "g.json", fmt="json")
+        assert rc == 0
+        _, fmt, command, meta, columns, rows = calls[0]
+        text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
+        assert out.read_bytes() == text.encode()
+
+    def test_stdout(self, monkeypatch, capsys):
+        calls = spy_emit(monkeypatch)
+        assert main(GAUSS_33 + ["--out", "-"]) == 0
+        _, fmt, command, meta, columns, rows = calls[0]
+        text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
+        assert capsys.readouterr().out == text
+
+
+class TestRemovedFlags:
+    def test_simulate_tol_rejected(self):
+        with pytest.raises(SystemExit) as e:
+            main(GAUSS_33 + ["--tol", "1e-3"])
+        assert e.value.code == 2
+
+    def test_covariance_tol_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, "tol": 1e-3}))
+        rc, _ = run_cli(["covariance", "--config", str(cfg)], tmp_path)
+        assert rc == 2
 
 
 class TestConfigFile:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from tfmotion.errors import PoleError
-from tfmotion.gaussian import (SampleGrid,
+from tfmotion.gaussian import (CovarianceMatrix, SampleGrid,
                                build_cov_matrix, covariance_tfbm2,
                                matern_cov_integral, simulate_gaussian_paths,
                                tfgn1_spectral_density, tfgn2_spectral_density,
@@ -245,6 +245,29 @@ class TestCovMatrix:
         m = build_cov_matrix(0.7, 0.15, grid)
         L = m.cholesky()
         assert np.allclose(L @ L.T, m.values, atol=1e-9)
+
+    @pytest.mark.parametrize("grid", [
+        SampleGrid.regular(1.0, 65),
+        SampleGrid.regular(2.0, 9, include_zero=False),
+        SampleGrid(np.array([-0.4, 0.0, 0.05, 0.3, 0.31, 1.2, 2.75])),
+    ], ids=["regular", "no_zero", "non_uniform"])
+    def test_bit_identical_to_loop_build(self, grid):
+        m = build_cov_matrix(0.7, 0.15, grid)
+        assert np.array_equal(m.values, oracles.loop_cov_matrix(0.7, 0.15, grid.times))
+
+    def test_jitter_recorded_zero_when_not_needed(self):
+        m = build_cov_matrix(0.7, 0.15, SampleGrid.regular(1.0, 101))
+        assert m.jitter is None
+        m.cholesky()
+        assert m.jitter == 0.0
+
+    def test_jitter_recorded_when_applied(self):
+        m = CovarianceMatrix(SampleGrid(np.array([1.0, 2.0, 3.0])), np.ones((3, 3)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m.values)
+        L = m.cholesky()
+        assert m.jitter > 0.0
+        assert np.max(np.abs(L @ L.T - m.values)) <= 1e-13
 
 
 class TestSimulation:
