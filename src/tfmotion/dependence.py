@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD,
                       kernel, kernel_alpha_norm)
@@ -71,6 +70,8 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
         b = theta2 * increment_kernel(p, 0.0, x)
         return _stable_bracket(a, b, p.alpha)
 
+    from scipy import integrate
+
     x_min = -q.cutoff(p.lam)
     total = 0.0
     with warnings.catch_warnings():
@@ -86,6 +87,8 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
 def noise_alpha_norm(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """||Y(0)||_alpha^alpha = integral of |increment kernel at lag 0|^alpha."""
     f = lambda x: abs(increment_kernel(p, 0.0, x)) ** p.alpha
+    from scipy import integrate
+
     x_min = -q.cutoff(p.lam)
     total = 0.0
     with warnings.catch_warnings():

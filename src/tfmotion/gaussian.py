@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy import special as _scipy_special
 
 from .errors import FactorizationError, PoleError, QuadratureError
 from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD
@@ -225,6 +223,8 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
         rho = min(s, t - w) + max(s - w, 0.0)
         return w ** (H - 1.0) * specfun.bessel_k(nu, lam * w) * rho
 
+    from scipy import integrate
+
     splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
     total = 0.0
     err = 0.0
@@ -269,6 +269,8 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     def g(w: float) -> float:
         return (lam * lam + w * w) ** (0.5 - H) / (w * w)
 
+    from scipy import integrate
+
     omega0 = max(1.0, 2.0 * lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -303,6 +305,8 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
     exactly through the Hurwitz zeta function; returns (value, remainder
     bound).  Requires 2 pi (L+1) - pi > lam so the expansion converges.
     """
+    from scipy.special import zeta
+
     qp = L + 1.0 + omega / _TWO_PI
     qm = L + 1.0 - omega / _TWO_PI
     x_min = _TWO_PI * (L + 1.0) - math.pi
@@ -313,14 +317,12 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
     coef = 1.0  # binom(expo, i)
     lam2i = 1.0
     for i in range(60):
-        zsum = (_scipy_special.zeta(power + 2 * i, qp)
-                + _scipy_special.zeta(power + 2 * i, qm))
+        zsum = zeta(power + 2 * i, qp) + zeta(power + 2 * i, qm)
         total += coef * lam2i * _TWO_PI ** (-(power + 2 * i)) * zsum
         coef_next = coef * (expo - i) / (i + 1.0)
         lam2i_next = lam2i * lam * lam
         # remainder: first omitted term with geometric domination
-        zs_next = (_scipy_special.zeta(power + 2 * i + 2, qp)
-                   + _scipy_special.zeta(power + 2 * i + 2, qm))
+        zs_next = zeta(power + 2 * i + 2, qp) + zeta(power + 2 * i + 2, qm)
         rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
             * zs_next / (1.0 - u_max)
         if rem < tol or rem < 1e-18 * abs(total):

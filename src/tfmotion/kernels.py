@@ -13,8 +13,9 @@ indicator of [0, t), uses
                                             h(t; y) = R(-y) - R(t - y).
 
 Every kernel value goes through _kernel_step, which evaluates these
-differences without cancellation.  Also here: the tempered fractional
-integral/derivative of the interval indicator and quadrature of
+differences without cancellation, or for kernel tables through its array twin
+_kernel_step_array over all a = -y at one t.  Also here: the tempered
+fractional integral/derivative of the interval indicator and quadrature of
 integral |kernel|^alpha dy.  The convention (x)_+^p = x^p for x > 0 and 0
 otherwise is used throughout; for kappa < 0 the primitive at x = 0 takes its
 infinite right limit, so the kernels return the signed infinite limit at the
@@ -27,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .errors import QuadratureError
 from . import specfun
@@ -138,6 +139,47 @@ def _kernel_step(kind: str, k: float, lam: float, a: float, w: float) -> float:
     return k * lam ** (-k) * specfun.gamma_interval(k, lam * a, lam * w)
 
 
+def _phi_array(k: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """_phi elementwise over an array x."""
+    out = np.zeros(x.shape)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = xp ** k * np.exp(-lam * xp)
+    if k < 0.0:
+        out[x == 0.0] = math.inf
+    return out
+
+
+def _kernel_step_array(kind: str, k: float, lam: float, a: np.ndarray,
+                       w: float) -> np.ndarray:
+    """_kernel_step elementwise over a 1-D array a at one scalar width w,
+    with the same branches and infinite markers."""
+    out = np.zeros(a.shape)
+    if w == 0.0:
+        return out
+    b = a + w
+    right = a > 0.0
+    ar = a[right]
+    if kind == "I" or lam == 0.0:
+        out[right] = _phi_array(k, lam, ar) * np.expm1(k * np.log1p(w / ar) - lam * w)
+        left = ~right
+        out[left] = _phi_array(k, lam, b[left]) - _phi_array(k, lam, a[left])
+        return out
+    cross = ~right & (b > 0.0)
+    if k == 0.0:
+        out[cross] = 1.0
+        return out
+    if k < 0.0:
+        out[b == 0.0] = math.inf
+        out[a == 0.0] = -math.inf
+        cross &= a != 0.0
+    bc = b[cross]
+    out[cross] = (lam ** (-k) * specfun._lower_gamma_array(1.0 + k, lam * bc)
+                  + _phi_array(k, lam, bc))
+    out[right] = k * lam ** (-k) * specfun._gamma_interval_array(k, lam * ar, lam * w)
+    return out
+
+
 def kernel_g(p: ProcessParams, t: float, y: float) -> float:
     """First-kind kernel g(t; y) = phi(t - y) - phi(-y).
 
@@ -243,6 +285,8 @@ def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:
 
 
 def _quad_panel(f, a: float, b: float, q: QuadratureConfig) -> tuple[float, float]:
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, a, b, epsabs=0.25 * q.abs_tol,

@@ -4,15 +4,18 @@ Implements the gamma function (Lanczos approximation with reflection), the
 modified Bessel function of the second kind K_nu (Temme's series for small
 argument, a Steed continued fraction for large argument), regularized and
 unnormalized incomplete gamma functions and their integral over an interval,
-and the generalized hypergeometric series 2F3.  No external special-function
-library is used here; SciPy/mpmath appear only in the test suite as
-independent oracles.
+and the generalized hypergeometric series 2F3.  The incomplete gamma
+functions also have private array forms (scalar a, array x) for building
+kernel tables.  No external special-function library is used here;
+SciPy/mpmath appear only in the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PoleError, SeriesConvergenceError
 
@@ -258,6 +261,27 @@ def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
     raise SeriesConvergenceError("incomplete gamma series did not converge")
 
 
+def _lower_series_array(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
+    """_lower_series over a 1-D array x.  Each element keeps its own sum and
+    stopping test; converged elements are frozen and leave the active set."""
+    out = np.empty(x.shape)
+    act = np.arange(x.size)
+    ap = a
+    s = np.full(x.size, 1.0 / a)
+    term = s.copy()
+    for _ in range(max_iter):
+        ap += 1.0
+        term *= x / ap
+        s += term
+        done = np.abs(term) < np.abs(s) * _EPS
+        out[act[done]] = s[done]
+        live = ~done
+        act, x, s, term = act[live], x[live], s[live], term[live]
+        if act.size == 0:
+            return out
+    raise SeriesConvergenceError("incomplete gamma series did not converge")
+
+
 def _upper_cf_scaled(a: float, x: float, max_iter: int = 1000) -> float:
     """Continued fraction G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x).
 
@@ -282,6 +306,34 @@ def _upper_cf_scaled(a: float, x: float, max_iter: int = 1000) -> float:
         h *= dl
         if abs(dl - 1.0) < _EPS:
             return h
+    raise SeriesConvergenceError("incomplete gamma continued fraction did not converge")
+
+
+def _upper_cf_scaled_array(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
+    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array."""
+    tiny = 1e-300
+    out = np.empty(x.shape)
+    act = np.arange(x.size)
+    b = x + 1.0 - a
+    c = np.full(x.size, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, max_iter + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        dl = d * c
+        h *= dl
+        done = np.abs(dl - 1.0) < _EPS
+        out[act[done]] = h[done]
+        live = ~done
+        act, b, c, d, h = act[live], b[live], c[live], d[live], h[live]
+        if act.size == 0:
+            return out
     raise SeriesConvergenceError("incomplete gamma continued fraction did not converge")
 
 
@@ -342,6 +394,42 @@ def upper_gamma(a: float, x: float) -> float:
     return gamma_fn(a) - math.exp(a * math.log(x) - x) * _lower_series(a, x)
 
 
+def _scale_array(a: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x) x^a, the factor in front of the series and the fraction."""
+    return np.exp(a * np.log(x) - x)
+
+
+def _lower_gamma_array(a: float, x) -> np.ndarray:
+    """lower_gamma(a, x) elementwise over an array x (same branches)."""
+    x = np.asarray(x, dtype=float)
+    if a <= 0.0:
+        raise ValueError(f"lower_gamma requires a > 0, got {a}")
+    if np.any(x < 0.0):
+        raise ValueError("lower_gamma requires x >= 0")
+    out = np.zeros(x.shape)
+    series = (x < max(1.0, a + 1.0)) & (x != 0.0)
+    cf = ~series & (x != 0.0)
+    xs, xc = x[series], x[cf]
+    out[series] = _scale_array(a, xs) * _lower_series_array(a, xs)
+    out[cf] = gamma_fn(a) - _scale_array(a, xc) * _upper_cf_scaled_array(a, xc)
+    return out
+
+
+def _upper_gamma_array(a: float, x) -> np.ndarray:
+    """upper_gamma(a, x) elementwise over an array x (same branches)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("upper_gamma requires x > 0")
+    if a == 0.0 or a <= -1.0:
+        raise ValueError(f"upper_gamma supports a in (-1, 0) u (0, inf), got {a}")
+    out = np.empty(x.shape)
+    cf = x >= max(1.0, a + 1.0)
+    xs, xc = x[~cf], x[cf]
+    out[cf] = _scale_array(a, xc) * _upper_cf_scaled_array(a, xc)
+    out[~cf] = gamma_fn(a) - _scale_array(a, xs) * _lower_series_array(a, xs)
+    return out
+
+
 # 6-point Gauss-Legendre nodes and weights on [-1, 1], positive half.
 _GL6_NODES = (0.2386191860831969086, 0.6612093864662645137, 0.9324695142031520278)
 _GL6_WEIGHTS = (0.4679139345726910474, 0.3607615730481386076, 0.1713244923791703450)
@@ -369,6 +457,28 @@ def gamma_interval(a: float, x: float, h: float) -> float:
                           + hi ** (a - 1.0) * math.exp(-hi))
         return r * total
     return upper_gamma(a, x) - upper_gamma(a, x + h)
+
+
+def _gamma_interval_array(a: float, x, h) -> np.ndarray:
+    """gamma_interval(a, x, h) elementwise over broadcast arrays x and h
+    (same seam between the Gauss-Legendre rule and the upper gamma
+    difference)."""
+    x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+    if np.any(x <= 0.0) or np.any(h < 0.0):
+        raise ValueError("gamma_interval requires x > 0 and h >= 0")
+    out = np.empty(x.shape)
+    gl = h <= 0.125 * np.minimum(x, 1.0)
+    r = 0.5 * h[gl]
+    c = x[gl] + r
+    total = np.zeros(c.shape)
+    for u, w in zip(_GL6_NODES, _GL6_WEIGHTS):
+        lo, hi = c - r * u, c + r * u
+        total += w * (lo ** (a - 1.0) * np.exp(-lo) + hi ** (a - 1.0) * np.exp(-hi))
+    out[gl] = r * total
+    diff = ~gl
+    xd, hd = x[diff], h[diff]
+    out[diff] = _upper_gamma_array(a, xd) - _upper_gamma_array(a, xd + hd)
+    return out
 
 
 def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z: float,

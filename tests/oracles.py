@@ -29,6 +29,12 @@ def mp_hyp2f3(a, b, z) -> float:
     return float(mp.hyper([mp.mpf(x) for x in a], [mp.mpf(x) for x in b], mp.mpf(z)))
 
 
+def mp_gammainc(a: float, x0: float, x1: float) -> float:
+    """integral_x0^x1 s^(a-1) e^-s ds; x1 = inf gives Gamma(a, x0) and x0 = 0
+    the lower gamma (a > 0)."""
+    return float(mp.gammainc(mp.mpf(a), mp.mpf(x0), mp.mpf(x1)))
+
+
 def besselk_quadrature(nu: float, x: float) -> float:
     """K_nu(x) from int_0^inf exp(-x cosh t) cosh(nu t) dt."""
 

@@ -314,12 +314,30 @@ class TestConfigFile:
         assert rc == 2
 
 
+def package_env():
+    """Environment whose PYTHONPATH starts with the directory holding the
+    imported tfmotion package, so a subprocess imports the same code."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "tfmotion.cli", "spectrum", "--H", "0.5",
              "--lambda", "1.0", "--omega-grid", "0:1:3", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # SciPy is imported only by the functions that integrate
+        code = ("import sys, tfmotion.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tfmotion import specfun as sf
-from tfmotion.kernels import (ProcessParams, QuadratureConfig, g_time_integral,
+from tfmotion.kernels import (ProcessParams, QuadratureConfig, _kernel_step,
+                              _kernel_step_array, g_time_integral,
                               kernel_alpha_norm, kernel_g, kernel_h, plus_pow,
                               tempered_frac_indicator)
 
@@ -112,6 +113,25 @@ class TestKernelHOracle:
                         ref = oracles.mp_kernel_h(H, alpha, lam, t, y)
                         assert kernel_h(p, t, y) == pytest.approx(
                             ref, rel=2e-11, abs=0.0), (H, alpha, lam, t, y)
+
+
+class TestKernelStepArray:
+    # a = -y hits the singular points a = 0 and b = a + w = 0, the plateau
+    # b < 0, the crossing a < 0 < b and the left tail a > 0
+    A = np.array([-3.0, -1.0, -0.6, -1e-9, 0.0, 1e-9, 0.3, 2.0, 40.0, 400.0])
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    @pytest.mark.parametrize("k", [-0.4, 0.0, 0.3, 1.2])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 25.0])
+    @pytest.mark.parametrize("w", [0.0, 1.0])
+    def test_matches_scalar(self, kind, k, lam, w):
+        v = _kernel_step_array(kind, k, lam, self.A, w)
+        for a, va in zip(self.A.tolist(), v):
+            ref = _kernel_step(kind, k, lam, a, w)
+            if math.isinf(ref):
+                assert va == ref, a
+            else:
+                assert va == pytest.approx(ref, rel=1e-12, abs=1e-15), a
 
 
 class TestKernelG:

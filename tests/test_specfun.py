@@ -174,3 +174,90 @@ class TestIncompleteGamma:
             sf.upper_gamma(0.5, 0.0)
         with pytest.raises(ValueError):
             sf.upper_gamma(-1.5, 2.0)
+
+
+def _seam_points(a):
+    """x on both sides of the series / continued-fraction seam max(1, a + 1)."""
+    s = max(1.0, a + 1.0)
+    return np.array([1e-4, 0.3, np.nextafter(s, 0.0), s, np.nextafter(s, np.inf),
+                     1.7, 3.0, 12.0, 40.0, 200.0])
+
+
+A_POS = (0.2, 0.7, 1.0, 1.3, 5.0)
+A_NEG = (-0.93, -0.5, -0.2, -0.01)
+
+
+class TestIncompleteGammaArray:
+    @pytest.mark.parametrize("a", A_POS)
+    def test_lower_gamma(self, a):
+        x = np.concatenate([[0.0], _seam_points(a)])
+        v = sf._lower_gamma_array(a, x)
+        assert v[0] == 0.0
+        for xi, vi in zip(x[1:], v[1:]):
+            xi = float(xi)
+            assert vi == pytest.approx(sf.lower_gamma(a, xi), rel=1e-13), xi
+            assert vi == pytest.approx(oracles.mp_gammainc(a, 0.0, xi), rel=1e-12), xi
+
+    @pytest.mark.parametrize("a", A_NEG + A_POS)
+    def test_upper_gamma(self, a):
+        x = _seam_points(a)
+        v = sf._upper_gamma_array(a, x)
+        for xi, vi in zip(x, v):
+            xi = float(xi)
+            assert vi == pytest.approx(sf.upper_gamma(a, xi), rel=1e-13), xi
+            assert vi == pytest.approx(oracles.mp_gammainc(a, xi, math.inf),
+                                       rel=5e-13, abs=1e-300), xi
+
+    @pytest.mark.parametrize("a", A_NEG + A_POS)
+    def test_gamma_interval(self, a):
+        # widths on both sides of the Gauss-Legendre seam h = min(x, 1) / 8
+        x = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0])
+        seam = 0.125 * np.minimum(x, 1.0)
+        for h in (0.0 * x, 0.5 * seam, seam, np.nextafter(seam, np.inf), 0.3 * x,
+                  2.0 + 0.0 * x):
+            v = sf._gamma_interval_array(a, x, h)
+            for xi, hi, vi in zip(x, h, v):
+                xi, hi = float(xi), float(hi)
+                assert vi == pytest.approx(sf.gamma_interval(a, xi, hi),
+                                           rel=1e-13, abs=1e-300), (xi, hi)
+                if a < 1.0:  # the upper gamma difference cancels for a > 1, small x
+                    ref = oracles.mp_gammainc(a, xi, xi + hi) if hi > 0.0 else 0.0
+                    assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), (xi, hi)
+
+    def test_scalar_width_broadcasts(self):
+        x = np.array([0.01, 0.4, 3.0, 25.0])
+        assert np.array_equal(sf._gamma_interval_array(0.3, x, 0.2),
+                              sf._gamma_interval_array(0.3, x, np.full(4, 0.2)))
+
+    def test_empty_input(self):
+        empty = np.empty(0)
+        assert sf._lower_series_array(0.5, empty).shape == (0,)
+        assert sf._upper_cf_scaled_array(0.5, empty).shape == (0,)
+        assert sf._lower_gamma_array(0.5, empty).shape == (0,)
+        assert sf._upper_gamma_array(-0.5, empty).shape == (0,)
+        assert sf._gamma_interval_array(0.5, empty, 0.1).shape == (0,)
+
+    def test_non_convergence(self):
+        # one slow element keeps the whole array from converging
+        with pytest.raises(SeriesConvergenceError):
+            sf._lower_series(0.5, 0.9, max_iter=5)
+        with pytest.raises(SeriesConvergenceError):
+            sf._lower_series_array(0.5, np.array([1e-3, 0.9]), max_iter=5)
+        with pytest.raises(SeriesConvergenceError):
+            sf._upper_cf_scaled(0.5, 1.5, max_iter=3)
+        with pytest.raises(SeriesConvergenceError):
+            sf._upper_cf_scaled_array(0.5, np.array([1e3, 1.5]), max_iter=3)
+
+    def test_domains(self):
+        with pytest.raises(ValueError):
+            sf._lower_gamma_array(-1.0, np.array([2.0]))
+        with pytest.raises(ValueError):
+            sf._lower_gamma_array(0.5, np.array([1.0, -2.0]))
+        with pytest.raises(ValueError):
+            sf._upper_gamma_array(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            sf._upper_gamma_array(-1.5, np.array([2.0]))
+        with pytest.raises(ValueError):
+            sf._gamma_interval_array(0.5, np.array([0.0]), 0.1)
+        with pytest.raises(ValueError):
+            sf._gamma_interval_array(0.5, np.array([1.0]), -0.1)

@@ -6,7 +6,8 @@ from scipy import integrate
 
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
-from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h, plus_pow
+from tfmotion.kernels import (ProcessParams, kernel, kernel_alpha_norm, kernel_h,
+                              plus_pow)
 from tfmotion.rng import philox_generator
 from tfmotion.stable import (DiscretizationPlan, StableScaleSkew, c0_scale,
                              integral_char_fn, kernel_node_table,
@@ -245,3 +246,42 @@ class TestNodeTable:
         assert 0.0 in plan.nodes() and 1.0 in plan.nodes()
         with pytest.raises(PlanError):
             kernel_node_table(p, grid, plan)
+
+    def test_singular_node_rejected_first_kind(self):
+        p = ProcessParams(H=0.3, alpha=2.0, lam=0.4, kind="I")
+        grid = SampleGrid(np.array([1.0]))
+        plan = DiscretizationPlan(y_min=-10.25, dy=0.5, n_nodes=23)
+        with pytest.raises(PlanError):
+            kernel_node_table(p, grid, plan)
+
+    def test_negative_time_rejected(self):
+        grid = SampleGrid(np.array([-0.5, 1.0]))
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=0.05, cutoff=5.0)
+        with pytest.raises(ValueError):
+            kernel_node_table(P15, grid, plan)
+
+    @pytest.mark.parametrize("kind,H,lam", [
+        ("II", 0.8, 0.3), ("I", 0.8, 0.3),        # kappa > 0
+        ("II", 0.5, 0.3), ("I", 0.5, 0.3),        # kappa < 0
+        ("II", 2.0 / 3.0, 0.3),                   # kappa = 0: indicator
+        ("II", 0.8, 0.0), ("I", 0.5, 0.0),        # untempered
+        ("II", 0.8, 25.0), ("II", 0.5, 25.0), ("I", 0.8, 25.0),
+    ])
+    @pytest.mark.parametrize("grid_kind", ["aligned", "readme"])
+    def test_matches_scalar_kernel(self, kind, H, lam, grid_kind):
+        # aligned: grid step 5 dy, full default left cutoff; readme: step 1/64,
+        # not a multiple of dy, with a shorter cutoff (1/3 keeps every
+        # midpoint off 0 and the grid times) to bound the scalar loop
+        p = ProcessParams(H=H, alpha=1.5, lam=lam, kind=kind)
+        if grid_kind == "aligned":
+            grid = SampleGrid.regular(1.0, 11)
+            plan = DiscretizationPlan.for_grid(grid, p, dy=0.02)
+        else:
+            grid = SampleGrid.regular(1.0, 65)
+            plan = DiscretizationPlan.for_grid(grid, p, dy=0.02,
+                                               cutoff=20.0 + 1.0 / 3.0)
+        table = kernel_node_table(p, grid, plan)
+        ys = plan.nodes().tolist()
+        ref = np.array([[kernel(p, t, y) for y in ys] for t in grid.times.tolist()])
+        diff = np.abs(table - ref)
+        assert np.all((diff <= 1e-15) | (diff <= 1e-12 * np.abs(ref)))
