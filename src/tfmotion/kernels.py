@@ -14,12 +14,13 @@ indicator of [0, t), uses
 
 Every kernel value goes through _kernel_step, which evaluates these
 differences without cancellation, or for kernel tables through its array twin
-_kernel_step_array over all a = -y at one t.  Also here: the tempered
-fractional integral/derivative of the interval indicator and quadrature of
-integral |kernel|^alpha dy.  The convention (x)_+^p = x^p for x > 0 and 0
-otherwise is used throughout; for kappa < 0 the primitive at x = 0 takes its
-infinite right limit, so the kernels return the signed infinite limit at the
-singular points y = 0 and y = t rather than overflowing.
+_kernel_step_array over all a = -y at one t (kernel_row).  Also here: the
+tempered fractional integral/derivative of the interval indicator and
+quadrature of integral |kernel|^alpha dy.  The convention (x)_+^p = x^p for
+x > 0 and 0 otherwise is used throughout; for kappa < 0 the primitive at
+x = 0 takes its infinite right limit, so the kernels return the signed
+infinite limit at the singular points y = 0 and y = t rather than
+overflowing.
 """
 
 from __future__ import annotations
@@ -267,6 +268,15 @@ def tempered_frac_indicator(kappa: float, lam: float, mode: str,
 def kernel(p: ProcessParams, t: float, y: float) -> float:
     """Kernel of the process selected by p.kind (g for I, h for II)."""
     return kernel_g(p, t, y) if p.kind == "I" else kernel_h(p, t, y)
+
+
+def kernel_row(p: ProcessParams, t: float, ys: np.ndarray) -> np.ndarray:
+    """kernel(p, t, y) for every y of a 1-D array at one time t, in one array
+    evaluation of the kind's primitive difference (_kernel_step_array); the
+    values agree with the scalar kernel to rounding."""
+    if t < 0.0:
+        raise ValueError(f"kernel time must be >= 0, got t = {t}")
+    return _kernel_step_array(p.kind, p.kappa, p.lam, -np.asarray(ys, dtype=float), t)
 
 
 def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:

@@ -459,25 +459,24 @@ def gamma_interval(a: float, x: float, h: float) -> float:
     return upper_gamma(a, x) - upper_gamma(a, x + h)
 
 
-def _gamma_interval_array(a: float, x, h) -> np.ndarray:
-    """gamma_interval(a, x, h) elementwise over broadcast arrays x and h
+def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
+    """gamma_interval(a, x, h) elementwise over an array x at one width h
     (same seam between the Gauss-Legendre rule and the upper gamma
     difference)."""
-    x, h = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
-    if np.any(x <= 0.0) or np.any(h < 0.0):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or h < 0.0:
         raise ValueError("gamma_interval requires x > 0 and h >= 0")
     out = np.empty(x.shape)
     gl = h <= 0.125 * np.minimum(x, 1.0)
-    r = 0.5 * h[gl]
+    r = 0.5 * h
     c = x[gl] + r
     total = np.zeros(c.shape)
     for u, w in zip(_GL6_NODES, _GL6_WEIGHTS):
         lo, hi = c - r * u, c + r * u
         total += w * (lo ** (a - 1.0) * np.exp(-lo) + hi ** (a - 1.0) * np.exp(-hi))
     out[gl] = r * total
-    diff = ~gl
-    xd, hd = x[diff], h[diff]
-    out[diff] = _upper_gamma_array(a, xd) - _upper_gamma_array(a, xd + hd)
+    xd = x[~gl]
+    out[~gl] = _upper_gamma_array(a, xd) - _upper_gamma_array(a, xd + h)
     return out
 
 

@@ -35,6 +35,11 @@ def mp_gammainc(a: float, x0: float, x1: float) -> float:
     return float(mp.gammainc(mp.mpf(a), mp.mpf(x0), mp.mpf(x1)))
 
 
+def mp_gamma_interval(a: float, x: float, h: float) -> float:
+    """integral_x^(x+h) s^(a-1) e^-s ds with x + h summed exactly."""
+    return float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.mpf(x) + mp.mpf(h)))
+
+
 def besselk_quadrature(nu: float, x: float) -> float:
     """K_nu(x) from int_0^inf exp(-x cosh t) cosh(nu t) dt."""
 

@@ -186,6 +186,26 @@ def _seam_points(a):
 A_POS = (0.2, 0.7, 1.0, 1.3, 5.0)
 A_NEG = (-0.93, -0.5, -0.2, -0.01)
 
+# widths h and points x on both sides of the Gauss-Legendre seam
+# h = min(x, 1) / 8 of gamma_interval
+GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, 2.0)
+
+
+def _interval_points(h):
+    x = {1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0}
+    if h > 0.0:
+        s = min(8.0 * h, 1.0)
+        x |= {float(np.nextafter(s, 0.0)), s, float(np.nextafter(s, np.inf))}
+    return np.array(sorted(x))
+
+
+_BELOW_8E4 = float(np.nextafter(8e-4, 0.0))
+GI_CANCELLATION = {
+    (1.3, _BELOW_8E4, 1e-4), (5.0, _BELOW_8E4, 1e-4),
+    (5.0, 1e-3, 0.01), (5.0, 0.05, 0.01), (5.0, float(np.nextafter(0.08, 0.0)), 0.01),
+    (5.0, 1e-3, 0.125), (5.0, 0.05, 0.125), (5.0, 1e-3, 0.3), (5.0, 0.05, 0.3),
+}
+
 
 class TestIncompleteGammaArray:
     @pytest.mark.parametrize("a", A_POS)
@@ -209,25 +229,27 @@ class TestIncompleteGammaArray:
                                        rel=5e-13, abs=1e-300), xi
 
     @pytest.mark.parametrize("a", A_NEG + A_POS)
-    def test_gamma_interval(self, a):
-        # widths on both sides of the Gauss-Legendre seam h = min(x, 1) / 8
-        x = np.array([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0])
-        seam = 0.125 * np.minimum(x, 1.0)
-        for h in (0.0 * x, 0.5 * seam, seam, np.nextafter(seam, np.inf), 0.3 * x,
-                  2.0 + 0.0 * x):
-            v = sf._gamma_interval_array(a, x, h)
-            for xi, hi, vi in zip(x, h, v):
-                xi, hi = float(xi), float(hi)
-                assert vi == pytest.approx(sf.gamma_interval(a, xi, hi),
-                                           rel=1e-13, abs=1e-300), (xi, hi)
-                if a < 1.0:  # the upper gamma difference cancels for a > 1, small x
-                    ref = oracles.mp_gammainc(a, xi, xi + hi) if hi > 0.0 else 0.0
-                    assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), (xi, hi)
+    @pytest.mark.parametrize("h", GI_WIDTHS)
+    def test_gamma_interval(self, a, h):
+        x = _interval_points(h)
+        v = sf._gamma_interval_array(a, x, h)
+        for xi, vi in zip(x.tolist(), v):
+            assert vi == pytest.approx(sf.gamma_interval(a, xi, h),
+                                       rel=1e-13, abs=1e-300), xi
+            if (a, xi, h) in GI_CANCELLATION:
+                continue  # checked against the oracle by the xfail test below
+            ref = oracles.mp_gamma_interval(a, xi, h)
+            assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), xi
 
-    def test_scalar_width_broadcasts(self):
-        x = np.array([0.01, 0.4, 3.0, 25.0])
-        assert np.array_equal(sf._gamma_interval_array(0.3, x, 0.2),
-                              sf._gamma_interval_array(0.3, x, np.full(4, 0.2)))
+    # Known defect: for a > 1 at small x, above the Gauss-Legendre seam, the
+    # upper gamma difference cancels against Gamma(a) (CHANGES.md, FOUND line
+    # on gamma_interval).  Mending it makes these cases pass and fail the run.
+    @pytest.mark.xfail(strict=True, reason="upper gamma difference cancels for a > 1")
+    @pytest.mark.parametrize("a, x, h", sorted(GI_CANCELLATION))
+    def test_gamma_interval_cancellation(self, a, x, h):
+        v = sf._gamma_interval_array(a, np.array([x]), h)[0]
+        assert v == pytest.approx(oracles.mp_gamma_interval(a, x, h),
+                                  rel=1e-12, abs=1e-300)
 
     def test_empty_input(self):
         empty = np.empty(0)
