@@ -268,16 +268,13 @@ def cmd_limits(args) -> int:
         raise ValueError("limits requires lambda > 0")
     q = QuadratureConfig(abs_tol=1e-12, rel_tol=min(args.tol, 1e-2))
     rows = []
-    for kind in ("II", "I"):
-        params = _build_params(args, kind=kind)
-        rows += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-                  r["rel_gap"], r["in_theorem_range"]]
-                 for r in global_limit_check(params, _parse_list(args.b_global), q)]
-    for kind in ("II", "I"):
-        params = _build_params(args, kind=kind)
-        rows += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-                  r["rel_gap"], r["in_theorem_range"]]
-                 for r in local_limit_check(params, _parse_list(args.b_local), q)]
+    for check, b_list in ((global_limit_check, args.b_global),
+                          (local_limit_check, args.b_local)):
+        for kind in ("II", "I"):
+            params = _build_params(args, kind=kind)
+            rows += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
+                      r["rel_gap"], r["in_theorem_range"]]
+                     for r in check(params, _parse_list(b_list), q)]
     meta = {"H": args.H, "alpha": args.alpha, "lambda": args.lam}
     _emit(args.out, args.format, "limits", meta,
           ["regime", "kind", "b", "normalized", "limit", "rel_gap",

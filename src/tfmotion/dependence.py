@@ -8,18 +8,19 @@ The codifference of the unit-lag noise Y(t) = Z(t+1) - Z(t) is
 
 an integral over the increment kernels that decays like e^{-lam t} t^{p} with
 p = H - 1/alpha - 1 for the second kind and p = H - 1/alpha for the first,
-the measurable distinction between the two processes.
+the measurable distinction between the two processes.  Every integral here
+runs through kernels._quad, so an error estimate above the QuadratureConfig
+tolerances raises QuadratureError instead of passing silently.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD,
+from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad,
                       kernel, kernel_alpha_norm)
 from . import specfun
 
@@ -55,9 +56,9 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
                  q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Codifference I(t) of the unit-lag noise at integer lag t >= 1.
 
-    Quadrature of the bracket integrand over x in (-cutoff, 1], with the
-    near-cancellation between the lag-t and lag-0 kernels evaluated through
-    log1p/expm1.
+    Quadrature of the bracket integrand over x in (-cutoff, 1] to the
+    relative tolerance alone (epsabs = 0), with the near-cancellation
+    between the lag-t and lag-0 kernels evaluated through log1p/expm1.
     """
     if t < 1 or t != int(t):
         raise ValueError(f"codifference is defined for integer t >= 1, got {t}")
@@ -70,34 +71,13 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
         b = theta2 * increment_kernel(p, 0.0, x)
         return _stable_bracket(a, b, p.alpha)
 
-    from scipy import integrate
-
-    x_min = -q.cutoff(p.lam)
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in ((x_min, 0.0), (0.0, 1.0)):
-            v, _ = integrate.quad(integrand, a, b, epsabs=0.0,
-                                  epsrel=0.25 * q.rel_tol,
-                                  limit=q.max_subdivisions)
-            total += v
-    return total
+    return _quad(integrand, (-q.cutoff(p.lam), 0.0, 1.0), q, epsabs=0.0)[0]
 
 
 def noise_alpha_norm(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """||Y(0)||_alpha^alpha = integral of |increment kernel at lag 0|^alpha."""
-    f = lambda x: abs(increment_kernel(p, 0.0, x)) ** p.alpha
-    from scipy import integrate
-
-    x_min = -q.cutoff(p.lam)
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in ((x_min, 0.0), (0.0, 1.0)):
-            v, _ = integrate.quad(f, a, b, epsabs=0.25 * q.abs_tol,
-                                  epsrel=0.25 * q.rel_tol, limit=q.max_subdivisions)
-            total += v
-    return total
+    """||Y(0)||_alpha^alpha, the alpha-norm of the unit-time kernel by
+    stationary increments."""
+    return kernel_alpha_norm(p, 1.0, q)
 
 
 def r_fn(p: ProcessParams, t: int, theta1: float, theta2: float,

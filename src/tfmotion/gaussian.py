@@ -10,13 +10,12 @@ factorization with a counter-based (Philox) generator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FactorizationError, PoleError, QuadratureError
-from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD
+from .errors import FactorizationError, PoleError
+from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad
 from .rng import fan_out, philox_generator
 from . import specfun
 
@@ -204,7 +203,7 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
     is reduced to one dimension in the difference variable w = |u - v|, whose
     occupation length on [0,t] x [0,s] (s <= t) is
     rho(w) = min(s, t-w) + (s-w)_+; the integrable singularity at w = 0 sits
-    at a panel endpoint.
+    at a panel endpoint.  The tolerances of q apply to the unscaled integral.
     """
     if H <= 0.5:
         raise ValueError(f"the Matern representation requires H > 1/2, got {H}")
@@ -223,25 +222,8 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
         rho = min(s, t - w) + max(s - w, 0.0)
         return w ** (H - 1.0) * specfun.bessel_k(nu, lam * w) * rho
 
-    from scipy import integrate
-
     splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(splits[:-1], splits[1:]):
-            if b - a <= 0.0:
-                continue
-            v, e = integrate.quad(f, a, b, epsabs=0.25 * q.abs_tol,
-                                  epsrel=0.25 * q.rel_tol, limit=q.max_subdivisions)
-            total += v
-            err += e
-    val = c * total
-    if c * err > max(q.abs_tol, q.rel_tol * abs(val)) * 40.0:
-        raise QuadratureError(
-            f"matern_cov_integral error {c * err:.3e} exceeds tolerance")
-    return val
+    return c * _quad(f, splits, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +239,10 @@ def tfgn2_acvf(H: float, lam: float, j: int,
 
     The oscillatory tail beyond Omega is handled by expanding
     (2 - 2 cos w) cos(j w) into pure cosines and integrating each with the
-    QUADPACK Fourier transform; the identity against second differences of
-    the motion variance is left to the tests.
+    QUADPACK Fourier transform (QAWF) at epsabs = 0.25 q.abs_tol; the head
+    and the non-oscillatory tail run at epsabs = 1e-13.  Each of these integrals raises QuadratureError
+    when its error estimate exceeds the tolerances of q.  The identity
+    against second differences of the motion variance is left to the tests.
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -269,31 +253,22 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     def g(w: float) -> float:
         return (lam * lam + w * w) ** (0.5 - H) / (w * w)
 
-    from scipy import integrate
-
     omega0 = max(1.0, 2.0 * lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(
-            lambda w: (2.0 - 2.0 * math.cos(w)) * math.cos(j * w) * g(w),
-            0.0, omega0, epsabs=1e-13, epsrel=0.25 * q.rel_tol,
-            limit=max(q.max_subdivisions, 200 + 60 * j))
-        # cosine coefficients of (2 - 2 cos w) cos(j w)
-        coeffs: dict[int, float] = {}
-        for m, c in ((j, 2.0), (j + 1, -1.0), (abs(j - 1), -1.0)):
-            coeffs[m] = coeffs.get(m, 0.0) + c
-        tail = 0.0
-        for m, c in sorted(coeffs.items()):
-            if c == 0.0:
-                continue
-            if m == 0:
-                v, _ = integrate.quad(g, omega0, np.inf, epsabs=1e-13,
-                                      epsrel=0.25 * q.rel_tol,
-                                      limit=q.max_subdivisions)
-            else:
-                v, _ = integrate.quad(g, omega0, np.inf, weight="cos", wvar=m,
-                                      limit=q.max_subdivisions)
-            tail += c * v
+    head, _ = _quad(lambda w: (2.0 - 2.0 * math.cos(w)) * math.cos(j * w) * g(w),
+                    (0.0, omega0), q, epsabs=1e-13, limit=max(400, 200 + 60 * j))
+    # cosine coefficients of (2 - 2 cos w) cos(j w)
+    coeffs: dict[int, float] = {}
+    for m, c in ((j, 2.0), (j + 1, -1.0), (abs(j - 1), -1.0)):
+        coeffs[m] = coeffs.get(m, 0.0) + c
+    tail = 0.0
+    for m, c in sorted(coeffs.items()):
+        if c == 0.0:
+            continue
+        if m == 0:
+            v, _ = _quad(g, (omega0, math.inf), q, epsabs=1e-13)
+        else:
+            v, _ = _quad(g, (omega0, math.inf), q, weight="cos", wvar=m)
+        tail += c * v
     return (head + tail) / math.pi
 
 

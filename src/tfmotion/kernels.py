@@ -15,8 +15,11 @@ indicator of [0, t), uses
 Every kernel value goes through _kernel_step, which evaluates these
 differences without cancellation, or for kernel tables through its array twin
 _kernel_step_array over all a = -y at one t (kernel_row).  Also here: the
-tempered fractional integral/derivative of the interval indicator and
-quadrature of integral |kernel|^alpha dy.  The convention (x)_+^p = x^p for
+tempered fractional integral/derivative of the interval indicator,
+quadrature of integral |kernel|^alpha dy, and _quad, the one quadrature
+helper through which every integral of the package runs: it returns
+QUADPACK's error estimate and raises QuadratureError when that estimate
+exceeds the QuadratureConfig tolerances.  The convention (x)_+^p = x^p for
 x > 0 and 0 otherwise is used throughout; for kappa < 0 the primitive at
 x = 0 takes its infinite right limit, so the kernels return the signed
 infinite limit at the singular points y = 0 and y = t rather than
@@ -71,30 +74,58 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation for the kernel-norm and codifference integrals."""
+    """Tolerances of the library's integrals (see _quad); the left tails are
+    truncated at cutoff(lam) = max(50/lambda, 50), or 50 for lambda = 0."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
-    max_subdivisions: int = 400
-    left_cutoff: float | None = None  # None: max(50/lambda, 50)
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
             if not 0.0 < v <= 1e-2:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
 
     def cutoff(self, lam: float) -> float:
-        if self.left_cutoff is not None:
-            return self.left_cutoff
         if lam > 0.0:
             return max(50.0 / lam, 50.0)
         return 50.0
 
 
 DEFAULT_QUAD = QuadratureConfig()
+
+
+def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
+          epsabs: float | None = None, limit: int = 400,
+          **weight) -> tuple[float, float]:
+    """(value, error estimate) of integral f over [edges[0], edges[-1]].
+
+    Every integral of the library goes through here: one QUADPACK call per
+    panel between consecutive edges, with epsabs (default 0.25 q.abs_tol),
+    epsrel = 0.25 q.rel_tol and at most limit subdivisions; ``weight``
+    passes QUADPACK weights such as weight="cos", wvar=m.  Values and error
+    estimates are summed in panel order.  Raises QuadratureError when the
+    summed error exceeds 40 max(q.abs_tol, q.rel_tol |value|).
+    """
+    from scipy import integrate
+
+    if epsabs is None:
+        epsabs = 0.25 * q.abs_tol
+    total = 0.0
+    err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            v, e = integrate.quad(f, a, b, epsabs=epsabs, epsrel=0.25 * q.rel_tol,
+                                  limit=limit, **weight)
+            total += v
+            err += e
+    if err > 40.0 * max(q.abs_tol, q.rel_tol * abs(total)):
+        raise QuadratureError(
+            f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
+            f"estimate {err:.3e} exceeds tolerance "
+            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total:.6e})")
+    return total, err
 
 
 def plus_pow(x: float, p: float) -> float:
@@ -294,23 +325,14 @@ def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:
     return pref * specfun.upper_gamma(al * p.H, al * lam * a)
 
 
-def _quad_panel(f, a: float, b: float, q: QuadratureConfig) -> tuple[float, float]:
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=0.25 * q.abs_tol,
-                                  epsrel=0.25 * q.rel_tol, limit=q.max_subdivisions)
-    return val, err
-
-
 def kernel_alpha_norm(p: ProcessParams, t: float,
                       q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature.
+    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad).
 
     The left tail below -cutoff is truncated and covered by the analytic
-    exponential bound (lam > 0) or integrated to -infinity directly (lam = 0).
-    H = 1/alpha short-circuits to the exact value t.
+    exponential bound (lam > 0), which is added to the value, or integrated
+    to -infinity directly (lam = 0).  H = 1/alpha short-circuits to the exact
+    value t.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -320,22 +342,9 @@ def kernel_alpha_norm(p: ProcessParams, t: float,
         return float(t)  # indicator kernel
     al, k = p.alpha, p.kappa
     f = lambda y: abs(_kernel_step(p.kind, k, p.lam, -y, t)) ** al
-
-    total = 0.0
-    err = 0.0
     if p.lam > 0.0:
         a = q.cutoff(p.lam)
-        tail = alpha_norm_tail_bound(p, t, a)
-        v1, e1 = _quad_panel(f, -a, 0.0, q)
-        total, err = v1 + tail, e1 + tail
-    else:
-        v1, e1 = _quad_panel(f, -math.inf, 0.0, q)
-        total, err = v1, e1
-    v2, e2 = _quad_panel(f, 0.0, t, q)
-    total += v2
-    err += e2
-    if err > max(q.abs_tol, q.rel_tol * abs(total)) * 40.0:
-        raise QuadratureError(
-            f"kernel_alpha_norm error estimate {err:.3e} exceeds tolerance "
-            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total:.6e})")
+        total, _ = _quad(f, (-a, 0.0, t), q)
+        return total + alpha_norm_tail_bound(p, t, a)
+    total, _ = _quad(f, (-math.inf, 0.0, t), q)
     return total

@@ -442,7 +442,9 @@ def gamma_interval(a: float, x: float, h: float) -> float:
     An interval short against both x and 1, where the difference of upper
     gammas would cancel, is integrated by 6-point Gauss-Legendre: the
     integrand is analytic well beyond the interval, so the rule is exact to
-    rounding.  On longer intervals the difference loses at most about two
+    rounding.  A longer interval is a difference of upper gammas, or of lower
+    gammas for a > 1 and x < a, where Gamma(a, x) is close to Gamma(a) and
+    the upper difference would cancel; either loses at most about three
     digits.
     """
     if x <= 0.0 or h < 0.0:
@@ -456,13 +458,15 @@ def gamma_interval(a: float, x: float, h: float) -> float:
             total += w * (lo ** (a - 1.0) * math.exp(-lo)
                           + hi ** (a - 1.0) * math.exp(-hi))
         return r * total
+    if a > 1.0 and x < a:
+        return lower_gamma(a, x + h) - lower_gamma(a, x)
     return upper_gamma(a, x) - upper_gamma(a, x + h)
 
 
 def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
     """gamma_interval(a, x, h) elementwise over an array x at one width h
-    (same seam between the Gauss-Legendre rule and the upper gamma
-    difference)."""
+    (same seams between the Gauss-Legendre rule and the lower and upper gamma
+    differences)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or h < 0.0:
         raise ValueError("gamma_interval requires x > 0 and h >= 0")
@@ -475,8 +479,14 @@ def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
         lo, hi = c - r * u, c + r * u
         total += w * (lo ** (a - 1.0) * np.exp(-lo) + hi ** (a - 1.0) * np.exp(-hi))
     out[gl] = r * total
-    xd = x[~gl]
-    out[~gl] = _upper_gamma_array(a, xd) - _upper_gamma_array(a, xd + h)
+    up = ~gl
+    if a > 1.0:
+        low = up & (x < a)
+        xl = x[low]
+        out[low] = _lower_gamma_array(a, xl + h) - _lower_gamma_array(a, xl)
+        up &= ~low
+    xu = x[up]
+    out[up] = _upper_gamma_array(a, xu) - _upper_gamma_array(a, xu + h)
     return out
 
 

@@ -128,6 +128,11 @@ class TestAcvf:
             ref = 0.5 * (c2(j + 1) - 2.0 * c2(j) + c2(abs(j - 1)))
             assert tfgn2_acvf(0.7, 0.15, j) == pytest.approx(ref, rel=1e-7), j
 
+    def test_brownian_increments_uncorrelated(self):
+        # H = 1/2: the increments of Brownian motion are uncorrelated
+        for j in (1, 5, 20, 60):
+            assert abs(tfgn2_acvf(0.5, 1.0, j)) <= 1e-12, j
+
 
 def _acvf_table(H, lam, jmax):
     return [tfgn2_acvf(H, lam, j) for j in range(jmax + 1)]

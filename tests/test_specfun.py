@@ -187,24 +187,19 @@ A_POS = (0.2, 0.7, 1.0, 1.3, 5.0)
 A_NEG = (-0.93, -0.5, -0.2, -0.01)
 
 # widths h and points x on both sides of the Gauss-Legendre seam
-# h = min(x, 1) / 8 of gamma_interval
+# h = min(x, 1) / 8 of gamma_interval, and for a > 1 of the seam x = a
+# between the lower and upper gamma differences
 GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, 2.0)
 
 
-def _interval_points(h):
+def _interval_points(a, h):
     x = {1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0}
     if h > 0.0:
         s = min(8.0 * h, 1.0)
         x |= {float(np.nextafter(s, 0.0)), s, float(np.nextafter(s, np.inf))}
+    if a > 1.0:
+        x |= {float(np.nextafter(a, 0.0)), a, float(np.nextafter(a, np.inf))}
     return np.array(sorted(x))
-
-
-_BELOW_8E4 = float(np.nextafter(8e-4, 0.0))
-GI_CANCELLATION = {
-    (1.3, _BELOW_8E4, 1e-4), (5.0, _BELOW_8E4, 1e-4),
-    (5.0, 1e-3, 0.01), (5.0, 0.05, 0.01), (5.0, float(np.nextafter(0.08, 0.0)), 0.01),
-    (5.0, 1e-3, 0.125), (5.0, 0.05, 0.125), (5.0, 1e-3, 0.3), (5.0, 0.05, 0.3),
-}
 
 
 class TestIncompleteGammaArray:
@@ -231,25 +226,13 @@ class TestIncompleteGammaArray:
     @pytest.mark.parametrize("a", A_NEG + A_POS)
     @pytest.mark.parametrize("h", GI_WIDTHS)
     def test_gamma_interval(self, a, h):
-        x = _interval_points(h)
+        x = _interval_points(a, h)
         v = sf._gamma_interval_array(a, x, h)
         for xi, vi in zip(x.tolist(), v):
             assert vi == pytest.approx(sf.gamma_interval(a, xi, h),
                                        rel=1e-13, abs=1e-300), xi
-            if (a, xi, h) in GI_CANCELLATION:
-                continue  # checked against the oracle by the xfail test below
             ref = oracles.mp_gamma_interval(a, xi, h)
             assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), xi
-
-    # Known defect: for a > 1 at small x, above the Gauss-Legendre seam, the
-    # upper gamma difference cancels against Gamma(a) (CHANGES.md, FOUND line
-    # on gamma_interval).  Mending it makes these cases pass and fail the run.
-    @pytest.mark.xfail(strict=True, reason="upper gamma difference cancels for a > 1")
-    @pytest.mark.parametrize("a, x, h", sorted(GI_CANCELLATION))
-    def test_gamma_interval_cancellation(self, a, x, h):
-        v = sf._gamma_interval_array(a, np.array([x]), h)[0]
-        assert v == pytest.approx(oracles.mp_gamma_interval(a, x, h),
-                                  rel=1e-12, abs=1e-300)
 
     def test_empty_input(self):
         empty = np.empty(0)
