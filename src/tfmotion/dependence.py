@@ -10,7 +10,11 @@ an integral over the increment kernels that decays like e^{-lam t} t^{p} with
 p = H - 1/alpha - 1 for the second kind and p = H - 1/alpha for the first,
 the measurable distinction between the two processes.  Every integral here
 runs through kernels._quad, so an error estimate above the QuadratureConfig
-tolerances raises QuadratureError instead of passing silently.
+tolerances raises QuadratureError instead of passing silently.  The lags of
+decay_diagnostic run as one _quad batch, as does the b list of each limit
+check (through kernels._alpha_norms), so each quadrature sweep evaluates the
+kernels of every lag or every b in array calls (kernel_row); codifference and
+kernel_alpha_norm are the one-lag and one-b cases of these batches.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad,
-                      kernel, kernel_alpha_norm)
+                      _alpha_norms, kernel, kernel_alpha_norm, kernel_row)
 from . import specfun
 
 
@@ -38,40 +42,56 @@ def increment_kernel(p: ProcessParams, t: float, x: float) -> float:
     return kernel(p, 1.0, x - t)
 
 
-def _stable_bracket(a: float, b: float, alpha: float) -> float:
-    """|a+b|^alpha - |a|^alpha - |b|^alpha without losing the small term."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if abs(a) > abs(b):
-        a, b = b, a
-    r = a / b
-    if r > -1.0:
-        main = abs(b) ** alpha * math.expm1(alpha * math.log1p(r))
-    else:
-        main = abs(a + b) ** alpha - abs(b) ** alpha
-    return main - abs(a) ** alpha
+def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """|a+b|^alpha - |a|^alpha - |b|^alpha elementwise, without losing the
+    small term: with |small| <= |large| and r = small/large > -1 the bracket
+    is |large|^alpha expm1(alpha log1p(r)) - |small|^alpha."""
+    swap = np.abs(a) > np.abs(b)
+    small = np.where(swap, b, a)
+    large = np.where(swap, a, b)
+    out = np.zeros(a.shape)
+    nz = (small != 0.0) & (large != 0.0)
+    small, large = small[nz], large[nz]
+    r = small / large
+    main = np.abs(small + large) ** alpha - np.abs(large) ** alpha
+    near = r > -1.0
+    main[near] = np.abs(large[near]) ** alpha * np.expm1(alpha * np.log1p(r[near]))
+    out[nz] = main - np.abs(small) ** alpha
+    return out
+
+
+def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
+                   theta2: float, q: QuadratureConfig) -> np.ndarray:
+    """I(t) at every integer lag of lags as one _quad batch over
+    x in (-cutoff, 1], or (-inf, 1] for lam = 0, to the relative tolerance
+    alone (epsabs = 0).  Each sweep evaluates the lag-t kernels of all lags
+    in one kernel_row, and the lag-0 kernel in another."""
+    lags = np.asarray(lags, dtype=float)
+    left = -q.cutoff(p.lam) if p.lam > 0.0 else -math.inf
+
+    def integrand(x, rows):
+        a = theta1 * kernel_row(p, 1.0, x - lags[rows])
+        b = theta2 * kernel_row(p, 1.0, x)
+        return _stable_bracket(a, b, p.alpha)
+
+    return _quad(integrand, [(left, 0.0, 1.0)] * lags.size, q, epsabs=0.0)[0]
 
 
 def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
                  q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Codifference I(t) of the unit-lag noise at integer lag t >= 1.
 
-    Quadrature of the bracket integrand over x in (-cutoff, 1] to the
-    relative tolerance alone (epsabs = 0), with the near-cancellation
+    The one-lag case of the batch behind decay_diagnostic: quadrature of
+    the bracket integrand over x in (-cutoff, 1], or to -infinity through
+    QUADPACK's infinite map for lam = 0 (the untempered kernels decay only
+    polynomially), to the relative tolerance alone, with the near-cancellation
     between the lag-t and lag-0 kernels evaluated through log1p/expm1.
     """
     if t < 1 or t != int(t):
         raise ValueError(f"codifference is defined for integer t >= 1, got {t}")
-    t = float(int(t))
     if theta1 == 0.0 or theta2 == 0.0:
         return 0.0
-
-    def integrand(x: float) -> float:
-        a = theta1 * increment_kernel(p, t, x)
-        b = theta2 * increment_kernel(p, 0.0, x)
-        return _stable_bracket(a, b, p.alpha)
-
-    return _quad(integrand, (-q.cutoff(p.lam), 0.0, 1.0), q, epsabs=0.0)[0]
+    return float(_codifferences(p, [int(t)], theta1, theta2, q)[0])
 
 
 def noise_alpha_norm(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -134,7 +154,9 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     if ts.size < 2:
         raise ValueError("need at least two lags")
     p_used = p.H - 1.0 / p.alpha - (1.0 if p.kind == "II" else 0.0)
-    ivals = np.array([codifference(p, int(t), theta1, theta2, q) for t in ts])
+    if np.any(ts != np.floor(ts)) or ts[0] < 1:
+        raise ValueError("codifference is defined for integer lags t >= 1")
+    ivals = _codifferences(p, ts, theta1, theta2, q)
     if np.any(ivals == 0.0):
         raise ValueError("codifference vanished over the requested lags; "
                          "the envelope ratio is undefined")
@@ -178,9 +200,9 @@ def global_limit_check(p: ProcessParams, b_values,
                        q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
     """Normalized alpha-norms against the large-b limit, one row per b."""
     limit = global_limit_constant(p)
+    bs = sorted(float(b) for b in b_values)
     rows = []
-    for b in sorted(float(b) for b in b_values):
-        norm = kernel_alpha_norm(p, b, q)
+    for b, norm in zip(bs, _alpha_norms(p, bs, q).tolist()):
         normalized = norm / b if p.kind == "II" else norm
         rows.append({
             "regime": "global", "kind": p.kind, "b": b,
@@ -200,9 +222,9 @@ def local_limit_check(p: ProcessParams, b_values,
     """
     in_range = bool(0.0 < p.H < 1.0)
     limit = fsm_norm_limit(p, q) if in_range else math.nan
+    bs = sorted((float(b) for b in b_values), reverse=True)
     rows = []
-    for b in sorted((float(b) for b in b_values), reverse=True):
-        norm = kernel_alpha_norm(p, b, q)
+    for b, norm in zip(bs, _alpha_norms(p, bs, q).tolist()):
         normalized = b ** (-p.alpha * p.H) * norm
         rows.append({
             "regime": "local", "kind": p.kind, "b": b,

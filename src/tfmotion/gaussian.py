@@ -218,9 +218,10 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
     nu = H - 1.0
     c = 1.0 / (_SQRT_PI * specfun.gamma_fn(H - 0.5) * (2.0 * lam) ** (H - 1.0))
 
-    def f(w: float) -> float:
-        rho = min(s, t - w) + max(s - w, 0.0)
-        return w ** (H - 1.0) * specfun.bessel_k(nu, lam * w) * rho
+    def f(w, rows):
+        rho = np.minimum(s, t - w) + np.maximum(s - w, 0.0)
+        k = np.array([specfun.bessel_k(nu, lam * v) for v in w.tolist()])
+        return w ** (H - 1.0) * k * rho
 
     splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
     return c * _quad(f, splits, q)[0]
@@ -250,12 +251,15 @@ def tfgn2_acvf(H: float, lam: float, j: int,
         raise ValueError(f"H must be positive, got {H}")
     j = abs(int(j))
 
-    def g(w: float) -> float:
+    def g(w, rows):
         return (lam * lam + w * w) ** (0.5 - H) / (w * w)
 
+    def head_f(w, rows):
+        return (2.0 - 2.0 * np.cos(w)) * np.cos(j * w) * g(w, rows)
+
     omega0 = max(1.0, 2.0 * lam)
-    head, _ = _quad(lambda w: (2.0 - 2.0 * math.cos(w)) * math.cos(j * w) * g(w),
-                    (0.0, omega0), q, epsabs=1e-13, limit=max(400, 200 + 60 * j))
+    head, _ = _quad(head_f, (0.0, omega0), q, epsabs=1e-13,
+                    limit=max(400, 200 + 60 * j))
     # cosine coefficients of (2 - 2 cos w) cos(j w)
     coeffs: dict[int, float] = {}
     for m, c in ((j, 2.0), (j + 1, -1.0), (abs(j - 1), -1.0)):

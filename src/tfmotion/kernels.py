@@ -13,13 +13,18 @@ indicator of [0, t), uses
                                             h(t; y) = R(-y) - R(t - y).
 
 Every kernel value goes through _kernel_step, which evaluates these
-differences without cancellation, or for kernel tables through its array twin
-_kernel_step_array over all a = -y at one t (kernel_row).  Also here: the
-tempered fractional integral/derivative of the interval indicator,
-quadrature of integral |kernel|^alpha dy, and _quad, the one quadrature
-helper through which every integral of the package runs: it returns
-QUADPACK's error estimate and raises QuadratureError when that estimate
-exceeds the QuadratureConfig tolerances.  The convention (x)_+^p = x^p for
+differences without cancellation, or for kernel tables and quadrature
+through its array twin _kernel_step_array over all a = -y at one t
+(kernel_row).  Also here: the tempered fractional integral/derivative of
+the interval indicator, quadrature of integral |kernel|^alpha dy (one batch
+over many t), and _quad, the one quadrature helper through which every
+integral of the package runs.  _quad integrates a batch of integrals with
+QUADPACK's adaptive G7/K15 rule written in NumPy, one array integrand call
+per sweep over every active panel of every integral; endpoint-singular
+integrals it cannot finish by bisection, and QUADPACK's weighted forms, go
+to scipy.integrate.quad, imported only then.  It returns each integral's
+error estimate and raises QuadratureError when that estimate exceeds the
+QuadratureConfig tolerances.  The convention (x)_+^p = x^p for
 x > 0 and 0 otherwise is used throughout; for kappa < 0 the primitive at
 x = 0 takes its infinite right limit, so the kernels return the signed
 infinite limit at the singular points y = 0 and y = t rather than
@@ -74,8 +79,9 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the library's integrals (see _quad); the left tails are
-    truncated at cutoff(lam) = max(50/lambda, 50), or 50 for lambda = 0."""
+    """Tolerances of the library's integrals (see _quad).  For lambda > 0
+    the left tails are truncated at cutoff(lam) = max(50/lambda, 50); the
+    untempered integrals (lambda = 0) run on to -infinity past cutoff(0) = 50."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
@@ -95,36 +101,178 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
-          epsabs: float | None = None, limit: int = 400,
-          **weight) -> tuple[float, float]:
-    """(value, error estimate) of integral f over [edges[0], edges[-1]].
+# QUADPACK's qk15 rule (Piessens et al., QUADPACK, Springer 1983): the 15
+# Kronrod nodes on [-1, 1], their weights, and the weights of the embedded
+# 7-point Gauss rule (zero on the Kronrod-only nodes)
+_XGK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
 
-    Every integral of the library goes through here: one QUADPACK call per
-    panel between consecutive edges, with epsabs (default 0.25 q.abs_tol),
-    epsrel = 0.25 q.rel_tol and at most limit subdivisions; ``weight``
-    passes QUADPACK weights such as weight="cos", wvar=m.  Values and error
-    estimates are summed in panel order.  Raises QuadratureError when the
-    summed error exceeds 40 max(q.abs_tol, q.rel_tol |value|).
+
+def _qk15(f, row, pan):
+    """Kronrod value and QUADPACK qk15 error estimate of every panel.
+
+    pan has one row (lo, hi, bound, side) per panel.  Panels with side 0
+    are [lo, hi] in x itself; side +1 and -1 are [lo, hi] in u under the
+    qk15i map x = bound + side (1 - u)/u of (bound, inf) and (-inf, bound)
+    onto u in (0, 1].  All nodes go to f in one call.  The weighted sums are
+    plain elementwise sums, not BLAS products, so they do not depend on the
+    BLAS thread count.
     """
-    from scipy import integrate
+    lo, hi, bound, side = pan.T
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+    jac = np.ones(x.shape)
+    tail = side != 0.0
+    u = x[tail]
+    x[tail] = bound[tail, None] + side[tail, None] * (1.0 - u) / u
+    jac[tail] = 1.0 / (u * u)
+    fv = f(x.ravel(), np.repeat(row, _NODES.size)).reshape(x.shape) * jac
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite f
+        resk = (fv * _KRONROD).sum(axis=1)
+        resg = (fv * _GAUSS).sum(axis=1)
+        resabs = (np.abs(fv) * _KRONROD).sum(axis=1) * h
+        resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KRONROD).sum(axis=1) * h
+        err = np.abs((resk - resg) * h)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                   np.maximum(50.0 * _EPMACH * resabs, err), err)
+    return resk * h, err
 
+
+def _kronrod(f, edges, epsabs, epsrel, limit):
+    """Batched adaptive G7/K15 quadrature of one integral per row of edges.
+
+    Returns the values, the error estimates and a mask of the integrals left
+    unfinished: those with a non-finite panel value, a panel too narrow to
+    bisect, or still over budget at limit panels.
+    """
+    n = len(edges)
+    row, pan = [], []
+    for r, e in enumerate(edges):
+        for a, b in zip(e[:-1], e[1:]):
+            a, b = float(a), float(b)
+            if a == b:
+                continue
+            if math.isinf(a) and math.isinf(b):
+                raise ValueError("a panel may have at most one infinite edge")
+            row.append(r)
+            if math.isinf(b):
+                pan.append((0.0, 1.0, a, 1.0))
+            elif math.isinf(a):
+                pan.append((0.0, 1.0, b, -1.0))
+            else:
+                pan.append((a, b, 0.0, 0.0))
+    value = np.zeros(n)
+    error = np.zeros(n)
+    unfinished = np.zeros(n, dtype=bool)
+    if not row:
+        return value, error, unfinished
+    row = np.array(row, dtype=np.intp)
+    pan = np.array(pan)
+    val, err = _qk15(f, row, pan)
+    while True:
+        bad = np.zeros(n, dtype=bool)
+        bad[row[~np.isfinite(val + err)]] = True
+        tot = np.bincount(row, val, n)
+        tot_err = np.bincount(row, err, n)
+        count = np.bincount(row, minlength=n)
+        budget = np.maximum(epsabs, epsrel * np.abs(tot))
+        done = (count > 0) & ~bad & (tot_err <= budget)
+        value[done] = tot[done]
+        error[done] = tot_err[done]
+        bad |= (count >= limit) & ~done
+        # bisect the panels above their share of their integral's budget
+        split = ~done[row] & (err > budget[row] / count[row])
+        parent = pan[split]
+        mid = 0.5 * (parent[:, 0] + parent[:, 1])
+        bad[row[split][(mid <= parent[:, 0]) | (mid >= parent[:, 1])]] = True
+        unfinished |= bad
+        keep = ~(done | bad)[row]
+        split &= keep
+        if not split.any():
+            return value, error, unfinished
+        keep &= ~split
+        left, right = pan[split], pan[split]
+        left[:, 1] = right[:, 0] = 0.5 * (left[:, 0] + left[:, 1])
+        crow = np.concatenate([row[split], row[split]])
+        cval, cerr = _qk15(f, crow, np.concatenate([left, right]))
+        row = np.concatenate([row[keep], crow])
+        pan = np.concatenate([pan[keep], left, right])
+        val = np.concatenate([val[keep], cval])
+        err = np.concatenate([err[keep], cerr])
+
+
+def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
+          epsabs: float | None = None, limit: int = 400, **weight):
+    """(value, error estimate) of integral f over [e[0], e[-1]] for each row
+    e of edges, panel by panel between consecutive edges.
+
+    Every integral of the library goes through here.  edges is one row of
+    increasing edges (one integral; floats are returned) or a sequence of
+    rows (a batch; arrays are returned), and f(x, rows) is an array
+    integrand: x holds the 15 Kronrod nodes of every active panel and
+    rows[i] the index of the integral that x[i] belongs to.  The batch runs
+    QUADPACK's adaptive G7/K15 rule in NumPy (_kronrod): each sweep makes one
+    call of f, and an integral stops once its summed error is within
+    max(epsabs, epsrel |value|), with epsabs default 0.25 q.abs_tol and
+    epsrel = 0.25 q.rel_tol; until then only its panels whose error exceeds
+    their share of that budget are bisected.  Infinite edges use QUADPACK's
+    qk15i map.  An integral with a non-finite panel value or still over
+    budget at limit panels (endpoint singularities, where QUADPACK's
+    extrapolation is needed), and every integral with QUADPACK weights
+    (``weight``, such as weight="cos", wvar=m), is finished by
+    scipy.integrate.quad on each panel, imported only then.  Raises
+    QuadratureError when an integral's error exceeds
+    40 max(q.abs_tol, q.rel_tol |value|).
+    """
+    single = np.ndim(edges[0]) == 0
+    rows = [edges] if single else list(edges)
     if epsabs is None:
         epsabs = 0.25 * q.abs_tol
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            v, e = integrate.quad(f, a, b, epsabs=epsabs, epsrel=0.25 * q.rel_tol,
-                                  limit=limit, **weight)
-            total += v
-            err += e
-    if err > 40.0 * max(q.abs_tol, q.rel_tol * abs(total)):
+    epsrel = 0.25 * q.rel_tol
+    if weight:
+        total = np.zeros(len(rows))
+        err = np.zeros(len(rows))
+        todo = np.ones(len(rows), dtype=bool)
+    else:
+        total, err, todo = _kronrod(f, rows, epsabs, epsrel, limit)
+    if todo.any():
+        from scipy import integrate
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            for r in np.flatnonzero(todo):
+                at = np.array([r])
+                g = lambda x: float(f(np.array([x]), at)[0])
+                total[r] = err[r] = 0.0
+                for a, b in zip(rows[r][:-1], rows[r][1:]):
+                    v, e = integrate.quad(g, a, b, epsabs=epsabs, epsrel=epsrel,
+                                          limit=limit, **weight)
+                    total[r] += v
+                    err[r] += e
+    over = err > 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+    if over.any():
+        r = np.flatnonzero(over)[0]
         raise QuadratureError(
             f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
-            f"estimate {err:.3e} exceeds tolerance "
-            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total:.6e})")
+            f"estimate {err[r]:.3e} exceeds tolerance "
+            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[r]:.6e})")
+    if single:
+        return float(total[0]), float(err[0])
     return total, err
 
 
@@ -304,10 +452,15 @@ def kernel(p: ProcessParams, t: float, y: float) -> float:
 def kernel_row(p: ProcessParams, t: float, ys: np.ndarray) -> np.ndarray:
     """kernel(p, t, y) for every y of a 1-D array at one time t, in one array
     evaluation of the kind's primitive difference (_kernel_step_array); the
-    values agree with the scalar kernel to rounding."""
+    values agree with the scalar kernel to rounding.  A single point (as in
+    SciPy's scalar callbacks, see _quad) takes the scalar kernel, which is
+    several times faster there."""
     if t < 0.0:
         raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    return _kernel_step_array(p.kind, p.kappa, p.lam, -np.asarray(ys, dtype=float), t)
+    a = -np.asarray(ys, dtype=float)
+    if a.size == 1:
+        return np.array([_kernel_step(p.kind, p.kappa, p.lam, float(a[0]), t)])
+    return _kernel_step_array(p.kind, p.kappa, p.lam, a, t)
 
 
 def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:
@@ -325,26 +478,60 @@ def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:
     return pref * specfun.upper_gamma(al * p.H, al * lam * a)
 
 
-def kernel_alpha_norm(p: ProcessParams, t: float,
-                      q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad).
+def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
+    """Panel edges of the alpha-norm integral at time t > 0: graded
+    geometrically, -t 10^k, from -t down to -cutoff, so that the mass on
+    [-t, 0] and just left of it has panels of its own scale at any t; then
+    0 and t, and -inf as the first edge for lam = 0."""
+    a = q.cutoff(p.lam)
+    left = []
+    y = t
+    while y < a:
+        left.append(-y)
+        y *= 10.0
+    first = [-math.inf, -a] if p.lam == 0.0 else [-a]
+    return first + left[::-1] + [0.0, t]
 
-    The left tail below -cutoff is truncated and covered by the analytic
-    exponential bound (lam > 0), which is added to the value, or integrated
-    to -infinity directly (lam = 0).  H = 1/alpha short-circuits to the exact
-    value t.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
+
+def _alpha_norms(p: ProcessParams, ts, q: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    """kernel_alpha_norm at every time of ts as one _quad batch, with one
+    kernel_row per time in each sweep."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError(f"t must be >= 0, got {ts.min()}")
     if p.kappa == 0.0 and p.kind == "II":
-        return float(t)  # indicator kernel
-    al, k = p.alpha, p.kappa
-    f = lambda y: abs(_kernel_step(p.kind, k, p.lam, -y, t)) ** al
+        return ts.copy()  # indicator kernel
+    out = np.zeros(ts.size)
+    pos = np.flatnonzero(ts > 0.0)
+    if pos.size == 0:
+        return out
+    tp = ts[pos]
+
+    def f(y, rows):
+        v = np.empty(y.shape)
+        for r in np.unique(rows):
+            at = rows == r
+            v[at] = np.abs(kernel_row(p, tp[r], y[at])) ** p.alpha
+        return v
+
+    out[pos], _ = _quad(f, [_norm_edges(p, t, q) for t in tp], q)
     if p.lam > 0.0:
         a = q.cutoff(p.lam)
-        total, _ = _quad(f, (-a, 0.0, t), q)
-        return total + alpha_norm_tail_bound(p, t, a)
-    total, _ = _quad(f, (-math.inf, 0.0, t), q)
-    return total
+        out[pos] += [alpha_norm_tail_bound(p, t, a) for t in tp]
+    return out
+
+
+def kernel_alpha_norm(p: ProcessParams, t: float,
+                      q: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad),
+    the one-time case of the batch _alpha_norms.
+
+    The panels are graded geometrically from -t to -cutoff (_norm_edges).
+    The left tail below -cutoff is truncated and covered by the analytic
+    exponential bound (lam > 0), which is added to the value, or integrated
+    to -infinity through QUADPACK's infinite map (lam = 0).  H = 1/alpha
+    short-circuits to the exact value t.  Kernels with kappa < 0 are
+    singular at y = 0 and y = t, so their integrals finish on SciPy's QUADPACK
+    (see _quad).
+    """
+    return float(_alpha_norms(p, [t], q)[0])

@@ -243,6 +243,12 @@ def bessel_k(nu: float, x: float) -> float:
     return kmu
 
 
+# Below this many elements the array twins of the series and the continued
+# fraction run the scalar loops: one masked NumPy step costs about as much as
+# dozens of scalar steps.
+_MASK_MIN = 32
+
+
 def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
     """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_n x^n / (a)_{n+1}.
 
@@ -263,7 +269,11 @@ def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
 
 def _lower_series_array(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
     """_lower_series over a 1-D array x.  Each element keeps its own sum and
-    stopping test; converged elements are frozen and leave the active set."""
+    stopping test; converged elements are frozen and leave the active set.
+    Below _MASK_MIN elements the scalar loop, which does the same IEEE
+    operations in the same order, is faster and gives the same bits."""
+    if x.size < _MASK_MIN:
+        return np.array([_lower_series(a, v, max_iter) for v in x.tolist()])
     out = np.empty(x.shape)
     act = np.arange(x.size)
     ap = a
@@ -310,7 +320,10 @@ def _upper_cf_scaled(a: float, x: float, max_iter: int = 1000) -> float:
 
 
 def _upper_cf_scaled_array(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array."""
+    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array
+    (and, like it, the scalar loop below _MASK_MIN elements)."""
+    if x.size < _MASK_MIN:
+        return np.array([_upper_cf_scaled(a, v, max_iter) for v in x.tolist()])
     tiny = 1e-300
     out = np.empty(x.shape)
     act = np.arange(x.size)

@@ -217,3 +217,22 @@ def render_table(fmt: str, command: str, meta: dict, columns, rows) -> str:
         return "\n".join(lines) + "\n"
     payload = {"command": command, "meta": meta, "columns": columns, "rows": rows}
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def mp_codifference_untempered(H: float, alpha: float, t: int, theta1: float,
+                               theta2: float) -> float:
+    """Codifference of the untempered (lambda = 0) unit-lag noise at lag t:
+    mpmath quadrature of |a+b|^alpha - |a|^alpha - |b|^alpha over (-inf, 1],
+    with a = theta1 k(x - t), b = theta2 k(x) and the unit-time kernel
+    k(u) = (1-u)_+^kappa - (-u)_+^kappa."""
+    kappa = mp.mpf(H) - 1 / mp.mpf(alpha)
+    al = mp.mpf(alpha)
+
+    def k(u):
+        return ((1 - u) ** kappa if u < 1 else 0) - ((-u) ** kappa if u < 0 else 0)
+
+    def f(x):
+        a, b = theta1 * k(x - t), theta2 * k(x)
+        return abs(a + b) ** al - abs(a) ** al - abs(b) ** al
+
+    return float(mp.quad(f, [-mp.inf, -1e4, -1e3, -100, -10, -1, 0, 1]))

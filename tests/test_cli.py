@@ -341,3 +341,32 @@ class TestEntryPoint:
                               text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_diagnostics_leave_scipy_unloaded_and_repeat_exactly(self):
+        # decay and limits at the benchmark's parameters run on the NumPy
+        # quadrature alone; its weighted sums use no BLAS, so the bytes do
+        # not depend on the OpenBLAS thread count
+        commands = [
+            "decay --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
+            "decay --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
+            "limits --H 0.7 --alpha 2 --lambda 0.15",
+        ]
+        code = ("import sys\nfrom tfmotion import cli\n"
+                "for a in sys.argv[1:]:\n"
+                "    assert cli.main(a.split() + ['--seed', '1', '--out', '-']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                " file=sys.stderr)")
+
+        def run(blas_threads):
+            env = package_env()
+            if blas_threads:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            proc = subprocess.run([sys.executable, "-c", code, *commands],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.strip() == "[]"
+            return proc.stdout
+
+        outs = [run(None), run(None), run("1"), run("2")]
+        assert outs[0].count("# tfmotion") == 3
+        assert all(o == outs[0] for o in outs[1:])

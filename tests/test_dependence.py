@@ -76,6 +76,13 @@ class TestCodifference:
             assert codifference(P_G, t, 0.7, 1.3) == pytest.approx(
                 tie, rel=1e-7), t
 
+    def test_untempered_tail_to_infinity(self):
+        # lam = 0: the kernels decay only polynomially and 39% of this value
+        # lies left of -50, so the quadrature must run to -infinity
+        p = ProcessParams(H=0.8, alpha=1.5, lam=0.0, kind="II")
+        ref = oracles.mp_codifference_untempered(0.8, 1.5, 5, 1.0, 1.0)
+        assert codifference(p, 5, 1.0, 1.0) == pytest.approx(ref, rel=1e-8)
+
     def test_tolerance_halving_stability(self):
         a = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
         b = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=5e-9))
@@ -117,6 +124,15 @@ class TestDecayDiagnostic:
         d = decay_diagnostic(P_II, range(10, 41, 5), 1.0, 1.0)
         assert d.band_ok
         assert abs(d.slope - d.p_used) <= 0.15
+
+    @pytest.mark.parametrize("p", [P_II, P_I])
+    def test_batch_matches_per_lag(self, p):
+        # all lags run as one quadrature batch; each lag's bisections depend
+        # on its own panels only
+        lags = [2, 7, 30]
+        d = decay_diagnostic(p, lags, 0.7, 1.3)
+        for t, v in zip(lags, d.i_values):
+            assert v == pytest.approx(codifference(p, t, 0.7, 1.3), rel=1e-14, abs=0.0)
 
     def test_ratio_positive_and_finite(self):
         d = decay_diagnostic(P_II, range(5, 21, 5), 1.0, 1.0)
@@ -163,6 +179,17 @@ class TestLimitChecks:
         rows = local_limit_check(P_G, [0.1, 0.01, 0.001], q)
         gaps = [r["rel_gap"] for r in rows]  # rows sorted by decreasing b
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("kind", ["II", "I"])
+    def test_local_gaps_monotone_to_small_b(self, kind, alpha):
+        # the paper's small-time limit: the gap keeps shrinking down to
+        # b = 1e-6, where the mass on [-b, 0] sits far inside the cutoff
+        p = ProcessParams(H=0.7, alpha=alpha, lam=0.15, kind=kind)
+        rows = local_limit_check(p, [10.0 ** -k for k in range(1, 7)])
+        gaps = [r["rel_gap"] for r in rows]  # rows sorted by decreasing b
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-3
 
     def test_local_out_of_range_flagged(self):
         p = ProcessParams(H=1.2, alpha=2.0, lam=0.5, kind="II")

@@ -286,19 +286,59 @@ class TestAlphaNorm:
 
 class TestQuadHelper:
     def test_raises_when_error_exceeds_budget(self):
-        # QUADPACK's error estimate here is about 0.2, far above the budget
+        # bisection does not converge here and QUADPACK's error estimate on
+        # the SciPy finishing path is about 0.2, far above the budget
         with pytest.raises(QuadratureError):
-            _quad(lambda x: math.sin(1.0 / x) / x, (0.0, 1.0))
+            _quad(lambda x, rows: np.sin(1.0 / x) / x, (0.0, 1.0))
 
     def test_sums_values_and_errors_over_panels(self):
-        q = DEFAULT_QUAD
-        panels = [integrate.quad(math.exp, a, b, epsabs=0.25 * q.abs_tol,
-                                 epsrel=0.25 * q.rel_tol, limit=400)
-                  for a, b in ((0.0, 0.5), (0.5, 1.0))]
-        v, e = _quad(math.exp, (0.0, 0.5, 1.0))
+        exp = lambda x, rows: np.exp(x)
+        panels = [_quad(exp, (a, b)) for a, b in ((0.0, 0.5), (0.5, 1.0))]
+        v, e = _quad(exp, (0.0, 0.5, 1.0))
         assert v == panels[0][0] + panels[1][0]
         assert e == panels[0][1] + panels[1][1]
         assert v == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_infinite_edges(self):
+        # QUADPACK's qk15i map for (a, inf) and (-inf, b)
+        v, e = _quad(lambda x, rows: 1.0 / (1.0 + x * x), (-math.inf, 0.0, math.inf))
+        assert v == pytest.approx(math.pi, rel=1e-12) and e <= 1e-9
+        v, _ = _quad(lambda x, rows: np.exp(-x * x), (-math.inf, -1.0))
+        assert v == pytest.approx(0.5 * math.sqrt(math.pi) * math.erfc(1.0), rel=1e-12)
+
+    def test_batch_matches_single_calls(self):
+        # each integral's bisections depend on its own panels only
+        c = np.array([0.5, 1.0, 3.0, 10.0])
+        f = lambda x, rows: np.cos(c[rows] * x) * np.exp(-x) / np.sqrt(1.0 + x)
+        edges = [(0.0, 1.0), (0.0, 0.5, math.inf), (-0.5, 2.0, 7.0), (0.0, math.inf)]
+        vals, errs = _quad(f, edges)
+        for r, row in enumerate(edges):
+            v, e = _quad(lambda x, rows: f(x, np.full(x.size, r)), row)
+            assert vals[r] == pytest.approx(v, rel=1e-14, abs=0.0)
+            assert errs[r] == pytest.approx(e, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [P_HI, P_STABLE, ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")])
+    def test_alpha_norm_batch_matches_single(self, p):
+        ts = [1e-4, 0.01, 0.3, 1.0, 25.0, 200.0]
+        batch = kernels._alpha_norms(p, ts)
+        for t, v in zip(ts, batch):
+            assert v == pytest.approx(kernel_alpha_norm(p, t), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kind,t,parent", [
+        ("I", 0.5, 2.377296073326821), ("I", 1.0, 3.146891842606504),
+        ("II", 0.5, 2.3293165828144495), ("II", 1.0, 3.203217466756861)])
+    def test_singular_kernel_finishes_on_scipy(self, kind, t, parent, monkeypatch):
+        # kappa < 0: |kernel|^alpha is singular at y = 0 and y = t, bisection
+        # alone stalls and QUADPACK's extrapolation finishes the integral;
+        # the reference values are those of the per-panel SciPy quadrature
+        # that served every integral before the batched rule
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        p = ProcessParams(H=0.3, alpha=1.5, lam=0.4, kind=kind)
+        assert kernel_alpha_norm(p, t) == pytest.approx(parent, rel=1e-9)
+        assert calls
 
     def test_only_quadrature_site(self):
         # every library integral goes through _quad: no ad-hoc quad calls or
