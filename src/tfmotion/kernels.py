@@ -20,15 +20,15 @@ the interval indicator, quadrature of integral |kernel|^alpha dy (one batch
 over many t), and _quad, the one quadrature helper through which every
 integral of the package runs.  _quad integrates a batch of integrals with
 QUADPACK's adaptive G7/K15 rule written in NumPy, one array integrand call
-per sweep over every active panel of every integral; endpoint-singular
-integrals it cannot finish by bisection, and QUADPACK's weighted forms, go
-to scipy.integrate.quad, imported only then.  It returns each integral's
-error estimate and raises QuadratureError when that estimate exceeds the
-QuadratureConfig tolerances.  The convention (x)_+^p = x^p for
-x > 0 and 0 otherwise is used throughout; for kappa < 0 the primitive at
-x = 0 takes its infinite right limit, so the kernels return the signed
-infinite limit at the singular points y = 0 and y = t rather than
-overflowing.
+per sweep over every active panel of every integral, with QUADPACK's
+epsilon extrapolation for endpoint singularities; integrals it cannot
+finish, and QUADPACK's weighted forms, go to scipy.integrate.quad, imported
+only then.  It returns each integral's error estimate and raises
+QuadratureError when that estimate exceeds the QuadratureConfig tolerances.
+The convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout;
+for kappa < 0 the primitive at x = 0 takes its infinite right limit, so the
+kernels return the signed infinite limit at the singular points y = 0 and
+y = t rather than overflowing.
 """
 
 from __future__ import annotations
@@ -119,6 +119,9 @@ _KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS = np.concatenate([_WG, _WG[-2::-1]])
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
+# fewest and most sweep totals that _kronrod extrapolates (see _epsilon); 50
+# is QUADPACK's limexp
+_EXTRAP_MIN, _EXTRAP_MAX = 8, 50
 
 
 def _qk15(f, row, pan):
@@ -153,12 +156,47 @@ def _qk15(f, row, pan):
     return resk * h, err
 
 
+def _epsilon(s):
+    """Wynn's epsilon extrapolation of each row of s, a sequence of partial
+    results (oldest first), with an error estimate in the manner of
+    QUADPACK's qelg.
+
+    Every even column of the epsilon table with four entries offers its
+    newest entry as an estimate, with the summed distance to the column's
+    three previous entries as its error; each row takes the estimate of
+    least error.  Columns with a non-finite entry (a converged or erratic
+    sequence) offer none, and a row without an estimate gets error inf.
+    """
+    best = np.zeros(len(s))
+    best_err = np.full(len(s), np.inf)
+    prev, cur = np.zeros((len(s), s.shape[1] + 1)), s
+    k = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while cur.shape[1] >= 4:
+            if k > 0 and k % 2 == 0:
+                last = cur[:, -4:]
+                err = np.abs(last[:, :3] - last[:, 3:]).sum(axis=1)
+                err = np.maximum(err, 5.0 * _EPMACH * np.abs(last[:, 3]))
+                better = np.isfinite(last).all(axis=1) & (err < best_err)
+                best = np.where(better, last[:, 3], best)
+                best_err = np.where(better, err, best_err)
+            prev, cur = cur, prev[:, 1:-1] + 1.0 / np.diff(cur, axis=1)
+            k += 1
+    return best, best_err
+
+
 def _kronrod(f, edges, epsabs, epsrel, limit):
     """Batched adaptive G7/K15 quadrature of one integral per row of edges.
 
-    Returns the values, the error estimates and a mask of the integrals left
-    unfinished: those with a non-finite panel value, a panel too narrow to
-    bisect, or still over budget at limit panels.
+    Each sweep bisects the panels above their share of their integral's
+    budget.  An integral whose summed error no longer halves from one sweep
+    to the next (an integrable endpoint singularity, where each sweep only
+    halves the panel at the singular end) is extrapolated as QUADPACK's QAGS
+    does: Wynn's epsilon algorithm over its last sweep totals (_epsilon),
+    accepted once that error estimate is within budget.  Returns the values,
+    the error estimates and a mask of the integrals left unfinished: those
+    with a non-finite panel value, a panel too narrow to bisect, or still
+    over budget at limit panels.
     """
     n = len(edges)
     row, pan = [], []
@@ -184,6 +222,8 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
     row = np.array(row, dtype=np.intp)
     pan = np.array(pan)
     val, err = _qk15(f, row, pan)
+    totals = []
+    last_err = np.full(n, np.inf)
     while True:
         bad = np.zeros(n, dtype=bool)
         bad[row[~np.isfinite(val + err)]] = True
@@ -192,6 +232,14 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
         count = np.bincount(row, minlength=n)
         budget = np.maximum(epsabs, epsrel * np.abs(tot))
         done = (count > 0) & ~bad & (tot_err <= budget)
+        totals.append(tot)
+        slow = np.flatnonzero(~done & ~bad & (count > 0) & (tot_err > 0.5 * last_err))
+        last_err = tot_err
+        if slow.size and len(totals) >= _EXTRAP_MIN:
+            ext, ext_err = _epsilon(np.array(totals[-_EXTRAP_MAX:]).T[slow])
+            ok = ext_err <= np.maximum(epsabs, epsrel * np.abs(ext))
+            slow = slow[ok]
+            tot[slow], tot_err[slow], done[slow] = ext[ok], ext_err[ok], True
         value[done] = tot[done]
         error[done] = tot_err[done]
         bad |= (count >= limit) & ~done
@@ -231,12 +279,13 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
     max(epsabs, epsrel |value|), with epsabs default 0.25 q.abs_tol and
     epsrel = 0.25 q.rel_tol; until then only its panels whose error exceeds
     their share of that budget are bisected.  Infinite edges use QUADPACK's
-    qk15i map.  An integral with a non-finite panel value or still over
-    budget at limit panels (endpoint singularities, where QUADPACK's
-    extrapolation is needed), and every integral with QUADPACK weights
-    (``weight``, such as weight="cos", wvar=m), is finished by
-    scipy.integrate.quad on each panel, imported only then.  Raises
-    QuadratureError when an integral's error exceeds
+    qk15i map.  An integral whose error stops halving per sweep (an
+    integrable endpoint singularity) is extrapolated from its sweep totals
+    as in QUADPACK's QAGS.  An integral with a non-finite panel value, a
+    panel too narrow to bisect or still over budget at limit panels, and
+    every integral with QUADPACK weights (``weight``, such as weight="cos",
+    wvar=m), is finished by scipy.integrate.quad on each panel, imported
+    only then.  Raises QuadratureError when an integral's error exceeds
     40 max(q.abs_tol, q.rel_tol |value|).
     """
     single = np.ndim(edges[0]) == 0
@@ -452,14 +501,10 @@ def kernel(p: ProcessParams, t: float, y: float) -> float:
 def kernel_row(p: ProcessParams, t: float, ys: np.ndarray) -> np.ndarray:
     """kernel(p, t, y) for every y of a 1-D array at one time t, in one array
     evaluation of the kind's primitive difference (_kernel_step_array); the
-    values agree with the scalar kernel to rounding.  A single point (as in
-    SciPy's scalar callbacks, see _quad) takes the scalar kernel, which is
-    several times faster there."""
+    values agree with the scalar kernel to rounding."""
     if t < 0.0:
         raise ValueError(f"kernel time must be >= 0, got t = {t}")
     a = -np.asarray(ys, dtype=float)
-    if a.size == 1:
-        return np.array([_kernel_step(p.kind, p.kappa, p.lam, float(a[0]), t)])
     return _kernel_step_array(p.kind, p.kappa, p.lam, a, t)
 
 
@@ -531,7 +576,6 @@ def kernel_alpha_norm(p: ProcessParams, t: float,
     exponential bound (lam > 0), which is added to the value, or integrated
     to -infinity through QUADPACK's infinite map (lam = 0).  H = 1/alpha
     short-circuits to the exact value t.  Kernels with kappa < 0 are
-    singular at y = 0 and y = t, so their integrals finish on SciPy's QUADPACK
-    (see _quad).
+    singular at y = 0 and y = t; _quad extrapolates those integrals.
     """
     return float(_alpha_norms(p, [t], q)[0])

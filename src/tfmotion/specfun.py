@@ -243,12 +243,6 @@ def bessel_k(nu: float, x: float) -> float:
     return kmu
 
 
-# Below this many elements the array twins of the series and the continued
-# fraction run the scalar loops: one masked NumPy step costs about as much as
-# dozens of scalar steps.
-_MASK_MIN = 32
-
-
 def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
     """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_n x^n / (a)_{n+1}.
 
@@ -269,11 +263,7 @@ def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
 
 def _lower_series_array(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
     """_lower_series over a 1-D array x.  Each element keeps its own sum and
-    stopping test; converged elements are frozen and leave the active set.
-    Below _MASK_MIN elements the scalar loop, which does the same IEEE
-    operations in the same order, is faster and gives the same bits."""
-    if x.size < _MASK_MIN:
-        return np.array([_lower_series(a, v, max_iter) for v in x.tolist()])
+    stopping test; converged elements are frozen and leave the active set."""
     out = np.empty(x.shape)
     act = np.arange(x.size)
     ap = a
@@ -320,10 +310,7 @@ def _upper_cf_scaled(a: float, x: float, max_iter: int = 1000) -> float:
 
 
 def _upper_cf_scaled_array(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array
-    (and, like it, the scalar loop below _MASK_MIN elements)."""
-    if x.size < _MASK_MIN:
-        return np.array([_upper_cf_scaled(a, v, max_iter) for v in x.tolist()])
+    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array."""
     tiny = 1e-300
     out = np.empty(x.shape)
     act = np.arange(x.size)
@@ -479,7 +466,7 @@ def gamma_interval(a: float, x: float, h: float) -> float:
 def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
     """gamma_interval(a, x, h) elementwise over an array x at one width h
     (same seams between the Gauss-Legendre rule and the lower and upper gamma
-    differences)."""
+    differences); both ends of the differences go through one array call."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or h < 0.0:
         raise ValueError("gamma_interval requires x > 0 and h >= 0")
@@ -496,10 +483,12 @@ def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
     if a > 1.0:
         low = up & (x < a)
         xl = x[low]
-        out[low] = _lower_gamma_array(a, xl + h) - _lower_gamma_array(a, xl)
+        g = _lower_gamma_array(a, np.concatenate([xl + h, xl]))
+        out[low] = g[:xl.size] - g[xl.size:]
         up &= ~low
     xu = x[up]
-    out[up] = _upper_gamma_array(a, xu) - _upper_gamma_array(a, xu + h)
+    g = _upper_gamma_array(a, np.concatenate([xu, xu + h]))
+    out[up] = g[:xu.size] - g[xu.size:]
     return out
 
 

@@ -286,8 +286,9 @@ class TestAlphaNorm:
 
 class TestQuadHelper:
     def test_raises_when_error_exceeds_budget(self):
-        # bisection does not converge here and QUADPACK's error estimate on
-        # the SciPy finishing path is about 0.2, far above the budget
+        # neither bisection nor the epsilon extrapolation converges here,
+        # and QUADPACK's error estimate on the SciPy finishing path is about
+        # 0.2, far above the budget
         with pytest.raises(QuadratureError):
             _quad(lambda x, rows: np.sin(1.0 / x) / x, (0.0, 1.0))
 
@@ -324,21 +325,42 @@ class TestQuadHelper:
         for t, v in zip(ts, batch):
             assert v == pytest.approx(kernel_alpha_norm(p, t), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("kind,t,parent", [
-        ("I", 0.5, 2.377296073326821), ("I", 1.0, 3.146891842606504),
-        ("II", 0.5, 2.3293165828144495), ("II", 1.0, 3.203217466756861)])
-    def test_singular_kernel_finishes_on_scipy(self, kind, t, parent, monkeypatch):
-        # kappa < 0: |kernel|^alpha is singular at y = 0 and y = t, bisection
-        # alone stalls and QUADPACK's extrapolation finishes the integral;
-        # the reference values are those of the per-panel SciPy quadrature
-        # that served every integral before the batched rule
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
-        p = ProcessParams(H=0.3, alpha=1.5, lam=0.4, kind=kind)
-        assert kernel_alpha_norm(p, t) == pytest.approx(parent, rel=1e-9)
-        assert calls
+    def test_epsilon_extrapolates_geometric_sums(self):
+        # partial sums of two geometric series: Wynn's epsilon algorithm
+        # removes both components exactly, while the plain sum is still far
+        # off; erratic sums get a large error and constant ones none at all
+        k = np.arange(12.0)
+        s = np.cumsum(0.9 ** k + 0.5 * 0.7 ** k)
+        noise = np.cumsum(np.random.default_rng(1).random(12))
+        v, e = kernels._epsilon(np.array([s, noise, np.ones(12)]))
+        assert v[0] == pytest.approx(10.0 + 0.5 / 0.3, rel=1e-12) and e[0] < 1e-10
+        assert s[-1] < 10.0
+        assert e[1] > 1e-2 and e[2] == math.inf
+
+    @pytest.mark.parametrize("case,parent", [
+        (("I", 0.5), 2.377296073326821), (("I", 1.0), 3.146891842606504),
+        (("II", 0.5), 2.3293165828144495), (("II", 1.0), 3.203217466756861),
+        ("matern", 0.941274098706759)])
+    def test_endpoint_singular_integrals_extrapolate(self, case, parent, monkeypatch):
+        # integrable endpoint singularities: |kernel|^alpha at y = 0 and
+        # y = t for kappa < 0, and the Matern integrand w^(2H - 2) at w = 0
+        # for H near 1/2.  Bisection alone would halve the singular panel
+        # once per sweep for about 50 sweeps (300 for Matern); the epsilon
+        # extrapolation finishes in a few sweeps without SciPy.  The
+        # reference values are those of the per-panel SciPy quadrature that
+        # served every integral before the batched rule.
+        from tfmotion.gaussian import matern_cov_integral
+        sweeps, calls = [], []
+        qk15 = kernels._qk15
+        monkeypatch.setattr(kernels, "_qk15", lambda *a: sweeps.append(1) or qk15(*a))
+        monkeypatch.setattr(integrate, "quad", lambda *a, **k: calls.append(a))
+        if case == "matern":
+            v = matern_cov_integral(0.55, 0.5, 1.0, 1.0)
+        else:
+            p = ProcessParams(H=0.3, alpha=1.5, lam=0.4, kind=case[0])
+            v = kernel_alpha_norm(p, case[1])
+        assert v == pytest.approx(parent, rel=1e-9)
+        assert len(sweeps) <= 16 and not calls
 
     def test_only_quadrature_site(self):
         # every library integral goes through _quad: no ad-hoc quad calls or

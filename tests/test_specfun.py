@@ -236,12 +236,12 @@ class TestIncompleteGammaArray:
 
     @pytest.mark.parametrize("a", [-0.5, 0.13, 0.5, 1.7, 5.0])
     def test_masked_iteration_matches_scalar_bits(self, a):
-        # above _MASK_MIN elements the masked array iteration runs; it does
-        # the scalar loop's IEEE operations in the same order
-        x = np.geomspace(1e-3, 6.0, 2 * sf._MASK_MIN)
+        # the masked array iteration does the scalar loop's IEEE operations
+        # in the same order
+        x = np.geomspace(1e-3, 6.0, 64)
         ref = [sf._lower_series(a, v) for v in x.tolist()]
         assert sf._lower_series_array(a, x).tolist() == ref
-        x = np.geomspace(1.0, 80.0, 2 * sf._MASK_MIN) + max(a, 0.0)
+        x = np.geomspace(1.0, 80.0, 64) + max(a, 0.0)
         ref = [sf._upper_cf_scaled(a, v) for v in x.tolist()]
         assert sf._upper_cf_scaled_array(a, x).tolist() == ref
 
@@ -263,12 +263,6 @@ class TestIncompleteGammaArray:
             sf._upper_cf_scaled(0.5, 1.5, max_iter=3)
         with pytest.raises(SeriesConvergenceError):
             sf._upper_cf_scaled_array(0.5, np.array([1e3, 1.5]), max_iter=3)
-        # the same on the masked iteration
-        many = np.full(sf._MASK_MIN, 1e-3)
-        with pytest.raises(SeriesConvergenceError):
-            sf._lower_series_array(0.5, np.append(many, 0.9), max_iter=5)
-        with pytest.raises(SeriesConvergenceError):
-            sf._upper_cf_scaled_array(0.5, np.append(many + 1e3, 1.5), max_iter=3)
 
     def test_domains(self):
         with pytest.raises(ValueError):
