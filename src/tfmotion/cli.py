@@ -53,22 +53,22 @@ class _PathRows(Sequence):
         i, j = divmod(k, self.times.size)
         return [i, float(self.times[j]), float(self.paths[i, j])]
 
-    def chunks(self):
-        """Flat cells of each path's rows in turn."""
-        block = np.empty((self.times.size, 3))
-        block[:, 1] = self.times
+    def csv_chunks(self):
+        """CSV text of each path's rows in turn.  The t cells are formatted
+        once per table into rows ",<t>,%.17g" (any % in them escaped); a path
+        joins them with its id and formats only its values."""
+        rows = [""] + ["," + (_FLOAT_FMT % t).replace("%", "%%") + ","
+                       + _FLOAT_FMT + "\n" for t in self.times.tolist()]
         for i, path in enumerate(self.paths):
-            block[:, 0] = i
-            block[:, 2] = path
-            yield block.ravel().tolist()
+            yield str(i).join(rows) % tuple(path.tolist())
 
 
 def _emit(path: str | None, fmt: str, command: str, meta: dict,
           columns: list[str], rows: Sequence) -> None:
-    """Write one table.  CSV applies one %-format per row, built from the cell
-    types of the first row (every row must share them), one chunk at a time:
-    one per path of a path view, one for any other table.  JSON materializes
-    the rows."""
+    """Write one table.  CSV writes a path view one path at a time
+    (``_PathRows.csv_chunks``); any other table applies one %-format per row,
+    built from the cell types of the first row (every row must share them).
+    JSON materializes the rows."""
     meta = {k: meta[k] for k in sorted(meta)}
     fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="\n")
     try:
@@ -76,12 +76,12 @@ def _emit(path: str | None, fmt: str, command: str, meta: dict,
             fh.write("# tfmotion " + command + " "
                      + " ".join(f"{k}={_spec(v) % (_cell(v),)}" for k, v in meta.items())
                      + "\n" + ",".join(columns) + "\n")
-            if len(rows):
+            if isinstance(rows, _PathRows):
+                fh.writelines(rows.csv_chunks())
+            elif rows:
                 row_fmt = ",".join(_spec(v) for v in rows[0]) + "\n"
-                chunks = (rows.chunks() if isinstance(rows, _PathRows)
-                          else ([_cell(v) for row in rows for v in row],))
-                for cells in chunks:
-                    fh.write(row_fmt * (len(cells) // len(columns)) % tuple(cells))
+                fh.write(row_fmt * len(rows)
+                         % tuple(_cell(v) for row in rows for v in row))
         else:
             payload = {"command": command, "meta": meta,
                        "columns": columns, "rows": list(rows)}

@@ -196,6 +196,22 @@ def loop_cov_matrix(H: float, lam: float, times) -> np.ndarray:
     return values
 
 
+def cholesky_paths(H: float, lam: float, times, n_paths: int, seed: int) -> np.ndarray:
+    """Gaussian paths L z path by path: L the unjittered Cholesky factor of the
+    loop-built covariance at the positive-variance times, z the normals of
+    ``philox_generator(seed, i)``; zero at the other times.  The reference
+    of the Cholesky sampler."""
+    from tfmotion.rng import philox_generator
+
+    c = loop_cov_matrix(H, lam, times)
+    live = np.diag(c) > 0.0
+    L = np.linalg.cholesky(c[np.ix_(live, live)])
+    paths = np.zeros((n_paths, c.shape[0]))
+    for i in range(n_paths):
+        paths[i, live] = L @ philox_generator(seed, i).standard_normal(int(live.sum()))
+    return paths
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"

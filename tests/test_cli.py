@@ -342,14 +342,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_diagnostics_leave_scipy_unloaded_and_repeat_exactly(self):
+    def test_commands_leave_scipy_unloaded_and_repeat_exactly(self):
         # decay and limits at the benchmark's parameters run on the NumPy
-        # quadrature alone; its weighted sums use no BLAS, so the bytes do
-        # not depend on the OpenBLAS thread count
+        # quadrature alone, and Gaussian paths on a regular grid on NumPy's
+        # FFT; neither uses BLAS, so the bytes do not depend on the OpenBLAS
+        # thread count
         commands = [
             "decay --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "decay --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "limits --H 0.7 --alpha 2 --lambda 0.15",
+            "simulate --alpha 2 --H 0.7 --lambda 0.15 --t-max 1 --n 2049 --n-paths 2",
         ]
         code = ("import sys\nfrom tfmotion import cli\n"
                 "for a in sys.argv[1:]:\n"
@@ -368,5 +370,5 @@ class TestEntryPoint:
             return proc.stdout
 
         outs = [run(None), run(None), run("1"), run("2")]
-        assert outs[0].count("# tfmotion") == 3
+        assert outs[0].count("# tfmotion") == 4
         assert all(o == outs[0] for o in outs[1:])

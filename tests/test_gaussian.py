@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tfmotion import gaussian
 from tfmotion.errors import PoleError
-from tfmotion.gaussian import (CovarianceMatrix, SampleGrid,
-                               build_cov_matrix, covariance_tfbm2,
+from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, SampleGrid,
+                               _circulant_eigenvalues, build_cov_matrix,
+                               covariance_tfbm2,
                                matern_cov_integral, simulate_gaussian_paths,
                                tfgn1_spectral_density, tfgn2_spectral_density,
                                tfgn2_acvf, variance_fbm_limit, variance_tfbm2)
@@ -301,3 +303,76 @@ class TestSimulation:
         sv = float(ens.paths[:, 0].var())
         tv = variance_tfbm2(0.7, 0.15, 1.0)
         assert abs(sv - tv) <= 4.0 * tv * math.sqrt(2.0 / n)
+
+
+class TestCirculantSampler:
+    @pytest.mark.parametrize("n", [5, 65, 2049])
+    @pytest.mark.parametrize("H", [0.3, 0.7, 1.3])
+    def test_embedding_reproduces_cov_matrix(self, H, n):
+        # the increment covariance the eigenvalues encode, cumulatively
+        # summed over both times, is the covariance matrix of the motion
+        grid = SampleGrid.regular(1.0, n)
+        m = n - 1
+        g = np.fft.irfft(_circulant_eigenvalues(H, 0.15, m, grid.dt), 2 * m)[:m]
+        j = np.arange(m)
+        cov = np.zeros((n, n))
+        cov[1:, 1:] = g[np.abs(j[:, None] - j[None, :])].cumsum(0).cumsum(1)
+        ref = build_cov_matrix(H, 0.15, grid).values
+        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.diag(ref))
+
+    def test_sample_covariance(self):
+        n_paths = 20000
+        grid = SampleGrid.regular(1.0, 17)
+        ens = simulate_gaussian_paths(0.7, 0.15, grid, n_paths, seed=8)
+        c = build_cov_matrix(0.7, 0.15, grid).values
+        s = ens.paths.T @ ens.paths / n_paths
+        # mean-zero products: Var[X_i X_j] = C_ii C_jj + C_ij^2
+        d = np.diag(c)
+        se = np.sqrt((np.outer(d, d) + c * c) / n_paths)
+        assert np.all(np.abs(s - c) <= 5.0 * se)
+
+    def test_regular_grid_builds_and_factors_no_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("regular grids must not reach Cholesky")
+
+        monkeypatch.setattr(gaussian, "build_cov_matrix", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        for n in (2, 3, 33):
+            ens = simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, n), 4, seed=1)
+            assert np.all(ens.paths[:, 0] == 0.0) and np.all(ens.paths[:, 1:] != 0.0)
+
+    def test_long_grid(self):
+        ens = simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, 65537), 2, seed=1)
+        assert ens.paths.shape == (2, 65537)
+
+    def test_two_point_grid_variance(self):
+        # one increment: M = 2 normals, eigenvalues g(0) + g(1) and g(0) - g(1)
+        n = 20000
+        ens = simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, 2), n, seed=3)
+        tv = variance_tfbm2(0.7, 0.15, 1.0)
+        assert abs(float(np.mean(ens.paths[:, 1] ** 2)) - tv) <= 4.0 * tv * math.sqrt(2.0 / n)
+
+
+class TestCholeskyFallback:
+    def test_indefinite_embedding(self):
+        ev = _circulant_eigenvalues(1.7, 0.5, 32, 1.0 / 32)
+        assert ev.min() / ev.max() == pytest.approx(-1.8e-3, rel=0.01)
+        assert ev.min() < -EIGEN_ROUNDING * ev.max()
+
+    @pytest.mark.parametrize("H, lam, times", [
+        (1.7, 0.5, np.linspace(0.0, 1.0, 33)),
+        (0.7, 0.15, np.array([0.0, 0.05, 0.3, 0.31, 1.2])),
+        (0.7, 0.15, np.array([1.0])),
+    ], ids=["indefinite_embedding", "non_uniform", "one_point"])
+    def test_paths_equal_cholesky_reference(self, H, lam, times, monkeypatch):
+        calls = []
+        real = CovarianceMatrix.cholesky
+
+        def spy(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CovarianceMatrix, "cholesky", spy)
+        ens = simulate_gaussian_paths(H, lam, SampleGrid(times), 5, seed=9, n_workers=2)
+        assert len(calls) == 1 and calls[0].jitter == 0.0
+        assert np.array_equal(ens.paths, oracles.cholesky_paths(H, lam, times, 5, 9))
