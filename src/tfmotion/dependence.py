@@ -12,9 +12,9 @@ the measurable distinction between the two processes.  Every integral here
 runs through kernels._quad, so an error estimate above the QuadratureConfig
 tolerances raises QuadratureError instead of passing silently.  The lags of
 decay_diagnostic run as one _quad batch, as does the b list of each limit
-check (through kernels._alpha_norms), so each quadrature sweep evaluates the
-kernels of every lag or every b in array calls (kernel_row); codifference and
-kernel_alpha_norm are the one-lag and one-b cases of these batches.
+check (kernel_alpha_norm at an array of times), so each quadrature sweep
+evaluates the kernels of every lag or every b in array calls of
+kernels.kernel; codifference is the one-lag case of the decay batch.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad,
-                      _alpha_norms, kernel, kernel_alpha_norm, kernel_row)
+                      kernel, kernel_alpha_norm)
 from . import specfun
 
 
-def increment_kernel(p: ProcessParams, t: float, x: float) -> float:
-    """Kernel of the unit-lag increment Y(t): k(t+1; x) - k(t; x).
+@specfun._elementwise("x")
+def increment_kernel(p: ProcessParams, t: float, x):
+    """Kernel of the unit-lag increment Y(t): k(t+1; x) - k(t; x), at a float
+    or an array of x.
 
     By stationary increments this is the unit-time kernel at x - t, a single
     primitive difference F(t+1-x) - F(t-x) that stays accurate when both
@@ -65,13 +67,13 @@ def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
     """I(t) at every integer lag of lags as one _quad batch over
     x in (-cutoff, 1], or (-inf, 1] for lam = 0, to the relative tolerance
     alone (epsabs = 0).  Each sweep evaluates the lag-t kernels of all lags
-    in one kernel_row, and the lag-0 kernel in another."""
+    in one kernel call, and the lag-0 kernel in another."""
     lags = np.asarray(lags, dtype=float)
     left = -q.cutoff(p.lam) if p.lam > 0.0 else -math.inf
 
     def integrand(x, rows):
-        a = theta1 * kernel_row(p, 1.0, x - lags[rows])
-        b = theta2 * kernel_row(p, 1.0, x)
+        a = theta1 * kernel(p, 1.0, x - lags[rows])
+        b = theta2 * kernel(p, 1.0, x)
         return _stable_bracket(a, b, p.alpha)
 
     return _quad(integrand, [(left, 0.0, 1.0)] * lags.size, q, epsabs=0.0)[0]
@@ -202,7 +204,7 @@ def global_limit_check(p: ProcessParams, b_values,
     limit = global_limit_constant(p)
     bs = sorted(float(b) for b in b_values)
     rows = []
-    for b, norm in zip(bs, _alpha_norms(p, bs, q).tolist()):
+    for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
         normalized = norm / b if p.kind == "II" else norm
         rows.append({
             "regime": "global", "kind": p.kind, "b": b,
@@ -224,7 +226,7 @@ def local_limit_check(p: ProcessParams, b_values,
     limit = fsm_norm_limit(p, q) if in_range else math.nan
     bs = sorted((float(b) for b in b_values), reverse=True)
     rows = []
-    for b, norm in zip(bs, _alpha_norms(p, bs, q).tolist()):
+    for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
         normalized = b ** (-p.alpha * p.H) * norm
         rows.append({
             "regime": "local", "kind": p.kind, "b": b,

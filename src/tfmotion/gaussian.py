@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FactorizationError, PoleError
+from .errors import FactorizationError, NumericsError, PoleError
 from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad
 from .rng import fan_out, philox_generator
 from . import specfun
@@ -68,6 +68,10 @@ class SampleGrid:
         return self.times.size
 
 
+# relative diagonal shifts CovarianceMatrix.cholesky tries, in order
+JITTER_LADDER = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
+
+
 @dataclass
 class CovarianceMatrix:
     """Covariance of TFBM II over a grid, with a cached Cholesky factor.
@@ -81,12 +85,12 @@ class CovarianceMatrix:
     chol: np.ndarray | None = None
     jitter: float | None = None
 
-    def cholesky(self, jitters=(0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)) -> np.ndarray:
+    def cholesky(self) -> np.ndarray:
         """Lower-triangular factor, tolerating exact zero-variance rows (t = 0).
 
-        Escalating jitter eps*trace/n is added on failure and recorded in
-        ``jitter``; running past the ladder signals a bug in the covariance
-        closed form.
+        Escalating jitter eps*trace/n, eps from JITTER_LADDER, is added on
+        failure and recorded in ``jitter``; running past the ladder signals a
+        bug in the covariance closed form.
         """
         if self.chol is not None:
             return self.chol
@@ -95,7 +99,7 @@ class CovarianceMatrix:
         live = np.where(np.diag(c) > 0.0)[0]
         sub = c[np.ix_(live, live)]
         scale = np.trace(sub) / max(len(live), 1)
-        for eps in jitters:
+        for eps in JITTER_LADDER:
             shift = eps * scale
             try:
                 lsub = np.linalg.cholesky(
@@ -146,8 +150,7 @@ def variance_fbm_limit(H: float, t: float) -> float:
     return abs(t) ** (2.0 * H) * c
 
 
-def variance_tfbm2(H: float, lam: float, t: float,
-                   ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES) -> float:
+def variance_tfbm2(H: float, lam: float, t: float) -> float:
     """Variance C_t^2 of normalized TFBM II at time t (H > 0, lambda > 0).
 
     Two-term 2F3 closed form in the argument z = lambda^2 t^2 / 4:
@@ -160,7 +163,9 @@ def variance_tfbm2(H: float, lam: float, t: float,
     validated against the defining spectral integral.  H = 1/2 is the
     Brownian case C_t^2 = |t| (the formula's 1/Gamma(0) factor kills the
     first term); integer H hits genuine poles of the closed form and raises.
-    Negative t uses |t| (stationary increments).
+    Negative t uses |t| (stationary increments).  The two terms cancel as
+    lam t grows (and at tiny lam t for H near 1); a negative result is
+    such a cancellation and raises NumericsError.
     """
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
@@ -175,21 +180,25 @@ def variance_tfbm2(H: float, lam: float, t: float,
         raise PoleError(
             f"the 2F3 closed form has parameter poles at integer H (H = {H})")
     z = 0.25 * (lam * t) ** 2
-    f1 = specfun.hyp2f3((1.0, -0.5), (1.0 - H, 0.5, 1.0), z, ctl)
-    f2 = specfun.hyp2f3((1.0, H - 0.5), (1.0, H + 1.0, H + 0.5), z, ctl)
+    f1 = specfun.hyp2f3((1.0, -0.5), (1.0 - H, 0.5, 1.0), z)
+    f2 = specfun.hyp2f3((1.0, H - 0.5), (1.0, H + 1.0, H + 0.5), z)
     a = -2.0 * specfun.gamma_fn(H) * lam ** (-2.0 * H) / (
         _SQRT_PI * specfun.gamma_fn(H - 0.5))
     b = specfun.gamma_fn(1.0 - H) / (_SQRT_PI * H * 2.0 ** (2.0 * H)
                                      * specfun.gamma_fn(H + 0.5))
-    return a * (1.0 - f1) + b * t ** (2.0 * H) * f2
+    v = a * (1.0 - f1) + b * t ** (2.0 * H) * f2
+    if v < 0.0:
+        raise NumericsError(
+            f"variance_tfbm2: the 2F3 closed form gives C_t^2 = {v:.6g} < 0 "
+            f"at H = {H}, lambda = {lam}, t = {t}: its terms cancel")
+    return v
 
 
-def covariance_tfbm2(H: float, lam: float, s: float, t: float,
-                     ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES) -> float:
+def covariance_tfbm2(H: float, lam: float, s: float, t: float) -> float:
     """Cov[B(t), B(s)] = (C_t^2 + C_s^2 - C_{t-s}^2) / 2 for TFBM II."""
-    cs = variance_tfbm2(H, lam, s, ctl) if s != 0.0 else 0.0
-    ct = variance_tfbm2(H, lam, t, ctl) if t != 0.0 else 0.0
-    cd = variance_tfbm2(H, lam, t - s, ctl) if t != s else 0.0
+    cs = variance_tfbm2(H, lam, s) if s != 0.0 else 0.0
+    ct = variance_tfbm2(H, lam, t) if t != 0.0 else 0.0
+    cd = variance_tfbm2(H, lam, t - s) if t != s else 0.0
     return 0.5 * (ct + cs - cd)
 
 
@@ -399,8 +408,7 @@ def tfgn1_spectral_density(H: float, lam: float, omega: float,
 # covariance matrices and exact Gaussian sampling
 
 
-def build_cov_matrix(H: float, lam: float, grid: SampleGrid,
-                     ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES) -> CovarianceMatrix:
+def build_cov_matrix(H: float, lam: float, grid: SampleGrid) -> CovarianceMatrix:
     """Covariance matrix of TFBM II over the grid, diagonal = C_t^2.
 
     Entry (i, j) is 0.5 * ((C_{t_i}^2 + C_{t_j}^2) - C_{t_i - t_j}^2).
@@ -414,7 +422,7 @@ def build_cov_matrix(H: float, lam: float, grid: SampleGrid,
     d = np.subtract.outer(t, t)
     np.abs(d, out=d)
     uniq = np.unique(np.concatenate((np.unique(d), at)))
-    var = np.array([variance_tfbm2(H, lam, x, ctl) if x != 0.0 else 0.0
+    var = np.array([variance_tfbm2(H, lam, x) if x != 0.0 else 0.0
                     for x in uniq])
     ct = var[np.searchsorted(uniq, at)]
     values = var[np.searchsorted(uniq, d)]

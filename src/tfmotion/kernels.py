@@ -13,18 +13,19 @@ indicator of [0, t), uses
                                             h(t; y) = R(-y) - R(t - y).
 
 Every kernel value goes through _kernel_step, which evaluates these
-differences without cancellation, or for kernel tables and quadrature
-through its array twin _kernel_step_array over all a = -y at one t
-(kernel_row).  Also here: the tempered fractional integral/derivative of
-the interval indicator, quadrature of integral |kernel|^alpha dy (one batch
-over many t), and _quad, the one quadrature helper through which every
-integral of the package runs.  _quad integrates a batch of integrals with
-QUADPACK's adaptive G7/K15 rule written in NumPy, one array integrand call
-per sweep over every active panel of every integral, with QUADPACK's
-epsilon extrapolation for endpoint singularities; integrals it cannot
-finish, and QUADPACK's weighted forms, go to scipy.integrate.quad, imported
-only then.  It returns each integral's error estimate and raises
-QuadratureError when that estimate exceeds the QuadratureConfig tolerances.
+differences without cancellation over an array of a = -y at one t; the
+public kernels take a float or an array of y, so a kernel table row or a
+quadrature sweep is one call.  Also here: the tempered fractional
+integral/derivative of the interval indicator, quadrature of
+integral |kernel|^alpha dy (one batch over many t), and _quad, the one
+quadrature helper through which every integral of the package runs.
+_quad integrates a batch of integrals with QUADPACK's adaptive G7/K15 rule
+written in NumPy, one array integrand call per sweep over every active
+panel of every integral, with QUADPACK's epsilon extrapolation for endpoint
+singularities; integrals it cannot finish, and QUADPACK's weighted forms,
+go to scipy.integrate.quad, imported only then.  It returns each
+integral's error estimate and raises QuadratureError when that estimate
+exceeds the QuadratureConfig tolerances.
 The convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout;
 for kappa < 0 the primitive at x = 0 takes its infinite right limit, so the
 kernels return the signed infinite limit at the singular points y = 0 and
@@ -325,20 +326,22 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
     return total, err
 
 
-def plus_pow(x: float, p: float) -> float:
-    """(x)_+^p with the convention 0 for x <= 0 (any real p)."""
-    return x ** p if x > 0.0 else 0.0
+def _phi(k: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """phi(x) = x_+^k e^{-lam x} over an array x, with the right limit +inf
+    at x = 0 for k < 0."""
+    out = np.zeros(x.shape)
+    pos = x > 0.0
+    xp = x[pos]
+    out[pos] = xp ** k * np.exp(-lam * xp)
+    if k < 0.0:
+        out[x == 0.0] = math.inf
+    return out
 
 
-def _phi(k: float, lam: float, x: float) -> float:
-    """phi(x) = x_+^k e^{-lam x}, with the right limit +inf at x = 0 for k < 0."""
-    if x > 0.0:
-        return x ** k * math.exp(-lam * x)
-    return math.inf if x == 0.0 and k < 0.0 else 0.0
-
-
-def _kernel_step(kind: str, k: float, lam: float, a: float, w: float) -> float:
-    """Kernel value between the primitive arguments a = -y and b = a + w = t - y.
+def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
+                 w: float) -> np.ndarray:
+    """Kernel values between the primitive arguments a = -y (a 1-D array) and
+    b = a + w = t - y, at one width w.
 
     phi(b) - phi(a) for the first kind, R(a) - R(b) for the second; lam = 0
     reduces the second kind to the first and kappa = 0 to the indicator.
@@ -349,40 +352,9 @@ def _kernel_step(kind: str, k: float, lam: float, a: float, w: float) -> float:
         b <= 0:              0 (both on the plateau)
         a <= 0 < b:          lam^-kappa gamma(1 + kappa, lam b) + phi(b)
         0 < a:               kappa lam^-kappa int_{lam a}^{lam b} s^(kappa-1) e^-s ds
+
+    For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.
     """
-    if w == 0.0:
-        return 0.0
-    b = a + w
-    if kind == "I" or lam == 0.0:
-        if a > 0.0:
-            return _phi(k, lam, a) * math.expm1(k * math.log1p(w / a) - lam * w)
-        return _phi(k, lam, b) - _phi(k, lam, a)
-    if k == 0.0:
-        return 1.0 if a <= 0.0 < b else 0.0
-    if b <= 0.0:
-        return math.inf if b == 0.0 and k < 0.0 else 0.0
-    if a <= 0.0:
-        if a == 0.0 and k < 0.0:
-            return -math.inf
-        return lam ** (-k) * specfun.lower_gamma(1.0 + k, lam * b) + _phi(k, lam, b)
-    return k * lam ** (-k) * specfun.gamma_interval(k, lam * a, lam * w)
-
-
-def _phi_array(k: float, lam: float, x: np.ndarray) -> np.ndarray:
-    """_phi elementwise over an array x."""
-    out = np.zeros(x.shape)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = xp ** k * np.exp(-lam * xp)
-    if k < 0.0:
-        out[x == 0.0] = math.inf
-    return out
-
-
-def _kernel_step_array(kind: str, k: float, lam: float, a: np.ndarray,
-                       w: float) -> np.ndarray:
-    """_kernel_step elementwise over a 1-D array a at one scalar width w,
-    with the same branches and infinite markers."""
     out = np.zeros(a.shape)
     if w == 0.0:
         return out
@@ -390,9 +362,9 @@ def _kernel_step_array(kind: str, k: float, lam: float, a: np.ndarray,
     right = a > 0.0
     ar = a[right]
     if kind == "I" or lam == 0.0:
-        out[right] = _phi_array(k, lam, ar) * np.expm1(k * np.log1p(w / ar) - lam * w)
+        out[right] = _phi(k, lam, ar) * np.expm1(k * np.log1p(w / ar) - lam * w)
         left = ~right
-        out[left] = _phi_array(k, lam, b[left]) - _phi_array(k, lam, a[left])
+        out[left] = _phi(k, lam, b[left]) - _phi(k, lam, a[left])
         return out
     cross = ~right & (b > 0.0)
     if k == 0.0:
@@ -403,14 +375,16 @@ def _kernel_step_array(kind: str, k: float, lam: float, a: np.ndarray,
         out[a == 0.0] = -math.inf
         cross &= a != 0.0
     bc = b[cross]
-    out[cross] = (lam ** (-k) * specfun._lower_gamma_array(1.0 + k, lam * bc)
-                  + _phi_array(k, lam, bc))
-    out[right] = k * lam ** (-k) * specfun._gamma_interval_array(k, lam * ar, lam * w)
+    out[cross] = (lam ** (-k) * specfun.lower_gamma(1.0 + k, lam * bc)
+                  + _phi(k, lam, bc))
+    out[right] = k * lam ** (-k) * specfun.gamma_interval(k, lam * ar, lam * w)
     return out
 
 
-def kernel_g(p: ProcessParams, t: float, y: float) -> float:
-    """First-kind kernel g(t; y) = phi(t - y) - phi(-y).
+@specfun._elementwise("y")
+def kernel_g(p: ProcessParams, t: float, y):
+    """First-kind kernel g(t; y) = phi(t - y) - phi(-y) at a float or an
+    array of y.
 
     For kappa < 0 the values at exactly y = t and y = 0 are the one-sided
     infinite limits +inf and -inf.
@@ -420,8 +394,10 @@ def kernel_g(p: ProcessParams, t: float, y: float) -> float:
     return _kernel_step("I", p.kappa, p.lam, -y, t)
 
 
-def kernel_h(p: ProcessParams, t: float, y: float) -> float:
-    """Second-kind kernel h(t; y) = R(-y) - R(t - y).
+@specfun._elementwise("y")
+def kernel_h(p: ProcessParams, t: float, y):
+    """Second-kind kernel h(t; y) = R(-y) - R(t - y) at a float or an array
+    of y.
 
     H = 1/alpha gives the indicator of [0, t) exactly and lam = 0 the
     untempered kernel (t-y)_+^kappa - (-y)_+^kappa.  For 0 <= y < t the value
@@ -437,21 +413,24 @@ def kernel_h(p: ProcessParams, t: float, y: float) -> float:
     return _kernel_step("II", p.kappa, p.lam, -y, t)
 
 
-def g_time_integral(p: ProcessParams, t: float, y: float) -> float:
-    """integral_0^t g(s; y) ds in closed form (used by the kind I/II identity)."""
+@specfun._elementwise("y")
+def g_time_integral(p: ProcessParams, t: float, y):
+    """integral_0^t g(s; y) ds in closed form (used by the kind I/II
+    identity), at a float or an array of y."""
     if t < 0.0:
         raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    k = p.kappa
-    drift = -t * plus_pow(-y, k) * math.exp(-p.lam * max(-y, 0.0))
-    if y >= t or t == 0.0:
-        return drift
-    if p.lam == 0.0:
-        hi = plus_pow(t - y, k + 1.0) / (k + 1.0)
-        lo = plus_pow(-y, k + 1.0) / (k + 1.0)
-        return hi - lo + drift
-    hi = specfun.lower_gamma(k + 1.0, p.lam * (t - y))
-    lo = specfun.lower_gamma(k + 1.0, p.lam * (-y)) if y < 0.0 else 0.0
-    return (hi - lo) * p.lam ** (-k - 1.0) + drift
+    k, lam = p.kappa, p.lam
+    out = np.zeros(y.shape)
+    left = y < 0.0
+    out[left] = -t * (-y[left]) ** k * np.exp(lam * y[left])
+    inside = y < t
+    hi, lo = t - y[inside], np.maximum(-y[inside], 0.0)
+    if lam == 0.0:
+        out[inside] += (hi ** (k + 1.0) - lo ** (k + 1.0)) / (k + 1.0)
+    else:
+        out[inside] += (specfun.lower_gamma(k + 1.0, lam * hi)
+                        - specfun.lower_gamma(k + 1.0, lam * lo)) * lam ** (-k - 1.0)
+    return out
 
 
 def tempered_frac_indicator(kappa: float, lam: float, mode: str,
@@ -493,23 +472,15 @@ def tempered_frac_indicator(kappa: float, lam: float, mode: str,
     raise ValueError(f"mode must be 'integral' or 'derivative', got {mode!r}")
 
 
-def kernel(p: ProcessParams, t: float, y: float) -> float:
-    """Kernel of the process selected by p.kind (g for I, h for II)."""
+def kernel(p: ProcessParams, t: float, y):
+    """Kernel of the process selected by p.kind (g for I, h for II) at one
+    time t and a float or an array of y."""
     return kernel_g(p, t, y) if p.kind == "I" else kernel_h(p, t, y)
 
 
-def kernel_row(p: ProcessParams, t: float, ys: np.ndarray) -> np.ndarray:
-    """kernel(p, t, y) for every y of a 1-D array at one time t, in one array
-    evaluation of the kind's primitive difference (_kernel_step_array); the
-    values agree with the scalar kernel to rounding."""
-    if t < 0.0:
-        raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    a = -np.asarray(ys, dtype=float)
-    return _kernel_step_array(p.kind, p.kappa, p.lam, a, t)
-
-
-def alpha_norm_tail_bound(p: ProcessParams, t: float, a: float) -> float:
-    """Analytic bound on integral_{-inf}^{-a} |kernel(t; y)|^alpha dy, a > 0.
+def alpha_norm_tail_bound(p: ProcessParams, t, a: float):
+    """Analytic bound on integral_{-inf}^{-a} |kernel(t; y)|^alpha dy, a > 0,
+    at a float or an array of times t.
 
     From |h(t; -u)| <= (2 + lam t) (1 + t/a)^{max(kappa,0)} u^kappa e^{-lam u}
     for u >= a, which also dominates |g|; requires lam > 0.
@@ -538,38 +509,11 @@ def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
     return first + left[::-1] + [0.0, t]
 
 
-def _alpha_norms(p: ProcessParams, ts, q: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    """kernel_alpha_norm at every time of ts as one _quad batch, with one
-    kernel_row per time in each sweep."""
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0):
-        raise ValueError(f"t must be >= 0, got {ts.min()}")
-    if p.kappa == 0.0 and p.kind == "II":
-        return ts.copy()  # indicator kernel
-    out = np.zeros(ts.size)
-    pos = np.flatnonzero(ts > 0.0)
-    if pos.size == 0:
-        return out
-    tp = ts[pos]
-
-    def f(y, rows):
-        v = np.empty(y.shape)
-        for r in np.unique(rows):
-            at = rows == r
-            v[at] = np.abs(kernel_row(p, tp[r], y[at])) ** p.alpha
-        return v
-
-    out[pos], _ = _quad(f, [_norm_edges(p, t, q) for t in tp], q)
-    if p.lam > 0.0:
-        a = q.cutoff(p.lam)
-        out[pos] += [alpha_norm_tail_bound(p, t, a) for t in tp]
-    return out
-
-
-def kernel_alpha_norm(p: ProcessParams, t: float,
-                      q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad),
-    the one-time case of the batch _alpha_norms.
+@specfun._elementwise("t")
+def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
+    """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad), at
+    a float or an array of times t.  The times of an array are one _quad
+    batch, with one array kernel call per time in each sweep.
 
     The panels are graded geometrically from -t to -cutoff (_norm_edges).
     The left tail below -cutoff is truncated and covered by the analytic
@@ -578,4 +522,24 @@ def kernel_alpha_norm(p: ProcessParams, t: float,
     short-circuits to the exact value t.  Kernels with kappa < 0 are
     singular at y = 0 and y = t; _quad extrapolates those integrals.
     """
-    return float(_alpha_norms(p, [t], q)[0])
+    if np.any(t < 0.0):
+        raise ValueError(f"t must be >= 0, got {t.min()}")
+    if p.kappa == 0.0 and p.kind == "II":
+        return t.copy()  # indicator kernel
+    out = np.zeros(t.size)
+    pos = np.flatnonzero(t > 0.0)
+    if pos.size == 0:
+        return out
+    tp = t[pos]
+
+    def f(y, rows):
+        v = np.empty(y.shape)
+        for r in np.unique(rows):
+            at = rows == r
+            v[at] = np.abs(kernel(p, tp[r], y[at])) ** p.alpha
+        return v
+
+    out[pos], _ = _quad(f, [_norm_edges(p, ti, q) for ti in tp], q)
+    if p.lam > 0.0:
+        out[pos] += alpha_norm_tail_bound(p, tp, q.cutoff(p.lam))
+    return out

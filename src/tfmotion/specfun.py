@@ -2,16 +2,19 @@
 
 Implements the gamma function (Lanczos approximation with reflection), the
 modified Bessel function of the second kind K_nu (Temme's series for small
-argument, a Steed continued fraction for large argument), regularized and
-unnormalized incomplete gamma functions and their integral over an interval,
-and the generalized hypergeometric series 2F3.  The incomplete gamma
-functions also have private array forms (scalar a, array x) for building
-kernel tables.  No external special-function library is used here;
-SciPy/mpmath appear only in the test suite as independent oracles.
+argument, a Steed continued fraction for large argument), the unnormalized
+incomplete gamma functions and their integral over an interval, and the
+generalized hypergeometric series 2F3.  The incomplete gammas take one
+parameter a and a float or an array x: their series and continued fraction
+are masked NumPy iterations, one implementation for one point or a kernel
+table.  No external special-function library is used here; SciPy/mpmath
+appear only in the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -243,27 +246,38 @@ def bessel_k(nu: float, x: float) -> float:
     return kmu
 
 
-def _lower_series(a: float, x: float, max_iter: int = 500) -> float:
-    """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_n x^n / (a)_{n+1}.
+def _elementwise(name: str):
+    """Decorator for a function whose body takes a 1-D float array in its
+    argument ``name``: the wrapped function takes a float there and returns
+    a Python float, or an array of any shape and returns an array of that
+    shape."""
+
+    def decorate(body):
+        sig = inspect.signature(body)
+
+        @functools.wraps(body)
+        def f(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            x = bound.arguments[name]
+            xa = np.asarray(x, dtype=float)
+            bound.arguments[name] = xa.ravel()
+            out = body(*bound.args, **bound.kwargs).reshape(xa.shape)
+            return float(out) if xa.ndim == 0 and not isinstance(x, np.ndarray) else out
+
+        return f
+
+    return decorate
+
+
+def _lower_series(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
+    """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_n x^n / (a)_{n+1},
+    over a 1-D array x.
 
     Converges for every non-integer a and fast for x < a + 1; for a in (-1, 0)
-    it continues gamma(a, x) = Gamma(a) - Gamma(a, x) analytically.
+    it continues gamma(a, x) = Gamma(a) - Gamma(a, x) analytically.  Each
+    element keeps its own sum and stopping test; converged elements are
+    frozen and leave the active set.
     """
-    ap = a
-    s = 1.0 / a
-    term = s
-    for _ in range(max_iter):
-        ap += 1.0
-        term *= x / ap
-        s += term
-        if abs(term) < abs(s) * _EPS:
-            return s
-    raise SeriesConvergenceError("incomplete gamma series did not converge")
-
-
-def _lower_series_array(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """_lower_series over a 1-D array x.  Each element keeps its own sum and
-    stopping test; converged elements are frozen and leave the active set."""
     out = np.empty(x.shape)
     act = np.arange(x.size)
     ap = a
@@ -282,35 +296,12 @@ def _lower_series_array(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndar
     raise SeriesConvergenceError("incomplete gamma series did not converge")
 
 
-def _upper_cf_scaled(a: float, x: float, max_iter: int = 1000) -> float:
-    """Continued fraction G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x).
+def _upper_cf_scaled(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
+    """Continued fraction G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x)
+    over a 1-D array x, masked like _lower_series.
 
     Converges for x > 0 and any real a (used here for a > -1, x >= 1).
     """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        dl = d * c
-        h *= dl
-        if abs(dl - 1.0) < _EPS:
-            return h
-    raise SeriesConvergenceError("incomplete gamma continued fraction did not converge")
-
-
-def _upper_cf_scaled_array(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """_upper_cf_scaled over a 1-D array x, masked like _lower_series_array."""
     tiny = 1e-300
     out = np.empty(x.shape)
     act = np.arange(x.size)
@@ -337,96 +328,46 @@ def _upper_cf_scaled_array(a: float, x: np.ndarray, max_iter: int = 1000) -> np.
     raise SeriesConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if a <= 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    scale = math.exp(-x + a * math.log(x) - log_gamma(a))
-    if x < a + 1.0:
-        return scale * _lower_series(a, x)
-    return 1.0 - scale * _upper_cf_scaled(a, x)
+def _scale(a: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x) x^a, the factor in front of the series and the fraction."""
+    return np.exp(a * np.log(x) - x)
 
 
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), a > 0."""
-    if a <= 0.0:
-        raise ValueError(f"reg_upper_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"reg_upper_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    scale = math.exp(-x + a * math.log(x) - log_gamma(a))
-    if x < a + 1.0:
-        return 1.0 - scale * _lower_series(a, x)
-    return scale * _upper_cf_scaled(a, x)
-
-
-def lower_gamma(a: float, x: float) -> float:
-    """Unnormalized lower incomplete gamma gamma(a, x) for a > 0, x >= 0."""
+@_elementwise("x")
+def lower_gamma(a: float, x):
+    """Unnormalized lower incomplete gamma gamma(a, x) for a > 0, x >= 0:
+    exp(-x) x^a times the series for x < max(1, a + 1), and Gamma(a) minus
+    the continued fraction above that."""
     if a <= 0.0:
         raise ValueError(f"lower_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < max(1.0, a + 1.0):
-        return math.exp(a * math.log(x) - x) * _lower_series(a, x)
-    return gamma_fn(a) - math.exp(a * math.log(x) - x) * _upper_cf_scaled(a, x)
+    if np.any(x < 0.0):
+        raise ValueError(f"lower_gamma requires x >= 0, got {x.min()}")
+    out = np.zeros(x.shape)
+    series = (x < max(1.0, a + 1.0)) & (x != 0.0)
+    cf = ~series & (x != 0.0)
+    xs, xc = x[series], x[cf]
+    out[series] = _scale(a, xs) * _lower_series(a, xs)
+    out[cf] = gamma_fn(a) - _scale(a, xc) * _upper_cf_scaled(a, xc)
+    return out
 
 
-def upper_gamma(a: float, x: float) -> float:
+@_elementwise("x")
+def upper_gamma(a: float, x):
     """Unnormalized upper incomplete gamma Gamma(a, x) for a > -1, x > 0.
 
     exp(-x) x^a times the continued fraction for x >= max(1, a + 1), and
     Gamma(a) minus the lower series below that; a = 0 is excluded (the
     exponential-integral case never arises here).
     """
-    if x <= 0.0:
-        raise ValueError(f"upper_gamma requires x > 0, got {x}")
-    if a == 0.0 or a <= -1.0:
-        raise ValueError(f"upper_gamma supports a in (-1, 0) u (0, inf), got {a}")
-    if x >= max(1.0, a + 1.0):
-        return math.exp(a * math.log(x) - x) * _upper_cf_scaled(a, x)
-    return gamma_fn(a) - math.exp(a * math.log(x) - x) * _lower_series(a, x)
-
-
-def _scale_array(a: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) x^a, the factor in front of the series and the fraction."""
-    return np.exp(a * np.log(x) - x)
-
-
-def _lower_gamma_array(a: float, x) -> np.ndarray:
-    """lower_gamma(a, x) elementwise over an array x (same branches)."""
-    x = np.asarray(x, dtype=float)
-    if a <= 0.0:
-        raise ValueError(f"lower_gamma requires a > 0, got {a}")
-    if np.any(x < 0.0):
-        raise ValueError("lower_gamma requires x >= 0")
-    out = np.zeros(x.shape)
-    series = (x < max(1.0, a + 1.0)) & (x != 0.0)
-    cf = ~series & (x != 0.0)
-    xs, xc = x[series], x[cf]
-    out[series] = _scale_array(a, xs) * _lower_series_array(a, xs)
-    out[cf] = gamma_fn(a) - _scale_array(a, xc) * _upper_cf_scaled_array(a, xc)
-    return out
-
-
-def _upper_gamma_array(a: float, x) -> np.ndarray:
-    """upper_gamma(a, x) elementwise over an array x (same branches)."""
-    x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise ValueError("upper_gamma requires x > 0")
+        raise ValueError(f"upper_gamma requires x > 0, got {x.min()}")
     if a == 0.0 or a <= -1.0:
         raise ValueError(f"upper_gamma supports a in (-1, 0) u (0, inf), got {a}")
     out = np.empty(x.shape)
     cf = x >= max(1.0, a + 1.0)
     xs, xc = x[~cf], x[cf]
-    out[cf] = _scale_array(a, xc) * _upper_cf_scaled_array(a, xc)
-    out[~cf] = gamma_fn(a) - _scale_array(a, xs) * _lower_series_array(a, xs)
+    out[cf] = _scale(a, xc) * _upper_cf_scaled(a, xc)
+    out[~cf] = gamma_fn(a) - _scale(a, xs) * _lower_series(a, xs)
     return out
 
 
@@ -435,9 +376,10 @@ _GL6_NODES = (0.2386191860831969086, 0.6612093864662645137, 0.932469514203152027
 _GL6_WEIGHTS = (0.4679139345726910474, 0.3607615730481386076, 0.1713244923791703450)
 
 
-def gamma_interval(a: float, x: float, h: float) -> float:
+@_elementwise("x")
+def gamma_interval(a: float, x, h: float):
     """integral_x^{x+h} s^(a-1) e^(-s) ds = Gamma(a, x) - Gamma(a, x+h), for
-    a > -1, a != 0, x > 0 and h >= 0.
+    a > -1, a != 0, x > 0 and one width h >= 0.
 
     An interval short against both x and 1, where the difference of upper
     gammas would cancel, is integrated by 6-point Gauss-Legendre: the
@@ -445,31 +387,12 @@ def gamma_interval(a: float, x: float, h: float) -> float:
     rounding.  A longer interval is a difference of upper gammas, or of lower
     gammas for a > 1 and x < a, where Gamma(a, x) is close to Gamma(a) and
     the upper difference would cancel; either loses at most about three
-    digits.
+    digits.  Both ends of a difference go through one incomplete-gamma call.
     """
-    if x <= 0.0 or h < 0.0:
-        raise ValueError(f"gamma_interval requires x > 0 and h >= 0, got {x}, {h}")
-    if h <= 0.125 * min(x, 1.0):
-        r = 0.5 * h
-        c = x + r
-        total = 0.0
-        for u, w in zip(_GL6_NODES, _GL6_WEIGHTS):
-            lo, hi = c - r * u, c + r * u
-            total += w * (lo ** (a - 1.0) * math.exp(-lo)
-                          + hi ** (a - 1.0) * math.exp(-hi))
-        return r * total
-    if a > 1.0 and x < a:
-        return lower_gamma(a, x + h) - lower_gamma(a, x)
-    return upper_gamma(a, x) - upper_gamma(a, x + h)
-
-
-def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
-    """gamma_interval(a, x, h) elementwise over an array x at one width h
-    (same seams between the Gauss-Legendre rule and the lower and upper gamma
-    differences); both ends of the differences go through one array call."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or h < 0.0:
-        raise ValueError("gamma_interval requires x > 0 and h >= 0")
+    if h < 0.0:
+        raise ValueError(f"gamma_interval requires h >= 0, got {h}")
+    if np.any(x <= 0.0):
+        raise ValueError(f"gamma_interval requires x > 0, got {x.min()}")
     out = np.empty(x.shape)
     gl = h <= 0.125 * np.minimum(x, 1.0)
     r = 0.5 * h
@@ -483,11 +406,11 @@ def _gamma_interval_array(a: float, x, h: float) -> np.ndarray:
     if a > 1.0:
         low = up & (x < a)
         xl = x[low]
-        g = _lower_gamma_array(a, np.concatenate([xl + h, xl]))
+        g = lower_gamma(a, np.concatenate([xl + h, xl]))
         out[low] = g[:xl.size] - g[xl.size:]
         up &= ~low
     xu = x[up]
-    g = _upper_gamma_array(a, np.concatenate([xu, xu + h]))
+    g = upper_gamma(a, np.concatenate([xu, xu + h]))
     out[up] = g[:xu.size] - g[xu.size:]
     return out
 

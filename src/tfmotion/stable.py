@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
-from .kernels import DEFAULT_QUAD, ProcessParams, kernel_row
+from .kernels import DEFAULT_QUAD, ProcessParams, kernel
 from .rng import fan_out, philox_generator
 from . import specfun
 
@@ -165,15 +165,14 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> np.ndarray:
     """Kernel values k(t_i; y_k) on the plan nodes, n_times x n_nodes.
 
-    Each time row is one NumPy array evaluation of the kind's primitive
-    difference over all nodes (kernels.kernel_row, the array form of the
-    scalar kernel); filling one row at a time keeps the temporaries the size
-    of a row.  Entries agree with the scalar kernel to rounding.
+    Each time row is one array call of kernels.kernel, which evaluates the
+    kind's primitive difference over all nodes; filling one row at a time
+    keeps the temporaries the size of a row.
     """
     ys = plan.nodes()
     table = np.empty((grid.n, plan.n_nodes))
     for i, t in enumerate(grid.times.tolist()):
-        table[i] = kernel_row(p, t, ys)
+        table[i] = kernel(p, t, ys)
     if not np.all(np.isfinite(table)):
         raise PlanError("kernel table hit a singular node; shift y_min or dy "
                         "so midpoints avoid y = 0 and the grid times")

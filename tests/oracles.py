@@ -64,14 +64,15 @@ def spectral_variance(H: float, lam: float, t: float) -> float:
     return (v1 + 2.0 * v2 - 2.0 * v3) / math.pi
 
 
-def _plus_pow(x: float, p: float) -> float:
+def plus_pow(x: float, p: float) -> float:
+    """(x)_+^p with the convention 0 for x <= 0 (any real p)."""
     return x ** p if x > 0.0 else 0.0
 
 
 def fbm_variance_timedomain(H: float, t: float) -> float:
     """Untempered variance from the time-domain kernel integral at t = 1,
     scaled by t^{2H}."""
-    f = lambda s: (_plus_pow(1.0 - s, H - 0.5) - _plus_pow(-s, H - 0.5)) ** 2
+    f = lambda s: (plus_pow(1.0 - s, H - 0.5) - plus_pow(-s, H - 0.5)) ** 2
     v = (integrate.quad(f, -np.inf, 0.0, epsabs=1e-14, epsrel=1e-12)[0]
          + integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)[0])
     return abs(t) ** (2.0 * H) * v / mp_gamma(H + 0.5) ** 2
@@ -137,27 +138,55 @@ def lattice_density_brute(H: float, lam: float, omega: float, second_kind: bool,
 
 def riemann_alpha_norm(kern, alpha: float, t: float, y_min: float,
                        n: int = 2_000_000) -> float:
-    """Brute midpoint Riemann sum of int |kern(t, y)|^alpha dy over [y_min, t]."""
+    """Brute midpoint Riemann sum of int |kern(t, y)|^alpha dy over [y_min, t],
+    with kern evaluated at all midpoints in one call."""
     edges = np.linspace(y_min, t, n + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     dy = edges[1] - edges[0]
-    vals = np.fromiter((abs(kern(t, float(y))) ** alpha for y in mids),
-                       dtype=float, count=n)
-    return float(np.sum(vals) * dy)
+    return float(np.sum(np.abs(kern(t, mids)) ** alpha) * dy)
 
 
 def mp_primitive_r(H: float, alpha: float, lam: float, x) -> mp.mpf:
     """Second-kind primitive R(x) = kappa lam^-kappa Gamma(kappa, lam x) for
-    x > 0 and lam^-kappa Gamma(1 + kappa) for x <= 0, at mpmath precision."""
+    x > 0 and lam^-kappa Gamma(1 + kappa) for x <= 0, at mpmath precision;
+    for kappa < 0, R(0) is the right limit -inf."""
     k = mp.mpf(H) - 1 / mp.mpf(alpha)
     lam = mp.mpf(lam)
+    if x == 0 and k < 0:
+        return -mp.inf
     if x <= 0:
         return lam ** -k * mp.gamma(1 + k)
     return k * lam ** -k * mp.gammainc(k, lam * x, mp.inf)
 
 
+def mp_primitive_phi(H: float, alpha: float, lam: float, x) -> mp.mpf:
+    """First-kind primitive phi(x) = x_+^kappa e^{-lam x} at mpmath
+    precision; for kappa < 0, phi(0) is the right limit +inf."""
+    k = mp.mpf(H) - 1 / mp.mpf(alpha)
+    if x == 0 and k < 0:
+        return mp.inf
+    if x <= 0:
+        return mp.mpf(0)
+    return x ** k * mp.exp(-mp.mpf(lam) * x)
+
+
+def mp_kernel_g(H: float, alpha: float, lam: float, t: float, y: float) -> float:
+    """g(t; y) = phi(t - y) - phi(-y) with both primitives in extended
+    precision; g(0; y) = 0."""
+    if t == 0:
+        return 0.0
+    y = mp.mpf(y)
+    return float(mp_primitive_phi(H, alpha, lam, mp.mpf(t) - y)
+                 - mp_primitive_phi(H, alpha, lam, -y))
+
+
 def mp_kernel_h(H: float, alpha: float, lam: float, t: float, y: float) -> float:
-    """h(t; y) = R(-y) - R(t - y) with both primitives in extended precision."""
+    """h(t; y) = R(-y) - R(t - y) with both primitives in extended precision;
+    h(0; y) = 0, and at lam = 0 h is the untempered kernel, which is g."""
+    if t == 0:
+        return 0.0
+    if lam == 0:
+        return mp_kernel_g(H, alpha, lam, t, y)
     y = mp.mpf(y)
     return float(mp_primitive_r(H, alpha, lam, -y)
                  - mp_primitive_r(H, alpha, lam, mp.mpf(t) - y))

@@ -65,6 +65,17 @@ class TestExitCodes:
                          "--alpha", "2.0", "--kind", "I"], tmp_path)
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["covariance", "--H", "0.75", "--lambda", "0.5", "--t-max", "100", "--n", "3"],
+        ["simulate", "--alpha", "2", "--H", "0.7", "--lambda", "40", "--n", "5"],
+    ])
+    def test_negative_variance_exits_3(self, args, tmp_path):
+        # the TFBM II variance closed form cancels to C_t^2 < 0 at large
+        # lam t: a numeric failure, not a negative covariance or a path
+        # pinned at 0
+        rc, _ = run_cli(args, tmp_path)
+        assert rc == 3
+
 
 class TestSpectrum:
     def test_columns_and_origin_values(self, tmp_path):
@@ -138,12 +149,12 @@ class TestSimulate:
         # difference of coupled paths = lam * (path integral + t C0); with C0
         # unobservable here, check the difference-of-differences over time,
         # which eliminates it: d(t) - t d(1) has no C0 term error
-        from tfmotion.kernels import ProcessParams, plus_pow
+        from tfmotion.kernels import ProcessParams
         from tfmotion.stable import DiscretizationPlan, path_increments
         from tfmotion.gaussian import SampleGrid
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
         plan = DiscretizationPlan.for_grid(SampleGrid(ts), p, dy=0.02, cutoff=40.0)
-        drift = np.array([plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
+        drift = np.array([oracles.plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
                           for y in plan.nodes()])
         for i in range(2):
             c0 = float(drift @ path_increments(p, plan, 11, i))

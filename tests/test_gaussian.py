@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from tfmotion import gaussian
-from tfmotion.errors import PoleError
+from tfmotion.errors import NumericsError, PoleError
 from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, SampleGrid,
                                _circulant_eigenvalues, build_cov_matrix,
                                covariance_tfbm2,
@@ -44,6 +44,16 @@ class TestVariance:
     def test_integer_H_pole(self):
         with pytest.raises(PoleError):
             variance_tfbm2(1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("H,lam,t", [
+        (0.75, 0.5, 100.0), (0.7, 40.0, 1.0),      # large lam t
+        (0.99, 0.15, 1.04e-8), (1.01, 1e-3, 1e-9),  # tiny lam t, H near 1
+    ])
+    def test_negative_closed_form_raises(self, H, lam, t):
+        # the two 2F3 terms cancel to C_t^2 < 0 here: a numeric failure,
+        # never a returned negative variance
+        with pytest.raises(NumericsError):
+            variance_tfbm2(H, lam, t)
 
     def test_scaling_law(self):
         for b in (0.5, 2.0, 10.0):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,11 @@ from scipy import integrate
 
 from tfmotion import kernels, specfun as sf
 from tfmotion.errors import QuadratureError
+from tfmotion.dependence import increment_kernel
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
-                              _kernel_step, _kernel_step_array, _quad,
-                              g_time_integral, kernel_alpha_norm, kernel_g,
-                              kernel_h, plus_pow, tempered_frac_indicator)
+                              _kernel_step, _quad, g_time_integral,
+                              kernel_alpha_norm, kernel_g, kernel_h,
+                              tempered_frac_indicator)
 
 import oracles
 
@@ -113,9 +115,9 @@ class TestKernelHOracle:
                 for t in (0.01, 1.0, 7.0):
                     ys = [-float(u) for u in np.geomspace(1e-3, 60.0 / lam, 30)]
                     ys += [t * f for f in (1e-6, 0.3, 0.7, 1.0 - 1e-6)]
-                    for y in ys:
+                    for y, v in zip(ys, kernel_h(p, t, np.array(ys))):
                         ref = oracles.mp_kernel_h(H, alpha, lam, t, y)
-                        assert kernel_h(p, t, y) == pytest.approx(
+                        assert v == pytest.approx(
                             ref, rel=2e-11, abs=0.0), (H, alpha, lam, t, y)
 
 
@@ -129,13 +131,77 @@ class TestKernelStepArray:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 25.0])
     @pytest.mark.parametrize("w", [0.0, 1.0])
     def test_matches_scalar(self, kind, k, lam, w):
-        v = _kernel_step_array(kind, k, lam, self.A, w)
+        # against the extended-precision kernels at t = w, y = -a and
+        # kappa = k (H = k + 1/2 at alpha = 2), infinite markers included
+        v = _kernel_step(kind, k, lam, self.A, w)
+        mp_kernel = oracles.mp_kernel_g if kind == "I" else oracles.mp_kernel_h
         for a, va in zip(self.A.tolist(), v):
-            ref = _kernel_step(kind, k, lam, a, w)
+            ref = mp_kernel(k + 0.5, 2.0, lam, w, -a)
             if math.isinf(ref):
                 assert va == ref, a
             else:
                 assert va == pytest.approx(ref, rel=1e-12, abs=1e-15), a
+
+
+_P_I = ProcessParams(H=0.55, alpha=1.5, lam=0.8, kind="I")  # kappa < 0
+_YS = [-3.0, -0.2, 0.0, 0.7, 1.5, 2.0]  # y = 0 and y = t = 1.5 give -inf, +inf
+
+# (function of one float or array argument, six valid points, calls that
+# raise ValueError with the bad point they are given)
+CONTRACT = {
+    "lower_gamma": (lambda x: sf.lower_gamma(1.3, x), [0.0, 1e-3, 0.4, 2.3, 2.5, 40.0],
+                    [(lambda x: sf.lower_gamma(1.3, x), -1.0),
+                     (lambda x: sf.lower_gamma(-1.0, x), 2.0)]),
+    "upper_gamma": (lambda x: sf.upper_gamma(-0.3, x), [1e-3, 0.4, 1.0, 2.5, 7.0, 40.0],
+                    [(lambda x: sf.upper_gamma(-0.3, x), 0.0),
+                     (lambda x: sf.upper_gamma(-1.5, x), 2.0)]),
+    "gamma_interval": (lambda x: sf.gamma_interval(1.3, x, 0.05),
+                       [1e-3, 0.1, 0.4, 1.2, 2.5, 40.0],
+                       [(lambda x: sf.gamma_interval(1.3, x, 0.05), 0.0),
+                        (lambda x: sf.gamma_interval(1.3, x, -0.1), 2.0)]),
+    "kernel_g": (lambda y: kernel_g(_P_I, 1.5, y), _YS,
+                 [(lambda y: kernel_g(_P_I, -1.0, y), 0.5)]),
+    "kernel_h": (lambda y: kernel_h(P_STABLE_LO, 1.5, y), _YS,
+                 [(lambda y: kernel_h(P_STABLE_LO, -1.0, y), 0.5)]),
+    "g_time_integral": (lambda y: g_time_integral(P_STABLE, 1.5, y), _YS,
+                        [(lambda y: g_time_integral(P_STABLE, -1.0, y), 0.5)]),
+    "increment_kernel": (lambda x: increment_kernel(P_STABLE, 2.0, x),
+                         [-40.0, -1.0, 0.5, 2.5, 2.999, 3.5],
+                         [(lambda x: increment_kernel(P_STABLE, -1.0, x), 0.5)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+class TestScalarArrayContract:
+    """A float in gives a Python float out; an array in gives an array of
+    its shape, equal to per-element calls; bad input raises the same
+    ValueError either way."""
+
+    def test_float_in_float_out(self, name):
+        f, points, _ = CONTRACT[name]
+        for x in points:
+            assert type(f(x)) is float, x
+
+    def test_shapes_and_values(self, name):
+        f, points, _ = CONTRACT[name]
+        ref = [f(x) for x in points]
+        x = np.array(points)
+        assert f(x).tolist() == ref
+        assert f(x.reshape(2, 3)).tolist() == np.reshape(ref, (2, 3)).tolist()
+        assert f(x.reshape(3, 2).T).tolist() == np.reshape(ref, (3, 2)).T.tolist()
+        zero_d = f(x[1:2].reshape(()))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert zero_d == ref[1]
+        assert f(np.empty(0)).shape == (0,)
+        assert f(np.empty((0, 3))).shape == (0, 3)
+
+    def test_same_errors(self, name):
+        f, points, bad = CONTRACT[name]
+        for g, xb in bad:
+            with pytest.raises(ValueError):
+                g(xb)
+            with pytest.raises(ValueError):
+                g(np.array([points[-1], xb]))
 
 
 class TestKernelG:
@@ -167,7 +233,7 @@ class TestKernelIdentity:
     def test_pointwise(self, p):
         for t in GRID_T:
             for y in GRID_Y:
-                drift = t * plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
+                drift = t * oracles.plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
                 corr = g_time_integral(p, t, y) + drift
                 resid = kernel_h(p, t, y) - (kernel_g(p, t, y) + p.lam * corr)
                 assert abs(resid) < 1e-12, (p, t, y, resid)
@@ -321,7 +387,7 @@ class TestQuadHelper:
     @pytest.mark.parametrize("p", [P_HI, P_STABLE, ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")])
     def test_alpha_norm_batch_matches_single(self, p):
         ts = [1e-4, 0.01, 0.3, 1.0, 25.0, 200.0]
-        batch = kernels._alpha_norms(p, ts)
+        batch = kernel_alpha_norm(p, np.array(ts))
         for t, v in zip(ts, batch):
             assert v == pytest.approx(kernel_alpha_norm(p, t), rel=1e-14, abs=0.0)
 
@@ -364,10 +430,16 @@ class TestQuadHelper:
 
     def test_only_quadrature_site(self):
         # every library integral goes through _quad: no ad-hoc quad calls or
-        # warning filters elsewhere in the package
+        # warning filters elsewhere in the package; and each incomplete-gamma
+        # recurrence and kernel step has one (array) implementation, with no
+        # scalar or array twin beside it
         helper = inspect.getsource(kernels._quad)
         for token in ("integrate.quad(", "catch_warnings"):
             hits = {f.name: f.read_text().count(token)
                     for f in Path(kernels.__file__).parent.glob("*.py")}
             assert sum(hits.values()) == 1, (token, hits)
             assert helper.count(token) == 1, token
+        for mod in (sf, kernels):
+            src = Path(mod.__file__).read_text()
+            assert not re.search(r"def _\w*_array\(", src), mod.__name__
+            assert "kernel_row" not in src, mod.__name__

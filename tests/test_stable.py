@@ -6,13 +6,14 @@ from scipy import integrate
 
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
-from tfmotion.kernels import (ProcessParams, kernel, kernel_alpha_norm, kernel_h,
-                              plus_pow)
+from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h
 from tfmotion.rng import philox_generator
 from tfmotion.stable import (DiscretizationPlan, StableScaleSkew, c0_scale,
                              integral_char_fn, kernel_node_table,
                              path_increments, sample_stable,
                              simulate_tfsm_paths)
+
+import oracles
 
 P15 = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
 
@@ -91,7 +92,7 @@ class TestIntegralCharFn:
         p = ProcessParams(H=2.0 / 3.0, alpha=1.5, lam=0.4, kind="II")
         grid = SampleGrid(np.array([1.0]))
         plan = DiscretizationPlan.for_grid(grid, p, dy=1.0 / 512)
-        f = np.array([kernel_h(p, 1.0, float(y)) for y in plan.nodes()])
+        f = kernel_h(p, 1.0, plan.nodes())
         for th in (0.5, 1.0, 2.0):
             v = integral_char_fn(f, plan, p, th)
             assert abs(v) == pytest.approx(math.exp(-abs(th) ** 1.5 * 1.0),
@@ -106,7 +107,7 @@ class TestIntegralCharFn:
     def test_against_kernel_norm(self):
         grid = SampleGrid(np.array([1.0]))
         plan = DiscretizationPlan.for_grid(grid, P15, dy=1.0 / 256)
-        f = np.array([kernel_h(P15, 1.0, float(y)) for y in plan.nodes()])
+        f = kernel_h(P15, 1.0, plan.nodes())
         v = integral_char_fn(f, plan, P15, 1.0)
         tgt = math.exp(-kernel_alpha_norm(P15, 1.0))
         assert abs(v - tgt) < 5e-4
@@ -167,7 +168,7 @@ class TestSimulate:
         plan = DiscretizationPlan.for_grid(grid, P15, dy=1.0 / 64)
         n = 4000
         ens = simulate_tfsm_paths(P15, grid, plan, n, seed=9)
-        f = np.array([kernel_h(P15, 1.0, float(y)) for y in plan.nodes()])
+        f = kernel_h(P15, 1.0, plan.nodes())
         for th in (0.5, 1.0):
             emp = complex(np.mean(np.exp(1j * th * ens.paths[:, 0])))
             tgt = integral_char_fn(f, plan, P15, th)
@@ -179,7 +180,7 @@ class TestSimulate:
         allowances = []
         for dy in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             plan = DiscretizationPlan.for_grid(grid, P15, dy=dy)
-            f = np.array([kernel_h(P15, 1.0, float(y)) for y in plan.nodes()])
+            f = kernel_h(P15, 1.0, plan.nodes())
             disc = integral_char_fn(f, plan, P15, 1.0)
             allowances.append(abs(disc - exact))
         assert allowances[0] > allowances[1] > allowances[2]
@@ -197,7 +198,7 @@ class TestSimulate:
         eII = simulate_tfsm_paths(pII, grid, plan, 3, seed=5)
         eI = simulate_tfsm_paths(pI, grid, plan, 3, seed=5)
         ys = plan.nodes()
-        drift = np.array([plus_pow(-y, pII.kappa) * math.exp(-pII.lam * max(-y, 0.0))
+        drift = np.array([oracles.plus_pow(-y, pII.kappa) * math.exp(-pII.lam * max(-y, 0.0))
                           for y in ys])
         for i in range(3):
             dm = path_increments(pII, plan, 5, i)
@@ -271,7 +272,9 @@ class TestNodeTable:
     def test_matches_scalar_kernel(self, kind, H, lam, grid_kind):
         # aligned: grid step 5 dy, full default left cutoff; readme: step 1/64,
         # not a multiple of dy, with a shorter cutoff (1/3 keeps every
-        # midpoint off 0 and the grid times) to bound the scalar loop
+        # midpoint off 0 and the grid times).  Rows at four times against the
+        # extended-precision kernels on a fixed subsample of nodes: evenly
+        # spread, plus the four nodes nearest y = 0 and the four nearest y = t.
         p = ProcessParams(H=H, alpha=1.5, lam=lam, kind=kind)
         if grid_kind == "aligned":
             grid = SampleGrid.regular(1.0, 11)
@@ -281,7 +284,13 @@ class TestNodeTable:
             plan = DiscretizationPlan.for_grid(grid, p, dy=0.02,
                                                cutoff=20.0 + 1.0 / 3.0)
         table = kernel_node_table(p, grid, plan)
-        ys = plan.nodes().tolist()
-        ref = np.array([[kernel(p, t, y) for y in ys] for t in grid.times.tolist()])
-        diff = np.abs(table - ref)
-        assert np.all((diff <= 1e-15) | (diff <= 1e-12 * np.abs(ref)))
+        ys = plan.nodes()
+        mp_kernel = oracles.mp_kernel_g if kind == "I" else oracles.mp_kernel_h
+        for i in (0, 1, grid.n // 2, grid.n - 1):
+            t = float(grid.times[i])
+            cols = np.unique(np.concatenate([
+                np.linspace(0, ys.size - 1, 16).astype(int),
+                np.argsort(np.abs(ys))[:4], np.argsort(np.abs(ys - t))[:4]]))
+            ref = np.array([mp_kernel(H, 1.5, lam, t, float(ys[j])) for j in cols])
+            diff = np.abs(table[i, cols] - ref)
+            assert np.all((diff <= 1e-15) | (diff <= 1e-12 * np.abs(ref))), t
