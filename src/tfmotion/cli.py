@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .kernels import ProcessParams, QuadratureConfig
-from .gaussian import (SampleGrid, simulate_gaussian_paths, covariance_tfbm2,
+from .gaussian import (SampleGrid, build_cov_matrix, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density)
 from .stable import DiscretizationPlan, simulate_tfsm_paths
 from .dependence import decay_diagnostic, global_limit_check, local_limit_check
@@ -119,16 +119,17 @@ def _threads(args) -> int:
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Merge a JSON config file under explicit flags (flags win)."""
+    """Merge a JSON config of the command's options under explicit flags (flags win)."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    options = set(vars(args)) - {"command", "func"}
     for key, val in cfg.items():
         dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in options:
             raise ValueError(f"unknown config key {key!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, val)
@@ -167,8 +168,8 @@ def _defaults(args, **kw) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, kind="II", seed=0,
-              tol=1e-10, format="csv", omega_grid="-3.141592653589793:3.141592653589793:201")
+    _defaults(args, seed=0, tol=1e-10, format="csv",
+              omega_grid="-3.141592653589793:3.141592653589793:201")
     if args.H is None or args.lam is None:
         raise ValueError("spectrum requires --H and --lambda")
     if args.H <= 0 or args.lam <= 0:
@@ -220,18 +221,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, kind="II", seed=0,
-              format="csv", n=9, t_max=2.0)
+    _defaults(args, seed=0, format="csv", n=9, t_max=2.0)
     if args.H is None or args.lam is None:
         raise ValueError("covariance requires --H and --lambda")
     if args.H <= 0 or args.lam <= 0:
         raise ValueError("covariance requires H > 0 and lambda > 0")
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=False)
-    rows = []
-    for s in grid.times:
-        for t in grid.times:
-            rows.append([float(s), float(t),
-                         covariance_tfbm2(args.H, args.lam, float(s), float(t))])
+    times = grid.times.tolist()
+    cov = build_cov_matrix(args.H, args.lam, grid).values.tolist()
+    rows = [[s, t, c] for s, cs in zip(times, cov) for t, c in zip(times, cs)]
     meta = {"H": args.H, "lambda": args.lam, "t_max": args.t_max, "n": args.n}
     _emit(args.out, args.format, "covariance", meta, ["s", "t", "cov"], rows)
     return 0
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, kind=False, alpha=False, stable_extras=False)
     sp.add_argument("--omega-grid", default=None,
                     help="omega grid as 'min:max:count' inside [-pi, pi]")
-    sp.set_defaults(func=cmd_spectrum, alpha=2.0, sigma=1.0, beta=0.0, kind="II")
+    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("simulate", help="sample process paths")
     _add_common(sp, tol=False)
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, kind=False, alpha=False, stable_extras=False, tol=False)
     sp.add_argument("--t-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(func=cmd_covariance, alpha=2.0, sigma=1.0, beta=0.0, kind="II")
+    sp.set_defaults(func=cmd_covariance)
 
     sp = sub.add_parser("decay", help="codifference decay diagnostic")
     _add_common(sp)

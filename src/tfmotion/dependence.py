@@ -198,11 +198,19 @@ def fsm_norm_limit(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> floa
     return kernel_alpha_norm(p0, 1.0, q)
 
 
+def _scales(b_values) -> list[float]:
+    """The scales b of a limit check in increasing order; each must be > 0."""
+    bs = sorted(float(b) for b in b_values)
+    if not all(b > 0.0 for b in bs):
+        raise ValueError(f"limit scales must be positive, got {bs}")
+    return bs
+
+
 def global_limit_check(p: ProcessParams, b_values,
                        q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
     """Normalized alpha-norms against the large-b limit, one row per b."""
     limit = global_limit_constant(p)
-    bs = sorted(float(b) for b in b_values)
+    bs = _scales(b_values)
     rows = []
     for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
         normalized = norm / b if p.kind == "II" else norm
@@ -222,9 +230,9 @@ def local_limit_check(p: ProcessParams, b_values,
     Outside 0 < H < 1 the limit constant does not exist; rows are still
     emitted with the range flag cleared and no limit value.
     """
+    bs = _scales(b_values)[::-1]
     in_range = bool(0.0 < p.H < 1.0)
     limit = fsm_norm_limit(p, q) if in_range else math.nan
-    bs = sorted((float(b) for b in b_values), reverse=True)
     rows = []
     for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
         normalized = b ** (-p.alpha * p.H) * norm

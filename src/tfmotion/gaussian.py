@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactorizationError, NumericsError, PoleError
-from .kernels import ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad
+from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_error,
+                      _epsilon, _quad)
 from .rng import fan_out, philox_generator
 from . import specfun
 
@@ -247,15 +248,12 @@ def tfgn2_acvf(H: float, lam: float, j: int,
                q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Autocovariance r(j) of TFGN II by quadrature of the real-line form
 
-        r(j) = (1/pi) int_0^inf cos(w j) (2 - 2 cos w) w^{-2}
-               (lam^2 + w^2)^{1/2 - H} dw.
+        r(j) = (1/pi) int_0^inf cos(w j) 4 sin^2(w/2) w^{-2} (lam^2 + w^2)^{1/2 - H} dw
 
-    The oscillatory tail beyond Omega is handled by expanding
-    (2 - 2 cos w) cos(j w) into pure cosines and integrating each with the
-    QUADPACK Fourier transform (QAWF) at epsabs = 0.25 q.abs_tol; the head
-    and the non-oscillatory tail run at epsabs = 1e-13.  Each of these integrals raises QuadratureError
-    when its error estimate exceeds the tolerances of q.  The identity
-    against second differences of the motion variance is left to the tests.
+    (4 sin^2(w/2), as 2 - 2 cos w cancels near w = 0).  The head over
+    [0, Omega] and the constant term of the tail's expansion into pure
+    cosines run at epsabs = 1e-13, each cos(m w) term through _cosine_tail;
+    each raises QuadratureError when its error exceeds the tolerances of q.
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -263,29 +261,40 @@ def tfgn2_acvf(H: float, lam: float, j: int,
         raise ValueError(f"H must be positive, got {H}")
     j = abs(int(j))
 
-    def g(w, rows):
+    def g(w, rows=None):
         return (lam * lam + w * w) ** (0.5 - H) / (w * w)
 
     def head_f(w, rows):
-        return (2.0 - 2.0 * np.cos(w)) * np.cos(j * w) * g(w, rows)
+        return 4.0 * np.sin(0.5 * w) ** 2 * np.cos(j * w) * g(w)
 
-    omega0 = max(1.0, 2.0 * lam)
-    head, _ = _quad(head_f, (0.0, omega0), q, epsabs=1e-13,
-                    limit=max(400, 200 + 60 * j))
-    # cosine coefficients of (2 - 2 cos w) cos(j w)
-    coeffs: dict[int, float] = {}
-    for m, c in ((j, 2.0), (j + 1, -1.0), (abs(j - 1), -1.0)):
-        coeffs[m] = coeffs.get(m, 0.0) + c
+    omega = max(1.0, 2.0 * lam)
+    # head parts under half a period of cos(j w): none nears _LIMIT panels
+    z = np.linspace(0.0, omega, 2 + int(j * omega / math.pi))
+    vals, errs = _quad(head_f, np.column_stack([z[:-1], z[1:]]), q, epsabs=1e-13)
+    head = vals.sum(keepdims=True)
+    _check_error(head_f, head, errs.sum(keepdims=True), q)
+    # 4 sin^2(w/2) cos(j w) = 2 cos(j w) - cos((j - 1) w) - cos((j + 1) w)
     tail = 0.0
-    for m, c in sorted(coeffs.items()):
-        if c == 0.0:
-            continue
+    for m, c in ((j, 2.0), (abs(j - 1), -1.0), (j + 1, -1.0)):
         if m == 0:
-            v, _ = _quad(g, (omega0, math.inf), q, epsabs=1e-13)
+            tail += c * _quad(g, (omega, math.inf), q, epsabs=1e-13)[0]
         else:
-            v, _ = _quad(g, (omega0, math.inf), q, weight="cos", wvar=m)
-        tail += c * v
-    return (head + tail) / math.pi
+            tail += c * _cosine_tail(g, m, omega, q)
+    return (head[0] + tail) / math.pi
+
+
+def _cosine_tail(g, m: int, omega: float, q: QuadratureConfig) -> float:
+    """int_omega^inf g(w) cos(m w) dw for a g decreasing to 0, as in QUADPACK's
+    QAWF: one _quad batch of 40 panels from omega through the next zeros of
+    cos(m w), Wynn's epsilon algorithm over their partial sums, and the panel
+    errors plus the epsilon error held to the bound of _quad."""
+    k = math.floor(m * omega / math.pi + 0.5) + 0.5  # first zero: (k pi / m) >= omega
+    z = np.concatenate([[omega], np.maximum((k + np.arange(40)) * math.pi / m, omega)])
+    vals, errs = _quad(lambda w, rows: g(w) * np.cos(m * w),
+                       np.column_stack([z[:-1], z[1:]]), q)
+    value, err = _epsilon(np.cumsum(vals)[None, :])
+    _check_error(g, value, err + errs.sum(), q)
+    return float(value[0])
 
 
 def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
@@ -421,7 +430,9 @@ def build_cov_matrix(H: float, lam: float, grid: SampleGrid) -> CovarianceMatrix
     at = np.abs(t)
     d = np.subtract.outer(t, t)
     np.abs(d, out=d)
-    uniq = np.unique(np.concatenate((np.unique(d), at)))
+    uniq = np.concatenate((d.ravel(), at))
+    uniq.sort()  # distinct values by hand: np.unique loads numpy.ma
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     var = np.array([variance_tfbm2(H, lam, x) if x != 0.0 else 0.0
                     for x in uniq])
     ct = var[np.searchsorted(uniq, at)]

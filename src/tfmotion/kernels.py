@@ -21,11 +21,10 @@ integral |kernel|^alpha dy (one batch over many t), and _quad, the one
 quadrature helper through which every integral of the package runs.
 _quad integrates a batch of integrals with QUADPACK's adaptive G7/K15 rule
 written in NumPy, one array integrand call per sweep over every active
-panel of every integral, with QUADPACK's epsilon extrapolation for endpoint
-singularities; integrals it cannot finish, and QUADPACK's weighted forms,
-go to scipy.integrate.quad, imported only then.  It returns each
-integral's error estimate and raises QuadratureError when that estimate
-exceeds the QuadratureConfig tolerances.
+panel of every integral, with QUADPACK's epsilon extrapolation (_epsilon)
+for endpoint singularities.  It returns each integral's error estimate and
+raises QuadratureError when that estimate exceeds the QuadratureConfig
+tolerances.
 The convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout;
 for kappa < 0 the primitive at x = 0 takes its infinite right limit, so the
 kernels return the signed infinite limit at the singular points y = 0 and
@@ -35,7 +34,6 @@ y = t rather than overflowing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +121,7 @@ _UFLOW = np.finfo(float).tiny
 # fewest and most sweep totals that _kronrod extrapolates (see _epsilon); 50
 # is QUADPACK's limexp
 _EXTRAP_MIN, _EXTRAP_MAX = 8, 50
+_LIMIT = 400  # most panels of one integral (QUADPACK's limit)
 
 
 def _qk15(f, row, pan):
@@ -186,7 +185,7 @@ def _epsilon(s):
     return best, best_err
 
 
-def _kronrod(f, edges, epsabs, epsrel, limit):
+def _kronrod(f, edges, epsabs, epsrel):
     """Batched adaptive G7/K15 quadrature of one integral per row of edges.
 
     Each sweep bisects the panels above their share of their integral's
@@ -194,10 +193,10 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
     to the next (an integrable endpoint singularity, where each sweep only
     halves the panel at the singular end) is extrapolated as QUADPACK's QAGS
     does: Wynn's epsilon algorithm over its last sweep totals (_epsilon),
-    accepted once that error estimate is within budget.  Returns the values,
-    the error estimates and a mask of the integrals left unfinished: those
-    with a non-finite panel value, a panel too narrow to bisect, or still
-    over budget at limit panels.
+    accepted once that error estimate is within budget.  Returns the values
+    and error estimates.  An integral it cannot finish (a panel too narrow
+    to bisect, or still over budget at _LIMIT panels) keeps its last total
+    and summed error, and one with a non-finite panel value gets error inf.
     """
     n = len(edges)
     row, pan = [], []
@@ -215,13 +214,12 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
                 pan.append((0.0, 1.0, b, -1.0))
             else:
                 pan.append((a, b, 0.0, 0.0))
-    value = np.zeros(n)
-    error = np.zeros(n)
-    unfinished = np.zeros(n, dtype=bool)
+    value, error = np.zeros(n), np.zeros(n)
     if not row:
-        return value, error, unfinished
+        return value, error
     row = np.array(row, dtype=np.intp)
     pan = np.array(pan)
+    active = np.bincount(row, minlength=n) > 0
     val, err = _qk15(f, row, pan)
     totals = []
     last_err = np.full(n, np.inf)
@@ -229,32 +227,31 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
         bad = np.zeros(n, dtype=bool)
         bad[row[~np.isfinite(val + err)]] = True
         tot = np.bincount(row, val, n)
-        tot_err = np.bincount(row, err, n)
+        tot_err = np.where(bad, np.inf, np.bincount(row, err, n))
         count = np.bincount(row, minlength=n)
         budget = np.maximum(epsabs, epsrel * np.abs(tot))
-        done = (count > 0) & ~bad & (tot_err <= budget)
+        done = active & (tot_err <= budget)
         totals.append(tot)
-        slow = np.flatnonzero(~done & ~bad & (count > 0) & (tot_err > 0.5 * last_err))
+        slow = np.flatnonzero(active & ~done & ~bad & (tot_err > 0.5 * last_err))
         last_err = tot_err
         if slow.size and len(totals) >= _EXTRAP_MIN:
             ext, ext_err = _epsilon(np.array(totals[-_EXTRAP_MAX:]).T[slow])
             ok = ext_err <= np.maximum(epsabs, epsrel * np.abs(ext))
             slow = slow[ok]
             tot[slow], tot_err[slow], done[slow] = ext[ok], ext_err[ok], True
-        value[done] = tot[done]
-        error[done] = tot_err[done]
-        bad |= (count >= limit) & ~done
+        value[active] = tot[active]
+        error[active] = tot_err[active]
+        bad |= (count >= _LIMIT) & ~done
         # bisect the panels above their share of their integral's budget
         split = ~done[row] & (err > budget[row] / count[row])
         parent = pan[split]
         mid = 0.5 * (parent[:, 0] + parent[:, 1])
         bad[row[split][(mid <= parent[:, 0]) | (mid >= parent[:, 1])]] = True
-        unfinished |= bad
-        keep = ~(done | bad)[row]
-        split &= keep
+        active &= ~(done | bad)
+        split &= active[row]
         if not split.any():
-            return value, error, unfinished
-        keep &= ~split
+            return value, error
+        keep = active[row] & ~split
         left, right = pan[split], pan[split]
         left[:, 1] = right[:, 0] = 0.5 * (left[:, 0] + left[:, 1])
         crow = np.concatenate([row[split], row[split]])
@@ -265,8 +262,21 @@ def _kronrod(f, edges, epsabs, epsrel, limit):
         err = np.concatenate([err[keep], cerr])
 
 
+def _check_error(f, total, err, q: QuadratureConfig) -> None:
+    """Raise QuadratureError when an error estimate exceeds 40 max(q.abs_tol,
+    q.rel_tol |value|) or is NaN or inf (a non-finite integrand)."""
+    bound = 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+    over = ~(err <= bound) | np.isinf(err)
+    if over.any():
+        r = np.flatnonzero(over)[0]
+        raise QuadratureError(
+            f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
+            f"estimate {err[r]:.3e} exceeds tolerance "
+            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[r]:.6e})")
+
+
 def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
-          epsabs: float | None = None, limit: int = 400, **weight):
+          epsabs: float | None = None):
     """(value, error estimate) of integral f over [e[0], e[-1]] for each row
     e of edges, panel by panel between consecutive edges.
 
@@ -279,48 +289,18 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
     call of f, and an integral stops once its summed error is within
     max(epsabs, epsrel |value|), with epsabs default 0.25 q.abs_tol and
     epsrel = 0.25 q.rel_tol; until then only its panels whose error exceeds
-    their share of that budget are bisected.  Infinite edges use QUADPACK's
-    qk15i map.  An integral whose error stops halving per sweep (an
-    integrable endpoint singularity) is extrapolated from its sweep totals
-    as in QUADPACK's QAGS.  An integral with a non-finite panel value, a
-    panel too narrow to bisect or still over budget at limit panels, and
-    every integral with QUADPACK weights (``weight``, such as weight="cos",
-    wvar=m), is finished by scipy.integrate.quad on each panel, imported
-    only then.  Raises QuadratureError when an integral's error exceeds
-    40 max(q.abs_tol, q.rel_tol |value|).
+    their share of that budget are bisected, up to _LIMIT panels.  Infinite
+    edges use QUADPACK's qk15i map.  An integral whose error stops halving
+    per sweep (an integrable endpoint singularity) is extrapolated from its
+    sweep totals as in QUADPACK's QAGS.  Raises QuadratureError when an
+    integral's error estimate exceeds 40 max(q.abs_tol, q.rel_tol |value|)
+    or is NaN or inf, as for an integrand that is not finite.
     """
     single = np.ndim(edges[0]) == 0
     rows = [edges] if single else list(edges)
-    if epsabs is None:
-        epsabs = 0.25 * q.abs_tol
-    epsrel = 0.25 * q.rel_tol
-    if weight:
-        total = np.zeros(len(rows))
-        err = np.zeros(len(rows))
-        todo = np.ones(len(rows), dtype=bool)
-    else:
-        total, err, todo = _kronrod(f, rows, epsabs, epsrel, limit)
-    if todo.any():
-        from scipy import integrate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            for r in np.flatnonzero(todo):
-                at = np.array([r])
-                g = lambda x: float(f(np.array([x]), at)[0])
-                total[r] = err[r] = 0.0
-                for a, b in zip(rows[r][:-1], rows[r][1:]):
-                    v, e = integrate.quad(g, a, b, epsabs=epsabs, epsrel=epsrel,
-                                          limit=limit, **weight)
-                    total[r] += v
-                    err[r] += e
-    over = err > 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
-    if over.any():
-        r = np.flatnonzero(over)[0]
-        raise QuadratureError(
-            f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
-            f"estimate {err[r]:.3e} exceeds tolerance "
-            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[r]:.6e})")
+    total, err = _kronrod(f, rows, 0.25 * q.abs_tol if epsabs is None else epsabs,
+                          0.25 * q.rel_tol)
+    _check_error(f, total, err, q)
     if single:
         return float(total[0]), float(err[0])
     return total, err

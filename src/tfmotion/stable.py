@@ -69,6 +69,8 @@ class DiscretizationPlan:
                  cutoff: float | None = None) -> "DiscretizationPlan":
         """Plan covering the kernel support of every grid time, truncated on
         the left where the exponential tail is negligible."""
+        if not dy > 0.0:
+            raise ValueError(f"dy must be positive, got {dy}")
         if cutoff is None:
             cutoff = DEFAULT_QUAD.cutoff(p.lam)
         t_max = float(grid.times[-1])

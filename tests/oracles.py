@@ -40,6 +40,19 @@ def mp_gamma_interval(a: float, x: float, h: float) -> float:
     return float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.mpf(x) + mp.mpf(h)))
 
 
+def mp_tfgn2_acvf(H: float, lam: float, j: int) -> float:
+    """TFGN II autocovariance (1/pi) int_0^inf cos(w j) 4 sin^2(w/2) w^-2
+    (lam^2 + w^2)^{1/2-H} dw by mpmath's quadosc (j >= 1)."""
+    with mp.workdps(25):
+        H, lam = mp.mpf(H), mp.mpf(lam)
+
+        def f(w):
+            return (4 * mp.sin(w / 2) ** 2 * mp.cos(j * w)
+                    * (lam * lam + w * w) ** (mp.mpf(0.5) - H) / (w * w))
+
+        return float(mp.quadosc(f, [0, mp.inf], omega=j) / mp.pi)
+
+
 def besselk_quadrature(nu: float, x: float) -> float:
     """K_nu(x) from int_0^inf exp(-x cosh t) cosh(nu t) dt."""
 

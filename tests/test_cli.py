@@ -66,6 +66,18 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("args", [
+        ["limits", "--H", "0.7", "--lambda", "0.15", "--b-global", "0"],
+        ["limits", "--H", "0.7", "--lambda", "0.15", "--b-local", "0"],
+        ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "1.5",
+         "--plan-dy", "0"],
+    ])
+    def test_zero_scale_exits_2(self, args, tmp_path):
+        # a zero limit scale b or plan cell width dy is invalid input, not a
+        # ZeroDivisionError
+        rc, _ = run_cli(args, tmp_path)
+        assert rc == 2
+
+    @pytest.mark.parametrize("args", [
         ["covariance", "--H", "0.75", "--lambda", "0.5", "--t-max", "100", "--n", "3"],
         ["simulate", "--alpha", "2", "--H", "0.7", "--lambda", "40", "--n", "5"],
     ])
@@ -173,6 +185,20 @@ class TestCovariance:
             s, t, c = (float(x) for x in r)
             if s == t:
                 assert c == pytest.approx(t, rel=1e-12)
+
+
+    def test_table_matches_pairwise_covariances(self, tmp_path):
+        # the table is the covariance matrix of the grid, bit for bit the
+        # pairwise covariance_tfbm2 values
+        from tfmotion.gaussian import covariance_tfbm2
+        rc, out = run_cli(["covariance", "--H", "0.7", "--lambda", "0.15",
+                           "--t-max", "3", "--n", "7"], tmp_path)
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 49
+        for r in rows:
+            s, t, c = (float(x) for x in r)
+            assert c == covariance_tfbm2(0.7, 0.15, s, t)
 
 
 class TestDecay:
@@ -324,6 +350,19 @@ class TestConfigFile:
         rc, _ = run_cli(["spectrum", "--config", str(cfg)], tmp_path)
         assert rc == 2
 
+    @pytest.mark.parametrize("command,key,val", [
+        ("spectrum", "alpha", 1.5), ("spectrum", "kind", "I"),
+        ("covariance", "alpha", 1.5), ("covariance", "kind", "I"),
+        ("covariance", "sigma", 2.0), ("spectrum", "func", 0),
+        ("simulate", "func", 0), ("limits", "command", "decay"),
+    ])
+    def test_config_key_outside_command_options(self, command, key, val, tmp_path):
+        # only the command's own options are config keys, as for flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: val}))
+        rc, _ = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert rc == 2
+
 
 def package_env():
     """Environment whose PYTHONPATH starts with the directory holding the
@@ -345,8 +384,19 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
-        # SciPy is imported only by the functions that integrate
+        # SciPy is imported only by the lattice tail of the spectral densities
         code = ("import sys, tfmotion.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_acvf_leaves_scipy_unloaded(self):
+        # the cosine tails of the TFGN II autocovariance run on the NumPy
+        # quadrature, at every lag of the 201-lag table
+        code = ("import sys\nfrom tfmotion.gaussian import tfgn2_acvf\n"
+                "r = [tfgn2_acvf(0.7, 0.15, j) for j in range(201)]\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=package_env())

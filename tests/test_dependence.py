@@ -191,6 +191,12 @@ class TestLimitChecks:
         assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
         assert gaps[-1] < 1e-3
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_scales_must_be_positive(self, b):
+        for check in (global_limit_check, local_limit_check):
+            with pytest.raises(ValueError):
+                check(P_G, [10.0, b])
+
     def test_local_out_of_range_flagged(self):
         p = ProcessParams(H=1.2, alpha=2.0, lam=0.5, kind="II")
         rows = local_limit_check(p, [0.01])

@@ -140,6 +140,33 @@ class TestAcvf:
             ref = 0.5 * (c2(j + 1) - 2.0 * c2(j) + c2(abs(j - 1)))
             assert tfgn2_acvf(0.7, 0.15, j) == pytest.approx(ref, rel=1e-7), j
 
+    @pytest.mark.parametrize("H,lam", [(0.2, 0.05), (0.7, 0.15), (1.7, 3.0)])
+    def test_cosine_tail_matches_qawf(self, H, lam):
+        # the zero-to-zero panels with epsilon extrapolation against
+        # QUADPACK's QAWF on the same tail
+        g = lambda w, rows=None: (lam * lam + w * w) ** (0.5 - H) / (w * w)
+        omega = max(1.0, 2.0 * lam)
+        for m in (1, 2, 37, 201):
+            ref = integrate.quad(g, omega, math.inf, weight="cos", wvar=m,
+                                 epsabs=1e-15, limlst=100)[0]
+            v = gaussian._cosine_tail(g, m, omega, gaussian.DEFAULT_QUAD)
+            assert v == pytest.approx(ref, rel=1e-10, abs=1e-14), m
+
+    @pytest.mark.parametrize("j", [600, 1200])
+    def test_lags_past_one_integral_panel_limit(self, j):
+        # at lam = 3 the head [0, 6] holds 570 or more periods of cos(j w),
+        # more than one integral of at most 400 panels resolves; r(j) decays
+        # like e^{-lam j}, so it is 0 to far below the tolerance
+        assert abs(tfgn2_acvf(0.7, 3.0, j)) <= 1e-13
+
+    @pytest.mark.parametrize("j", [126, 196])
+    def test_large_lag_oracle(self, j):
+        # H = 1.7, lam = 0.05: the lags where the cancelling head 2 - 2 cos w
+        # sent every integral over budget; the oracle is mpmath's quadosc of
+        # the whole integral, whose integrand vanishes at the zeros of cos(j w)
+        assert tfgn2_acvf(1.7, 0.05, j) == pytest.approx(
+            oracles.mp_tfgn2_acvf(1.7, 0.05, j), rel=0.0, abs=1e-12)
+
     def test_brownian_increments_uncorrelated(self):
         # H = 1/2: the increments of Brownian motion are uncorrelated
         for j in (1, 5, 20, 60):

@@ -238,6 +238,14 @@ class TestSimulate:
         assert 1.3 <= hill <= 1.7
 
 
+class TestPlan:
+    @pytest.mark.parametrize("dy", [0.0, -0.1, math.nan])
+    def test_for_grid_rejects_nonpositive_dy(self, dy):
+        grid = SampleGrid.regular(1.0, 5)
+        with pytest.raises(ValueError):
+            DiscretizationPlan.for_grid(grid, P15, dy)
+
+
 class TestNodeTable:
     def test_singular_node_rejected(self):
         p = ProcessParams(H=0.3, alpha=2.0, lam=0.4, kind="II")
