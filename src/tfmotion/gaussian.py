@@ -349,25 +349,29 @@ def _lattice_sum(term, H: float, lam: float, omega: float, expo: float,
     """(direct, tail, bound) of the lattice sum of term(x) over x = omega +- 2 pi l:
     ``direct`` plus the terms with 0 < l <= L, the Hurwitz-zeta tail beyond L
     of term(x) = |x|^-(1+2H) (1 + lam^2/x^2)^expo, and w2/2pi times the
-    tail's remainder.  L doubles from 8 until that bound is below tol or
-    L = 4096.
+    tail's remainder.  L doubles from 8 until that bound is below tol, and
+    NumericsError is raised if it is not by L = 4096 (always for lam above
+    about 1.8e4, where the tail expansion does not converge even there).
     """
     L = 8
     while True:
-        acc = direct
-        for ell in range(1, L + 1):
-            for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
-                acc += term(x)
         try:
             tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, expo, lam, omega, L,
                                            tol * _TWO_PI / max(w2, 1e-300))
-        except ValueError:
-            L *= 2
-            continue
+        except ValueError:  # the tail expansion needs a larger L
+            rem = math.inf
         bound = w2 * rem / _TWO_PI
-        if bound <= tol or L >= 4096:
-            return acc, tail, bound
+        if bound <= tol:
+            break
+        if L >= 4096:
+            raise NumericsError(f"lattice sum at lambda = {lam}: bound {bound:.3g} "
+                                f"above tol {tol:.3g} at L = 4096")
         L *= 2
+    acc = direct
+    for ell in range(1, L + 1):
+        for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
+            acc += term(x)
+    return acc, tail, bound
 
 
 def tfgn2_spectral_density(H: float, lam: float, omega: float,

@@ -514,7 +514,7 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
 
     def f(y, rows):
         v = np.empty(y.shape)
-        for r in np.unique(rows):
+        for r in np.flatnonzero(np.bincount(rows)):
             at = rows == r
             v[at] = np.abs(kernel(p, tp[r], y[at])) ** p.alpha
         return v

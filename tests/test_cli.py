@@ -88,6 +88,12 @@ class TestExitCodes:
         rc, _ = run_cli(args, tmp_path)
         assert rc == 3
 
+    def test_lattice_cap_exits_3(self, tmp_path):
+        # the spectral lattice sum would need L > 4096 at this lambda
+        rc, _ = run_cli(["spectrum", "--H", "0.7", "--lambda", "1e8",
+                         "--omega-grid=-3:3:3"], tmp_path)
+        assert rc == 3
+
 
 class TestSpectrum:
     def test_columns_and_origin_values(self, tmp_path):
@@ -309,6 +315,70 @@ class TestOutputBytes:
         assert capsys.readouterr().out == text
 
 
+# 130 paths at n = 2049 are three CSV blocks of 64, 64 and 2 paths
+GAUSS_3_BLOCKS = ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2",
+                  "--n", "2049", "--n-paths", "130", "--seed", "3"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the worker count of every process pool the CLI starts."""
+    import concurrent.futures
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return sizes
+
+
+class TestCsvFanOut:
+    """simulate formats fixed blocks of paths in worker processes; the
+    bytes never depend on the worker count."""
+
+    def test_bytes_independent_of_workers(self, tmp_path, monkeypatch, pool_sizes):
+        calls = spy_emit(monkeypatch)
+        outs = [run_cli(GAUSS_3_BLOCKS + ["--threads", t], tmp_path, f"t{t}.csv")
+                for t in ("1", "2", "4")]
+        outs.append(run_cli(GAUSS_3_BLOCKS, tmp_path, "env.csv",
+                            env={"TFMOTION_THREADS": "2"}))
+        assert [rc for rc, _ in outs] == [0] * 4
+        data = [out.read_bytes() for _, out in outs]
+        assert all(d == data[0] for d in data[1:])
+        _, fmt, command, meta, columns, rows = calls[0]
+        text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
+        assert data[0] == text.encode()
+        pool = min(3, os.cpu_count() or 1)
+        assert pool_sizes == ([] if pool < 2 else [2, pool, 2])
+
+    def test_stdout_through_workers(self, tmp_path):
+        # a buffered pipe: the header must reach it before the blocks, which
+        # bypass the text layer
+        _, out = run_cli(GAUSS_3_BLOCKS + ["--threads", "1"], tmp_path)
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-m", "tfmotion.cli", *GAUSS_3_BLOCKS,
+                               "--threads", "2", "--out", "-"],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+    def test_pool_capped_by_blocks_and_cores(self, tmp_path, pool_sizes):
+        rc, _ = run_cli(GAUSS_3_BLOCKS + ["--threads", "64"], tmp_path)
+        assert rc == 0
+        pool = min(3, os.cpu_count() or 1)
+        assert pool_sizes == ([] if pool < 2 else [pool])
+
+    def test_one_block_stays_serial(self, tmp_path, pool_sizes):
+        rc, _ = run_cli(GAUSS_33 + ["--threads", "4"], tmp_path)
+        assert rc == 0
+        assert pool_sizes == []
+
+
 class TestRemovedFlags:
     def test_simulate_tol_rejected(self):
         with pytest.raises(SystemExit) as e:
@@ -384,13 +454,21 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
-        # SciPy is imported only by the lattice tail of the spectral densities
-        code = ("import sys, tfmotion.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=package_env())
+        # SciPy is imported only by the lattice tail of the spectral densities,
+        # the process pool only by simulate's CSV fan-out, and numpy.ma by
+        # neither the import nor limits
+        lazy = ("scipy", "multiprocessing", "concurrent.futures.process", "numpy.ma")
+        code = ("import sys, tfmotion.cli\n"
+                f"lazy = {lazy!r}\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if any(m == p or m.startswith(p + '.') for p in lazy)))\n"
+                "assert tfmotion.cli.main(['limits', '--H', '0.7', '--alpha', '2',\n"
+                "                          '--lambda', '0.15', '--out', sys.argv[1]]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, os.devnull],
+                              capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "False"]
 
     def test_acvf_leaves_scipy_unloaded(self):
         # the cosine tails of the TFGN II autocovariance run on the NumPy

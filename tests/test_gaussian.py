@@ -230,6 +230,20 @@ class TestSpectralDensities:
         assert abs(a - b) <= ea + eb
         assert eb < ea
 
+    @pytest.mark.parametrize("density", [tfgn1_spectral_density,
+                                         tfgn2_spectral_density])
+    def test_lattice_cap_raises(self, density):
+        # below lam ~ 1.8e4 the tail expansion converges within L = 4096
+        v, e = density(0.7, 1e4, 0.5)
+        assert v > 0.0 and e <= 1e-10
+        # beyond it the lattice would need L > 4096: an error, not a
+        # doubling of L without end
+        with pytest.raises(NumericsError, match="L = 4096"):
+            density(0.7, 1e8, 0.5)
+        # a bound still above tol at L = 4096 is an error, not a result
+        with pytest.raises(NumericsError, match="above tol"):
+            density(0.3, 0.15, 0.5, tol=1e-30)
+
     def test_low_frequency_contrast(self):
         # second kind plateaus at lam^{1-2H}/2pi, first kind dies at 0
         h2_0, _ = tfgn2_spectral_density(0.7, 0.15, 0.0)
