@@ -333,6 +333,13 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
         a <= 0 < b:          lam^-kappa gamma(1 + kappa, lam b) + phi(b)
         0 < a:               kappa lam^-kappa int_{lam a}^{lam b} s^(kappa-1) e^-s ds
 
+    The last integral is specfun.gamma_interval over the cell [lam a, lam b].
+    A cell with lam w <= min(lam a / 2, 1) is 8-point Gauss-Legendre, exact
+    to rounding there because s = 0 lies at least four half-widths to its
+    left; it needs no series or continued fraction, and its node factors
+    depend only on w, so the whole array shares them.  Longer cells (small
+    a, or lam w > 1) are differences of incomplete gammas.
+
     For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.
     """
     out = np.zeros(a.shape)

@@ -36,8 +36,14 @@ def mp_gammainc(a: float, x0: float, x1: float) -> float:
 
 
 def mp_gamma_interval(a: float, x: float, h: float) -> float:
-    """integral_x^(x+h) s^(a-1) e^-s ds with x + h summed exactly."""
-    return float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.mpf(x) + mp.mpf(h)))
+    """integral_x^(x+h) s^(a-1) e^-s ds with x + h summed exactly.
+
+    mpmath's two-bound gammainc subtracts two incomplete gammas at working
+    precision; they can be of order Gamma(a) while the value is of order
+    e^-x, so the digits are raised with x (at a fixed 40 digits,
+    (0.83, 120.7, 1e-3) came out 0.0 against 1.685e-56)."""
+    with mp.workdps(30 + int(x / math.log(10.0))):
+        return float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.mpf(x) + mp.mpf(h)))
 
 
 def mp_tfgn2_acvf(H: float, lam: float, j: int) -> float:

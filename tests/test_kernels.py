@@ -204,6 +204,29 @@ class TestScalarArrayContract:
                 g(np.array([points[-1], xb]))
 
 
+def test_keyword_calls_match_positional():
+    # the decorator binds a call to the signature only when it passes
+    # keywords; both routes reshape the same argument
+    x = np.array([[1e-3, 0.4], [2.5, 40.0]])
+    assert (sf.gamma_interval(a=1.3, x=x, h=0.05).tolist()
+            == sf.gamma_interval(1.3, x, h=0.05).tolist()
+            == sf.gamma_interval(1.3, x, 0.05).tolist())
+    assert sf.upper_gamma(-0.3, x=2.5) == sf.upper_gamma(-0.3, 2.5)
+    assert type(sf.upper_gamma(a=-0.3, x=2.5)) is float
+    ys = np.array(_YS)
+    assert (kernel_h(P_STABLE_LO, t=1.5, y=ys).tolist()
+            == kernel_h(P_STABLE_LO, 1.5, ys).tolist())
+    assert (increment_kernel(p=P_STABLE, t=2.0, x=ys).tolist()
+            == increment_kernel(P_STABLE, 2.0, ys).tolist())
+    t = np.array([0.5, 1.0])
+    assert (kernel_alpha_norm(P_STABLE, t=t, q=DEFAULT_QUAD).tolist()
+            == kernel_alpha_norm(P_STABLE, t).tolist())
+    with pytest.raises(TypeError):
+        sf.lower_gamma(1.3)
+    with pytest.raises(TypeError):
+        sf.lower_gamma(1.3, 0.5, x=0.5)
+
+
 class TestKernelG:
     def test_untempered_reduction(self):
         p = ProcessParams(H=0.7, alpha=2.0, lam=0.0)

@@ -178,15 +178,17 @@ A_POS = (0.2, 0.7, 1.0, 1.3, 5.0)
 A_NEG = (-0.93, -0.5, -0.2, -0.01)
 
 # widths h and points x on both sides of the Gauss-Legendre seam
-# h = min(x, 1) / 8 of gamma_interval, and for a > 1 of the seam x = a
-# between the lower and upper gamma differences
-GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, 2.0)
+# h = min(x/2, 1) of gamma_interval (x = 2h, and h = 1 for x > 2), and for
+# a > 1 of the seam x = a between the lower and upper gamma differences;
+# x = 50 is the plan cutoff in units of lam
+GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, float(np.nextafter(1.0, 0.0)), 1.0,
+             float(np.nextafter(1.0, 2.0)), 2.0)
 
 
 def _interval_points(a, h):
-    x = {1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0}
+    x = {1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0, 50.0}
     if h > 0.0:
-        s = min(8.0 * h, 1.0)
+        s = 2.0 * h
         x |= {float(np.nextafter(s, 0.0)), s, float(np.nextafter(s, np.inf))}
     if a > 1.0:
         x |= {float(np.nextafter(a, 0.0)), a, float(np.nextafter(a, np.inf))}
@@ -259,3 +261,51 @@ class TestIncompleteGammaArray:
             sf.gamma_interval(0.5, np.array([0.0]), 0.1)
         with pytest.raises(ValueError):
             sf.gamma_interval(0.5, np.array([1.0]), -0.1)
+
+
+def _no_recurrence(*args, **kwargs):
+    raise AssertionError("short cell reached the series or continued fraction")
+
+
+class TestGammaIntervalRule:
+    """Cells with h <= min(x/2, 1) are the 8-point Gauss-Legendre rule alone."""
+
+    def test_nodes_and_weights(self):
+        u, w = np.polynomial.legendre.leggauss(8)
+        assert sf._GL8_NODES == pytest.approx(u.tolist(), rel=1e-15, abs=1e-16)
+        assert sf._GL8_WEIGHTS == pytest.approx(w.tolist(), rel=1e-15)
+
+    @pytest.mark.parametrize("a", A_NEG + A_POS)
+    def test_short_cells_need_no_recurrence(self, a, monkeypatch):
+        monkeypatch.setattr(sf, "_upper_cf_scaled", _no_recurrence)
+        monkeypatch.setattr(sf, "_lower_series", _no_recurrence)
+        x = np.geomspace(1e-3, 60.0, 19)
+        for h in (0.0, 1e-6, 1e-3, 0.1, 1.0):
+            xs = x[h <= np.minimum(x / 2.0, 1.0)]
+            for xi, vi in zip(xs.tolist(), sf.gamma_interval(a, xs, h)):
+                ref = oracles.mp_gamma_interval(a, xi, h)
+                assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), (xi, h)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.2, 1.3, 5.0])
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 2.0, 7.5, 50.0])
+    def test_seam_continuity(self, a, x):
+        # one width just inside the rule's range, the seam itself, and one
+        # just outside it, where a difference of incomplete gammas takes over
+        h = min(x / 2.0, 1.0)
+        hs = [float(np.nextafter(h, 0.0)), h, float(np.nextafter(h, np.inf))]
+        v = [sf.gamma_interval(a, x, hi) for hi in hs]
+        for hi, vi in zip(hs, v):
+            assert vi == pytest.approx(oracles.mp_gamma_interval(a, x, hi),
+                                       rel=1e-12, abs=1e-300), hi
+        assert v[2] == pytest.approx(v[0], rel=1e-12)
+
+    def test_far_tail_oracle(self):
+        # the oracle's digits grow with x: at a fixed 40 digits mpmath's
+        # difference of upper gammas returned 0.0 here
+        import mpmath as mp
+        a, x, h = 0.83, 120.7, 1e-3
+        with mp.workdps(50):
+            ref = float(mp.quad(lambda s: s ** (a - 1) * mp.exp(-s),
+                                [mp.mpf(x), mp.mpf(x) + mp.mpf(h)]))
+        assert oracles.mp_gamma_interval(a, x, h) == pytest.approx(ref, rel=1e-14)
+        assert sf.gamma_interval(a, x, h) == pytest.approx(ref, rel=1e-12)
