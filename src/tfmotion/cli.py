@@ -1,18 +1,23 @@
 """Command-line front end: spectrum | simulate | covariance | decay | limits.
 
-Every command validates its parameters, computes through the library modules,
-and emits one table as CSV or JSON.  Runs are deterministic given the flags
-and seed; the worker count (--threads or TFMOTION_THREADS: sampling threads,
-and the processes that format simulate's CSV in fixed blocks of paths)
-never changes the output bytes.  Exit codes: 0 ok, 2 invalid
-usage/parameters, 3 numeric failure.
+One table, ``_COMMANDS``, lists each command's own options with their
+defaults; every command also takes the run-wide options of ``_RUN_WIDE``.
+A value comes from its flag, else from the JSON ``--config`` file, else
+from the table.  --H and --lambda have no default, and an unset
+process option keeps its ``ProcessParams`` default.  The library checks the
+parameter ranges; the CLI adds only simulate's lambda > 0 and its refusal
+of first-kind Gaussian paths.  Every command computes through the library
+modules and emits one table as CSV or JSON.  Runs are deterministic given
+the flags and seed; the worker count (--threads or TFMOTION_THREADS:
+sampling threads, and the processes that format simulate's CSV in fixed
+blocks of paths) never changes the output bytes.  Exit codes: 0 ok, 2
+invalid usage/parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections.abc import Sequence
@@ -147,67 +152,36 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Merge a JSON config of the command's options under explicit flags (flags win)."""
-    if not getattr(args, "config", None):
-        return args
+def _dest(flag: str) -> str:
+    """Namespace attribute of an option: --lambda is args.lam."""
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+
+
+def _read_config(args) -> dict:
+    """The JSON object of --config keyed by option attribute.  Each key
+    must name one of the command's options other than --config."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    options = set(vars(args)) - {"command", "func"}
-    for key, val in cfg.items():
-        dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if dest not in options:
+    dests = {_dest(f) for f in (*_RUN_WIDE, *_COMMANDS[args.command][2])} - {"config"}
+    for key in cfg:
+        if _dest("--" + key) not in dests:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, val)
-    return args
+    return {_dest("--" + key): val for key, val in cfg.items()}
 
 
-def _build_params(args, kind: str | None = None) -> ProcessParams:
-    return ProcessParams(H=args.H, alpha=args.alpha, lam=args.lam,
-                         sigma=args.sigma, beta=args.beta,
-                         kind=kind or args.kind)
-
-
-def _add_common(sp, *, kind=True, alpha=True, stable_extras=True, tol=True) -> None:
-    sp.add_argument("--H", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    if alpha:
-        sp.add_argument("--alpha", type=float, default=None)
-    if stable_extras:
-        sp.add_argument("--sigma", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-    if kind:
-        sp.add_argument("--kind", choices=("I", "II"), default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    if tol:
-        sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--config", default=None)
-
-
-def _defaults(args, **kw) -> None:
-    for k, v in kw.items():
-        if getattr(args, k, None) is None:
-            setattr(args, k, v)
+def _build_params(args, **fixed) -> ProcessParams:
+    """ProcessParams of the flags; an unset --alpha, --sigma, --beta or
+    --kind keeps its ProcessParams default."""
+    given = {k: getattr(args, k) for k in ("alpha", "sigma", "beta", "kind")
+             if getattr(args, k, None) is not None}
+    return ProcessParams(H=args.H, lam=args.lam, **{**given, **fixed})
 
 
 def cmd_spectrum(args) -> int:
-    _defaults(args, seed=0, tol=1e-10, format="csv",
-              omega_grid="-3.141592653589793:3.141592653589793:201")
-    if args.H is None or args.lam is None:
-        raise ValueError("spectrum requires --H and --lambda")
-    if args.H <= 0 or args.lam <= 0:
-        raise ValueError("spectrum requires H > 0 and lambda > 0")
-    omegas = _parse_grid_spec(args.omega_grid)
-    if omegas[0] < -math.pi - 1e-9 or omegas[-1] > math.pi + 1e-9:
-        raise ValueError("omega grid must lie inside [-pi, pi]")
     rows = []
-    for w in omegas:
+    for w in _parse_grid_spec(args.omega_grid):
         v1, e1 = tfgn1_spectral_density(args.H, args.lam, float(w), args.tol)
         v2, e2 = tfgn2_spectral_density(args.H, args.lam, float(w), args.tol)
         rows.append([float(w), v1, v2, e1, e2])
@@ -219,10 +193,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, kind="II", seed=0,
-              format="csv", n=17, t_max=1.0, n_paths=1)
-    if args.H is None or args.lam is None:
-        raise ValueError("simulate requires --H and --lambda")
     params = _build_params(args)
     if params.lam <= 0.0:
         raise ValueError("simulate requires lambda > 0")
@@ -250,11 +220,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    _defaults(args, seed=0, format="csv", n=9, t_max=2.0)
-    if args.H is None or args.lam is None:
-        raise ValueError("covariance requires --H and --lambda")
-    if args.H <= 0 or args.lam <= 0:
-        raise ValueError("covariance requires H > 0 and lambda > 0")
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=False)
     times = grid.times.tolist()
     cov = build_cov_matrix(args.H, args.lam, grid).values.tolist()
@@ -265,11 +230,6 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    _defaults(args, alpha=1.5, sigma=1.0, beta=0.0, kind="II", seed=0,
-              tol=1e-8, format="csv", t_min=10, t_max=40, t_step=2,
-              theta1=1.0, theta2=1.0, band_factor=3.0)
-    if args.H is None or args.lam is None:
-        raise ValueError("decay requires --H and --lambda")
     params = _build_params(args)
     q = QuadratureConfig(rel_tol=min(args.tol, 1e-2))
     lags = range(int(args.t_min), int(args.t_max) + 1, int(args.t_step))
@@ -287,12 +247,6 @@ def cmd_decay(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    _defaults(args, alpha=2.0, sigma=1.0, beta=0.0, seed=0, tol=1e-9,
-              format="csv", b_global="25,50,100,200", b_local="0.1,0.01,0.001")
-    if args.H is None or args.lam is None:
-        raise ValueError("limits requires --H and --lambda")
-    if args.lam <= 0:
-        raise ValueError("limits requires lambda > 0")
     q = QuadratureConfig(abs_tol=1e-12, rel_tol=min(args.tol, 1e-2))
     rows = []
     for check, b_list in ((global_limit_check, args.b_global),
@@ -302,11 +256,42 @@ def cmd_limits(args) -> int:
             rows += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
                       r["rel_gap"], r["in_theorem_range"]]
                      for r in check(params, _parse_list(b_list), q)]
-    meta = {"H": args.H, "alpha": args.alpha, "lambda": args.lam}
+    meta = {"H": args.H, "alpha": params.alpha, "lambda": args.lam}
     _emit(args.out, args.format, "limits", meta,
           ["regime", "kind", "b", "normalized", "limit", "rel_gap",
            "in_theorem_range"], rows)
     return 0
+
+
+# The options: flag -> (default, type or tuple of choices).  None is unset:
+# main checks that --H and --lambda are set, --out unset writes to stdout,
+# --threads unset reads TFMOTION_THREADS or counts the CPUs, and an unset
+# --alpha, --sigma, --beta or --kind keeps its ProcessParams default.
+# README's option table mirrors these (tests/test_cli.py compares them).
+_KIND = ("I", "II")
+_RUN_WIDE = {"--H": (None, float), "--lambda": (None, float), "--seed": (0, int),
+             "--out": (None, str), "--format": ("csv", ("csv", "json")),
+             "--threads": (None, int), "--config": (None, str)}
+_COMMANDS = {  # command -> (function, help, its own options)
+    "spectrum": (cmd_spectrum, "spectral densities of the increment noises", {
+        "--tol": (1e-10, float),
+        "--omega-grid": ("-3.141592653589793:3.141592653589793:201", str)}),
+    "simulate": (cmd_simulate, "sample process paths", {
+        "--alpha": (None, float), "--sigma": (None, float),
+        "--beta": (None, float), "--kind": (None, _KIND),
+        "--t-max": (1.0, float), "--n": (17, int), "--n-paths": (1, int),
+        "--plan-dy": (None, float), "--plan-cutoff": (None, float)}),
+    "covariance": (cmd_covariance, "TFBM II covariance table", {
+        "--t-max": (2.0, float), "--n": (9, int)}),
+    "decay": (cmd_decay, "codifference decay diagnostic", {
+        "--alpha": (1.5, float), "--kind": (None, _KIND), "--tol": (1e-8, float),
+        "--t-min": (10, int), "--t-max": (40, int), "--t-step": (2, int),
+        "--theta1": (1.0, float), "--theta2": (1.0, float),
+        "--band-factor": (3.0, float)}),
+    "limits": (cmd_limits, "global/local self-similarity limit tables", {
+        "--alpha": (None, float), "--tol": (1e-9, float),
+        "--b-global": ("25,50,100,200", str), "--b-local": ("0.1,0.01,0.001", str)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,45 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tempered fractional Brownian/stable motions: spectra, "
                     "covariances, simulation, and dependence diagnostics.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="spectral densities of the increment noises")
-    _add_common(sp, kind=False, alpha=False, stable_extras=False)
-    sp.add_argument("--omega-grid", default=None,
-                    help="omega grid as 'min:max:count' inside [-pi, pi]")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("simulate", help="sample process paths")
-    _add_common(sp, tol=False)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None, help="grid points incl. t=0")
-    sp.add_argument("--n-paths", type=int, default=None)
-    sp.add_argument("--plan-dy", type=float, default=None,
-                    help="moving-average cell width (alpha < 2)")
-    sp.add_argument("--plan-cutoff", type=float, default=None,
-                    help="left truncation distance (alpha < 2)")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("covariance", help="TFBM II covariance table")
-    _add_common(sp, kind=False, alpha=False, stable_extras=False, tol=False)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(func=cmd_covariance)
-
-    sp = sub.add_parser("decay", help="codifference decay diagnostic")
-    _add_common(sp)
-    sp.add_argument("--t-min", type=int, default=None)
-    sp.add_argument("--t-max", type=int, default=None)
-    sp.add_argument("--t-step", type=int, default=None)
-    sp.add_argument("--theta1", type=float, default=None)
-    sp.add_argument("--theta2", type=float, default=None)
-    sp.add_argument("--band-factor", type=float, default=None)
-    sp.set_defaults(func=cmd_decay)
-
-    sp = sub.add_parser("limits", help="global/local self-similarity limit tables")
-    _add_common(sp, kind=False)
-    sp.add_argument("--b-global", default=None, help="comma list of large scales")
-    sp.add_argument("--b-local", default=None, help="comma list of small scales")
-    sp.set_defaults(func=cmd_limits)
+    for name, (func, help_, own) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag, (default, kind) in {**_RUN_WIDE, **own}.items():
+            how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sp.add_argument(flag, dest=_dest(flag), default=default, **how)
+        sp.set_defaults(func=func, parser=sp)
     return ap
 
 
@@ -361,7 +313,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config(args)
+        if args.config:  # flags > config > defaults: parse again over the config
+            args.parser.set_defaults(**_read_config(args))
+            args = ap.parse_args(argv)
+        if args.H is None or args.lam is None:
+            raise ValueError(f"{args.command} requires --H and --lambda")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"tfmotion: error: {exc}", file=sys.stderr)

@@ -316,19 +316,19 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
     total = 0.0
     coef = 1.0  # binom(expo, i)
     lam2i = 1.0
+    zsum = zeta(power, qp) + zeta(power, qm)
     for i in range(60):
-        zsum = zeta(power + 2 * i, qp) + zeta(power + 2 * i, qm)
         total += coef * lam2i * _TWO_PI ** (-(power + 2 * i)) * zsum
         coef_next = coef * (expo - i) / (i + 1.0)
         lam2i_next = lam2i * lam * lam
-        # remainder: first omitted term with geometric domination
+        # remainder: first omitted term with geometric domination; its zeta
+        # sum is the next term's
         zs_next = zeta(power + 2 * i + 2, qp) + zeta(power + 2 * i + 2, qm)
         rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
             * zs_next / (1.0 - u_max)
         if rem < tol or rem < 1e-18 * abs(total):
             return total, rem
-        coef = coef_next
-        lam2i = lam2i_next
+        coef, lam2i, zsum = coef_next, lam2i_next, zs_next
     return total, rem
 
 

@@ -351,8 +351,10 @@ def lower_gamma(a: float, x):
     series = (x < max(1.0, a + 1.0)) & (x != 0.0)
     cf = ~series & (x != 0.0)
     xs, xc = x[series], x[cf]
-    out[series] = _scale(a, xs) * _lower_series(a, xs)
-    out[cf] = gamma_fn(a) - _scale(a, xc) * _upper_cf_scaled(a, xc)
+    if xs.size:
+        out[series] = _scale(a, xs) * _lower_series(a, xs)
+    if xc.size:
+        out[cf] = gamma_fn(a) - _scale(a, xc) * _upper_cf_scaled(a, xc)
     return out
 
 
@@ -371,8 +373,10 @@ def upper_gamma(a: float, x):
     out = np.empty(x.shape)
     cf = x >= max(1.0, a + 1.0)
     xs, xc = x[~cf], x[cf]
-    out[cf] = _scale(a, xc) * _upper_cf_scaled(a, xc)
-    out[~cf] = gamma_fn(a) - _scale(a, xs) * _lower_series(a, xs)
+    if xc.size:
+        out[cf] = _scale(a, xc) * _upper_cf_scaled(a, xc)
+    if xs.size:
+        out[~cf] = gamma_fn(a) - _scale(a, xs) * _lower_series(a, xs)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -87,6 +88,28 @@ class TestExitCodes:
         # pinned at 0
         rc, _ = run_cli(args, tmp_path)
         assert rc == 3
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--H", "-1", "--lambda", "0.15"],
+        ["spectrum", "--H", "0.7", "--lambda", "0"],
+        ["spectrum", "--H", "0.7", "--lambda", "0.15", "--omega-grid=0:4:3"],
+        ["covariance", "--H", "0", "--lambda", "0.5"],
+        ["covariance", "--H", "0.7", "--lambda", "-1"],
+        ["limits", "--H", "0.7", "--lambda", "0"],
+    ])
+    def test_library_range_checks_exit_2(self, args, tmp_path, capsys):
+        # the library, not the CLI, checks these ranges; they stay usage errors
+        rc, out = run_cli(args, tmp_path)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("tfmotion: error: ")
+
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "covariance",
+                                         "decay", "limits"])
+    def test_every_command_requires_h_and_lambda(self, command, tmp_path, capsys):
+        for args in (["--H", "0.7"], ["--lambda", "0.15"]):
+            rc, _ = run_cli([command, *args], tmp_path)
+            assert rc == 2
+            assert "requires --H and --lambda" in capsys.readouterr().err
 
     def test_lattice_cap_exits_3(self, tmp_path):
         # the spectral lattice sum would need L > 4096 at this lambda
@@ -392,6 +415,19 @@ class TestRemovedFlags:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("command", ["decay", "limits"])
+    @pytest.mark.parametrize("option", ["sigma", "beta"])
+    def test_decay_limits_sigma_beta_rejected(self, command, option, tmp_path):
+        # the codifference and the limit tables do not depend on them
+        with pytest.raises(SystemExit) as e:
+            main([command, "--H", "0.7", "--lambda", "0.15", "--" + option, "0.5"])
+        assert e.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, option: 0.5}))
+        rc, _ = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert rc == 2
+
+
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -432,6 +468,82 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: val}))
         rc, _ = run_cli([command, "--config", str(cfg)], tmp_path)
         assert rc == 2
+
+
+def parser_options():
+    """{command: {flag: default}} of every option build_parser() declares."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[0]: a.default for a in sp._actions
+                   if a.dest != "help"}
+            for name, sp in sub.choices.items()}
+
+
+RUN_WIDE = {"--H", "--lambda", "--seed", "--out", "--format", "--threads", "--config"}
+
+# a quick valid argv of each command, and a second valid value of each of
+# its own options (and of simulate's --seed); simulate runs at alpha = 1.5,
+# where --sigma, --beta and the plan options apply
+BASE_ARGV = {
+    "spectrum": ["--H", "0.7", "--lambda", "0.15", "--omega-grid", "0.5:3:3"],
+    "simulate": ["--H", "0.7", "--lambda", "0.15", "--alpha", "1.5", "--n", "5",
+                 "--plan-dy", "0.05"],
+    "covariance": ["--H", "0.7", "--lambda", "0.15", "--n", "3"],
+    "decay": ["--H", "0.8", "--lambda", "0.3", "--t-min", "4", "--t-max", "10",
+              "--t-step", "3"],
+    "limits": ["--H", "0.7", "--lambda", "0.15", "--b-global", "25",
+               "--b-local", "0.1"],
+}
+OTHER_VALUE = {
+    "spectrum": {"--tol": "1e-6", "--omega-grid": "0.5:3:4"},
+    "simulate": {"--seed": "1", "--alpha": "1.7", "--sigma": "2", "--beta": "0.5",
+                 "--kind": "I", "--t-max": "2", "--n": "4", "--n-paths": "2",
+                 "--plan-dy": "0.1", "--plan-cutoff": "20"},
+    "covariance": {"--t-max": "3", "--n": "4"},
+    "decay": {"--alpha": "1.7", "--kind": "I", "--tol": "1e-4", "--t-min": "7",
+              "--t-max": "13", "--t-step": "2", "--theta1": "2",
+              "--theta2": "0.5", "--band-factor": "1.5"},
+    "limits": {"--alpha": "1.5", "--tol": "1e-4", "--b-global": "50",
+               "--b-local": "0.01"},
+}
+
+
+class TestOptionTable:
+    def test_cases_cover_every_own_option(self):
+        own = {cmd: set(opts) - RUN_WIDE | ({"--seed"} if cmd == "simulate" else set())
+               for cmd, opts in parser_options().items()}
+        assert own == {cmd: set(vals) for cmd, vals in OTHER_VALUE.items()}
+        assert sum(map(len, parser_options().values())) == 61
+
+    @pytest.mark.parametrize("command,option", [
+        (cmd, opt) for cmd, vals in OTHER_VALUE.items() for opt in vals])
+    def test_no_option_is_ignored(self, command, option, tmp_path):
+        # every accepted option changes the output bytes or the exit code
+        base = [command, *BASE_ARGV[command]]
+        rc0, o0 = run_cli(base, tmp_path, "base.csv")
+        rc1, o1 = run_cli(base + [option, OTHER_VALUE[command][option]],
+                          tmp_path, "other.csv")
+        assert rc0 == 0
+        assert rc1 != rc0 or o1.read_bytes() != o0.read_bytes()
+
+    def test_readme_table_matches_parser(self):
+        # README's option table lists every option of every command with
+        # its default ("unset" for None); a blank cell is an option the
+        # command does not take
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            table = [[c.strip() for c in ln.strip().strip("|").split("|")]
+                     for ln in fh if ln.startswith(("| option |", "| `--"))]
+        commands = table[0][1:]
+        documented = {cmd: {} for cmd in commands}
+        for flag, *cells in table[1:]:
+            for cmd, cell in zip(commands, cells):
+                if cell:
+                    documented[cmd][flag.strip("`")] = cell
+        expected = {cmd: {flag: "unset" if d is None else f"`{d}`"
+                          for flag, d in opts.items()}
+                    for cmd, opts in parser_options().items()}
+        assert documented == expected
 
 
 def package_env():

@@ -258,6 +258,23 @@ class TestSpectralDensities:
             -math.pi, math.pi, limit=200)
         assert val == pytest.approx(tfgn2_acvf(0.7, 0.15, 0), rel=1e-5)
 
+    @pytest.mark.parametrize("H,lam,w", [(0.7, 0.15, 0.5), (0.3, 2.5, -2.0)])
+    def test_lattice_tail_evaluates_each_zeta_once(self, H, lam, w, monkeypatch):
+        # the remainder term's zeta sum is the next term's: each (s, q) is
+        # evaluated once per tail (w != 0, so that q+ != q-)
+        import scipy.special
+        calls = []
+        real = scipy.special.zeta
+
+        def spy(s, q):
+            calls.append((s, q))
+            return real(s, q)
+
+        monkeypatch.setattr(scipy.special, "zeta", spy)
+        total, rem = gaussian._lattice_tail_zeta(1.0 + 2.0 * H, -H, lam, w, 8, 1e-14)
+        assert len(calls) >= 4 and len(set(calls)) == len(calls)
+        assert rem < 1e-14 and total > 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tfgn2_spectral_density(0.7, 0.15, 4.0)

@@ -241,6 +241,29 @@ class TestIncompleteGammaArray:
         assert sf._lower_series(0.5, empty).shape == (0,)
         assert sf._upper_cf_scaled(0.5, empty).shape == (0,)
 
+    @pytest.mark.parametrize("a", [-0.5, 0.5, 1.7])
+    def test_no_loop_on_empty_branch(self, a, monkeypatch):
+        # an all-series or all-fraction input skips the other loop: no call
+        # of either gets zero elements, and the values stay bit for bit
+        sizes = []
+        for name in ("_lower_series", "_upper_cf_scaled"):
+            def spy(a_, x, *rest, real=getattr(sf, name)):
+                sizes.append(x.size)
+                return real(a_, x, *rest)
+            monkeypatch.setattr(sf, name, spy)
+        seam = max(1.0, a + 1.0)
+        for x in (np.array([0.01, 0.5]), np.array([seam, 40.0]),
+                  np.array([0.5, seam, 40.0])):
+            want = [oracles.mp_gammainc(a, xi, math.inf) for xi in x.tolist()]
+            assert sf.upper_gamma(a, x).tolist() == [sf.upper_gamma(a, xi)
+                                                      for xi in x.tolist()]
+            assert sf.upper_gamma(a, x) == pytest.approx(want, rel=5e-13)
+            if a > 0.0:
+                assert sf.lower_gamma(a, x).tolist() == [sf.lower_gamma(a, xi)
+                                                          for xi in x.tolist()]
+            sf.gamma_interval(a, x, 3.0)
+        assert sizes and 0 not in sizes
+
     def test_non_convergence(self):
         # one slow element keeps the whole array from converging
         with pytest.raises(SeriesConvergenceError):
