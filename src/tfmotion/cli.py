@@ -159,15 +159,20 @@ def _dest(flag: str) -> str:
 
 def _read_config(args) -> dict:
     """The JSON object of --config keyed by option attribute.  Each key
-    must name one of the command's options other than --config."""
+    must name one of the command's options other than --config, and the
+    value of an option with choices must be one of them."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    dests = {_dest(f) for f in (*_RUN_WIDE, *_COMMANDS[args.command][2])} - {"config"}
-    for key in cfg:
-        if _dest("--" + key) not in dests:
+    kinds = {_dest(f): kind for f, (_, kind) in
+             {**_RUN_WIDE, **_COMMANDS[args.command][2]}.items() if f != "--config"}
+    for key, val in cfg.items():
+        kind = kinds.get(_dest("--" + key))
+        if kind is None:
             raise ValueError(f"unknown config key {key!r}")
+        if isinstance(kind, tuple) and val not in kind:
+            raise ValueError(f"config value {val!r} of {key!r} is not one of {kind}")
     return {_dest("--" + key): val for key, val in cfg.items()}
 
 

@@ -302,33 +302,41 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
     """sum_{|l| > L} |omega + 2 pi l|^{-power} (1 + lam^2/(omega+2 pi l)^2)^expo.
 
     Binomial expansion in lam^2/x^2 with each resulting pure power summed
-    exactly through the Hurwitz zeta function; returns (value, remainder
-    bound).  Requires 2 pi (L+1) - pi > lam so the expansion converges.
+    through specfun.hurwitz_zeta; returns (value, bound), the bound being
+    the first omitted binomial term plus the Euler-Maclaurin remainders of
+    the zeta values used, each times its term's coefficient.  Requires
+    2 pi (L+1) - pi > sqrt(2) lam so the expansion converges.
     """
-    from scipy.special import zeta
-
     qp = L + 1.0 + omega / _TWO_PI
     qm = L + 1.0 - omega / _TWO_PI
     x_min = _TWO_PI * (L + 1.0) - math.pi
     u_max = (lam / x_min) ** 2
     if u_max >= 0.5:
         raise ValueError("lattice tail expansion needs 2 pi (L+1) - pi > sqrt(2) lam")
+
+    def zeta_pair(s):  # zeta(s, q+) + zeta(s, q-) and its remainder bound
+        (vp, rp), (vm, rm) = specfun.hurwitz_zeta(s, qp), specfun.hurwitz_zeta(s, qm)
+        return vp + vm, rp + rm
+
     total = 0.0
+    zeta_rem = 0.0  # sum of |term coefficient| * zeta remainder
     coef = 1.0  # binom(expo, i)
     lam2i = 1.0
-    zsum = zeta(power, qp) + zeta(power, qm)
+    zsum, zrem = zeta_pair(power)
     for i in range(60):
-        total += coef * lam2i * _TWO_PI ** (-(power + 2 * i)) * zsum
+        scale = coef * lam2i * _TWO_PI ** (-(power + 2 * i))
+        total += scale * zsum
+        zeta_rem += abs(scale) * zrem
         coef_next = coef * (expo - i) / (i + 1.0)
         lam2i_next = lam2i * lam * lam
         # remainder: first omitted term with geometric domination; its zeta
         # sum is the next term's
-        zs_next = zeta(power + 2 * i + 2, qp) + zeta(power + 2 * i + 2, qm)
+        zs_next, zr_next = zeta_pair(power + 2 * i + 2)
         rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
-            * zs_next / (1.0 - u_max)
+            * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
         if rem < tol or rem < 1e-18 * abs(total):
             return total, rem
-        coef, lam2i, zsum = coef_next, lam2i_next, zs_next
+        coef, lam2i, zsum, zrem = coef_next, lam2i_next, zs_next, zr_next
     return total, rem
 
 
@@ -347,11 +355,13 @@ def _density_common(H: float, lam: float, omega: float, tol: float):
 def _lattice_sum(term, H: float, lam: float, omega: float, expo: float,
                  direct: float, w2: float, tol: float) -> tuple[float, float, float]:
     """(direct, tail, bound) of the lattice sum of term(x) over x = omega +- 2 pi l:
-    ``direct`` plus the terms with 0 < l <= L, the Hurwitz-zeta tail beyond L
-    of term(x) = |x|^-(1+2H) (1 + lam^2/x^2)^expo, and w2/2pi times the
-    tail's remainder.  L doubles from 8 until that bound is below tol, and
-    NumericsError is raised if it is not by L = 4096 (always for lam above
-    about 1.8e4, where the tail expansion does not converge even there).
+    ``direct`` plus the terms with 0 < l <= L, the tail beyond L of
+    term(x) = |x|^-(1+2H) (1 + lam^2/x^2)^expo summed by _lattice_tail_zeta
+    on specfun.hurwitz_zeta, and w2/2pi times the tail's bound (binomial
+    truncation and zeta remainders).  L doubles from 8 until that bound is
+    below tol, and NumericsError is raised if it is not by L = 4096 (always
+    for lam above about 1.8e4, where the tail expansion does not converge
+    even there).
     """
     L = 8
     while True:
@@ -382,10 +392,11 @@ def tfgn2_spectral_density(H: float, lam: float, omega: float,
                  + |e^{iw}-1|^2 sum_{l != 0} (w+2pi l)^{-2}
                                 [lam^2+(w+2pi l)^2]^{1/2-H} }
 
-    The lattice sum runs directly over 0 < |l| <= L and the remainder is
-    summed by a binomially expanded Hurwitz-zeta form whose own truncation
-    error is the returned bound (kept below tol).  At w = 0 the value is the
-    exact limit lam^{1-2H} / 2pi with zero bound.
+    The lattice sum runs directly over 0 < |l| <= L and the rest is summed
+    by a binomially expanded Hurwitz-zeta form (specfun.hurwitz_zeta, in
+    plain floats); the returned bound, kept below tol, covers the truncation
+    of that expansion and the Euler-Maclaurin remainders of its zeta values.
+    At w = 0 the value is the exact limit lam^{1-2H} / 2pi with zero bound.
     """
     omega = _density_common(H, lam, omega, tol)
     if omega == 0.0:

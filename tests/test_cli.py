@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ class TestConfigFile:
     def test_config_supplies_missing_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15,
-                                   "omega-grid": "0:3:4"}))
+                                   "omega-grid": "0:3:4", "format": "csv"}))
         rc, out = run_cli(["spectrum", "--config", str(cfg)], tmp_path)
         assert rc == 0
         _, _, rows = read_csv(out)
@@ -455,6 +456,17 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, "bogus": 1}))
         rc, _ = run_cli(["spectrum", "--config", str(cfg)], tmp_path)
         assert rc == 2
+
+    @pytest.mark.parametrize("command,key,val", [
+        ("spectrum", "format", "xml"), ("covariance", "format", "CSV"),
+        ("decay", "kind", "III"),
+    ])
+    def test_config_value_outside_choices(self, command, key, val, tmp_path):
+        # a config value is held to the option's choices, as a flag is
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: val}))
+        rc, out = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert rc == 2 and not out.exists()
 
     @pytest.mark.parametrize("command,key,val", [
         ("spectrum", "alpha", 1.5), ("spectrum", "kind", "I"),
@@ -566,9 +578,9 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
-        # SciPy is imported only by the lattice tail of the spectral densities,
-        # the process pool only by simulate's CSV fan-out, and numpy.ma by
-        # neither the import nor limits
+        # the package never imports SciPy, the process pool is imported only
+        # by simulate's CSV fan-out, and numpy.ma by neither the import nor
+        # limits
         lazy = ("scipy", "multiprocessing", "concurrent.futures.process", "numpy.ma")
         code = ("import sys, tfmotion.cli\n"
                 f"lazy = {lazy!r}\n"
@@ -593,16 +605,23 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_package_source_names_no_scipy(self):
+        # SciPy is an oracle of the tests only: no module of the package
+        # imports it or names it
+        pkg = Path(cli.__file__).parent
+        assert [f.name for f in sorted(pkg.rglob("*.py")) if "scipy" in f.read_text()] == []
+
     def test_commands_leave_scipy_unloaded_and_repeat_exactly(self):
         # decay and limits at the benchmark's parameters run on the NumPy
-        # quadrature alone, and Gaussian paths on a regular grid on NumPy's
-        # FFT; neither uses BLAS, so the bytes do not depend on the OpenBLAS
-        # thread count
+        # quadrature alone, spectrum's lattice tails on specfun.hurwitz_zeta,
+        # and Gaussian paths on a regular grid on NumPy's FFT; none uses
+        # BLAS, so the bytes do not depend on the OpenBLAS thread count
         commands = [
             "decay --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "decay --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "limits --H 0.7 --alpha 2 --lambda 0.15",
             "simulate --alpha 2 --H 0.7 --lambda 0.15 --t-max 1 --n 2049 --n-paths 2",
+            "spectrum --H 0.7 --lambda 0.15 --omega-grid=-3.14159:3.14159:201",
         ]
         code = ("import sys\nfrom tfmotion import cli\n"
                 "for a in sys.argv[1:]:\n"
@@ -621,5 +640,5 @@ class TestEntryPoint:
             return proc.stdout
 
         outs = [run(None), run(None), run("1"), run("2")]
-        assert outs[0].count("# tfmotion") == 4
+        assert outs[0].count("# tfmotion") == 5
         assert all(o == outs[0] for o in outs[1:])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tfmotion import gaussian
+from tfmotion import gaussian, specfun
 from tfmotion.errors import NumericsError, PoleError
 from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, SampleGrid,
                                _circulant_eigenvalues, build_cov_matrix,
@@ -262,15 +262,14 @@ class TestSpectralDensities:
     def test_lattice_tail_evaluates_each_zeta_once(self, H, lam, w, monkeypatch):
         # the remainder term's zeta sum is the next term's: each (s, q) is
         # evaluated once per tail (w != 0, so that q+ != q-)
-        import scipy.special
         calls = []
-        real = scipy.special.zeta
+        real = specfun.hurwitz_zeta
 
         def spy(s, q):
             calls.append((s, q))
             return real(s, q)
 
-        monkeypatch.setattr(scipy.special, "zeta", spy)
+        monkeypatch.setattr(specfun, "hurwitz_zeta", spy)
         total, rem = gaussian._lattice_tail_zeta(1.0 + 2.0 * H, -H, lam, w, 8, 1e-14)
         assert len(calls) >= 4 and len(set(calls)) == len(calls)
         assert rem < 1e-14 and total > 0.0

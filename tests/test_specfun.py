@@ -332,3 +332,55 @@ class TestGammaIntervalRule:
                                 [mp.mpf(x), mp.mpf(x) + mp.mpf(h)]))
         assert oracles.mp_gamma_interval(a, x, h) == pytest.approx(ref, rel=1e-14)
         assert sf.gamma_interval(a, x, h) == pytest.approx(ref, rel=1e-12)
+
+
+# (s, q) reached by the lattice tails: s = 1 + 2H + 2i for H in (0, 2) and
+# i < 60, q = L + 1 +- omega / 2pi for L = 8 ... 4096 and |omega| <= pi
+_ZETA_S = (1.0 + 2e-7, 1.002, 1.2, 1.4, 2.0, 3.7, 5.0, 10.3, 24.0, 40.0, 81.4, 124.9)
+_ZETA_Q = tuple(L + 1.0 + w / (2.0 * math.pi)
+                for L in (8, 32, 512, 4096) for w in (-math.pi, 0.3, math.pi))
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("q", _ZETA_Q)
+    def test_against_mpmath(self, q):
+        for s in _ZETA_S:
+            ref = oracles.mp_hurwitz_em(s, q, 60, 40)
+            v, _ = sf.hurwitz_zeta(s, q)
+            if ref < 1e-300:  # below the normal floats: the value underflows
+                assert 0.0 <= v < 1e-300
+                continue
+            assert abs(v - ref) <= 2e-15 * ref, (s, q)
+
+    @pytest.mark.parametrize("q", _ZETA_Q)
+    def test_bound_covers_truncation_error(self, q):
+        # the true truncation error of the 9-term, 12-Bernoulli formula,
+        # evaluated at 120 digits (it falls to 1e-90 of the value at q = 4096),
+        # against the reference sum
+        for s in _ZETA_S:
+            _, bound = sf.hurwitz_zeta(s, q)
+            exact = oracles.mp_hurwitz_em(s, q, 60, 40)
+            if exact < 1e-300:  # the value, and the bound with it, underflow
+                continue
+            # (up to the smallest subnormal, where the bound underflows)
+            err = abs(oracles.mp_hurwitz_em(s, q, 9, 12) - exact)
+            assert err <= bound + 5e-324, (s, q)
+            assert bound <= 1e-19 * exact, (s, q)
+
+    @pytest.mark.parametrize("s", (1.0 + 2e-7, 1.4, 10.3, 124.9))
+    def test_reference_matches_integral_representation(self, s):
+        # the reference sum against an independent method, at one q per L
+        for q in _ZETA_Q[1::3]:
+            ref = oracles.mp_hurwitz_em(s, q, 60, 40)
+            if ref > 1e-300:
+                assert abs(oracles.mp_hurwitz_zeta_integral(s, q) - ref) <= 1e-17 * ref
+
+    def test_integer_s(self):
+        # zeta(2, 1) = pi^2/6 and zeta(4, 1/2) = 15 zeta(4) = pi^4/6
+        assert sf.hurwitz_zeta(2.0, 1.0)[0] == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
+        assert sf.hurwitz_zeta(4.0, 0.5)[0] == pytest.approx(math.pi ** 4 / 6, rel=1e-15)
+
+    def test_domain(self):
+        for s, q in ((1.0, 9.0), (0.5, 9.0), (2.0, 0.0), (2.0, -1.0)):
+            with pytest.raises(ValueError):
+                sf.hurwitz_zeta(s, q)
