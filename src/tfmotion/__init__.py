@@ -6,7 +6,7 @@ Monte Carlo stable simulation, and dependence/self-similarity diagnostics.
 
 from .errors import (FactorizationError, NumericsError, PlanError, PoleError,
                      QuadratureError, SeriesConvergenceError)
-from .specfun import SeriesControl, bessel_k, gamma_fn, hyp2f3, log_gamma
+from .specfun import bessel_k, gamma_fn, hyp2f3, log_gamma
 from .kernels import (ProcessParams, QuadratureConfig, kernel, kernel_g,
                       kernel_h, kernel_alpha_norm, tempered_frac_indicator)
 from .gaussian import (CovarianceMatrix, PathEnsemble, SampleGrid,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FactorizationError", "NumericsError", "PlanError", "PoleError",
     "QuadratureError", "SeriesConvergenceError",
-    "SeriesControl", "bessel_k", "gamma_fn", "hyp2f3", "log_gamma",
+    "bessel_k", "gamma_fn", "hyp2f3", "log_gamma",
     "ProcessParams", "QuadratureConfig", "kernel", "kernel_g", "kernel_h",
     "kernel_alpha_norm", "tempered_frac_indicator",
     "CovarianceMatrix", "PathEnsemble", "SampleGrid",

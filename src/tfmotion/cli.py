@@ -158,7 +158,9 @@ def _dest(flag: str) -> str:
 
 
 def _read_config(args) -> dict:
-    """The JSON object of --config keyed by option attribute.  Each key
+    """The JSON object of --config keyed by option attribute, each value as
+    the text of its flag (a number or boolean as its JSON text, which
+    argparse converts like the flag's) and null values left out.  Each key
     must name one of the command's options other than --config, and the
     value of an option with choices must be one of them."""
     with open(args.config) as fh:
@@ -173,7 +175,8 @@ def _read_config(args) -> dict:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(kind, tuple) and val not in kind:
             raise ValueError(f"config value {val!r} of {key!r} is not one of {kind}")
-    return {_dest("--" + key): val for key, val in cfg.items()}
+    return {_dest("--" + key): val if isinstance(val, str) else json.dumps(val)
+            for key, val in cfg.items() if val is not None}
 
 
 def _build_params(args, **fixed) -> ProcessParams:

@@ -1,13 +1,14 @@
 """Second-order theory and exact simulation of TFBM II / TFGN II.
 
 Closed-form variance and covariance of the normalized second-kind tempered
-fractional Brownian motion, the Matern-type double-integral representation of
-the covariance (H > 1/2), autocovariance and spectral densities of the
-unit-lag increment noises, and exact Gaussian path sampling with a
-counter-based (Philox) generator: by circulant embedding of the stationary
-increment noise on regular grids from t = 0 (Davies-Harte / Wood-Chan), and by
-Cholesky factorization of the covariance matrix on every other grid and
-wherever the embedding has a negative eigenvalue.
+fractional Brownian motion, on floats or elementwise on arrays, the
+Matern-type double-integral representation of the covariance (H > 1/2),
+autocovariance and spectral densities of the unit-lag increment noises, and
+exact Gaussian path sampling with a counter-based (Philox) generator: by
+circulant embedding of the stationary increment noise on regular grids from
+t = 0 (Davies-Harte / Wood-Chan), and by Cholesky factorization of the
+covariance matrix on every other grid and wherever the embedding has a
+negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ class PathEnsemble:
 # closed-form second-order theory
 
 
+def _fbm_coef(H: float) -> float:
+    """The t^{2H} coefficient of the untempered variance and of C_t^2."""
+    return specfun.gamma_fn(1.0 - H) / (_SQRT_PI * H * 2.0 ** (2.0 * H)
+                                        * specfun.gamma_fn(H + 0.5))
+
+
 def variance_fbm_limit(H: float, t: float) -> float:
     """Variance of the untempered (lambda = 0) limit process at time t.
 
@@ -144,15 +151,12 @@ def variance_fbm_limit(H: float, t: float) -> float:
     """
     if not 0.0 < H < 1.0:
         raise ValueError(f"the untempered limit requires H in (0, 1), got {H}")
-    if t == 0.0:
-        return 0.0
-    c = specfun.gamma_fn(1.0 - H) / (_SQRT_PI * H * 2.0 ** (2.0 * H)
-                                     * specfun.gamma_fn(H + 0.5))
-    return abs(t) ** (2.0 * H) * c
+    return abs(t) ** (2.0 * H) * _fbm_coef(H)
 
 
-def variance_tfbm2(H: float, lam: float, t: float) -> float:
-    """Variance C_t^2 of normalized TFBM II at time t (H > 0, lambda > 0).
+@specfun._elementwise("t")
+def variance_tfbm2(H: float, lam: float, t):
+    """Variance C_t^2 of normalized TFBM II at a float or an array t (H, lambda > 0).
 
     Two-term 2F3 closed form in the argument z = lambda^2 t^2 / 4:
 
@@ -161,21 +165,20 @@ def variance_tfbm2(H: float, lam: float, t: float) -> float:
               + t^{2H} Gamma(1-H) / (sqrt(pi) H 2^{2H} Gamma(H + 1/2))
                   * 2F3(1, H - 1/2; 1, H+1, H+1/2; z)
 
-    validated against the defining spectral integral.  H = 1/2 is the
-    Brownian case C_t^2 = |t| (the formula's 1/Gamma(0) factor kills the
-    first term); integer H hits genuine poles of the closed form and raises.
-    Negative t uses |t| (stationary increments).  The two terms cancel as
-    lam t grows (and at tiny lam t for H near 1); a negative result is
-    such a cancellation and raises NumericsError.
+    validated against the defining spectral integral.  C_0^2 = 0 for every
+    H.  H = 1/2 is the Brownian case C_t^2 = |t| (the formula's 1/Gamma(0)
+    factor kills the first term); integer H hits genuine poles of the closed
+    form and raises PoleError unless every t is 0.  Negative t uses |t|
+    (stationary increments).  The two terms cancel as lam t grows (and at
+    tiny lam t for H near 1); a negative result is such a cancellation and
+    raises NumericsError naming the first t that gave one.
     """
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    t = abs(t)
-    if t == 0.0:
-        return 0.0
-    if H == 0.5:
+    t = np.abs(t)
+    if H == 0.5 or not t.any():
         return t
     if H == math.floor(H):
         raise PoleError(
@@ -185,22 +188,21 @@ def variance_tfbm2(H: float, lam: float, t: float) -> float:
     f2 = specfun.hyp2f3((1.0, H - 0.5), (1.0, H + 1.0, H + 0.5), z)
     a = -2.0 * specfun.gamma_fn(H) * lam ** (-2.0 * H) / (
         _SQRT_PI * specfun.gamma_fn(H - 0.5))
-    b = specfun.gamma_fn(1.0 - H) / (_SQRT_PI * H * 2.0 ** (2.0 * H)
-                                     * specfun.gamma_fn(H + 0.5))
-    v = a * (1.0 - f1) + b * t ** (2.0 * H) * f2
-    if v < 0.0:
+    v = a * (1.0 - f1) + _fbm_coef(H) * t ** (2.0 * H) * f2
+    i = np.argmax(v < 0.0)  # the first negative value, if any
+    if v[i] < 0.0:
         raise NumericsError(
-            f"variance_tfbm2: the 2F3 closed form gives C_t^2 = {v:.6g} < 0 "
-            f"at H = {H}, lambda = {lam}, t = {t}: its terms cancel")
+            f"variance_tfbm2: the 2F3 closed form gives C_t^2 = {v[i]:.6g} < 0 "
+            f"at H = {H}, lambda = {lam}, t = {t[i]}: its terms cancel")
+    v[t == 0.0] = 0.0  # both terms are 0 there, each -0.0 for some H
     return v
 
 
-def covariance_tfbm2(H: float, lam: float, s: float, t: float) -> float:
-    """Cov[B(t), B(s)] = (C_t^2 + C_s^2 - C_{t-s}^2) / 2 for TFBM II."""
-    cs = variance_tfbm2(H, lam, s) if s != 0.0 else 0.0
-    ct = variance_tfbm2(H, lam, t) if t != 0.0 else 0.0
-    cd = variance_tfbm2(H, lam, t - s) if t != s else 0.0
-    return 0.5 * (ct + cs - cd)
+def covariance_tfbm2(H: float, lam: float, s, t):
+    """Cov[B(t), B(s)] = (C_t^2 + C_s^2 - C_{t-s}^2) / 2 for TFBM II, for
+    float s and t or elementwise over broadcastable arrays."""
+    return 0.5 * (variance_tfbm2(H, lam, t) + variance_tfbm2(H, lam, s)
+                  - variance_tfbm2(H, lam, t - s))
 
 
 def matern_cov_integral(H: float, lam: float, s: float, t: float,
@@ -436,10 +438,10 @@ def build_cov_matrix(H: float, lam: float, grid: SampleGrid) -> CovarianceMatrix
     """Covariance matrix of TFBM II over the grid, diagonal = C_t^2.
 
     Entry (i, j) is 0.5 * ((C_{t_i}^2 + C_{t_j}^2) - C_{t_i - t_j}^2).
-    ``variance_tfbm2`` runs once per distinct nonzero argument among the |t_i|
-    and the |t_i - t_j| (n of them on a regular grid starting at 0); each
-    argument finds its value by binary search in the sorted distinct ones.
-    Any grid, uniform or not, takes this one path.
+    One call of ``variance_tfbm2`` takes the distinct values among the |t_i|
+    and the |t_i - t_j| (n of them on a regular grid starting at 0, against
+    n^2 entries); each entry finds its value by binary search in the sorted
+    distinct ones.  Any grid, uniform or not, takes this one path.
     """
     t = grid.times
     at = np.abs(t)
@@ -448,8 +450,7 @@ def build_cov_matrix(H: float, lam: float, grid: SampleGrid) -> CovarianceMatrix
     uniq = np.concatenate((d.ravel(), at))
     uniq.sort()  # distinct values by hand: np.unique loads numpy.ma
     uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
-    var = np.array([variance_tfbm2(H, lam, x) if x != 0.0 else 0.0
-                    for x in uniq])
+    var = variance_tfbm2(H, lam, uniq)
     ct = var[np.searchsorted(uniq, at)]
     values = var[np.searchsorted(uniq, d)]
     np.subtract(ct[:, None] + ct[None, :], values, out=values)
@@ -469,7 +470,7 @@ def _circulant_eigenvalues(H: float, lam: float, m: int, dt: float) -> np.ndarra
     """Eigenvalues ev_0..ev_m of the minimal circulant embedding of the
     increment noise of TFBM II at spacing dt, m increments.
 
-    With C_k = C_{k dt}^2 for k = 0..m+1 (m + 1 calls of ``variance_tfbm2``),
+    With C_k = C_{k dt}^2 for k = 0..m+1 (one call of ``variance_tfbm2``),
     the increment autocovariance is g(j) = (C_{j+1} + C_{|j-1|} - 2 C_j) / 2,
     the circulant's first row is (g(0..m), g(m-1..1)) of size M = 2m, and
     its eigenvalues are the real part of that row's real FFT.  They are
@@ -480,8 +481,7 @@ def _circulant_eigenvalues(H: float, lam: float, m: int, dt: float) -> np.ndarra
     of the largest C_t^2 at n = 2049, against 1.4e-12 for the three-term
     form.
     """
-    c = np.array([variance_tfbm2(H, lam, k * dt) if k else 0.0
-                  for k in range(m + 2)])
+    c = variance_tfbm2(H, lam, dt * np.arange(m + 2))
     d = np.diff(c)
     g = 0.5 * np.diff(d, prepend=-d[0])
     return np.fft.rfft(np.concatenate((g, g[m - 1:0:-1]))).real

@@ -5,9 +5,9 @@ modified Bessel function of the second kind K_nu (Temme's series for small
 argument, a Steed continued fraction for large argument), the unnormalized
 incomplete gamma functions and their integral over an interval, and the
 generalized hypergeometric series 2F3 and the Hurwitz zeta function.  The
-incomplete gammas take one parameter a and a float or an array x: their
-series and continued fraction are masked NumPy iterations, one
-implementation for one point or a kernel table.  No external
+incomplete gammas (one parameter a) and 2F3 take a float or an array
+argument: their series and continued fraction are masked NumPy iterations,
+one implementation for one point or a whole table.  No external
 special-function library is used here; SciPy/mpmath appear only in the test
 suite as independent oracles.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,23 +75,6 @@ _RGAMMA_C = (
     0.00000000000000122678,
     -0.00000000000000011813,
 )
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Tolerance and term cap for hypergeometric series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise ValueError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms must be >= 50, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -439,38 +421,52 @@ def gamma_interval(a: float, x, h: float):
     return out
 
 
-def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z: float,
-           ctl: SeriesControl = DEFAULT_SERIES) -> float:
-    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z) by direct series.
+_HYP_REL_TOL = 1e-12
+_HYP_MAX_TERMS = 500
 
-    Terminates once the term-ratio bound guarantees a relative tail below
-    ctl.rel_tol; compensated (Kahan) summation guards the accumulation.
+
+@_elementwise("z")
+def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z):
+    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z) by direct series,
+    one masked iteration over the elements of z like _lower_series.
+
+    An element stops once its term ratio r < 1/2 and the tail bound
+    |term| / (1 - r) is below _HYP_REL_TOL of its sum, and raises after
+    _HYP_MAX_TERMS terms; compensated (Kahan) summation guards the sum.
     """
     a1, a2 = a
     b1, b2, b3 = b
     for bi in (b1, b2, b3):
         if _is_nonpositive_integer(bi):
             raise PoleError(f"hyp2f3 denominator parameter {bi} is a nonpositive integer")
-    if not math.isfinite(z):
-        raise ValueError(f"hyp2f3 requires finite z, got {z}")
-
-    s = 1.0
-    comp = 0.0  # Kahan compensation
-    term = 1.0
-    for k in range(ctl.max_terms):
-        ratio = ((a1 + k) * (a2 + k) * z) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0))
-        term *= ratio
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if term == 0.0:  # numerator Pochhammer hit zero: series terminated
-            return s
-        r = abs(ratio)
-        if r < 0.5 and abs(term) / (1.0 - r) < ctl.rel_tol * abs(s):
-            return s
+    if not np.isfinite(z).all():
+        raise ValueError(f"hyp2f3 requires finite z, got {z[~np.isfinite(z)][0]}")
+    out = np.empty(z.shape)
+    act = np.arange(z.size)
+    s = np.ones(z.size)
+    comp = np.zeros(z.size)  # Kahan compensation
+    term = np.ones(z.size)
+    # as in Python floats, terms past the float range go inf and nan silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_HYP_MAX_TERMS):
+            ratio = ((a1 + k) * (a2 + k) * z) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0))
+            term *= ratio
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            r = np.abs(ratio)
+            small = r < 0.5
+            # term == 0: a numerator Pochhammer hit zero and the series ended
+            done = (term == 0.0) | small & (
+                np.abs(term) / np.where(small, 1.0 - r, 1.0) < _HYP_REL_TOL * np.abs(s))
+            out[act[done]] = s[done]
+            live = ~done
+            act, z, s, comp, term = act[live], z[live], s[live], comp[live], term[live]
+            if act.size == 0:
+                return out
     raise SeriesConvergenceError(
-        f"hyp2f3 did not converge within {ctl.max_terms} terms (z = {z})")
+        f"hyp2f3 did not converge within {_HYP_MAX_TERMS} terms (z = {z[0]})")
 
 
 # Euler-Maclaurin form of the Hurwitz zeta function: _HZ_DIRECT terms summed

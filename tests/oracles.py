@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: special
 functions come from mpmath or direct quadrature of integral representations,
 variances from oscillatory quadrature of the defining spectral integral, and
 lattice sums from plain truncated summation with an integral-comparison tail
-bound, covariance matrices and CLI table text from plain loops.
+bound, covariance matrices, the 2F3 series and CLI table text from
+plain loops.
 """
 
 import functools
@@ -28,6 +29,25 @@ def mp_besselk(nu: float, x: float) -> float:
 
 def mp_hyp2f3(a, b, z) -> float:
     return float(mp.hyper([mp.mpf(x) for x in a], [mp.mpf(x) for x in b], mp.mpf(z)))
+
+
+def loop_hyp2f3(a, b, z: float) -> float:
+    """2F3 by the scalar series loop, in Python floats: Kahan summation,
+    stopping once the term ratio r < 1/2 and |term| / (1 - r) < 1e-12 |sum|.
+    The reference for bit-identity of the masked array series."""
+    (a1, a2), (b1, b2, b3) = a, b
+    s, comp, term = 1.0, 0.0, 1.0
+    for k in range(500):
+        ratio = ((a1 + k) * (a2 + k) * z) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0))
+        term *= ratio
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        r = abs(ratio)
+        if term == 0.0 or (r < 0.5 and abs(term) / (1.0 - r) < 1e-12 * abs(s)):
+            return s
+    raise RuntimeError(f"loop_hyp2f3 did not converge at z = {z}")
 
 
 def mp_gammainc(a: float, x0: float, x1: float) -> float:

@@ -451,6 +451,27 @@ class TestConfigFile:
         # H = 0.5 gives the flat 1/2pi density, H = 0.3 would not
         assert float(rows[1][2]) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("values", [{"n": 2.5}, {"H": True}],
+                             ids=["float_n", "bool_H"])
+    def test_config_value_through_option_type(self, values, tmp_path):
+        # a config value is converted as the same text given as a flag:
+        # --n 2.5 and --H true exit 2, and so do these
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, **values}))
+        with pytest.raises(SystemExit) as e:
+            run_cli(["covariance", "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2 and not (tmp_path / "out.csv").exists()
+
+    def test_config_typed_and_null_values(self, tmp_path):
+        # an int is a valid float, and null leaves the option to its default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.5, "lambda": 1, "n": 3, "t-max": None}))
+        rc, out = run_cli(["covariance", "--config", str(cfg)], tmp_path)
+        assert rc == 0
+        meta, _, rows = read_csv(out)
+        assert meta.split()[3:] == ["H=0.5", "lambda=1", "n=3", "t_max=2"]
+        assert len(rows) == 9
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, "bogus": 1}))

@@ -25,6 +25,10 @@ class TestVariance:
 
     def test_zero_time(self):
         assert variance_tfbm2(0.7, 0.15, 0.0) == 0.0
+        # +0.0 at t = 0 for every H, integer H included
+        v = variance_tfbm2(1.3, 0.15, np.array([0.0, 1.0]))
+        assert v[0] == 0.0 and not np.signbit(v[0])
+        assert variance_tfbm2(1.0, 0.5, np.zeros(2)).tolist() == [0.0, 0.0]
 
     def test_spectral_oracle_frozen(self):
         assert variance_tfbm2(0.7, 0.15, 1.0) == pytest.approx(
@@ -54,6 +58,10 @@ class TestVariance:
         # never a returned negative variance
         with pytest.raises(NumericsError):
             variance_tfbm2(H, lam, t)
+
+    def test_array_names_first_negative_time(self):
+        with pytest.raises(NumericsError, match=r"t = 100\.0:"):
+            variance_tfbm2(0.75, 0.5, np.array([1.0, 100.0, 120.0]))
 
     def test_scaling_law(self):
         for b in (0.5, 2.0, 10.0):
@@ -328,6 +336,23 @@ class TestCovMatrix:
     def test_bit_identical_to_loop_build(self, grid):
         m = build_cov_matrix(0.7, 0.15, grid)
         assert np.array_equal(m.values, oracles.loop_cov_matrix(0.7, 0.15, grid.times))
+
+    def test_one_variance_call_per_build(self, monkeypatch):
+        # the matrix and the circulant embedding each evaluate C_t^2 over
+        # all their arguments in one array call
+        calls = []
+        real = gaussian.variance_tfbm2
+
+        def spy(H, lam, t):
+            calls.append(np.shape(t))
+            return real(H, lam, t)
+
+        monkeypatch.setattr(gaussian, "variance_tfbm2", spy)
+        build_cov_matrix(0.7, 0.15, SampleGrid(np.array([-0.4, 0.0, 0.05, 0.3, 1.2])))
+        assert len(calls) == 1
+        calls.clear()
+        simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, 2049), 2, seed=1)
+        assert calls == [(2050,)]
 
     def test_jitter_recorded_zero_when_not_needed(self):
         m = build_cov_matrix(0.7, 0.15, SampleGrid.regular(1.0, 101))

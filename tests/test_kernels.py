@@ -10,6 +10,7 @@ from scipy import integrate
 from tfmotion import kernels, specfun as sf
 from tfmotion.errors import QuadratureError
 from tfmotion.dependence import increment_kernel
+from tfmotion.gaussian import variance_tfbm2
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
                               _kernel_step, _quad, g_time_integral,
                               kernel_alpha_norm, kernel_g, kernel_h,
@@ -168,14 +169,23 @@ CONTRACT = {
     "increment_kernel": (lambda x: increment_kernel(P_STABLE, 2.0, x),
                          [-40.0, -1.0, 0.5, 2.5, 2.999, 3.5],
                          [(lambda x: increment_kernel(P_STABLE, -1.0, x), 0.5)]),
+    "hyp2f3": (lambda z: sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z),
+               [0.0, 0.005625, 0.8, 6.25, 25.0, -50.0],
+               [(lambda z: sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z), math.inf),
+                (lambda z: sf.hyp2f3((1.0, 0.5), (0.5, -2.0, 1.0), z), 0.3)]),
+    "variance_tfbm2": (lambda t: variance_tfbm2(1.3, 0.15, t),
+                       [0.0, 1e-3, 0.5, -1.0, 2.0, 7.0],
+                       [(lambda t: variance_tfbm2(-0.7, 0.15, t), 1.0),
+                        (lambda t: variance_tfbm2(1.0, 0.15, t), 1.0)]),
 }
 
 
 @pytest.mark.parametrize("name", list(CONTRACT))
+@pytest.mark.filterwarnings("error")
 class TestScalarArrayContract:
     """A float in gives a Python float out; an array in gives an array of
     its shape, equal to per-element calls; bad input raises the same
-    ValueError either way."""
+    ValueError either way; no call warns."""
 
     def test_float_in_float_out(self, name):
         f, points, _ = CONTRACT[name]
@@ -367,7 +377,6 @@ class TestAlphaNorm:
     def test_cross_module_variance_identity(self):
         # alpha = 2: the kernel norm is the variance of the normalized motion
         # scaled back by Gamma(H + 1/2)^2
-        from tfmotion.gaussian import variance_tfbm2
         v = kernel_alpha_norm(P_HI, 1.0)
         ref = sf.gamma_fn(1.2) ** 2 * variance_tfbm2(0.7, 0.15, 1.0)
         assert v == pytest.approx(ref, rel=1e-6)
