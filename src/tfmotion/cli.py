@@ -5,19 +5,20 @@ defaults; every command also takes the run-wide options of ``_RUN_WIDE``.
 A value comes from its flag, else from the JSON ``--config`` file, else
 from the table.  --H and --lambda have no default, and an unset
 process option keeps its ``ProcessParams`` default.  The library checks the
-parameter ranges; the CLI adds only simulate's lambda > 0 and its refusal
-of first-kind Gaussian paths.  Every command computes through the library
-modules and emits one table as CSV or JSON.  Runs are deterministic given
-the flags and seed; the worker count (--threads or TFMOTION_THREADS:
-sampling threads, and the processes that format simulate's CSV in fixed
-blocks of paths) never changes the output bytes.  Exit codes: 0 ok, 2
-invalid usage/parameters, 3 numeric failure.
+parameter ranges; the CLI adds only that every number it reads is finite,
+simulate's lambda > 0 and its refusal of first-kind Gaussian paths.  Every
+command computes through the library modules and emits one table as CSV or
+JSON.  Runs are deterministic given the flags and seed; the worker count
+(--threads or TFMOTION_THREADS: sampling threads, and the processes that
+format simulate's CSV in fixed blocks of paths) never changes the output
+bytes.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -125,19 +126,28 @@ def _emit(path: str | None, fmt: str, command: str, meta: dict,
             fh.close()
 
 
+def finite(text) -> float:
+    """float(text), which must be finite: the type of every float option and
+    of each number of a grid spec or value list (NaN and inf are invalid)."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not a finite number")
+    return v
+
+
 def _parse_grid_spec(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
+        lo, hi, n = finite(lo), finite(hi), int(n)
     except ValueError as exc:
-        raise ValueError(f"grid spec must be 'min:max:count', got {spec!r}") from exc
+        raise ValueError(f"grid spec must be finite 'min:max:count', got {spec!r}") from exc
     if n < 2 or hi <= lo:
         raise ValueError(f"grid spec needs max > min and count >= 2, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 
 def _parse_list(spec: str) -> list[float]:
-    vals = [float(x) for x in spec.split(",") if x.strip()]
+    vals = [finite(x) for x in spec.split(",") if x.strip()]
     if not vals:
         raise ValueError(f"empty value list {spec!r}")
     return vals
@@ -277,27 +287,27 @@ def cmd_limits(args) -> int:
 # --alpha, --sigma, --beta or --kind keeps its ProcessParams default.
 # README's option table mirrors these (tests/test_cli.py compares them).
 _KIND = ("I", "II")
-_RUN_WIDE = {"--H": (None, float), "--lambda": (None, float), "--seed": (0, int),
+_RUN_WIDE = {"--H": (None, finite), "--lambda": (None, finite), "--seed": (0, int),
              "--out": (None, str), "--format": ("csv", ("csv", "json")),
              "--threads": (None, int), "--config": (None, str)}
 _COMMANDS = {  # command -> (function, help, its own options)
     "spectrum": (cmd_spectrum, "spectral densities of the increment noises", {
-        "--tol": (1e-10, float),
+        "--tol": (1e-10, finite),
         "--omega-grid": ("-3.141592653589793:3.141592653589793:201", str)}),
     "simulate": (cmd_simulate, "sample process paths", {
-        "--alpha": (None, float), "--sigma": (None, float),
-        "--beta": (None, float), "--kind": (None, _KIND),
-        "--t-max": (1.0, float), "--n": (17, int), "--n-paths": (1, int),
-        "--plan-dy": (None, float), "--plan-cutoff": (None, float)}),
+        "--alpha": (None, finite), "--sigma": (None, finite),
+        "--beta": (None, finite), "--kind": (None, _KIND),
+        "--t-max": (1.0, finite), "--n": (17, int), "--n-paths": (1, int),
+        "--plan-dy": (None, finite), "--plan-cutoff": (None, finite)}),
     "covariance": (cmd_covariance, "TFBM II covariance table", {
-        "--t-max": (2.0, float), "--n": (9, int)}),
+        "--t-max": (2.0, finite), "--n": (9, int)}),
     "decay": (cmd_decay, "codifference decay diagnostic", {
-        "--alpha": (1.5, float), "--kind": (None, _KIND), "--tol": (1e-8, float),
+        "--alpha": (1.5, finite), "--kind": (None, _KIND), "--tol": (1e-8, finite),
         "--t-min": (10, int), "--t-max": (40, int), "--t-step": (2, int),
-        "--theta1": (1.0, float), "--theta2": (1.0, float),
-        "--band-factor": (3.0, float)}),
+        "--theta1": (1.0, finite), "--theta2": (1.0, finite),
+        "--band-factor": (3.0, finite)}),
     "limits": (cmd_limits, "global/local self-similarity limit tables", {
-        "--alpha": (None, float), "--tol": (1e-9, float),
+        "--alpha": (None, finite), "--tol": (1e-9, finite),
         "--b-global": ("25,50,100,200", str), "--b-local": ("0.1,0.01,0.001", str)}),
 }
 

@@ -218,7 +218,9 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
     is reduced to one dimension in the difference variable w = |u - v|, whose
     occupation length on [0,t] x [0,s] (s <= t) is
     rho(w) = min(s, t-w) + (s-w)_+; the integrable singularity at w = 0 sits
-    at a panel endpoint.  The tolerances of q apply to the unscaled integral.
+    at a panel endpoint.  The integrand takes K_{H-1} at all nodes of a
+    quadrature sweep in one array call of specfun.bessel_k.  The tolerances
+    of q apply to the unscaled integral.
     """
     if H <= 0.5:
         raise ValueError(f"the Matern representation requires H > 1/2, got {H}")
@@ -235,8 +237,7 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
 
     def f(w, rows):
         rho = np.minimum(s, t - w) + np.maximum(s - w, 0.0)
-        k = np.array([specfun.bessel_k(nu, lam * v) for v in w.tolist()])
-        return w ** (H - 1.0) * k * rho
+        return w ** (H - 1.0) * specfun.bessel_k(nu, lam * w) * rho
 
     splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
     return c * _quad(f, splits, q)[0]
@@ -261,6 +262,8 @@ def tfgn2_acvf(H: float, lam: float, j: int,
         raise ValueError(f"lambda must be positive, got {lam}")
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
+    if not float(j).is_integer():
+        raise ValueError(f"tfgn2_acvf is defined at integer lags j, got {j}")
     j = abs(int(j))
 
     def g(w, rows=None):

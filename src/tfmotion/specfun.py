@@ -1,13 +1,13 @@
 """Self-contained special functions backing the closed-form covariance theory.
 
 Implements the gamma function (Lanczos approximation with reflection), the
-modified Bessel function of the second kind K_nu (Temme's series for small
-argument, a Steed continued fraction for large argument), the unnormalized
-incomplete gamma functions and their integral over an interval, and the
-generalized hypergeometric series 2F3 and the Hurwitz zeta function.  The
-incomplete gammas (one parameter a) and 2F3 take a float or an array
-argument: their series and continued fraction are masked NumPy iterations,
-one implementation for one point or a whole table.  No external
+modified Bessel function of the second kind K_nu (the trapezoidal rule on
+its cosh integral), the unnormalized incomplete gamma functions and their
+integral over an interval, and the generalized hypergeometric series 2F3
+and the Hurwitz zeta function.  K_nu, the incomplete gammas (one parameter
+a) and 2F3 take a float or an array argument: their rule, series and
+continued fraction are masked NumPy computations, one implementation for
+one point or a whole table.  No external
 special-function library is used here; SciPy/mpmath appear only in the test
 suite as independent oracles.
 """
@@ -44,38 +44,6 @@ _LANCZOS_COF = (
 )
 _LANCZOS_C0 = 0.999999999999997092
 _SQRT_2PI = 2.5066282746310005
-
-# Taylor coefficients of 1/Gamma(1+z) = sum c[k] z^k (Abramowitz & Stegun 6.1.34,
-# shifted by one index).  Used for the Temme auxiliary functions at |z| <= 1/2.
-_RGAMMA_C = (
-    1.00000000000000000000,
-    0.57721566490153286061,
-    -0.65587807152025388108,
-    -0.04200263503409523553,
-    0.16653861138229148950,
-    -0.04219773455554433675,
-    -0.00962197152787697356,
-    0.00721894324666309954,
-    -0.00116516759185906511,
-    -0.00021524167411495097,
-    0.00012805028238811619,
-    -0.00002013485478078824,
-    -0.00000125049348214267,
-    0.00000113302723198170,
-    -0.00000020563384169776,
-    0.00000000611609510448,
-    0.00000000500200764447,
-    -0.00000000118127457049,
-    0.00000000010434267117,
-    0.00000000000778226344,
-    -0.00000000000369680562,
-    0.00000000000051003703,
-    -0.00000000000002058326,
-    -0.00000000000000534812,
-    0.00000000000000122678,
-    -0.00000000000000011813,
-)
-
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
@@ -114,121 +82,6 @@ def gamma_fn(x: float) -> float:
     return math.pi / (_sin_pi(x) * math.exp(log_gamma(1.0 - x)))
 
 
-def _temme_gam12(mu: float) -> tuple[float, float]:
-    """Temme auxiliaries Gamma1, Gamma2 for |mu| <= 1/2.
-
-    Gamma1 = [1/Gamma(1-mu) - 1/Gamma(1+mu)] / (2 mu)  (limit -EulerGamma at 0)
-    Gamma2 = [1/Gamma(1-mu) + 1/Gamma(1+mu)] / 2
-    Both are even functions; evaluated from the 1/Gamma Taylor coefficients.
-    """
-    mu2 = mu * mu
-    g1 = 0.0
-    g2 = 0.0
-    p = 1.0  # mu^(k-1) for odd k / mu^(k-2) for even k, built incrementally
-    for k in range(0, len(_RGAMMA_C), 2):
-        g2 += _RGAMMA_C[k] * p
-        if k + 1 < len(_RGAMMA_C):
-            g1 -= _RGAMMA_C[k + 1] * p
-        p *= mu2
-        if p < _EPS:
-            break
-    return g1, g2
-
-
-def _bessel_k_temme(mu: float, x: float, max_iter: int = 200) -> tuple[float, float]:
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and 0 < x <= 2 via Temme's series."""
-    x2 = 0.5 * x
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-30 else pimu / math.sin(pimu)
-    d = -math.log(x2)
-    e = mu * d
-    fact2 = 1.0 if abs(e) < 1e-30 else math.sinh(e) / e
-    gam1, gam2 = _temme_gam12(mu)
-    gampl = gam2 - mu * gam1  # 1/Gamma(1+mu)
-    gammi = gam2 + mu * gam1  # 1/Gamma(1-mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    ssum = ff
-    e = math.exp(e)
-    p = 0.5 * e / gampl
-    q = 0.5 / (e * gammi)
-    c = 1.0
-    d = x2 * x2
-    sum1 = p
-    mu2 = mu * mu
-    for i in range(1, max_iter + 1):
-        ff = (i * ff + p + q) / (i * i - mu2)
-        c *= d / i
-        p /= i - mu
-        q /= i + mu
-        dl = c * ff
-        ssum += dl
-        sum1 += c * (p - i * ff)
-        if abs(dl) < abs(ssum) * _EPS:
-            return ssum, sum1 * (2.0 / x)
-    raise SeriesConvergenceError("bessel_k small-x series did not converge")
-
-
-def _bessel_k_steed(mu: float, x: float, max_iter: int = 10000) -> tuple[float, float]:
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x > 2 via the Steed/CF2 evaluation
-    of the large-argument (confluent hypergeometric) representation."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25 - mu * mu
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, max_iter + 1):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < _EPS:
-            break
-    else:
-        raise SeriesConvergenceError("bessel_k continued fraction did not converge")
-    h = a1 * h
-    rkmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    rk1 = rkmu * (mu + x + 0.5 - h) / x
-    return rkmu, rk1
-
-
-# Crossover between the small-argument series and the continued-fraction
-# branch; the seam is exercised by a continuity test.
-BESSEL_K_CROSSOVER = 2.0
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    Negative orders use the symmetry K_{-nu} = K_nu.  Relative accuracy is
-    ~1e-13 over nu in [0, 3], x in [1e-6, 50].
-    """
-    if x <= 0.0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    nu = abs(float(nu))
-    n = int(nu + 0.5)
-    mu = nu - n  # in [-1/2, 1/2]
-    if x <= BESSEL_K_CROSSOVER:
-        kmu, kmu1 = _bessel_k_temme(mu, x)
-    else:
-        kmu, kmu1 = _bessel_k_steed(mu, x)
-    # upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m from (mu, mu+1) to nu
-    for j in range(1, n + 1):
-        kmu, kmu1 = kmu1, kmu + (2.0 * (mu + j) / x) * kmu1
-    return kmu
-
-
 def _elementwise(name: str):
     """Decorator for a function whose body takes a 1-D float array in its
     argument ``name``: the wrapped function takes a float there and returns
@@ -255,6 +108,44 @@ def _elementwise(name: str):
         return f
 
     return decorate
+
+
+@_elementwise("x")
+def bessel_k(nu: float, x):
+    """Modified Bessel function of the second kind K_nu(x) for finite x > 0,
+    by the trapezoidal rule on
+
+        K_nu(x) = e^-x int_0^inf e^(-2x sinh^2(u/2)) cosh(nu u) du,
+
+    whose integrand is even, entire and decaying in |Im u| < pi/2, so that the
+    rule converges geometrically in 1/h (Trefethen & Weideman, SIAM Rev. 56,
+    2014).
+    Each element has its own cut u_max, where 2x sinh^2(u/2) - |nu| u = 40
+    (two fixed-point steps from nu = 0), and step h = min(u_max/96, 0.2).
+    The terms h/2 e^(-2x sinh^2(u/2) +- nu u) are summed along u in order,
+    with 0 past u_max, so an array gives the values of per-element calls.
+    A term overflows only where K_nu(x) is about as large: K is then inf,
+    and 0.0 where e^-x underflows, without a warning.  Relative accuracy is
+    about 1e-14 over nu in [0, 3], x in [1e-20, 700].  K_{-nu} = K_nu.
+    """
+    bad = ~((x > 0.0) & (x < np.inf))
+    if bad.any():
+        raise ValueError(f"bessel_k requires finite x > 0, got {x[bad][0]}")
+    nu = abs(float(nu))
+    rx = np.sqrt(x)  # x sinh^2 = (sqrt(x) sinh)^2 stays finite for x > 0
+    u_max = 2.0 * np.arcsinh(math.sqrt(20.0) / rx)
+    for _ in range(2):
+        u_max = 2.0 * np.arcsinh(np.sqrt(20.0 + 0.5 * nu * u_max) / rx)
+    h = np.minimum(u_max / 96.0, 0.2)
+    last = np.floor(u_max / h)
+    k = np.arange(int(last.max(initial=0.0)) + 1)
+    u = h[:, None] * k
+    with np.errstate(over="ignore"):
+        e = -2.0 * (rx[:, None] * np.sinh(0.5 * u)) ** 2
+        terms = (0.5 * h)[:, None] * (np.exp(e + nu * u) + np.exp(e - nu * u))
+    terms[:, 0] *= 0.5
+    terms[k > last[:, None]] = 0.0
+    return np.exp(-x) * np.cumsum(terms, axis=1)[:, -1]
 
 
 def _lower_series(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:

@@ -112,6 +112,27 @@ class TestExitCodes:
             assert rc == 2
             assert "requires --H and --lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--H", "nan", "--lambda", "0.15", "--alpha", "1.5", "--n", "3"],
+        ["spectrum", "--H", "nan", "--lambda", "0.15"],
+        ["spectrum", "--H", "0.7", "--lambda", "0.15", "--omega-grid=nan:1:3"],
+        ["spectrum", "--H", "0.7", "--lambda", "0.15", "--omega-grid=-1:inf:3"],
+        ["spectrum", "--H", "0.7", "--lambda", "0.15", "--tol", "nan"],
+        ["decay", "--H", "0.8", "--lambda", "nan"],
+        ["decay", "--H", "0.8", "--lambda", "0.15", "--theta1", "nan"],
+        ["limits", "--H", "0.7", "--lambda", "0.15", "--b-global", "inf"],
+        ["covariance", "--H", "0.7", "--lambda", "inf"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_number_exits_2(self, args, tmp_path):
+        # NaN and inf are invalid input in a flag, a grid spec or a value
+        # list: argparse or the command rejects them before any numerics
+        try:
+            rc, out = run_cli(args, tmp_path)
+        except SystemExit as e:
+            rc, out = e.code, tmp_path / "out.csv"
+        assert rc == 2 and not out.exists()
+
     def test_lattice_cap_exits_3(self, tmp_path):
         # the spectral lattice sum would need L > 4096 at this lambda
         rc, _ = run_cli(["spectrum", "--H", "0.7", "--lambda", "1e8",
@@ -451,11 +472,11 @@ class TestConfigFile:
         # H = 0.5 gives the flat 1/2pi density, H = 0.3 would not
         assert float(rows[1][2]) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
-    @pytest.mark.parametrize("values", [{"n": 2.5}, {"H": True}],
-                             ids=["float_n", "bool_H"])
+    @pytest.mark.parametrize("values", [{"n": 2.5}, {"H": True}, {"lambda": math.inf}],
+                             ids=["float_n", "bool_H", "inf_lambda"])
     def test_config_value_through_option_type(self, values, tmp_path):
         # a config value is converted as the same text given as a flag:
-        # --n 2.5 and --H true exit 2, and so do these
+        # --n 2.5, --H true and --lambda inf exit 2, and so do these
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, **values}))
         with pytest.raises(SystemExit) as e:

@@ -133,6 +133,18 @@ class TestMatern:
         with pytest.raises(ValueError):
             matern_cov_integral(0.4, 0.5, 1.0, 1.0)
 
+    def test_one_bessel_call_per_sweep(self, monkeypatch):
+        # the integrand evaluates K_{H-1} at all nodes of a quadrature sweep
+        # in one array call, not once per node
+        from tfmotion import kernels
+        calls, sweeps = [], []
+        bessel_k, qk15 = specfun.bessel_k, kernels._qk15
+        monkeypatch.setattr(specfun, "bessel_k",
+                            lambda *a: calls.append(1) or bessel_k(*a))
+        monkeypatch.setattr(kernels, "_qk15", lambda *a: sweeps.append(1) or qk15(*a))
+        matern_cov_integral(0.75, 0.5, 1.0, 2.0)
+        assert len(calls) == len(sweeps) > 0
+
 
 class TestAcvf:
     def test_white_noise(self):
@@ -141,6 +153,16 @@ class TestAcvf:
 
     def test_symmetry_in_lag(self):
         assert tfgn2_acvf(0.7, 0.15, -3) == tfgn2_acvf(0.7, 0.15, 3)
+
+    def test_non_integer_lag(self):
+        # a fractional lag is an error, not the autocovariance at its
+        # truncation; NumPy integers and integral floats are lags
+        for j in (2.5, -2.9, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                tfgn2_acvf(0.7, 0.15, j)
+        r2 = tfgn2_acvf(0.7, 0.15, 2)
+        assert tfgn2_acvf(0.7, 0.15, np.int64(-2)) == r2
+        assert tfgn2_acvf(0.7, 0.15, 2.0) == r2
 
     def test_second_difference_identity(self):
         c2 = lambda x: variance_tfbm2(0.7, 0.15, x) if x != 0 else 0.0

@@ -173,6 +173,9 @@ CONTRACT = {
                [0.0, 0.005625, 0.8, 6.25, 25.0, -50.0],
                [(lambda z: sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z), math.inf),
                 (lambda z: sf.hyp2f3((1.0, 0.5), (0.5, -2.0, 1.0), z), 0.3)]),
+    "bessel_k": (lambda x: sf.bessel_k(0.3, x), [1e-20, 1e-3, 0.4, 2.0, 30.0, 700.0],
+                 [(lambda x: sf.bessel_k(0.3, x), 0.0),
+                  (lambda x: sf.bessel_k(0.3, x), math.nan)]),
     "variance_tfbm2": (lambda t: variance_tfbm2(1.3, 0.15, t),
                        [0.0, 1e-3, 0.5, -1.0, 2.0, 7.0],
                        [(lambda t: variance_tfbm2(-0.7, 0.15, t), 1.0),

@@ -84,20 +84,50 @@ class TestBesselK:
             rhs = sf.bessel_k(nu - 1.0, x) + (2.0 * nu / x) * sf.bessel_k(nu, x)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_crossover_continuity(self):
-        # both branches evaluated at the seam itself must agree
-        x0 = sf.BESSEL_K_CROSSOVER
-        for mu in (-0.5, -0.17, 0.0, 0.33, 0.5):
-            temme = sf._bessel_k_temme(mu, x0)
-            steed = sf._bessel_k_steed(mu, x0)
-            assert temme[0] == pytest.approx(steed[0], rel=1e-12)
-            assert temme[1] == pytest.approx(steed[1], rel=1e-12)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             sf.bessel_k(1.0, 0.0)
         with pytest.raises(ValueError):
             sf.bessel_k(1.0, -3.0)
+
+    def test_non_finite_argument(self):
+        # inf raises for a float and for an array alike (NaN: CONTRACT in
+        # test_kernels.py)
+        for x in (math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sf.bessel_k(0.3, x)
+            with pytest.raises(ValueError):
+                sf.bessel_k(0.3, np.array([1.0, x]))
+
+    def test_against_mpmath_grid(self):
+        # 31 orders by 210 log-spaced arguments from 1e-20 to 700, one
+        # array call per order
+        xs = np.logspace(-20.0, math.log10(700.0), 210)
+        for nu in np.linspace(0.0, 3.0, 31).tolist():
+            got = sf.bessel_k(nu, xs)
+            for x, v in zip(xs.tolist(), got.tolist()):
+                assert v == pytest.approx(oracles.mp_besselk(nu, x), rel=1e-14), (nu, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_float_range(self):
+        # K_3(1e-300) ~ 8e900 overflows and K_0.7(800) ~ 1e-349 underflows,
+        # silently; K_0 stays finite down to the smallest subnormal, where
+        # its 3,745 terms are summed in order (hence 1e-13)
+        assert sf.bessel_k(3.0, 1e-300) == math.inf
+        assert sf.bessel_k(0.7, 800.0) == 0.0
+        x = np.array([1e-300, 800.0, 5e-324])
+        assert sf.bessel_k(3.0, x).tolist() == [math.inf, 0.0, math.inf]
+        assert sf.bessel_k(0.0, 5e-324) == pytest.approx(
+            oracles.mp_besselk(0.0, 5e-324), rel=1e-13)
+
+    def test_one_method(self):
+        # one trapezoidal rule for every argument: no series, continued
+        # fraction or crossover between them
+        for f in Path(sf.__file__).parent.glob("*.py"):
+            src = f.read_text()
+            for token in ("_RGAMMA_C", "_temme_gam12", "_bessel_k_temme",
+                          "_bessel_k_steed", "BESSEL_K_CROSSOVER"):
+                assert token not in src, (f.name, token)
 
 
 # the (a, b) parameter sets of the 2F3 tests below
