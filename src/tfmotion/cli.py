@@ -5,13 +5,15 @@ defaults; every command also takes the run-wide options of ``_RUN_WIDE``.
 A value comes from its flag, else from the JSON ``--config`` file, else
 from the table.  --H and --lambda have no default, and an unset
 process option keeps its ``ProcessParams`` default.  The library checks the
-parameter ranges; the CLI adds only that every number it reads is finite,
-simulate's lambda > 0 and its refusal of first-kind Gaussian paths.  Every
-command computes through the library modules and emits one table as CSV or
-JSON.  Runs are deterministic given the flags and seed; the worker count
-(--threads or TFMOTION_THREADS: sampling threads, and the processes that
-format simulate's CSV in fixed blocks of paths) never changes the output
-bytes.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
+parameter ranges and that H, lambda, sigma, times and lags are finite; the
+CLI's float type ``finite`` also rejects NaN and inf in the numbers the
+library does not check (tolerances, weights, grid specs, value lists), and
+the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
+paths.  Every command computes through the library modules and emits one
+table as CSV or JSON.  Runs are deterministic given the flags and seed;
+the worker count (--threads or TFMOTION_THREADS: sampling threads, and the
+processes that format simulate's CSV in fixed blocks of paths) never
+changes the output bytes.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
 """
 
 from __future__ import annotations

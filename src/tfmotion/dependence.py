@@ -24,24 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _quad,
-                      kernel, kernel_alpha_norm)
+from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
+                      _quad, kernel, kernel_alpha_norm)
 from . import specfun
-
-
-@specfun._elementwise("x")
-def increment_kernel(p: ProcessParams, t: float, x):
-    """Kernel of the unit-lag increment Y(t): k(t+1; x) - k(t; x), at a float
-    or an array of x.
-
-    By stationary increments this is the unit-time kernel at x - t, a single
-    primitive difference F(t+1-x) - F(t-x) that stays accurate when both
-    kernel values sit on the large-time plateau (the raw subtraction would
-    cancel).
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return kernel(p, 1.0, x - t)
 
 
 def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -89,17 +74,12 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     polynomially), to the relative tolerance alone, with the near-cancellation
     between the lag-t and lag-0 kernels evaluated through log1p/expm1.
     """
-    if t < 1 or t != int(t):
+    _check_params(times=(t,))
+    if t < 1 or not float(t).is_integer():
         raise ValueError(f"codifference is defined for integer t >= 1, got {t}")
     if theta1 == 0.0 or theta2 == 0.0:
         return 0.0
     return float(_codifferences(p, [int(t)], theta1, theta2, q)[0])
-
-
-def noise_alpha_norm(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """||Y(0)||_alpha^alpha, the alpha-norm of the unit-time kernel by
-    stationary increments."""
-    return kernel_alpha_norm(p, 1.0, q)
 
 
 def r_fn(p: ProcessParams, t: int, theta1: float, theta2: float,
@@ -114,7 +94,7 @@ def r_fn(p: ProcessParams, t: int, theta1: float, theta2: float,
         raise ValueError("r_fn is defined for the symmetric case beta = 0")
     if theta1 == 0.0 or theta2 == 0.0:
         return 0.0
-    n0 = noise_alpha_norm(p, q)
+    n0 = kernel_alpha_norm(p, 1.0, q)  # ||Y(0)||_alpha^alpha
     k = math.exp(-p.sigma ** p.alpha * (abs(theta1) ** p.alpha
                                         + abs(theta2) ** p.alpha) * n0)
     return k * math.expm1(-codifference(p, t, theta1, theta2, q))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FactorizationError, NumericsError, PoleError
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_error,
-                      _epsilon, _quad)
+                      _check_params, _epsilon, _quad)
 from .rng import fan_out, philox_generator
 from . import specfun
 
@@ -173,10 +173,7 @@ def variance_tfbm2(H: float, lam: float, t):
     tiny lam t for H near 1); a negative result is such a cancellation and
     raises NumericsError naming the first t that gave one.
     """
-    if H <= 0.0:
-        raise ValueError(f"H must be positive, got {H}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_params(H, lam, times=(t,))
     t = np.abs(t)
     if H == 0.5 or not t.any():
         return t
@@ -222,10 +219,9 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
     quadrature sweep in one array call of specfun.bessel_k.  The tolerances
     of q apply to the unscaled integral.
     """
+    _check_params(H, lam, times=(s, t))
     if H <= 0.5:
         raise ValueError(f"the Matern representation requires H > 1/2, got {H}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     if s < 0.0 or t < 0.0:
         raise ValueError("times must be nonnegative")
     if s == 0.0 or t == 0.0:
@@ -258,10 +254,7 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     cosines run at epsabs = 1e-13, each cos(m w) term through _cosine_tail;
     each raises QuadratureError when its error exceeds the tolerances of q.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if H <= 0.0:
-        raise ValueError(f"H must be positive, got {H}")
+    _check_params(H, lam, times=(j,))
     if not float(j).is_integer():
         raise ValueError(f"tfgn2_acvf is defined at integer lags j, got {j}")
     j = abs(int(j))
@@ -346,13 +339,10 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
 
 
 def _density_common(H: float, lam: float, omega: float, tol: float):
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if H <= 0.0:
-        raise ValueError(f"H must be positive, got {H}")
-    if abs(omega) > math.pi + 1e-12:
+    _check_params(H, lam)
+    if not abs(omega) <= math.pi + 1e-12:
         raise ValueError(f"omega must lie in [-pi, pi], got {omega}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     return min(max(omega, -math.pi), math.pi)
 

@@ -15,10 +15,10 @@ indicator of [0, t), uses
 Every kernel value goes through _kernel_step, which evaluates these
 differences without cancellation over an array of a = -y at one t; the
 public kernels take a float or an array of y, so a kernel table row or a
-quadrature sweep is one call.  Also here: the tempered fractional
-integral/derivative of the interval indicator, quadrature of
-integral |kernel|^alpha dy (one batch over many t), and _quad, the one
-quadrature helper through which every integral of the package runs.
+quadrature sweep is one call.  Also here: _check_params, the one check of
+H, lambda, sigma, times and lags; quadrature of integral |kernel|^alpha dy
+(one batch over many t); and _quad, the one quadrature helper through which
+every integral of the package runs.
 _quad integrates a batch of integrals with QUADPACK's adaptive G7/K15 rule
 written in NumPy, one array integrand call per sweep over every active
 panel of every integral, with QUADPACK's epsilon extrapolation (_epsilon)
@@ -42,6 +42,30 @@ from .errors import QuadratureError
 from . import specfun
 
 
+def _check_params(H: float | None = None, lam: float | None = None, *,
+                  lam_zero: bool = False, sigma: float | None = None,
+                  times=()) -> None:
+    """The package's one check of its process parameters, run before any
+    arithmetic on them: raise ValueError unless H, lambda and sigma are
+    finite, H > 0, lambda > 0 (>= 0 with lam_zero), sigma > 0, and every
+    time or lag in times (floats or arrays) is finite.  None skips one."""
+    for name, v in (("H", H), ("lambda", lam), ("sigma", sigma)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if H is not None and H <= 0.0:
+        raise ValueError(f"H must be positive, got {H}")
+    if lam is not None and (lam < 0.0 if lam_zero else lam <= 0.0):
+        raise ValueError(f"lambda must be {'>= 0' if lam_zero else 'positive'}, "
+                         f"got {lam}")
+    if sigma is not None and sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    for v in times:
+        v = np.asarray(v, dtype=float)
+        if not np.isfinite(v).all():
+            raise ValueError(f"times and lags must be finite, got "
+                             f"{v[~np.isfinite(v)].flat[0]}")
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Parameter bundle (H, alpha, lambda, sigma, beta, kind) of one process law."""
@@ -56,12 +80,7 @@ class ProcessParams:
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.H <= 0.0:
-            raise ValueError(f"H must be positive, got {self.H}")
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_params(self.H, self.lam, lam_zero=True, sigma=self.sigma)
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if self.kind not in ("I", "II"):
@@ -342,6 +361,8 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
 
     For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.
     """
+    if not 0.0 <= w < math.inf:
+        raise ValueError(f"kernel time must be finite and >= 0, got t = {w}")
     out = np.zeros(a.shape)
     if w == 0.0:
         return out
@@ -376,8 +397,6 @@ def kernel_g(p: ProcessParams, t: float, y):
     For kappa < 0 the values at exactly y = t and y = 0 are the one-sided
     infinite limits +inf and -inf.
     """
-    if t < 0.0:
-        raise ValueError(f"kernel time must be >= 0, got t = {t}")
     return _kernel_step("I", p.kappa, p.lam, -y, t)
 
 
@@ -395,68 +414,7 @@ def kernel_h(p: ProcessParams, t: float, y):
     the left tail.  For kappa < 0 the values at exactly y = t and y = 0 are
     +inf and -inf.
     """
-    if t < 0.0:
-        raise ValueError(f"kernel time must be >= 0, got t = {t}")
     return _kernel_step("II", p.kappa, p.lam, -y, t)
-
-
-@specfun._elementwise("y")
-def g_time_integral(p: ProcessParams, t: float, y):
-    """integral_0^t g(s; y) ds in closed form (used by the kind I/II
-    identity), at a float or an array of y."""
-    if t < 0.0:
-        raise ValueError(f"kernel time must be >= 0, got t = {t}")
-    k, lam = p.kappa, p.lam
-    out = np.zeros(y.shape)
-    left = y < 0.0
-    out[left] = -t * (-y[left]) ** k * np.exp(lam * y[left])
-    inside = y < t
-    hi, lo = t - y[inside], np.maximum(-y[inside], 0.0)
-    if lam == 0.0:
-        out[inside] += (hi ** (k + 1.0) - lo ** (k + 1.0)) / (k + 1.0)
-    else:
-        out[inside] += (specfun.lower_gamma(k + 1.0, lam * hi)
-                        - specfun.lower_gamma(k + 1.0, lam * lo)) * lam ** (-k - 1.0)
-    return out
-
-
-def tempered_frac_indicator(kappa: float, lam: float, mode: str,
-                            t: float, y: float) -> float:
-    """Tempered fractional integral or derivative of 1_[0, t] evaluated at y.
-
-    mode="integral" applies the operator of order kappa > 0; mode="derivative"
-    the operator of order 0 < kappa < 1.  Both act in the left-moving
-    direction, matching the moving-average kernels: with kappa = |H - 1/alpha|
-    the result equals h(t; y) / Gamma(1 + H - 1/alpha).
-    """
-    if lam <= 0.0:
-        raise ValueError(f"tempering rate must be positive, got {lam}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if mode == "integral":
-        if kappa <= 0.0:
-            raise ValueError(f"integral mode requires kappa > 0, got {kappa}")
-        if t == 0.0 or y >= t:
-            return 0.0
-        hi = specfun.lower_gamma(kappa, lam * (t - y))
-        lo = specfun.lower_gamma(kappa, lam * (-y)) if y < 0.0 else 0.0
-        return lam ** (-kappa) * (hi - lo) / specfun.gamma_fn(kappa)
-    if mode == "derivative":
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"derivative mode requires 0 < kappa < 1, got {kappa}")
-        if t == 0.0:
-            return 0.0
-        if y > t:
-            return 0.0
-        if y == t:
-            return math.inf
-        c = kappa / specfun.gamma_fn(1.0 - kappa) * lam ** kappa
-        if y >= 0.0:
-            return lam ** kappa + c * specfun.upper_gamma(-kappa, lam * (t - y))
-        ga = specfun.upper_gamma(-kappa, lam * (-y))
-        gb = specfun.upper_gamma(-kappa, lam * (t - y))
-        return -c * (ga - gb)
-    raise ValueError(f"mode must be 'integral' or 'derivative', got {mode!r}")
 
 
 def kernel(p: ProcessParams, t: float, y):
@@ -509,6 +467,7 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     short-circuits to the exact value t.  Kernels with kappa < 0 are
     singular at y = 0 and y = t; _quad extrapolates those integrals.
     """
+    _check_params(times=(t,))
     if np.any(t < 0.0):
         raise ValueError(f"t must be >= 0, got {t.min()}")
     if p.kappa == 0.0 and p.kind == "II":

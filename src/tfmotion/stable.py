@@ -1,5 +1,5 @@
-"""Alpha-stable variates, stochastic-integral characteristic functions, and
-Monte Carlo simulation of TFSM / TFSM II by discretized moving averages.
+"""Alpha-stable variates and Monte Carlo simulation of TFSM / TFSM II by
+discretized moving averages.
 
 The stable marginals follow the parameterization with characteristic function
 
@@ -15,7 +15,6 @@ same seed are driven by identical noise.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,22 +24,6 @@ from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
 from .kernels import DEFAULT_QUAD, ProcessParams, kernel
 from .rng import fan_out, philox_generator
-from . import specfun
-
-
-@dataclass(frozen=True)
-class StableScaleSkew:
-    """Scale and skew functionals sigma^alpha int |f|^alpha and the normalized
-    int |f|^alpha sign(f) of a stochastic-integral integrand."""
-
-    scale_alpha: float
-    skew_weight: float
-
-    def __post_init__(self):
-        if self.scale_alpha < 0.0:
-            raise ValueError("scale_alpha must be nonnegative")
-        if self.scale_alpha > 0.0 and abs(self.skew_weight) > 1.0 + 1e-12:
-            raise ValueError("normalized skew weight cannot exceed 1 in magnitude")
 
 
 @dataclass(frozen=True)
@@ -108,59 +91,6 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
              * (np.cos(theta - alpha * (theta + b0)) / w) ** ((1.0 - alpha) / alpha))
     out = sigma * x
     return float(out) if out.ndim == 0 else out
-
-
-def node_scale_skew(f_nodes: np.ndarray, plan: DiscretizationPlan,
-                    p: ProcessParams) -> StableScaleSkew:
-    """Riemann-sum scale/skew functionals of a kernel sampled on plan nodes."""
-    f = np.asarray(f_nodes, dtype=float)
-    if f.shape != (plan.n_nodes,):
-        raise PlanError("f_nodes must match the plan node count")
-    if not np.all(np.isfinite(f)):
-        raise PlanError("kernel nodes contain non-finite values; refine the plan "
-                        "so midpoints avoid the kernel singularities")
-    absa = np.abs(f) ** p.alpha
-    scale = p.sigma ** p.alpha * plan.dy * float(np.sum(absa))
-    signed = plan.dy * float(np.sum(absa * np.sign(f)))
-    total = plan.dy * float(np.sum(absa))
-    skew = signed / total if total > 0.0 else 0.0
-    return StableScaleSkew(scale_alpha=scale, skew_weight=skew)
-
-
-def integral_char_fn(f_nodes: np.ndarray, plan: DiscretizationPlan,
-                     p: ProcessParams, theta: float) -> complex:
-    """Characteristic function E exp(i theta I(f)) of the stochastic integral,
-    with the scale and skew integrals taken over the plan's node grid.
-
-    This is exactly the characteristic function of the Riemann-sum moving
-    average driven by the plan, so it doubles as the Monte Carlo target; on a
-    fine plan it converges to the continuous-integral value
-    exp(-sigma^alpha |theta|^alpha * ||f||_alpha^alpha * (1 - i beta ...)).
-    """
-    if theta == 0.0:
-        return 1.0 + 0.0j
-    ss = node_scale_skew(f_nodes, plan, p)
-    skew_term = 0.0
-    if p.beta != 0.0 and p.alpha < 2.0:
-        skew_term = (p.beta * math.tan(0.5 * math.pi * p.alpha)
-                     * math.copysign(1.0, theta) * ss.skew_weight)
-    expo = -abs(theta) ** p.alpha * ss.scale_alpha * (1.0 - 1j * skew_term)
-    return cmath.exp(expo)
-
-
-def c0_scale(p: ProcessParams) -> float:
-    """alpha-norm^alpha of the drift integrand (-y)_+^kappa e^{-lam (-y)_+}:
-
-        int_0^inf y^(alpha H - 1) e^(-alpha lam y) dy
-            = Gamma(alpha H) / (alpha lam)^(alpha H),
-
-    the scale functional of the large-time limit variable of the first kind.
-    """
-    if p.lam <= 0.0:
-        raise ValueError("c0_scale requires lambda > 0")
-    if p.alpha * p.H <= 0.0:
-        raise ValueError("integral diverges: alpha * H must be positive")
-    return specfun.gamma_fn(p.alpha * p.H) / (p.alpha * p.lam) ** (p.alpha * p.H)
 
 
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,

@@ -1,11 +1,11 @@
 """Independent reference implementations used to check the library.
 
 Everything here deliberately avoids the code paths under test: special
-functions come from mpmath or direct quadrature of integral representations,
-variances from oscillatory quadrature of the defining spectral integral, and
-lattice sums from plain truncated summation with an integral-comparison tail
-bound, covariance matrices, the 2F3 series and CLI table text from
-plain loops.
+functions come from mpmath, scipy.special or direct quadrature of integral
+representations, variances from oscillatory quadrature of the defining
+spectral integral, lattice sums from plain truncated summation with an
+integral-comparison tail bound, and covariance matrices, the 2F3 series and
+CLI table text from plain loops.
 """
 
 import functools
@@ -14,7 +14,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 mp.mp.dps = 40
 
@@ -187,6 +187,51 @@ def frac_derivative_quadrature(kappa: float, lam: float, t: float, y: float) -> 
         total += v
         lo = hi
     return lam ** kappa * fy + c * total
+
+
+def g_time_integral(H: float, alpha: float, lam: float, t: float, y):
+    """int_0^t g(s; y) ds (lam > 0) at a float or an array of y: -t (-y)_+^kappa
+    e^{-lam (-y)_+} plus lam^-(kappa+1) times the lower incomplete gamma of
+    order kappa + 1 over [lam (-y)_+, lam (t - y)_+], by scipy.special."""
+    a = H - 1.0 / alpha + 1.0
+    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.zeros(ya.shape)
+    left = ya < 0.0
+    out[left] = -t * (-ya[left]) ** (a - 1.0) * np.exp(lam * ya[left])
+    inside = ya < t
+    hi, lo = lam * (t - ya[inside]), lam * np.maximum(-ya[inside], 0.0)
+    out[inside] += ((special.gammainc(a, hi) - special.gammainc(a, lo))
+                    * special.gamma(a) * lam ** -a)
+    return out if np.ndim(y) else float(out[0])
+
+
+def mp_frac_indicator(kappa: float, lam: float, mode: str, t: float, y: float) -> float:
+    """Tempered fractional integral (mode "integral", order kappa > 0) or
+    derivative (order 0 < kappa < 1) of 1_[0, t] at y, left-moving like the
+    kernels, from mpmath's incomplete gammas (lam > 0)."""
+    k, lam = mp.mpf(kappa), mp.mpf(lam)
+    if t == 0.0 or y > t:
+        return 0.0
+    lo, hi = lam * max(-y, 0.0), lam * (mp.mpf(t) - y)
+    if mode == "integral":
+        return float(lam ** -k * mp.gammainc(k, lo, hi) / mp.gamma(k))
+    if y == t:
+        return math.inf
+    c = k / mp.gamma(1 - k) * lam ** k
+    if y >= 0.0:
+        return float(lam ** k + c * mp.gammainc(-k, hi, mp.inf))
+    return float(-c * mp.gammainc(-k, lo, hi))
+
+
+def plan_char_fn(f_nodes, dy: float, p, theta: float) -> complex:
+    """E exp(i theta sum_k f_k dM_k) for independent stable cell increments
+    dM_k of scale sigma dy^(1/alpha) and skewness beta (p a ProcessParams):
+    the product of the cells' stable characteristic functions, which is the
+    exact law of the Riemann-sum moving average on a plan's nodes."""
+    f = np.asarray(f_nodes, dtype=float)
+    skew = p.beta * math.tan(0.5 * math.pi * p.alpha) * math.copysign(1.0, theta)
+    terms = p.sigma ** p.alpha * dy * np.abs(f) ** p.alpha * (1.0 - 1j * skew * np.sign(f))
+    return complex(np.exp(-abs(theta) ** p.alpha * terms.sum()))
 
 
 def lattice_density_brute(H: float, lam: float, omega: float, second_kind: bool,

@@ -15,11 +15,9 @@ from tfmotion.gaussian import (SampleGrid, matern_cov_integral,
                                simulate_gaussian_paths, tfgn2_acvf,
                                tfgn2_spectral_density, variance_fbm_limit,
                                variance_tfbm2)
-from tfmotion.kernels import (ProcessParams, QuadratureConfig, g_time_integral,
-                              kernel_alpha_norm, kernel_g, kernel_h,
-                              tempered_frac_indicator)
-from tfmotion.stable import (DiscretizationPlan, integral_char_fn,
-                             simulate_tfsm_paths)
+from tfmotion.kernels import (ProcessParams, QuadratureConfig,
+                              kernel_alpha_norm, kernel_g, kernel_h)
+from tfmotion.stable import DiscretizationPlan, simulate_tfsm_paths
 from tfmotion.cli import main as cli_main
 
 import oracles
@@ -49,7 +47,7 @@ def test_criterion_01_kernel_identity():
             yt = ys[(np.abs(ys) >= 1e-9) & (np.abs(ys - t) >= 1e-9)]
             drift = [t * oracles.plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
                      for y in yt.tolist()]
-            corr = g_time_integral(p, t, yt) + drift
+            corr = oracles.g_time_integral(p.H, p.alpha, p.lam, t, yt) + drift
             resid = kernel_h(p, t, yt) - (kernel_g(p, t, yt) + p.lam * corr)
             worst = max(worst, float(np.max(np.abs(resid))))
     _report(1, "kind I/II kernel identity", worst < 1e-9,
@@ -61,19 +59,19 @@ def test_criterion_02_fractional_calculus_identity():
     ys = np.linspace(-6.1, 3.9, 50)
     for p in (ProcessParams(H=0.7, alpha=2.0, lam=0.15),
               ProcessParams(H=0.75, alpha=1.5, lam=0.4)):
-        norm = sf.gamma_fn(1.0 + p.kappa)
+        norm = math.gamma(1.0 + p.kappa)
         for t in (0.5, 1.0, 3.0):
             for y, h in zip(ys.tolist(), kernel_h(p, t, ys)):
-                lhs = tempered_frac_indicator(p.kappa, p.lam, "integral", t, y)
+                lhs = oracles.mp_frac_indicator(p.kappa, p.lam, "integral", t, y)
                 worst = max(worst, abs(lhs - h / norm))
     for p in (ProcessParams(H=0.3, alpha=2.0, lam=0.4),
               ProcessParams(H=0.55, alpha=1.5, lam=0.8)):
         kd = 1.0 / p.alpha - p.H
-        norm = sf.gamma_fn(1.0 + p.kappa)
+        norm = math.gamma(1.0 + p.kappa)
         for t in (0.5, 1.0, 3.0):
             yt = ys[(np.abs(ys) >= 1e-9) & (np.abs(ys - t) >= 1e-9)]
             for y, h in zip(yt.tolist(), kernel_h(p, t, yt)):
-                lhs = tempered_frac_indicator(kd, p.lam, "derivative", t, y)
+                lhs = oracles.mp_frac_indicator(kd, p.lam, "derivative", t, y)
                 worst = max(worst, abs(lhs - h / norm))
     _report(2, "tempered fractional calculus identity", worst < 1e-9,
             f"max |residual| = {worst:.3e} over both operator regimes")
@@ -246,7 +244,7 @@ def test_criterion_13_stable_monte_carlo():
     for th in (0.5, 1.0):
         emp = complex(np.mean(np.exp(1j * th * ens.paths[:, 0])))
         target = math.exp(-abs(th) ** 1.5 * exact_norm)
-        disc = integral_char_fn(f, plan, p, th)
+        disc = oracles.plan_char_fn(f, plan.dy, p, th)
         allowance = abs(disc - target)
         err = abs(emp - target)
         bound = 5.0 / math.sqrt(n) + allowance
@@ -258,7 +256,7 @@ def test_criterion_13_stable_monte_carlo():
     for dy in (1.0 / 64, 1.0 / 128):
         pl = DiscretizationPlan.for_grid(grid, p, dy=dy)
         fn = kernel_h(p, 1.0, pl.nodes())
-        allowances.append(abs(integral_char_fn(fn, pl, p, 1.0)
+        allowances.append(abs(oracles.plan_char_fn(fn, pl.dy, p, 1.0)
                               - math.exp(-exact_norm)))
     ok &= allowances[1] < allowances[0]
     _report(13, "stable Monte Carlo marginals", ok,

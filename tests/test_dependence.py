@@ -6,11 +6,11 @@ import pytest
 from tfmotion import specfun as sf
 from tfmotion.dependence import (codifference, decay_diagnostic,
                                  fsm_norm_limit, global_limit_check,
-                                 global_limit_constant, increment_kernel,
-                                 local_limit_check, noise_alpha_norm, r_fn)
+                                 global_limit_constant, local_limit_check,
+                                 r_fn)
 from tfmotion.gaussian import tfgn2_acvf, variance_fbm_limit
-from tfmotion.kernels import (ProcessParams, QuadratureConfig, kernel_g,
-                              kernel_h)
+from tfmotion.kernels import (ProcessParams, QuadratureConfig, kernel,
+                              kernel_alpha_norm, kernel_g, kernel_h)
 
 import oracles
 
@@ -20,25 +20,27 @@ P_G = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="II")
 
 
 class TestIncrementKernel:
+    """Y(t) has kernel(p, 1.0, x - t) by stationary increments."""
+
     def test_matches_raw_difference(self):
         for p in (P_II, P_G):
             for t in (0.0, 1.0, 3.0):
                 for x in (-2.0, -0.3, 0.5, 0.99):
                     ref = kernel_h(p, t + 1.0, x) - kernel_h(p, t, x)
-                    assert increment_kernel(p, t, x) == pytest.approx(
+                    assert kernel(p, 1.0, x - t) == pytest.approx(
                         ref, rel=1e-10, abs=1e-13)
 
     def test_matches_raw_difference_first_kind(self):
         for t in (0.0, 2.0):
             for x in (-2.0, 0.5):
                 ref = kernel_g(P_I, t + 1.0, x) - kernel_g(P_I, t, x)
-                assert increment_kernel(P_I, t, x) == pytest.approx(ref, rel=1e-12)
+                assert kernel(P_I, 1.0, x - t) == pytest.approx(ref, rel=1e-12)
 
     def test_singular_marker_is_left_limit(self):
         # kappa < 0: Y(t) = h(t+1; .) - h(t; .) and h(t; x) -> +inf as x -> t-
         p = ProcessParams(H=0.4, alpha=1.5, lam=0.3)
-        assert increment_kernel(p, 3.0, 3.0) == -math.inf
-        assert increment_kernel(p, 3.0, 3.0 - 1e-9) < -100.0
+        assert kernel(p, 1.0, 3.0 - 3.0) == -math.inf
+        assert kernel(p, 1.0, 3.0 - 1e-9 - 3.0) < -100.0
 
     def test_matches_primitive_oracle(self):
         for H, alpha in [(0.8, 1.5), (1.3, 2.0), (0.4, 1.5), (0.55, 2.0), (0.9, 1.2)]:
@@ -47,7 +49,7 @@ class TestIncrementKernel:
                 for t in (0.0, 3.0, 60.0):
                     xs = [t - float(u) for u in np.geomspace(1e-3, 60.0 / lam, 20)]
                     xs += [t + f for f in (1e-6, 0.3, 0.7, 1.0 - 1e-6)]
-                    for x, v in zip(xs, increment_kernel(p, t, np.array(xs))):
+                    for x, v in zip(xs, kernel(p, 1.0, np.array(xs) - t)):
                         ref = oracles.mp_increment_kernel(H, alpha, lam, t, x)
                         assert v == pytest.approx(
                             ref, rel=2e-11, abs=0.0), (H, alpha, lam, t, x)
@@ -55,7 +57,7 @@ class TestIncrementKernel:
     def test_stable_at_large_lag(self):
         # the raw difference of plateau values would cancel; the dedicated
         # form must stay meaningful down to e^{-lam t} scale
-        v = increment_kernel(P_II, 60.0, 0.5)
+        v = kernel(P_II, 1.0, 0.5 - 60.0)
         assert 0.0 < v < 1e-6
 
 
@@ -96,7 +98,7 @@ class TestRFn:
     def test_small_codifference_expansion(self):
         t = 20
         i_t = codifference(P_II, t, 1.0, 1.0)
-        n0 = noise_alpha_norm(P_II)
+        n0 = kernel_alpha_norm(P_II, 1.0)
         k = math.exp(-2.0 * n0)
         r = r_fn(P_II, t, 1.0, 1.0)
         assert abs(r + k * i_t) <= 0.5 * i_t * abs(k * i_t)

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import re
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import tfmotion
 from tfmotion import kernels, specfun as sf
+from tfmotion.dependence import codifference
 from tfmotion.errors import QuadratureError
-from tfmotion.dependence import increment_kernel
-from tfmotion.gaussian import variance_tfbm2
+from tfmotion.gaussian import (matern_cov_integral, tfgn1_spectral_density,
+                               tfgn2_acvf, tfgn2_spectral_density, variance_tfbm2)
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
-                              _kernel_step, _quad, g_time_integral,
-                              kernel_alpha_norm, kernel_g, kernel_h,
-                              tempered_frac_indicator)
+                              _kernel_step, _quad, kernel_alpha_norm,
+                              kernel_g, kernel_h)
 
 import oracles
 
@@ -46,6 +48,34 @@ class TestProcessParams:
     def test_kappa(self):
         assert ProcessParams(H=0.75, alpha=1.5, lam=1.0).kappa == pytest.approx(
             0.75 - 2.0 / 3.0)
+
+
+# calls with a non-finite parameter, time or lag: each raises ValueError
+# before any arithmetic, never a value, a warning or another error
+NON_FINITE = {
+    "variance_lam_inf": lambda: variance_tfbm2(0.7, math.inf, np.array([0.0, 1.0])),
+    "codifference_lag_inf": lambda: codifference(P_STABLE, math.inf, 1.0, 1.0),
+    "params_H_nan": lambda: ProcessParams(H=math.nan),
+    "params_H_inf": lambda: ProcessParams(H=math.inf),
+    "params_lam_nan": lambda: ProcessParams(H=0.7, lam=math.nan),
+    "params_lam_inf": lambda: ProcessParams(H=0.7, lam=math.inf),
+    "params_sigma_nan": lambda: ProcessParams(H=0.7, sigma=math.nan),
+    "matern_t_inf": lambda: matern_cov_integral(0.7, 1.0, 1.0, math.inf),
+    "matern_lam_inf": lambda: matern_cov_integral(0.7, math.inf, 1.0, 1.0),
+    "acvf_lam_inf": lambda: tfgn2_acvf(0.7, math.inf, 1),
+    "density2_H_nan": lambda: tfgn2_spectral_density(math.nan, 1.0, 1.0),
+    "density1_omega_nan": lambda: tfgn1_spectral_density(0.7, 0.15, math.nan),
+    "alpha_norm_t_nan": lambda: kernel_alpha_norm(P_STABLE, math.nan),
+    "kernel_h_t_nan": lambda: kernel_h(P_STABLE, math.nan, -1.0),
+    "kernel_g_t_inf": lambda: kernel_g(P_STABLE, math.inf, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE))
+@pytest.mark.filterwarnings("error")
+def test_non_finite_input_is_value_error(name):
+    with pytest.raises(ValueError):
+        NON_FINITE[name]()
 
 
 class TestKernelH:
@@ -164,11 +194,6 @@ CONTRACT = {
                  [(lambda y: kernel_g(_P_I, -1.0, y), 0.5)]),
     "kernel_h": (lambda y: kernel_h(P_STABLE_LO, 1.5, y), _YS,
                  [(lambda y: kernel_h(P_STABLE_LO, -1.0, y), 0.5)]),
-    "g_time_integral": (lambda y: g_time_integral(P_STABLE, 1.5, y), _YS,
-                        [(lambda y: g_time_integral(P_STABLE, -1.0, y), 0.5)]),
-    "increment_kernel": (lambda x: increment_kernel(P_STABLE, 2.0, x),
-                         [-40.0, -1.0, 0.5, 2.5, 2.999, 3.5],
-                         [(lambda x: increment_kernel(P_STABLE, -1.0, x), 0.5)]),
     "hyp2f3": (lambda z: sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z),
                [0.0, 0.005625, 0.8, 6.25, 25.0, -50.0],
                [(lambda z: sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z), math.inf),
@@ -229,8 +254,6 @@ def test_keyword_calls_match_positional():
     ys = np.array(_YS)
     assert (kernel_h(P_STABLE_LO, t=1.5, y=ys).tolist()
             == kernel_h(P_STABLE_LO, 1.5, ys).tolist())
-    assert (increment_kernel(p=P_STABLE, t=2.0, x=ys).tolist()
-            == increment_kernel(P_STABLE, 2.0, ys).tolist())
     t = np.array([0.5, 1.0])
     assert (kernel_alpha_norm(P_STABLE, t=t, q=DEFAULT_QUAD).tolist()
             == kernel_alpha_norm(P_STABLE, t).tolist())
@@ -270,7 +293,7 @@ class TestKernelIdentity:
         for t in GRID_T:
             for y in GRID_Y:
                 drift = t * oracles.plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
-                corr = g_time_integral(p, t, y) + drift
+                corr = oracles.g_time_integral(p.H, p.alpha, p.lam, t, y) + drift
                 resid = kernel_h(p, t, y) - (kernel_g(p, t, y) + p.lam * corr)
                 assert abs(resid) < 1e-12, (p, t, y, resid)
 
@@ -304,16 +327,15 @@ class TestInvariances:
 
 
 class TestFracIndicator:
-    def test_zero_time(self):
-        assert tempered_frac_indicator(0.4, 1.0, "integral", 0.0, -1.0) == 0.0
-        assert tempered_frac_indicator(0.4, 1.0, "derivative", 0.0, -1.0) == 0.0
+    """h / Gamma(1 + kappa) is the tempered fractional integral (kappa > 0)
+    or derivative (kappa < 0) of the indicator of [0, t]."""
 
     def test_integral_identity(self):
         for p in (P_HI, P_STABLE):
             k = p.kappa
             for t in (0.5, 1.0, 3.0):
                 for y in np.linspace(-5.1, 2.6, 21):
-                    lhs = tempered_frac_indicator(k, p.lam, "integral", t, float(y))
+                    lhs = oracles.mp_frac_indicator(k, p.lam, "integral", t, float(y))
                     rhs = kernel_h(p, t, float(y)) / sf.gamma_fn(1.0 + k)
                     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -325,28 +347,20 @@ class TestFracIndicator:
                     y = float(y)
                     if abs(y) < 1e-9 or abs(y - t) < 1e-9:
                         continue
-                    lhs = tempered_frac_indicator(kd, p.lam, "derivative", t, y)
+                    lhs = oracles.mp_frac_indicator(kd, p.lam, "derivative", t, y)
                     rhs = kernel_h(p, t, y) / sf.gamma_fn(1.0 + p.kappa)
                     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_derivative_against_definition_quadrature(self):
-        got = tempered_frac_indicator(0.3, 1.0, "derivative", 1.0, -1.0)
+        # order 0.3 = 1/alpha - H at H = 0.2, alpha = 2
+        p = ProcessParams(H=0.2, alpha=2.0, lam=1.0)
+        got = kernel_h(p, 1.0, -1.0) / sf.gamma_fn(0.7)
         assert got == pytest.approx(-0.03616315516031573, rel=1e-10)
         live = oracles.frac_derivative_quadrature(0.3, 1.0, 1.0, -1.0)
         assert got == pytest.approx(live, rel=1e-9)
-        inside = tempered_frac_indicator(0.3, 1.0, "derivative", 1.0, 0.4)
+        inside = kernel_h(p, 1.0, 0.4) / sf.gamma_fn(0.7)
         assert inside == pytest.approx(
             oracles.frac_derivative_quadrature(0.3, 1.0, 1.0, 0.4), rel=1e-9)
-
-    def test_mode_domains(self):
-        with pytest.raises(ValueError):
-            tempered_frac_indicator(-0.2, 1.0, "integral", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            tempered_frac_indicator(1.2, 1.0, "derivative", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            tempered_frac_indicator(0.5, 0.0, "integral", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            tempered_frac_indicator(0.5, 1.0, "both", 1.0, 0.0)
 
 
 class TestAlphaNorm:
@@ -485,3 +499,27 @@ class TestQuadHelper:
             src = Path(mod.__file__).read_text()
             assert not re.search(r"def _\w*_array\(", src), mod.__name__
             assert "kernel_row" not in src, mod.__name__
+
+
+def test_every_public_name_has_a_caller():
+    # no dead public code: each public function and class of the package is
+    # named by package code outside its own definition (in any module), is
+    # exported in tfmotion.__all__, or is a pyproject.toml console script
+    project = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = set(re.findall(r'"(tfmotion\.\w+):(\w+)"', project))
+    stmts = []  # (module, top-level statement, the names it mentions)
+    for f in Path(kernels.__file__).parent.glob("*.py"):
+        if f.stem != "__init__":
+            for node in ast.parse(f.read_text()).body:
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                stmts.append((f.stem, node, names))
+    unused = [f"{mod}.{node.name}" for mod, node, _ in stmts
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in tfmotion.__all__
+              and (f"tfmotion.{mod}", node.name) not in scripts
+              and not any(node.name in names for _, other, names in stmts
+                          if other is not node)]
+    assert not unused

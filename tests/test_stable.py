@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tfmotion.dependence import global_limit_constant
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
 from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h
 from tfmotion.rng import philox_generator
-from tfmotion.stable import (DiscretizationPlan, StableScaleSkew, c0_scale,
-                             integral_char_fn, kernel_node_table,
+from tfmotion.stable import (DiscretizationPlan, kernel_node_table,
                              path_increments, sample_stable,
                              simulate_tfsm_paths)
 
@@ -73,20 +73,8 @@ class TestSampleStable:
             assert abs(emp - tgt) <= 4.0 / math.sqrt(n), th
 
 
-class TestScaleSkew:
-    def test_validation(self):
-        StableScaleSkew(scale_alpha=1.0, skew_weight=0.3)
-        with pytest.raises(ValueError):
-            StableScaleSkew(scale_alpha=-1.0, skew_weight=0.0)
-        with pytest.raises(ValueError):
-            StableScaleSkew(scale_alpha=1.0, skew_weight=1.5)
-
-
 class TestIntegralCharFn:
-    def test_theta_zero(self):
-        plan = DiscretizationPlan(y_min=-10.0, dy=0.1, n_nodes=110)
-        f = np.ones(110)
-        assert integral_char_fn(f, plan, P15, 0.0) == 1.0 + 0.0j
+    """oracles.plan_char_fn of a kernel on plan nodes against its limit."""
 
     def test_indicator_kernel_levy_marginal(self):
         p = ProcessParams(H=2.0 / 3.0, alpha=1.5, lam=0.4, kind="II")
@@ -94,40 +82,36 @@ class TestIntegralCharFn:
         plan = DiscretizationPlan.for_grid(grid, p, dy=1.0 / 512)
         f = kernel_h(p, 1.0, plan.nodes())
         for th in (0.5, 1.0, 2.0):
-            v = integral_char_fn(f, plan, p, th)
+            v = oracles.plan_char_fn(f, plan.dy, p, th)
             assert abs(v) == pytest.approx(math.exp(-abs(th) ** 1.5 * 1.0),
                                            rel=1e-2), th
-
-    def test_modulus_below_one(self):
-        plan = DiscretizationPlan(y_min=-5.0, dy=0.05, n_nodes=120)
-        f = np.sin(plan.nodes())
-        for th in (0.1, 1.0, 3.0):
-            assert abs(integral_char_fn(f, plan, P15, th)) < 1.0
 
     def test_against_kernel_norm(self):
         grid = SampleGrid(np.array([1.0]))
         plan = DiscretizationPlan.for_grid(grid, P15, dy=1.0 / 256)
         f = kernel_h(P15, 1.0, plan.nodes())
-        v = integral_char_fn(f, plan, P15, 1.0)
+        v = oracles.plan_char_fn(f, plan.dy, P15, 1.0)
         tgt = math.exp(-kernel_alpha_norm(P15, 1.0))
         assert abs(v - tgt) < 5e-4
         assert abs(v.imag) == 0.0  # beta = 0 gives a real value
 
 
 class TestC0Scale:
+    """First kind: global_limit_constant / 2 is the drift integrand's norm."""
+
     def test_closed_form_levy_point(self):
         p = ProcessParams(H=0.5, alpha=2.0, lam=1.0, kind="I")
-        assert c0_scale(p) == pytest.approx(0.5, rel=1e-14)
+        assert global_limit_constant(p) / 2.0 == pytest.approx(0.5, rel=1e-14)
 
     def test_quadrature(self):
         p = ProcessParams(H=0.75, alpha=1.5, lam=0.4, kind="I")
         f = lambda y: y ** (p.alpha * p.H - 1.0) * math.exp(-p.alpha * p.lam * y)
         ref = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)[0]
-        assert c0_scale(p) == pytest.approx(ref, rel=1e-10)
+        assert global_limit_constant(p) / 2.0 == pytest.approx(ref, rel=1e-10)
 
     def test_requires_tempering(self):
         with pytest.raises(ValueError):
-            c0_scale(ProcessParams(H=0.5, alpha=1.5, lam=0.0, kind="I"))
+            global_limit_constant(ProcessParams(H=0.5, alpha=1.5, lam=0.0, kind="I"))
 
 
 class TestSimulate:
@@ -171,7 +155,7 @@ class TestSimulate:
         f = kernel_h(P15, 1.0, plan.nodes())
         for th in (0.5, 1.0):
             emp = complex(np.mean(np.exp(1j * th * ens.paths[:, 0])))
-            tgt = integral_char_fn(f, plan, P15, th)
+            tgt = oracles.plan_char_fn(f, plan.dy, P15, th)
             assert abs(emp - tgt) <= 5.0 / math.sqrt(n), th
 
     def test_refinement_shrinks_allowance(self):
@@ -181,7 +165,7 @@ class TestSimulate:
         for dy in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             plan = DiscretizationPlan.for_grid(grid, P15, dy=dy)
             f = kernel_h(P15, 1.0, plan.nodes())
-            disc = integral_char_fn(f, plan, P15, 1.0)
+            disc = oracles.plan_char_fn(f, plan.dy, P15, 1.0)
             allowances.append(abs(disc - exact))
         assert allowances[0] > allowances[1] > allowances[2]
 
@@ -210,8 +194,9 @@ class TestSimulate:
     def test_large_time_first_kind_limit_char_fn(self):
         # at large b the first-kind marginal approaches the difference of two
         # independent copies of the drift variable; for beta = 0 that limit
-        # has char fn exp(-2 |theta|^alpha c0_scale).  The finite-b allowance
-        # is the explicit norm gap, the MC part gets its 5/sqrt(N).
+        # has char fn exp(-|theta|^alpha global_limit_constant).  The
+        # finite-b allowance is the explicit norm gap, the MC part gets its
+        # 5/sqrt(N).
         pI = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
         b = 30.0
         grid = SampleGrid(np.array([b]))
@@ -219,7 +204,7 @@ class TestSimulate:
         n = 4000
         ens = simulate_tfsm_paths(pI, grid, plan, n, seed=17)
         norm_b = kernel_alpha_norm(pI, b)
-        limit = 2.0 * c0_scale(pI)
+        limit = global_limit_constant(pI)
         for th in (0.1, 0.2):
             emp = complex(np.mean(np.exp(1j * th * ens.paths[:, 0])))
             tgt = math.exp(-abs(th) ** 1.5 * limit)
