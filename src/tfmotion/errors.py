@@ -10,7 +10,8 @@ class PoleError(ValueError):
 
 
 class SeriesConvergenceError(NumericsError):
-    """A series did not reach the requested tolerance within its term cap."""
+    """A series did not reach its tolerance within its term cap (the 2F3
+    series of specfun.hyp2f3, after 500 terms)."""
 
 
 class QuadratureError(NumericsError):

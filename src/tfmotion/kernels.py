@@ -355,14 +355,16 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
     The last integral is specfun.gamma_interval over the cell [lam a, lam b].
     A cell with lam w <= min(lam a / 2, 1) is 8-point Gauss-Legendre, exact
     to rounding there because s = 0 lies at least four half-widths to its
-    left; it needs no series or continued fraction, and its node factors
-    depend only on w, so the whole array shares them.  Longer cells (small
-    a, or lam w > 1) are differences of incomplete gammas.
+    left; it needs no incomplete gamma, and its node factors depend only on
+    w, so the whole array shares them.  Longer cells (small a, or lam w > 1)
+    are differences of incomplete gammas.
 
-    For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.
+    For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.  A
+    non-finite y, which no branch holds, raises ValueError.
     """
     if not 0.0 <= w < math.inf:
         raise ValueError(f"kernel time must be finite and >= 0, got t = {w}")
+    specfun._check_x("kernel", -a, np.isfinite(a), "finite y")
     out = np.zeros(a.shape)
     if w == 0.0:
         return out

@@ -2,14 +2,15 @@
 
 Implements the gamma function (Lanczos approximation with reflection), the
 modified Bessel function of the second kind K_nu (the trapezoidal rule on
-its cosh integral), the unnormalized incomplete gamma functions and their
-integral over an interval, and the generalized hypergeometric series 2F3
-and the Hurwitz zeta function.  K_nu, the incomplete gammas (one parameter
-a) and 2F3 take a float or an array argument: their rule, series and
-continued fraction are masked NumPy computations, one implementation for
-one point or a whole table.  No external
-special-function library is used here; SciPy/mpmath appear only in the test
-suite as independent oracles.
+its cosh integral), the unnormalized incomplete gamma functions (a series
+by Horner's rule and a double-exponential trapezoidal rule, each of a
+length set by the parameter a alone) and their integral over an interval,
+and the generalized hypergeometric series 2F3 and the Hurwitz zeta
+function.  K_nu, the incomplete gammas (one parameter a) and 2F3 take a
+float or an array argument and are written once in NumPy, for one point
+or a whole table; an array gives the values of per-element calls.  No
+external special-function library is used here; SciPy/mpmath appear only
+in the test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def _elementwise(name: str):
     return decorate
 
 
+def _check_x(name: str, x: np.ndarray, ok: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first element of x where ok is false."""
+    bad = ~ok
+    if bad.any():
+        raise ValueError(f"{name} requires {what}, got {x[bad][0]}")
+
+
 @_elementwise("x")
 def bessel_k(nu: float, x):
     """Modified Bessel function of the second kind K_nu(x) for finite x > 0,
@@ -128,9 +136,7 @@ def bessel_k(nu: float, x):
     and 0.0 where e^-x underflows, without a warning.  Relative accuracy is
     about 1e-14 over nu in [0, 3], x in [1e-20, 700].  K_{-nu} = K_nu.
     """
-    bad = ~((x > 0.0) & (x < np.inf))
-    if bad.any():
-        raise ValueError(f"bessel_k requires finite x > 0, got {x[bad][0]}")
+    _check_x("bessel_k", x, (x > 0.0) & (x < np.inf), "finite x > 0")
     nu = abs(float(nu))
     rx = np.sqrt(x)  # x sinh^2 = (sqrt(x) sinh)^2 stays finite for x > 0
     u_max = 2.0 * np.arcsinh(math.sqrt(20.0) / rx)
@@ -148,110 +154,91 @@ def bessel_k(nu: float, x):
     return np.exp(-x) * np.cumsum(terms, axis=1)[:, -1]
 
 
-def _lower_series(a: float, x: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_n x^n / (a)_{n+1},
-    over a 1-D array x.
+def _lower_series(a: float, x: np.ndarray, x_s: float) -> np.ndarray:
+    """Series S with gamma(a, x) = exp(-x) * x^a * S, S = sum_k x^k / (a)_{k+1},
+    over a 1-D array x < x_s, by Horner's rule over the terms t_k, k < n.
+    The ratios x / (a + k) decrease with k, so once r = x_s / (a + n) < 1 the
+    tail from t_n on is at most t_n / (1 - r) at x_s; n is the first at which
+    that bound is below _EPS / 4 of t_0.  Every term has the sign of 1/a, so
+    the bound is relative for all x < x_s.  For a in (-1, 0) the series
+    continues gamma(a, x) = Gamma(a) - Gamma(a, x)."""
+    n, p = 0, 1.0  # p = t_n / t_0 at x_s
+    while True:
+        n += 1
+        r = x_s / (a + n)
+        p *= r
+        if r < 1.0 and p / (1.0 - r) < 0.25 * _EPS:
+            break
+    s = np.ones(x.shape)
+    for k in range(n - 1, 0, -1):
+        s = 1.0 + s * (x / (a + k))
+    return s / a
 
-    Converges for every non-integer a and fast for x < a + 1; for a in (-1, 0)
-    it continues gamma(a, x) = Gamma(a) - Gamma(a, x) analytically.  Each
-    element keeps its own sum and stopping test; converged elements are
-    frozen and leave the active set.
+
+def _upper_scaled(a: float, x: np.ndarray) -> np.ndarray:
+    """G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x) over a 1-D array
+    x >= max(1, a + 1), for a > -1, by the trapezoidal rule on
+
+        x G(a, x) = int_R (1 + phi(v)/x)^(a-1) e^-phi(v) phi'(v) dv,
+
+    phi(v) = exp(v - e^-v), a double-exponential map of s = x + phi(v)
+    (Takahasi & Mori, 1974).  The nodes run from v = -4 in steps of 0.2 to
+    log(40 + 40 max(a - 1, 0)) + 0.6 and depend on a alone; the terms are
+    summed along v in order, so an array gives the values of per-element
+    calls.  Against mpmath, x up to 700: relative error below 1e-15 for a
+    in (-1, 10], 7e-15 at a = 20, 1e-13 at a = 100 next to the seam.
     """
+    v_max = math.log(40.0 + 40.0 * max(a - 1.0, 0.0)) + 0.6
+    v = -4.0 + 0.2 * np.arange(int((v_max + 4.0) / 0.2) + 1)
+    phi = np.exp(v - np.exp(-v))
+    w = 0.2 * phi * (1.0 + np.exp(-v))
+    # (a - 1) log1p(phi/x) < phi for x >= a + 1, so no term overflows
+    terms = np.exp((a - 1.0) * np.log1p(phi / x[:, None]) - phi) * w
+    return np.cumsum(terms, axis=1)[:, -1] / x
+
+
+def _incomplete(a: float, x: np.ndarray, lower: bool) -> np.ndarray:
+    """gamma(a, x) if lower, else Gamma(a, x), over a 1-D array x > 0:
+    exp(-x) x^a times _lower_series below the seam max(1, a + 1) and
+    _upper_scaled from it on, each the other's complement to Gamma(a)."""
+    x_s = max(1.0, a + 1.0)
+    series = x < x_s
     out = np.empty(x.shape)
-    act = np.arange(x.size)
-    ap = a
-    s = np.full(x.size, 1.0 / a)
-    term = s.copy()
-    for _ in range(max_iter):
-        ap += 1.0
-        term *= x / ap
-        s += term
-        done = np.abs(term) < np.abs(s) * _EPS
-        out[act[done]] = s[done]
-        live = ~done
-        act, x, s, term = act[live], x[live], s[live], term[live]
-        if act.size == 0:
-            return out
-    raise SeriesConvergenceError("incomplete gamma series did not converge")
-
-
-def _upper_cf_scaled(a: float, x: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """Continued fraction G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x)
-    over a 1-D array x, masked like _lower_series.
-
-    Converges for x > 0 and any real a (used here for a > -1, x >= 1).
-    """
-    tiny = 1e-300
-    out = np.empty(x.shape)
-    act = np.arange(x.size)
-    b = x + 1.0 - a
-    c = np.full(x.size, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        dl = d * c
-        h *= dl
-        done = np.abs(dl - 1.0) < _EPS
-        out[act[done]] = h[done]
-        live = ~done
-        act, b, c, d, h = act[live], b[live], c[live], d[live], h[live]
-        if act.size == 0:
-            return out
-    raise SeriesConvergenceError("incomplete gamma continued fraction did not converge")
-
-
-def _scale(a: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) x^a, the factor in front of the series and the fraction."""
-    return np.exp(a * np.log(x) - x)
+    for side, is_lower in ((series, True), (~series, False)):
+        xs = x[side]
+        if xs.size:  # a side with no element is not evaluated
+            f = _lower_series(a, xs, x_s) if is_lower else _upper_scaled(a, xs)
+            v = np.exp(a * np.log(xs) - xs) * f
+            out[side] = v if is_lower == lower else gamma_fn(a) - v
+    return out
 
 
 @_elementwise("x")
 def lower_gamma(a: float, x):
-    """Unnormalized lower incomplete gamma gamma(a, x) for a > 0, x >= 0:
-    exp(-x) x^a times the series for x < max(1, a + 1), and Gamma(a) minus
-    the continued fraction above that."""
-    if a <= 0.0:
-        raise ValueError(f"lower_gamma requires a > 0, got {a}")
-    if np.any(x < 0.0):
-        raise ValueError(f"lower_gamma requires x >= 0, got {x.min()}")
+    """Unnormalized lower incomplete gamma gamma(a, x) for finite a > 0 and
+    x >= 0 (_incomplete)."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"lower_gamma requires finite a > 0, got {a}")
+    _check_x("lower_gamma", x, (x >= 0.0) & (x < np.inf), "finite x >= 0")
     out = np.zeros(x.shape)
-    series = (x < max(1.0, a + 1.0)) & (x != 0.0)
-    cf = ~series & (x != 0.0)
-    xs, xc = x[series], x[cf]
-    if xs.size:
-        out[series] = _scale(a, xs) * _lower_series(a, xs)
-    if xc.size:
-        out[cf] = gamma_fn(a) - _scale(a, xc) * _upper_cf_scaled(a, xc)
+    pos = x != 0.0
+    out[pos] = _incomplete(a, x[pos], lower=True)
     return out
+
+
+def _check_upper_a(name: str, a: float) -> None:
+    if not (-1.0 < a < math.inf and a != 0.0):
+        raise ValueError(f"{name} supports finite a in (-1, 0) u (0, inf), got {a}")
 
 
 @_elementwise("x")
 def upper_gamma(a: float, x):
-    """Unnormalized upper incomplete gamma Gamma(a, x) for a > -1, x > 0.
-
-    exp(-x) x^a times the continued fraction for x >= max(1, a + 1), and
-    Gamma(a) minus the lower series below that; a = 0 is excluded (the
-    exponential-integral case never arises here).
-    """
-    if np.any(x <= 0.0):
-        raise ValueError(f"upper_gamma requires x > 0, got {x.min()}")
-    if a == 0.0 or a <= -1.0:
-        raise ValueError(f"upper_gamma supports a in (-1, 0) u (0, inf), got {a}")
-    out = np.empty(x.shape)
-    cf = x >= max(1.0, a + 1.0)
-    xs, xc = x[~cf], x[cf]
-    if xc.size:
-        out[cf] = _scale(a, xc) * _upper_cf_scaled(a, xc)
-    if xs.size:
-        out[~cf] = gamma_fn(a) - _scale(a, xs) * _lower_series(a, xs)
-    return out
+    """Unnormalized upper incomplete gamma Gamma(a, x) for a in (-1, 0) u
+    (0, inf) and x > 0, both finite (_incomplete); a = 0 is excluded (the
+    exponential-integral case never arises here)."""
+    _check_upper_a("upper_gamma", a)
+    _check_x("upper_gamma", x, (x > 0.0) & (x < np.inf), "finite x > 0")
+    return _incomplete(a, x, lower=False)
 
 
 # 8-point Gauss-Legendre nodes and weights on [-1, 1].
@@ -270,7 +257,7 @@ _GL_MAX_WIDTH = 1.0
 @_elementwise("x")
 def gamma_interval(a: float, x, h: float):
     """integral_x^{x+h} s^(a-1) e^(-s) ds = Gamma(a, x) - Gamma(a, x+h), for
-    a > -1, a != 0, x > 0 and one width h >= 0.
+    finite a > -1, a != 0, x > 0 and one finite width h >= 0.
 
     A cell with h <= min(x/2, 1) is integrated by 8-point Gauss-Legendre,
     written r e^-x sum_j (w_j e^-d_j) (x + d_j)^(a-1) with r = h/2 and
@@ -282,12 +269,13 @@ def gamma_interval(a: float, x, h: float):
     A longer cell is a difference of upper gammas, or of lower gammas for
     a > 1 and x < a, where Gamma(a, x) is close to Gamma(a) and the upper
     difference would cancel; either loses at most about three digits.
-    Both ends of a difference go through one incomplete-gamma call.
+    Both ends of a difference go through one incomplete-gamma call; a short
+    cell makes none.
     """
-    if h < 0.0:
-        raise ValueError(f"gamma_interval requires h >= 0, got {h}")
-    if np.any(x <= 0.0):
-        raise ValueError(f"gamma_interval requires x > 0, got {x.min()}")
+    _check_upper_a("gamma_interval", a)
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"gamma_interval requires finite h >= 0, got {h}")
+    _check_x("gamma_interval", x, (x > 0.0) & (x < np.inf), "finite x > 0")
     out = np.empty(x.shape)
     gl = h <= np.minimum(_GL_REL_WIDTH * x, _GL_MAX_WIDTH)
     r = 0.5 * h
@@ -319,7 +307,8 @@ _HYP_MAX_TERMS = 500
 @_elementwise("z")
 def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z):
     """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z) by direct series,
-    one masked iteration over the elements of z like _lower_series.
+    one masked iteration over the elements of z: each element keeps its own
+    sum and stopping test and leaves the active set when it stops.
 
     An element stops once its term ratio r < 1/2 and the tail bound
     |term| / (1 - r) is below _HYP_REL_TOL of its sum, and raises after
@@ -330,8 +319,7 @@ def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z):
     for bi in (b1, b2, b3):
         if _is_nonpositive_integer(bi):
             raise PoleError(f"hyp2f3 denominator parameter {bi} is a nonpositive integer")
-    if not np.isfinite(z).all():
-        raise ValueError(f"hyp2f3 requires finite z, got {z[~np.isfinite(z)][0]}")
+    _check_x("hyp2f3", z, np.isfinite(z), "finite z")
     out = np.empty(z.shape)
     act = np.arange(z.size)
     s = np.ones(z.size)

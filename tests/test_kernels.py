@@ -50,7 +50,7 @@ class TestProcessParams:
             0.75 - 2.0 / 3.0)
 
 
-# calls with a non-finite parameter, time or lag: each raises ValueError
+# calls with a non-finite parameter, time, lag or argument: each raises ValueError
 # before any arithmetic, never a value, a warning or another error
 NON_FINITE = {
     "variance_lam_inf": lambda: variance_tfbm2(0.7, math.inf, np.array([0.0, 1.0])),
@@ -68,6 +68,20 @@ NON_FINITE = {
     "alpha_norm_t_nan": lambda: kernel_alpha_norm(P_STABLE, math.nan),
     "kernel_h_t_nan": lambda: kernel_h(P_STABLE, math.nan, -1.0),
     "kernel_g_t_inf": lambda: kernel_g(P_STABLE, math.inf, -1.0),
+    "kernel_h_y_nan": lambda: kernel_h(P_STABLE, 1.0, math.nan),
+    "kernel_g_y_nan": lambda: kernel_g(P_STABLE, 1.0, math.nan),
+    "kernel_h_y_inf": lambda: kernel_h(P_STABLE, 1.0, math.inf),
+    "kernel_h_y_-inf": lambda: kernel_h(P_STABLE, 1.0, -math.inf),
+    "kernel_g_y_-inf": lambda: kernel_g(P_STABLE, 1.0, np.array([-1.0, -math.inf])),
+    "upper_gamma_x_nan": lambda: sf.upper_gamma(0.5, math.nan),
+    "upper_gamma_a_nan": lambda: sf.upper_gamma(math.nan, 1.0),
+    "upper_gamma_x_inf": lambda: sf.upper_gamma(0.5, np.array([1.0, math.inf])),
+    "lower_gamma_a_inf": lambda: sf.lower_gamma(math.inf, 1.0),
+    "lower_gamma_x_nan": lambda: sf.lower_gamma(0.5, math.nan),
+    "gamma_interval_h_nan": lambda: sf.gamma_interval(0.5, 1.0, math.nan),
+    "gamma_interval_h_inf": lambda: sf.gamma_interval(0.5, 1.0, math.inf),
+    "gamma_interval_x_inf": lambda: sf.gamma_interval(0.5, math.inf, 0.1),
+    "gamma_interval_a_nan": lambda: sf.gamma_interval(math.nan, 1.0, 0.1),
 }
 
 

@@ -216,7 +216,7 @@ class TestIncompleteGamma:
 
 
 def _seam_points(a):
-    """x on both sides of the series / continued-fraction seam max(1, a + 1)."""
+    """x on both sides of the series / trapezoid seam max(1, a + 1)."""
     s = max(1.0, a + 1.0)
     return np.array([1e-4, 0.3, np.nextafter(s, 0.0), s, np.nextafter(s, np.inf),
                      1.7, 3.0, 12.0, 40.0, 200.0])
@@ -271,10 +271,10 @@ class TestIncompleteGammaArray:
 
     @pytest.mark.parametrize("a", [-0.5, 0.13, 0.5, 1.7, 5.0])
     def test_masked_iteration_matches_scalar_bits(self, a):
-        # the masked series and continued fraction over many elements at
-        # once, through the incomplete gammas, against the mpmath oracle: the
-        # first grid crosses the series / fraction seam, the second lies
-        # in the fraction's range
+        # the series and the trapezoidal rule over many elements at once,
+        # through the incomplete gammas, against the mpmath oracle: the
+        # first grid crosses the series / trapezoid seam, the second lies
+        # in the trapezoid's range
         x = np.geomspace(1e-3, 6.0, 64)
         if a > 0.0:
             for xi, vi in zip(x.tolist(), sf.lower_gamma(a, x)):
@@ -286,15 +286,15 @@ class TestIncompleteGammaArray:
 
     def test_empty_input(self):
         empty = np.empty(0)
-        assert sf._lower_series(0.5, empty).shape == (0,)
-        assert sf._upper_cf_scaled(0.5, empty).shape == (0,)
+        assert sf._lower_series(0.5, empty, 1.5).shape == (0,)
+        assert sf._upper_scaled(0.5, empty).shape == (0,)
 
     @pytest.mark.parametrize("a", [-0.5, 0.5, 1.7])
     def test_no_loop_on_empty_branch(self, a, monkeypatch):
-        # an all-series or all-fraction input skips the other loop: no call
+        # an all-series or all-trapezoid input skips the other side: no call
         # of either gets zero elements, and the values stay bit for bit
         sizes = []
-        for name in ("_lower_series", "_upper_cf_scaled"):
+        for name in ("_lower_series", "_upper_scaled"):
             def spy(a_, x, *rest, real=getattr(sf, name)):
                 sizes.append(x.size)
                 return real(a_, x, *rest)
@@ -312,13 +312,6 @@ class TestIncompleteGammaArray:
             sf.gamma_interval(a, x, 3.0)
         assert sizes and 0 not in sizes
 
-    def test_non_convergence(self):
-        # one slow element keeps the whole array from converging
-        with pytest.raises(SeriesConvergenceError):
-            sf._lower_series(0.5, np.array([1e-3, 0.9]), max_iter=5)
-        with pytest.raises(SeriesConvergenceError):
-            sf._upper_cf_scaled(0.5, np.array([1e3, 1.5]), max_iter=3)
-
     def test_domains(self):
         with pytest.raises(ValueError):
             sf.lower_gamma(-1.0, np.array([2.0]))
@@ -334,8 +327,26 @@ class TestIncompleteGammaArray:
             sf.gamma_interval(0.5, np.array([1.0]), -0.1)
 
 
+@pytest.mark.parametrize("a", [-0.95, -0.5, -0.05, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0])
+def test_incomplete_gamma_domain_slice(a):
+    # a fixed slice of the error map over the incomplete gammas' domain: a
+    # log grid in x from 1e-8 to 700 and the seam max(1, a + 1) with its
+    # neighbours, against mpmath; an array gives the per-element values
+    s = max(1.0, a + 1.0)
+    x = np.concatenate([np.geomspace(1e-8, 700.0, 41),
+                        [0.9 * s, np.nextafter(s, 0.0), s, np.nextafter(s, np.inf), 1.1 * s]])
+    cases = [(sf.upper_gamma, lambda xi: oracles.mp_gammainc(a, xi, math.inf))]
+    if a > 0.0:
+        cases.append((sf.lower_gamma, lambda xi: oracles.mp_gammainc(a, 0.0, xi)))
+    for f, ref in cases:
+        v = f(a, x)
+        assert v.tolist() == [f(a, xi) for xi in x.tolist()]
+        for xi, vi in zip(x.tolist(), v):
+            assert vi == pytest.approx(ref(xi), rel=5e-13, abs=1e-300), (f.__name__, xi)
+
+
 def _no_recurrence(*args, **kwargs):
-    raise AssertionError("short cell reached the series or continued fraction")
+    raise AssertionError("short cell reached the series or the trapezoidal rule")
 
 
 class TestGammaIntervalRule:
@@ -348,7 +359,7 @@ class TestGammaIntervalRule:
 
     @pytest.mark.parametrize("a", A_NEG + A_POS)
     def test_short_cells_need_no_recurrence(self, a, monkeypatch):
-        monkeypatch.setattr(sf, "_upper_cf_scaled", _no_recurrence)
+        monkeypatch.setattr(sf, "_upper_scaled", _no_recurrence)
         monkeypatch.setattr(sf, "_lower_series", _no_recurrence)
         x = np.geomspace(1e-3, 60.0, 19)
         for h in (0.0, 1e-6, 1e-3, 0.1, 1.0):
