@@ -11,9 +11,10 @@ library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
 paths.  Every command computes through the library modules and emits one
 table as CSV or JSON.  Runs are deterministic given the flags and seed;
-the worker count (--threads or TFMOTION_THREADS: sampling threads, and the
-processes that format simulate's CSV in fixed blocks of paths) never
-changes the output bytes.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
+the worker count (--threads or TFMOTION_THREADS: the sampling threads)
+never changes the output bytes.  simulate's CSV is formatted in NumPy, one
+block of paths at a time in the calling thread, as the bytes Python's
+%.17g gives.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from itertools import repeat
 
 import numpy as np
 
@@ -49,23 +49,143 @@ def _cell(v):
     return ("true" if v else "false") if isinstance(v, bool) else v
 
 
-_BLOCK_VALUES = 1 << 17  # values per simulate CSV block, whatever the worker count
+# simulate's CSV is built in NumPy, one block of paths at a time, as rows of
+# 4-byte words of ASCII padded with NULs, which are then dropped: the "id,"
+# cell right-aligned, the "t," cell left-aligned, the value and a newline.
+# A value with 1e-4 <= |x| < 1e16 prints in %.17g's fixed notation with the
+# exponent k of its 17-digit rounding, and its digits are the integer
+# D = round-half-even(|x| 10^(16-k)).  The value is right-aligned up to its
+# point (the sign, the integer part and the point, dropped when no fraction
+# digit is nonzero) and left-aligned after it (the fraction in 20 digits
+# without trailing zeros).  Python formats every other value (0, |x| < 1e-4
+# or >= 1e16, and non-finite ones) and the t cells.
+_BLOCK_VALUES = 1 << 15  # values per block, rounded up to whole paths
+_POW10 = np.array([float(10 ** p) for p in range(22)])  # exact in binary64
+_IPOW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _csv_block(rows: list[str], i0: int, paths: np.ndarray) -> bytes:
-    """ASCII CSV of the paths i0, i0 + 1, ... of one block: each joins the
-    row template with its id and formats only its values."""
-    return "".join(str(i).join(rows) % tuple(path)
-                   for i, path in enumerate(paths.tolist(), i0)).encode("ascii")
+def _split(a):
+    """Veltkamp's split: a = hi + lo, each of at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digits17(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(v 10^(16-k)) as int64, exact when it is >= 1e16.
+    Dekker's product (1971) gives v 10^p = h + e exactly; h >= 1e16 > 2^53
+    is an even integer, so h + rint(e) is the rounding."""
+    s = np.take(_POW10, 16 - k)
+    h = v * s
+    vh, vl = _split(v)
+    sh, sl = _split(s)
+    e = ((vh * sh - h) + vh * sl + vl * sh) + vl * sl
+    return h.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _word_table() -> np.ndarray:
+    """The ASCII words of 0..9999 with NUL for a dropped digit, in runs of
+    10,000: all four digits, without leading zeros, without trailing zeros;
+    then those of 0..999 as three digits and a point, all and without
+    leading zeros but the units digit."""
+    dig = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T.copy()
+    nz = dig > 0
+    asc = dig + np.uint8(48)
+    lead = asc * np.logical_or.accumulate(nz, axis=1)
+    trail = asc * np.logical_or.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
+    point = np.concatenate([asc[:1000, 1:], np.full((1000, 1), 46, np.uint8)], axis=1)
+    keep = np.logical_or.accumulate(nz[:1000, 1:], axis=1)
+    keep[:, 2] = True
+    point_lead = point * np.concatenate([keep, keep[:, 2:]], axis=1)
+    return np.concatenate([asc, lead, trail, point, point_lead]).view(np.uint32).ravel()
+
+
+_WORDS = _word_table()
+_LEAD, _TRAIL, _POINT, _POINT_LEAD = 10000, 20000, 30000, 31000  # runs of _WORDS
+
+
+def _cells(texts: list[bytes], right: bool = False) -> np.ndarray:
+    """The texts as rows of 4-byte words padded with NULs, left-aligned or
+    right-aligned."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    if right:
+        texts = [t.rjust(width, b"\0") for t in texts]
+    return np.array(texts, f"S{width}").view(np.uint32).reshape(len(texts), -1)
+
+
+def _value_words(x: np.ndarray):
+    """The values x in %.17g's fixed notation as columns of indices into
+    _WORDS, left to right: the integer words (the last ends in the point)
+    and five fraction words.  Returns (ok, k, point, words): ok marks the
+    values this covers, the integer part of x[i] has max(k[i], 0) + 1
+    digits, and point[i] is false when the point must be dropped."""
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16)
+    v = np.where(ok, a, 1.0)
+    k = np.floor(np.log10(v)).astype(np.int64)
+    d = _digits17(v, k)
+    ok &= (d >= 10 ** 16) & (d < 10 ** 17)  # else log10 put k one off, or D carried
+    k = np.where(ok, k, 0)
+    d = np.where(ok, d, 10 ** 16)
+    e = np.take(_IPOW10, np.minimum(16 - k, 18))
+    ip = d // e  # the integer part, 0 when k < 0
+    f = d - ip * e  # the 16 - k fraction digits
+    s = k + 4  # the fraction in 20 digits: f 10^s = hi 10^12 + lo
+    e = np.take(_IPOW10, np.maximum(12 - s, 0))
+    hi = f // e
+    lo = (f - hi * e) * np.take(_IPOW10, np.minimum(s, 12))
+    hi *= np.take(_IPOW10, np.maximum(s - 12, 0))
+    n_int = (max(int(k.max()), 0) + 6) // 4  # words of sign, integer part, point
+    words = []
+    for j in range(n_int - 1, 0, -1):  # word j holds the digits 4j-1 .. 4j+2
+        g = ip // 10 ** (4 * j - 1)
+        words.append(g - g // 10000 * 10000 + (ip < 10 ** (4 * j + 3)) * _LEAD)
+    words.append(ip - ip // 1000 * 1000 + np.where(ip < 1000, _POINT_LEAD, _POINT))
+    g0 = hi // 10000
+    g1 = hi - g0 * 10000
+    g2 = lo // 10 ** 8
+    rest = lo - g2 * 10 ** 8
+    g3 = rest // 10000
+    g4 = rest - g3 * 10000
+    words += [g0 + ((g1 == 0) & (lo == 0)) * _TRAIL, g1 + (lo == 0) * _TRAIL,
+              g2 + (rest == 0) * _TRAIL, g3 + (g4 == 0) * _TRAIL, g4 + _TRAIL]
+    return ok, k, f != 0, words
+
+
+def _csv_block(i0: int, tcells: np.ndarray, paths: np.ndarray) -> bytes:
+    """ASCII CSV rows "id,t,value\\n" of the paths i0, i0 + 1, ...; tcells
+    holds the "t," cells of the times (``_cells``)."""
+    p, n = paths.shape
+    x = paths.ravel()
+    ok, k, point, words = _value_words(x)
+    n_int = len(words) - 5
+    ids = _cells([b"%d," % i for i in range(i0, i0 + p)], right=True)
+    w0 = ids.shape[1] + tcells.shape[1]  # the value's first word
+    cols = np.empty((w0 + len(words) + 1, p, n), np.uint32)  # the rows' columns
+    cols[:ids.shape[1]] = ids.T[:, :, None]
+    cols[ids.shape[1]:w0] = tcells.T[:, None, :]
+    for c, w in enumerate(words, w0):
+        np.take(_WORDS, w, out=cols[c].ravel(), mode="clip")
+    cols[-1] = np.frombuffer(b"\n\0\0\0", np.uint32)
+    cols = cols.reshape(len(cols), -1)
+    cols[w0 + n_int - 1].view(np.uint8)[3::4] *= point
+    neg = np.flatnonzero(ok & (x < 0))
+    off = 4 * n_int - 3 - np.maximum(k[neg], 0)  # the sign's byte in the integer words
+    sign = cols[w0:w0 + n_int].reshape(-1).view(np.uint8)
+    sign[(off // 4 * x.size + neg) * 4 + off % 4] = 45  # "-"
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        texts = np.array([b"%.17g" % y for y in x[slow].tolist()], f"S{4 * len(words)}")
+        cols[w0:-1, slow] = texts.view(np.uint32).reshape(slow.size, -1).T
+    return cols.T.tobytes().translate(None, b"\0")
 
 
 class _PathRows(Sequence):
     """Rows [path_id, t, value] of an ensemble, read from its paths on demand."""
 
-    def __init__(self, ens, workers: int):
+    def __init__(self, ens):
         self.paths = ens.paths
         self.times = ens.grid.times
-        self.workers = workers
 
     def __len__(self) -> int:
         return self.paths.size
@@ -75,28 +195,18 @@ class _PathRows(Sequence):
         return [i, float(self.times[j]), float(self.paths[i, j])]
 
     def csv_chunks(self):
-        """ASCII CSV of each block of paths in turn.  The t cells are
-        formatted once per table into rows ",<t>,%.17g" (any % in them
-        escaped).  A block holds _BLOCK_VALUES values rounded up to whole
-        paths, whatever the worker count; with two or more workers and
-        blocks, worker processes format the blocks and pool.map returns
-        them in path order, so the bytes never depend on the count."""
-        rows = [""] + ["," + (_FLOAT_FMT % t).replace("%", "%%") + ","
-                       + _FLOAT_FMT + "\n" for t in self.times.tolist()]
+        """ASCII CSV of each block of paths in turn (``_csv_block``).  A block
+        holds _BLOCK_VALUES values rounded up to whole paths; the t cells are
+        formatted once per table.  Each value's text is its %.17g whatever
+        the block."""
+        tcells = _cells([b"%.17g," % t for t in self.times.tolist()])
         per = -(-_BLOCK_VALUES // self.times.size)
-        starts = range(0, len(self.paths), per)
-        blocks = [self.paths[i:i + per] for i in starts]
-        procs = min(self.workers, len(blocks), os.cpu_count() or 1)
-        if procs < 2:
-            yield from map(_csv_block, repeat(rows), starts, blocks)
-            return
-        # imported here: concurrent.futures.process would add about 8% to
-        # the import time of every command.  The default start method (fork
-        # on Linux) is kept: spawned workers re-import NumPy, which costs
-        # more than half of what the pool saves on 1,000 paths at n = 2049
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(procs) as pool:
-            yield from pool.map(_csv_block, repeat(rows), starts, blocks)
+        for i in range(0, len(self.paths), per):
+            # held until the next block is made: freeing every block before
+            # the next lets malloc return the heap top to the system, and
+            # then each block faults its pages in anew (2,500 faults a block)
+            chunk = _csv_block(i, tcells, self.paths[i:i + per])
+            yield chunk
 
 
 def _emit(path: str | None, fmt: str, command: str, meta: dict,
@@ -160,7 +270,10 @@ def _threads(args) -> int:
         return max(1, args.threads)
     env = os.environ.get("TFMOTION_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"TFMOTION_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -235,7 +348,7 @@ def cmd_simulate(args) -> int:
             "seed": args.seed, "t_max": args.t_max, "n": args.n,
             "n_paths": args.n_paths}
     _emit(args.out, args.format, "simulate", meta, ["path_id", "t", "value"],
-          _PathRows(ens, workers))
+          _PathRows(ens))
     return 0
 
 

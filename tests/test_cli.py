@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -360,32 +361,92 @@ class TestOutputBytes:
         assert capsys.readouterr().out == text
 
 
-# 130 paths at n = 2049 are three CSV blocks of 64, 64 and 2 paths
+def path_csv(x) -> bytes:
+    """The CLI's CSV rows of the values x as path 0 with empty t cells,
+    formatted in blocks of 2^16 values."""
+    x = np.asarray(x, float)
+    return b"".join(cli._csv_block(0, cli._cells([b","] * len(b)), b[None, :])
+                    for b in np.array_split(x, -(-x.size // (1 << 16))))
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatText:
+    """simulate's NumPy %.17g equals Python's '%.17g' % v byte for byte, for
+    each value and its negative."""
+
+    rng = np.random.default_rng(20261019)
+
+    def check(self, x):
+        x = np.concatenate([x, -np.asarray(x)])
+        got = path_csv(x)
+        want = b"".join(b"0,,%.17g\n" % v for v in x.tolist())
+        if got != want:
+            bad = [(v, g, w) for v, g, w in zip(x.tolist(), got.split(b"\n"),
+                                                want.split(b"\n")) if g != w]
+            pytest.fail(f"{len(bad)} values differ, the first: {bad[:3]}")
+
+    def random_doubles(self, n, exponents):
+        """n float64 of random bits whose biased exponent field is drawn
+        from the range exponents."""
+        bits = self.rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+        bits |= self.rng.integers(*exponents, n).astype(np.uint64) << np.uint64(52)
+        return bits.view(np.float64)
+
+    def test_random_bit_patterns(self):
+        # with the negatives, 10^6 values between 2^-20 and 2^60 (the fixed
+        # notation of %.17g and both of its seams) and 4x10^4 finite values
+        # of any exponent, which Python takes about 2 us each to format
+        self.check(self.random_doubles(500_000, (1003, 1083)))
+        self.check(self.random_doubles(20_000, (0, 2047)))
+
+    def test_powers_of_ten_and_seams(self):
+        p = np.array([float(f"1e{j}") for j in range(-6, 18)])
+        seams = np.array([1e-4, 1e16])
+        for _ in range(2):
+            seams = np.concatenate([seams, np.nextafter(seams, 0), np.nextafter(seams, np.inf)])
+        self.check(np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf), seams]))
+
+    def test_decimal_ties(self):
+        k = np.arange(50_000)
+        ties = [k * 2.0 ** -20 + 1e10, 2.0 ** 53 + k / 8]
+        # N + r 2^-j with N of 18 - j digits and r odd has 18 significant
+        # digits, the last a 5: a tie at 17 digits, broken to even
+        for j in range(2, 18):
+            lo, hi = 10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j))
+            n = self.rng.integers(lo, hi, 3_000)
+            r = 2 * self.rng.integers(0, 2 ** (j - 1), 3_000) + 1
+            ties.append((n * 2 ** j + r) / 2.0 ** j)
+        self.check(np.concatenate(ties))
+
+    def test_special_values(self):
+        self.check([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5,
+                    np.finfo(float).max, 1e300, np.inf, np.nan])
+
+
+# 34 paths at n = 2049 are three CSV blocks of 16, 16 and 2 paths
 GAUSS_3_BLOCKS = ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2",
-                  "--n", "2049", "--n-paths", "130", "--seed", "3"]
+                  "--n", "2049", "--n-paths", "34", "--seed", "3"]
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Record the worker count of every process pool the CLI starts."""
-    import concurrent.futures
-    sizes = []
-    real = concurrent.futures.ProcessPoolExecutor
+def csv_blocks(monkeypatch):
+    """Record (first path, paths, formatting thread) of every CSV block."""
+    blocks = []
+    real = cli._csv_block
 
-    class Spy(real):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def spy(i0, tcells, paths):
+        blocks.append((i0, len(paths), threading.get_ident()))
+        return real(i0, tcells, paths)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    return sizes
+    monkeypatch.setattr(cli, "_csv_block", spy)
+    return blocks
 
 
 class TestCsvFanOut:
-    """simulate formats fixed blocks of paths in worker processes; the
-    bytes never depend on the worker count."""
+    """simulate formats fixed blocks of paths in the calling thread, one
+    block at a time; the bytes never depend on the worker count."""
 
-    def test_bytes_independent_of_workers(self, tmp_path, monkeypatch, pool_sizes):
+    def test_bytes_independent_of_workers(self, tmp_path, monkeypatch, csv_blocks):
         calls = spy_emit(monkeypatch)
         outs = [run_cli(GAUSS_3_BLOCKS + ["--threads", t], tmp_path, f"t{t}.csv")
                 for t in ("1", "2", "4")]
@@ -397,8 +458,9 @@ class TestCsvFanOut:
         _, fmt, command, meta, columns, rows = calls[0]
         text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
         assert data[0] == text.encode()
-        pool = min(3, os.cpu_count() or 1)
-        assert pool_sizes == ([] if pool < 2 else [2, pool, 2])
+        main_thread = threading.get_ident()
+        assert csv_blocks == [(0, 16, main_thread), (16, 16, main_thread),
+                              (32, 2, main_thread)] * 4
 
     def test_stdout_through_workers(self, tmp_path):
         # a buffered pipe: the header must reach it before the blocks, which
@@ -412,16 +474,24 @@ class TestCsvFanOut:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out.read_bytes()
 
-    def test_pool_capped_by_blocks_and_cores(self, tmp_path, pool_sizes):
+    def test_pool_capped_by_blocks_and_cores(self, tmp_path, csv_blocks):
+        # --threads sets the sampling threads only: the blocks are formatted
+        # in the calling thread, however many workers are asked for
         rc, _ = run_cli(GAUSS_3_BLOCKS + ["--threads", "64"], tmp_path)
         assert rc == 0
-        pool = min(3, os.cpu_count() or 1)
-        assert pool_sizes == ([] if pool < 2 else [pool])
+        assert {t for *_, t in csv_blocks} == {threading.get_ident()}
+        assert len(csv_blocks) == 3
 
-    def test_one_block_stays_serial(self, tmp_path, pool_sizes):
+    def test_one_block_stays_serial(self, tmp_path, csv_blocks):
         rc, _ = run_cli(GAUSS_33 + ["--threads", "4"], tmp_path)
         assert rc == 0
-        assert pool_sizes == []
+        assert csv_blocks == [(0, 3, threading.get_ident())]
+
+    def test_threads_env_must_be_an_integer(self, tmp_path, capsys):
+        rc, _ = run_cli(GAUSS_33, tmp_path, env={"TFMOTION_THREADS": "abc"})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "TFMOTION_THREADS" in err and "'abc'" in err
 
 
 class TestRemovedFlags:
