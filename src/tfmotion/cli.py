@@ -11,10 +11,13 @@ library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
 paths.  Every command computes through the library modules and emits one
 table as CSV or JSON.  Runs are deterministic given the flags and seed;
-the worker count (--threads or TFMOTION_THREADS: the sampling threads)
-never changes the output bytes.  simulate's CSV is formatted in NumPy, one
-block of paths at a time in the calling thread, as the bytes Python's
-%.17g gives.  Exit codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure.
+the worker count (--threads or TFMOTION_THREADS: the Gaussian sampler's
+threads) never changes the output bytes.  Stable paths are made in the
+calling thread, in blocks of paths whose bounds depend on the plan alone,
+each block one matrix product with the kernel table.  simulate's CSV is
+formatted in NumPy, one block of paths at a time in the calling thread, as
+the bytes Python's %.17g gives.  Exit codes: 0 ok, 2 invalid
+usage/parameters, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -330,7 +333,7 @@ def cmd_simulate(args) -> int:
     if params.lam <= 0.0:
         raise ValueError("simulate requires lambda > 0")
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=True)
-    workers = _threads(args)
+    workers = _threads(args)  # checked for every simulate; Gaussian paths use it
     if params.alpha == 2.0:
         if params.kind != "II":
             raise ValueError("exact Gaussian simulation covers kind=II only; "
@@ -341,8 +344,7 @@ def cmd_simulate(args) -> int:
         dy = args.plan_dy if args.plan_dy is not None else args.t_max / 256.0
         plan = DiscretizationPlan.for_grid(grid, params, dy,
                                            cutoff=args.plan_cutoff)
-        ens = simulate_tfsm_paths(params, grid, plan, args.n_paths, args.seed,
-                                  n_workers=workers)
+        ens = simulate_tfsm_paths(params, grid, plan, args.n_paths, args.seed)
     meta = {"H": params.H, "alpha": params.alpha, "lambda": params.lam,
             "sigma": params.sigma, "beta": params.beta, "kind": params.kind,
             "seed": args.seed, "t_max": args.t_max, "n": args.n,

@@ -1,5 +1,5 @@
-"""Counter-based random number generation and the worker fan-out shared by
-the simulators.
+"""Counter-based random number generation shared by the simulators, and the
+Gaussian sampler's worker fan-out.
 
 Each path draws from a Philox generator keyed by (seed, stream index), so an
 ensemble is a pure function of its seed no matter how paths are scheduled

@@ -10,7 +10,12 @@ whose alpha = 2 case is a centered normal with variance 2 sigma^2.  Paths are
 left-truncated Riemann-sum moving averages driven by independent stable cell
 increments with scale sigma * dy^(1/alpha), generated from the shared
 counter-based (Philox) keying so that first- and second-kind runs with the
-same seed are driven by identical noise.
+same seed are driven by identical noise.  The variates come from one
+Chambers-Mallows-Stuck transform (_cms) whose sines and cosines are taken
+from the uniforms without cancellation, by half-angle tangents.  The sampler
+runs in the calling thread over blocks of whole paths, about 2^17 cell
+values each, and each block's paths are one matrix product with the kernel
+table.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ import numpy as np
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
 from .kernels import DEFAULT_QUAD, ProcessParams, kernel
-from .rng import fan_out, philox_generator
+from .rng import philox_generator
+
+# cell values per block of paths: 15 paths at 8,384 nodes
+_BLOCK_VALUES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,50 @@ class DiscretizationPlan:
         return cls(y_min=y_min, dy=dy, n_nodes=n)
 
 
+def _cms(alpha: float, beta: float, u1, u2):
+    """Chambers-Mallows-Stuck variate of unit scale from uniforms in (0, 1),
+    elementwise over arrays (Weron's parameterization, Statist. Probab. Lett.
+    28, 1996):
+
+        X = s0 sin a / cos th (cos(th - a) / (w cos th))^((1 - alpha)/alpha),
+
+    th = pi (u1 - 1/2), w = -log u2, a = alpha th - delta, g = pi (2 - alpha)/2,
+    delta = atan(beta tan g) and s0 = (1 + tan^2 delta)^(1/(2 alpha)).  Each
+    sine and cosine is the sine of an angle in [-pi/2, pi/2] measured from
+    its nearest zero, taken from the uniforms without cancellation:
+
+        cos th = sin(pi min(u1, 1 - u1)),
+        sin a = sin of a, of -(alpha pi u1 + c1) or of alpha pi (1 - u1) + c2,
+        cos(th - a) = sin(min(k u1 + c1, k (1 - u1) + c2)),  k = (alpha - 1) pi,
+
+    c1,2 = g -+ delta (exactly 0 at beta = +-1, where sin a and cos(th - a)
+    vanish together at one end), and each sine is 2 tau / (1 + tau^2) with
+    tau the tangent of the half angle.  alpha = 2 gives 2 sin(th) sqrt(w).
+    """
+    w = -np.log(u2)
+    v = 1.0 - u1
+    g = 0.5 * math.pi * (2.0 - alpha)
+    tg = math.tan(g)
+    # halves of c1 = g - delta and c2 = g + delta, by atan2 on [0, pi)
+    c1 = 0.5 * math.atan2((1.0 - beta) * tg, 1.0 + beta * tg * tg)
+    c2 = 0.5 * math.atan2((1.0 + beta) * tg, 1.0 - beta * tg * tg)
+    delta = math.atan(beta * tg)
+    s0 = (1.0 + (beta * tg) ** 2) ** (0.5 / alpha)
+    # tangents of the half angles, each in [-pi/4, pi/4]
+    k = 0.5 * alpha * math.pi
+    ta = np.tan(np.minimum(k * v + c2,
+                           np.maximum(-k * u1 - c1, k * (u1 - 0.5) - 0.5 * delta)))
+    tt = np.tan(0.5 * math.pi * np.minimum(u1, v))
+    k = 0.5 * (alpha - 1.0) * math.pi
+    tb = np.tan(np.minimum(k * u1 + c1, k * v + c2))
+    q = (tt * tt + 1.0) / tt  # 2 / cos th
+    return (s0 * ta * q / (ta * ta + 1.0)
+            * (tb * q / (w * (tb * tb + 1.0))) ** ((1.0 - alpha) / alpha))
+
+
 def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | float:
-    """Chambers-Mallows-Stuck transform of two uniforms to one stable variate.
+    """Chambers-Mallows-Stuck transform of two uniforms to one stable variate
+    (_cms).
 
     u is a pair (u1, u2) of scalars or equal-shape arrays with entries in
     (0, 1).  alpha = 2 degenerates to sqrt(2) sigma times a standard normal
@@ -79,17 +129,7 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
     u2 = np.asarray(u[1], dtype=float)
     if np.any((u1 <= 0.0) | (u1 >= 1.0)) or np.any((u2 <= 0.0) | (u2 >= 1.0)):
         raise ValueError("uniforms must lie strictly inside (0, 1)")
-    theta = math.pi * (u1 - 0.5)
-    w = -np.log(u2)
-    if alpha == 2.0:
-        x = 2.0 * np.sin(theta) * np.sqrt(w)
-    else:
-        tb = beta * math.tan(0.5 * math.pi * alpha)
-        b0 = math.atan(tb) / alpha
-        s0 = (1.0 + tb * tb) ** (0.5 / alpha)
-        x = (s0 * np.sin(alpha * (theta + b0)) / np.cos(theta) ** (1.0 / alpha)
-             * (np.cos(theta - alpha * (theta + b0)) / w) ** ((1.0 - alpha) / alpha))
-    out = sigma * x
+    out = sigma * np.asarray(_cms(alpha, beta, u1, u2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,13 +156,14 @@ def path_increments(p: ProcessParams, plan: DiscretizationPlan,
     """Stable cell increments of one path, reproducible from (seed, path).
 
     The keying ignores p.kind, so first- and second-kind runs at the same
-    seed are coupled through identical driving noise.
+    seed are coupled through identical driving noise.  simulate_tfsm_paths
+    makes one call per path, so these are bitwise the increments it used.
     """
     rng = philox_generator(seed, path)
     u = rng.random((plan.n_nodes, 2))
     u[u == 0.0] = 0.5 ** 53  # CMS transform needs open-interval uniforms
     cell_sigma = p.sigma * plan.dy ** (1.0 / p.alpha)
-    return sample_stable(p.alpha, p.beta, cell_sigma, (u[:, 0], u[:, 1]))
+    return cell_sigma * _cms(p.alpha, p.beta, u[:, 0], u[:, 1])
 
 
 def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
@@ -132,6 +173,13 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
 
     alpha must be < 2 here; the Gaussian case has an exact sampler in the
     gaussian module.  The plan must cover [y_min, max(grid.times)].
+
+    Paths are made in blocks of max(1, _BLOCK_VALUES // n_nodes) paths in
+    the calling thread: each path's increments (path_increments) fill one
+    row of the block, and one matrix product with the kernel table gives
+    the block's paths.  The block bounds depend on the plan alone, so the
+    output bytes depend on neither n_workers (accepted for callers that pass
+    it, and ignored) nor the BLAS thread count.
     """
     if p.alpha == 2.0:
         raise ValueError("alpha = 2 is simulated exactly by the gaussian module")
@@ -142,10 +190,11 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
                         f"t = {grid.times[-1]}")
     table = kernel_node_table(p, grid, plan)
     paths = np.empty((n_paths, grid.n))
-
-    def fill(i0: int, i1: int) -> None:
+    rows = max(1, _BLOCK_VALUES // plan.n_nodes)
+    dm = np.empty((min(rows, n_paths), plan.n_nodes))
+    for i0 in range(0, n_paths, rows):
+        i1 = min(i0 + rows, n_paths)
         for i in range(i0, i1):
-            paths[i] = table @ path_increments(p, plan, seed, i)
-
-    fan_out(fill, n_paths, n_workers)
+            dm[i - i0] = path_increments(p, plan, seed, i)
+        np.matmul(dm[:i1 - i0], table.T, out=paths[i0:i1])
     return PathEnsemble(params=p, grid=grid, paths=paths, seed=int(seed))

@@ -293,10 +293,11 @@ def test_criterion_15_reproducibility(tmp_path):
         "simulate-gauss": ["simulate", "--H", "0.7", "--lambda", "0.15",
                            "--alpha", "2", "--t-max", "1", "--n", "4",
                            "--n-paths", "8", "--seed", "5"],
+        # 6,200 plan nodes: 21 paths per block, so 30 paths span two blocks
         "simulate-stable": ["simulate", "--H", "0.8", "--alpha", "1.5",
                             "--lambda", "0.3", "--t-max", "1", "--n", "3",
-                            "--n-paths", "6", "--seed", "5",
-                            "--plan-dy", "0.05", "--plan-cutoff", "30"],
+                            "--n-paths", "30", "--seed", "5",
+                            "--plan-dy", "0.005", "--plan-cutoff", "30"],
         "covariance": ["covariance", "--H", "0.7", "--lambda", "0.15",
                        "--t-max", "2", "--n", "4"],
         "decay": ["decay", "--H", "0.8", "--alpha", "1.5", "--lambda", "0.3",

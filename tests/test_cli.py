@@ -727,13 +727,18 @@ class TestEntryPoint:
         # decay and limits at the benchmark's parameters run on the NumPy
         # quadrature alone, spectrum's lattice tails on specfun.hurwitz_zeta,
         # and Gaussian paths on a regular grid on NumPy's FFT; none uses
-        # BLAS, so the bytes do not depend on the OpenBLAS thread count
+        # BLAS.  Stable paths are one BLAS matrix product per block of paths
+        # (here 8,384 plan nodes, 15 paths per block, so 20 paths make two
+        # blocks), whose bytes do not depend on the OpenBLAS thread count
+        # either
         commands = [
             "decay --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "decay --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "limits --H 0.7 --alpha 2 --lambda 0.15",
             "simulate --alpha 2 --H 0.7 --lambda 0.15 --t-max 1 --n 2049 --n-paths 2",
             "spectrum --H 0.7 --lambda 0.15 --omega-grid=-3.14159:3.14159:201",
+            "simulate --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-max 1 --n 65 "
+            "--plan-dy 0.02 --n-paths 20",
         ]
         code = ("import sys\nfrom tfmotion import cli\n"
                 "for a in sys.argv[1:]:\n"
@@ -752,5 +757,5 @@ class TestEntryPoint:
             return proc.stdout
 
         outs = [run(None), run(None), run("1"), run("2")]
-        assert outs[0].count("# tfmotion") == 5
+        assert outs[0].count("# tfmotion") == 6
         assert all(o == outs[0] for o in outs[1:])

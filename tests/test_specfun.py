@@ -327,14 +327,17 @@ class TestIncompleteGammaArray:
             sf.gamma_interval(0.5, np.array([1.0]), -0.1)
 
 
-@pytest.mark.parametrize("a", [-0.95, -0.5, -0.05, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("a", [-0.95, -0.5, -0.05, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0,
+                               30.0, 100.0, 160.0])
 def test_incomplete_gamma_domain_slice(a):
     # a fixed slice of the error map over the incomplete gammas' domain: a
     # log grid in x from 1e-8 to 700 and the seam max(1, a + 1) with its
-    # neighbours, against mpmath; an array gives the per-element values
+    # neighbours and multiples, against mpmath; an array gives the
+    # per-element values
     s = max(1.0, a + 1.0)
     x = np.concatenate([np.geomspace(1e-8, 700.0, 41),
-                        [0.9 * s, np.nextafter(s, 0.0), s, np.nextafter(s, np.inf), 1.1 * s]])
+                        [0.9 * s, np.nextafter(s, 0.0), s, np.nextafter(s, np.inf),
+                         1.01 * s, 1.1 * s, 2.0 * s]])
     cases = [(sf.upper_gamma, lambda xi: oracles.mp_gammainc(a, xi, math.inf))]
     if a > 0.0:
         cases.append((sf.lower_gamma, lambda xi: oracles.mp_gammainc(a, 0.0, xi)))
@@ -343,6 +346,17 @@ def test_incomplete_gamma_domain_slice(a):
         assert v.tolist() == [f(a, xi) for xi in x.tolist()]
         for xi, vi in zip(x.tolist(), v):
             assert vi == pytest.approx(ref(xi), rel=5e-13, abs=1e-300), (f.__name__, xi)
+
+
+@pytest.mark.parametrize("a", [30.0, 100.0, 160.0])
+def test_upper_scaled_step_shrinks_with_a(a):
+    # the trapezoidal rule alone, next to the seam: G(a, x) = Gamma(a, x)
+    # e^x x^-a to 1e-14 (the rounding of the prefactor's exponent a log x - x
+    # adds up to about 1e-13 to Gamma(a, x) itself at a = 160)
+    x = np.array([1.0, 1.01, 1.1, 2.0]) * (a + 1.0)
+    for xi, gi in zip(x.tolist(), sf._upper_scaled(a, x)):
+        ref = oracles.mp_gammainc(a, xi, math.inf, scaled=True)
+        assert gi == pytest.approx(ref, rel=1e-14, abs=0.0), xi
 
 
 def _no_recurrence(*args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -8,6 +9,7 @@ from tfmotion.dependence import global_limit_constant
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
 from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h
+from tfmotion import stable
 from tfmotion.rng import philox_generator
 from tfmotion.stable import (DiscretizationPlan, kernel_node_table,
                              path_increments, sample_stable,
@@ -73,6 +75,35 @@ class TestSampleStable:
             assert abs(emp - tgt) <= 4.0 / math.sqrt(n), th
 
 
+class TestCmsAccuracy:
+    """sample_stable against mp_cms at 40 digits, over uniforms at both ends
+    of (0, 1) (2^-53 up to 1e-3 and their mirror images), 1/2 and Philox
+    points, for skews up to the totally skewed beta = +-1."""
+
+    ENDS = (2.0 ** -53, 2.0 ** -40, 1e-10, 1e-6, 1e-3)
+
+    @staticmethod
+    def _rel_err(x, ref):
+        return np.array([0.0 if r == 0 and xi == 0 else
+                         float(abs(mpmath.mpf(xi) - r) / abs(r)) if r != 0 else math.inf
+                         for xi, r in zip(x.tolist(), ref)])
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, -0.7, 0.99, -0.99, 1.0, -1.0])
+    def test_against_mpmath(self, alpha, beta):
+        pts = [*self.ENDS, 0.5, *(1.0 - e for e in self.ENDS),
+               *philox_generator(19, 0).random(5).tolist()]
+        u1, u2 = (g.ravel() for g in np.meshgrid(pts, pts, indexing="ij"))
+        ref = [oracles.mp_cms(alpha, beta, a, b) for a, b in zip(u1.tolist(), u2.tolist())]
+        err = self._rel_err(sample_stable(alpha, beta, 1.0, (u1, u2)), ref)
+        # never worse than the formula evaluated term by term, nor than 1e-13
+        base = self._rel_err(oracles.float_cms(alpha, beta, u1, u2), ref)
+        worst = int(np.argmax(err - np.maximum(base, 1e-13)))
+        assert np.all(err <= np.maximum(base, 1e-13)), (u1[worst], u2[worst], err[worst])
+        if beta == 0.0:
+            assert err.max() <= 1e-13
+
+
 class TestIntegralCharFn:
     """oracles.plan_char_fn of a kernel on plan nodes against its limit."""
 
@@ -119,9 +150,26 @@ class TestSimulate:
         grid = SampleGrid(np.linspace(0.0, 1.0, 5))
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.05, cutoff=30.0)
         a = simulate_tfsm_paths(P15, grid, plan, 4, seed=5)
-        b = simulate_tfsm_paths(P15, grid, plan, 4, seed=5, n_workers=3)
+        b = simulate_tfsm_paths(P15, grid, plan, 4, seed=5)
+        c = simulate_tfsm_paths(P15, grid, plan, 4, seed=5, n_workers=3)
         assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a.paths, c.paths)  # n_workers is ignored
         assert np.all(a.paths[:, 0] == 0.0)  # kernel vanishes at t = 0
+
+    def test_blocks_are_one_product_of_path_increments(self):
+        # 4,100 plan nodes: blocks of 31 paths, so 40 paths make a full block
+        # and a partial one; each block's paths are bitwise the matrix
+        # product of that block's path_increments rows with the kernel table
+        grid = SampleGrid.regular(1.0, 9)
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=0.01, cutoff=40.0)
+        rows = stable._BLOCK_VALUES // plan.n_nodes
+        n = 40
+        assert rows < n < 2 * rows
+        ens = simulate_tfsm_paths(P15, grid, plan, n, seed=7)
+        table = kernel_node_table(P15, grid, plan)
+        dm = np.array([path_increments(P15, plan, 7, i) for i in range(n)])
+        for i0 in (0, rows):
+            assert np.array_equal(ens.paths[i0:i0 + rows], dm[i0:i0 + rows] @ table.T)
 
     def test_alpha_two_rejected(self):
         grid = SampleGrid(np.array([1.0]))
