@@ -10,14 +10,15 @@ CLI's float type ``finite`` also rejects NaN and inf in the numbers the
 library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
 paths.  Every command computes through the library modules and emits one
-table as CSV or JSON.  Runs are deterministic given the flags and seed;
-the worker count (--threads or TFMOTION_THREADS: the Gaussian sampler's
-threads) never changes the output bytes.  Stable paths are made in the
-calling thread, in blocks of paths whose bounds depend on the plan alone,
-each block one matrix product with the kernel table.  simulate's CSV is
-formatted in NumPy, one block of paths at a time in the calling thread, as
-the bytes Python's %.17g gives.  Exit codes: 0 ok, 2 invalid
-usage/parameters, 3 numeric failure.
+table as CSV or JSON.  Runs are deterministic given the flags and seed,
+and every command computes in the calling thread.  Gaussian paths are made
+in batches that share one inverse FFT, stable paths in blocks whose bounds
+depend on the plan alone, each block one matrix product with the kernel
+table.  limits integrates each kind's global and local scales as one
+quadrature batch, and the untempered limit constant once for both kinds.
+simulate's CSV is formatted in NumPy, one block of paths at a time, as the
+bytes Python's %.17g gives.  Exit codes: 0 ok, 2 invalid usage/parameters,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Sequence
 
@@ -36,7 +36,7 @@ from .kernels import ProcessParams, QuadratureConfig
 from .gaussian import (SampleGrid, build_cov_matrix, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density)
 from .stable import DiscretizationPlan, simulate_tfsm_paths
-from .dependence import decay_diagnostic, global_limit_check, local_limit_check
+from .dependence import _limit_rows, decay_diagnostic, fsm_norm_limit
 
 _FLOAT_FMT = "%.17g"  # round-trip exact for binary64
 
@@ -268,18 +268,6 @@ def _parse_list(spec: str) -> list[float]:
     return vals
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TFMOTION_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"TFMOTION_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _dest(flag: str) -> str:
     """Namespace attribute of an option: --lambda is args.lam."""
     return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
@@ -333,13 +321,12 @@ def cmd_simulate(args) -> int:
     if params.lam <= 0.0:
         raise ValueError("simulate requires lambda > 0")
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=True)
-    workers = _threads(args)  # checked for every simulate; Gaussian paths use it
     if params.alpha == 2.0:
         if params.kind != "II":
             raise ValueError("exact Gaussian simulation covers kind=II only; "
                              "use alpha < 2 for first-kind paths")
         ens = simulate_gaussian_paths(params.H, params.lam, grid,
-                                      args.n_paths, args.seed, n_workers=workers)
+                                      args.n_paths, args.seed)
     else:
         dy = args.plan_dy if args.plan_dy is not None else args.t_max / 256.0
         plan = DiscretizationPlan.for_grid(grid, params, dy,
@@ -383,15 +370,15 @@ def cmd_decay(args) -> int:
 
 def cmd_limits(args) -> int:
     q = QuadratureConfig(abs_tol=1e-12, rel_tol=min(args.tol, 1e-2))
-    rows = []
-    for check, b_list in ((global_limit_check, args.b_global),
-                          (local_limit_check, args.b_local)):
-        for kind in ("II", "I"):
-            params = _build_params(args, kind=kind)
-            rows += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-                      r["rel_gap"], r["in_theorem_range"]]
-                     for r in check(params, _parse_list(b_list), q)]
-    meta = {"H": args.H, "alpha": params.alpha, "lambda": args.lam}
+    b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
+    kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
+    # the untempered limit of the local rows is the same for both kinds
+    fsm = fsm_norm_limit(kinds[0], q) if 0.0 < args.H < 1.0 else None
+    per_kind = [_limit_rows(p, b_global, b_local, q, fsm) for p in kinds]
+    rows = [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
+             r["rel_gap"], r["in_theorem_range"]]
+            for regime in (0, 1) for kind_rows in per_kind for r in kind_rows[regime]]
+    meta = {"H": args.H, "alpha": kinds[0].alpha, "lambda": args.lam}
     _emit(args.out, args.format, "limits", meta,
           ["regime", "kind", "b", "normalized", "limit", "rel_gap",
            "in_theorem_range"], rows)
@@ -400,13 +387,13 @@ def cmd_limits(args) -> int:
 
 # The options: flag -> (default, type or tuple of choices).  None is unset:
 # main checks that --H and --lambda are set, --out unset writes to stdout,
-# --threads unset reads TFMOTION_THREADS or counts the CPUs, and an unset
-# --alpha, --sigma, --beta or --kind keeps its ProcessParams default.
+# and an unset --alpha, --sigma, --beta or --kind keeps its ProcessParams
+# default.
 # README's option table mirrors these (tests/test_cli.py compares them).
 _KIND = ("I", "II")
 _RUN_WIDE = {"--H": (None, finite), "--lambda": (None, finite), "--seed": (0, int),
              "--out": (None, str), "--format": ("csv", ("csv", "json")),
-             "--threads": (None, int), "--config": (None, str)}
+             "--config": (None, str)}
 _COMMANDS = {  # command -> (function, help, its own options)
     "spectrum": (cmd_spectrum, "spectral densities of the increment noises", {
         "--tol": (1e-10, finite),

@@ -11,10 +11,12 @@ p = H - 1/alpha - 1 for the second kind and p = H - 1/alpha for the first,
 the measurable distinction between the two processes.  Every integral here
 runs through kernels._quad, so an error estimate above the QuadratureConfig
 tolerances raises QuadratureError instead of passing silently.  The lags of
-decay_diagnostic run as one _quad batch, as does the b list of each limit
-check (kernel_alpha_norm at an array of times), so each quadrature sweep
-evaluates the kernels of every lag or every b in array calls of
-kernels.kernel; codifference is the one-lag case of the decay batch.
+decay_diagnostic run as one _quad batch, each sweep evaluating the kernels
+of every lag in array calls of kernels.kernel; codifference is the one-lag
+case of the decay batch.  The global and local scales b of one kind are one
+kernel_alpha_norm batch (_limit_rows, the one place of the limit rows'
+formulas, behind global_limit_check and local_limit_check), whose every
+sweep is one kernel call.
 """
 
 from __future__ import annotations
@@ -186,40 +188,54 @@ def _scales(b_values) -> list[float]:
     return bs
 
 
+def _limit_rows(p: ProcessParams, b_global, b_local,
+                q: QuadratureConfig = DEFAULT_QUAD,
+                fsm_limit: float | None = None) -> tuple[list[dict], list[dict]]:
+    """The rows of global_limit_check(p, b_global, q) and of
+    local_limit_check(p, b_local, q), from one kernel_alpha_norm batch over
+    both lists of scales: the integrals of a batch are independent, so the
+    values are those of the two checks.  fsm_limit, when given, is
+    fsm_norm_limit(p, q), which is the same for both kinds and every
+    lambda, so that a caller checking both kinds integrates it once.
+
+    A global row normalizes the norm at b by b for the second kind and
+    leaves it as it is for the first; a local row by b^{-alpha H}.  Outside
+    0 < H < 1 the local limit constant does not exist; local rows are still
+    emitted with the range flag cleared, and NaN as limit and gap.
+    """
+    bg, bl = _scales(b_global), _scales(b_local)[::-1]
+    in_range = bool(0.0 < p.H < 1.0)
+    limit_g = global_limit_constant(p) if bg else math.nan
+    limit_l = math.nan
+    if bl and in_range:
+        limit_l = fsm_norm_limit(p, q) if fsm_limit is None else fsm_limit
+    norms = kernel_alpha_norm(p, bg + bl, q).tolist()
+
+    def row(regime, b, normalized, limit):
+        return {"regime": regime, "kind": p.kind, "b": b,
+                "normalized": normalized, "limit": limit,
+                "rel_gap": abs(normalized - limit) / limit,
+                "in_theorem_range": in_range}
+
+    return ([row("global", b, norm / b if p.kind == "II" else norm, limit_g)
+             for b, norm in zip(bg, norms)],
+            [row("local", b, b ** (-p.alpha * p.H) * norm, limit_l)
+             for b, norm in zip(bl, norms[len(bg):])])
+
+
 def global_limit_check(p: ProcessParams, b_values,
                        q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
-    """Normalized alpha-norms against the large-b limit, one row per b."""
-    limit = global_limit_constant(p)
-    bs = _scales(b_values)
-    rows = []
-    for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
-        normalized = norm / b if p.kind == "II" else norm
-        rows.append({
-            "regime": "global", "kind": p.kind, "b": b,
-            "normalized": normalized, "limit": limit,
-            "rel_gap": abs(normalized - limit) / limit,
-            "in_theorem_range": bool(0.0 < p.H < 1.0),
-        })
-    return rows
+    """Normalized alpha-norms against the large-b limit, one row per b
+    (_limit_rows)."""
+    return _limit_rows(p, b_values, (), q)[0]
 
 
 def local_limit_check(p: ProcessParams, b_values,
                       q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
-    """b^{-alpha H}-scaled alpha-norms against the small-b limit.
+    """b^{-alpha H}-scaled alpha-norms against the small-b limit, one row per
+    b from the largest (_limit_rows).
 
     Outside 0 < H < 1 the limit constant does not exist; rows are still
     emitted with the range flag cleared and no limit value.
     """
-    bs = _scales(b_values)[::-1]
-    in_range = bool(0.0 < p.H < 1.0)
-    limit = fsm_norm_limit(p, q) if in_range else math.nan
-    rows = []
-    for b, norm in zip(bs, kernel_alpha_norm(p, bs, q).tolist()):
-        normalized = b ** (-p.alpha * p.H) * norm
-        rows.append({
-            "regime": "local", "kind": p.kind, "b": b,
-            "normalized": normalized, "limit": limit,
-            "rel_gap": abs(normalized - limit) / limit if in_range else math.nan,
-            "in_theorem_range": in_range,
-        })
-    return rows
+    return _limit_rows(p, (), b_values, q)[1]

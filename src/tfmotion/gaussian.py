@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FactorizationError, NumericsError, PoleError
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_error,
                       _check_params, _epsilon, _quad)
-from .rng import fan_out, philox_generator
+from .rng import philox_generator
 from . import specfun
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -480,8 +480,7 @@ def _circulant_eigenvalues(H: float, lam: float, m: int, dt: float) -> np.ndarra
     return np.fft.rfft(np.concatenate((g, g[m - 1:0:-1]))).real
 
 
-def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int,
-                     n_workers: int) -> np.ndarray:
+def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
     """Paths at times 0, dt, .., m dt from the nonnegative eigenvalues ev.
 
     Path i draws M = 2m normals z from ``philox_generator(seed, i)``:
@@ -489,7 +488,7 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int,
     w_k = sqrt(ev_k / 2) (z_{2k} + i z_{2k+1}).  The increments are the first
     m entries of sqrt(M) irfft(w, M) and the path is their cumulative sum
     from 0.  A batch of paths shares one irfft; batch boundaries depend on
-    the grid only, never on n_workers.
+    the grid only.
     """
     m = ev.size - 1
     size = 2 * m
@@ -497,27 +496,23 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int,
     amp[1:m] *= math.sqrt(0.5)
     per_batch = max(1, _BATCH_NORMALS // size)
     paths = np.zeros((n_paths, m + 1))
-
-    def fill(b0: int, b1: int) -> None:
-        for i0 in range(b0 * per_batch, min(b1 * per_batch, n_paths), per_batch):
-            i1 = min(i0 + per_batch, n_paths)
-            z = np.empty((i1 - i0, size))
-            for r, i in enumerate(range(i0, i1)):
-                philox_generator(seed, i).standard_normal(out=z[r])
-            w = np.empty((i1 - i0, m + 1), dtype=complex)
-            w[:, 0] = z[:, 0]
-            w[:, m] = z[:, 1]
-            w[:, 1:m] = z[:, 2:].view(complex)
-            w *= amp
-            x = np.fft.irfft(w, size, axis=1)
-            np.cumsum(x[:, :m], axis=1, out=paths[i0:i1, 1:])
-
-    fan_out(fill, -(-n_paths // per_batch), n_workers)
+    for i0 in range(0, n_paths, per_batch):
+        i1 = min(i0 + per_batch, n_paths)
+        z = np.empty((i1 - i0, size))
+        for r, i in enumerate(range(i0, i1)):
+            philox_generator(seed, i).standard_normal(out=z[r])
+        w = np.empty((i1 - i0, m + 1), dtype=complex)
+        w[:, 0] = z[:, 0]
+        w[:, m] = z[:, 1]
+        w[:, 1:m] = z[:, 2:].view(complex)
+        w *= amp
+        x = np.fft.irfft(w, size, axis=1)
+        np.cumsum(x[:, :m], axis=1, out=paths[i0:i1, 1:])
     return paths
 
 
 def _cholesky_paths(H: float, lam: float, grid: SampleGrid, n_paths: int,
-                    seed: int, n_workers: int) -> np.ndarray:
+                    seed: int) -> np.ndarray:
     """Paths L z with L the Cholesky factor of ``build_cov_matrix`` and z the
     normals of ``philox_generator(seed, i)`` at the positive-variance times."""
     cov = build_cov_matrix(H, lam, grid)
@@ -526,13 +521,9 @@ def _cholesky_paths(H: float, lam: float, grid: SampleGrid, n_paths: int,
     lsub = L[np.ix_(live, live)]
     k = int(live.sum())
     paths = np.zeros((n_paths, grid.n))
-
-    def fill(i0: int, i1: int) -> None:
-        for i in range(i0, i1):
-            z = philox_generator(seed, i).standard_normal(k)
-            paths[i, live] = lsub @ z
-
-    fan_out(fill, n_paths, n_workers)
+    for i in range(n_paths):
+        z = philox_generator(seed, i).standard_normal(k)
+        paths[i, live] = lsub @ z
     return paths
 
 
@@ -553,8 +544,8 @@ def simulate_gaussian_paths(H: float, lam: float, grid: SampleGrid,
     factor of ``build_cov_matrix`` (``CovarianceMatrix.cholesky``).
 
     Path i draws its normals from a Philox generator keyed by (seed, i), so
-    the ensemble is reproducible regardless of how paths are distributed
-    over workers.
+    the ensemble is reproducible.  The paths are made in the calling
+    thread; n_workers is accepted for callers that pass it and ignored.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -564,8 +555,8 @@ def simulate_gaussian_paths(H: float, lam: float, grid: SampleGrid,
         if not ev.min() >= -EIGEN_ROUNDING * ev.max():
             ev = None
     if ev is None:
-        paths = _cholesky_paths(H, lam, grid, n_paths, seed, n_workers)
+        paths = _cholesky_paths(H, lam, grid, n_paths, seed)
     else:
-        paths = _circulant_paths(np.maximum(ev, 0.0), n_paths, seed, n_workers)
+        paths = _circulant_paths(np.maximum(ev, 0.0), n_paths, seed)
     params = ProcessParams(H=H, alpha=2.0, lam=lam, kind="II")
     return PathEnsemble(params=params, grid=grid, paths=paths, seed=int(seed))

@@ -13,12 +13,14 @@ indicator of [0, t), uses
                                             h(t; y) = R(-y) - R(t - y).
 
 Every kernel value goes through _kernel_step, which evaluates these
-differences without cancellation over an array of a = -y at one t; the
-public kernels take a float or an array of y, so a kernel table row or a
-quadrature sweep is one call.  Also here: _check_params, the one check of
-H, lambda, sigma, times and lags; quadrature of integral |kernel|^alpha dy
-(one batch over many t); and _quad, the one quadrature helper through which
-every integral of the package runs.
+differences without cancellation over an array of a = -y, at one t or at
+one t per element; the public kernels take one t and a float or an array
+of y, so a kernel table row is one call, and each quadrature sweep of
+kernel_alpha_norm is one call over the nodes of every time of its batch.
+Also here: _check_params, the one check of H, lambda, sigma, times and
+lags; quadrature of integral |kernel|^alpha dy (one batch over many t); and
+_quad, the one quadrature helper through which every integral of the
+package runs.
 _quad integrates a batch of integrals with QUADPACK's adaptive G7/K15 rule
 written in NumPy, one array integrand call per sweep over every active
 panel of every integral, with QUADPACK's epsilon extrapolation (_epsilon)
@@ -338,9 +340,10 @@ def _phi(k: float, lam: float, x: np.ndarray) -> np.ndarray:
 
 
 def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
-                 w: float) -> np.ndarray:
+                 w) -> np.ndarray:
     """Kernel values between the primitive arguments a = -y (a 1-D array) and
-    b = a + w = t - y, at one width w.
+    b = a + w = t - y, at one width w (a float) or at one width per element
+    (an array shaped like a).
 
     phi(b) - phi(a) for the first kind, R(a) - R(b) for the second; lam = 0
     reduces the second kind to the first and kappa = 0 to the indicator.
@@ -356,23 +359,32 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
     A cell with lam w <= min(lam a / 2, 1) is 8-point Gauss-Legendre, exact
     to rounding there because s = 0 lies at least four half-widths to its
     left; it needs no incomplete gamma, and its node factors depend only on
-    w, so the whole array shares them.  Longer cells (small a, or lam w > 1)
-    are differences of incomplete gammas.
+    w, so all elements of one width share them.  Longer cells (small a, or
+    lam w > 1) are differences of incomplete gammas.  Each element's value
+    is that of a call with its own width alone, and a zero width gives 0.
 
     For kappa < 0 the second kind is +inf at b = 0 and -inf at a = 0.  A
-    non-finite y, which no branch holds, raises ValueError.
+    non-finite y or width, or a negative width, raises ValueError.
     """
-    if not 0.0 <= w < math.inf:
-        raise ValueError(f"kernel time must be finite and >= 0, got t = {w}")
+    wide = np.ndim(w) > 0
+    wv = np.atleast_1d(w)
+    specfun._check_x("kernel", wv, (wv >= 0.0) & (wv < np.inf), "finite t >= 0")
     specfun._check_x("kernel", -a, np.isfinite(a), "finite y")
     out = np.zeros(a.shape)
-    if w == 0.0:
+    if wide:
+        live = w > 0.0
+        if not live.all():
+            if live.any():
+                out[live] = _kernel_step(kind, k, lam, a[live], w[live])
+            return out
+    elif w == 0.0:
         return out
     b = a + w
     right = a > 0.0
     ar = a[right]
+    wr = w[right] if wide else w
     if kind == "I" or lam == 0.0:
-        out[right] = _phi(k, lam, ar) * np.expm1(k * np.log1p(w / ar) - lam * w)
+        out[right] = _phi(k, lam, ar) * np.expm1(k * np.log1p(wr / ar) - lam * wr)
         left = ~right
         out[left] = _phi(k, lam, b[left]) - _phi(k, lam, a[left])
         return out
@@ -387,7 +399,7 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
     bc = b[cross]
     out[cross] = (lam ** (-k) * specfun.lower_gamma(1.0 + k, lam * bc)
                   + _phi(k, lam, bc))
-    out[right] = k * lam ** (-k) * specfun.gamma_interval(k, lam * ar, lam * w)
+    out[right] = k * lam ** (-k) * specfun.gamma_interval(k, lam * ar, lam * wr)
     return out
 
 
@@ -460,7 +472,8 @@ def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
 def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad), at
     a float or an array of times t.  The times of an array are one _quad
-    batch, with one array kernel call per time in each sweep.
+    batch, and each sweep is one kernel call (_kernel_step) at the times of
+    its nodes' integrals.
 
     The panels are graded geometrically from -t to -cutoff (_norm_edges).
     The left tail below -cutoff is truncated and covered by the analytic
@@ -481,11 +494,7 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     tp = t[pos]
 
     def f(y, rows):
-        v = np.empty(y.shape)
-        for r in np.flatnonzero(np.bincount(rows)):
-            at = rows == r
-            v[at] = np.abs(kernel(p, tp[r], y[at])) ** p.alpha
-        return v
+        return np.abs(_kernel_step(p.kind, p.kappa, p.lam, -y, tp[rows])) ** p.alpha
 
     out[pos], _ = _quad(f, [_norm_edges(p, ti, q) for ti in tp], q)
     if p.lam > 0.0:

@@ -1,14 +1,11 @@
-"""Counter-based random number generation shared by the simulators, and the
-Gaussian sampler's worker fan-out.
+"""Counter-based random number generation shared by the simulators.
 
 Each path draws from a Philox generator keyed by (seed, stream index), so an
-ensemble is a pure function of its seed no matter how paths are scheduled
-across workers.
+ensemble is a pure function of its seed, whatever blocks its paths are drawn
+in.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,14 +17,3 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def fan_out(fill, n: int, n_workers: int) -> None:
-    """Run fill(i0, i1) over [0, n) in contiguous chunks, one per worker thread."""
-    if n_workers <= 1:
-        fill(0, n)
-        return
-    step = max(1, -(-n // n_workers))
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        futures = [ex.submit(fill, i, min(i + step, n)) for i in range(0, n, step)]
-        for f in futures:
-            f.result()

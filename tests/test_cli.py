@@ -173,6 +173,8 @@ class TestSimulate:
         assert o1.read_bytes() == o2.read_bytes()
 
     def test_thread_count_invariance(self, tmp_path):
+        # nothing reads TFMOTION_THREADS any more: a leftover setting
+        # changes no byte
         args = ["simulate", "--H", "0.8", "--alpha", "1.5", "--lambda", "0.3",
                 "--t-max", "1", "--n", "3", "--n-paths", "6", "--seed", "1",
                 "--plan-dy", "0.05", "--plan-cutoff", "30"]
@@ -444,15 +446,16 @@ def csv_blocks(monkeypatch):
 
 class TestCsvFanOut:
     """simulate formats fixed blocks of paths in the calling thread, one
-    block at a time; the bytes never depend on the worker count."""
+    block at a time; the bytes are those of the %-formatted table."""
 
     def test_bytes_independent_of_workers(self, tmp_path, monkeypatch, csv_blocks):
+        # reruns, one with a leftover TFMOTION_THREADS that nothing reads
         calls = spy_emit(monkeypatch)
-        outs = [run_cli(GAUSS_3_BLOCKS + ["--threads", t], tmp_path, f"t{t}.csv")
-                for t in ("1", "2", "4")]
-        outs.append(run_cli(GAUSS_3_BLOCKS, tmp_path, "env.csv",
-                            env={"TFMOTION_THREADS": "2"}))
-        assert [rc for rc, _ in outs] == [0] * 4
+        outs = [run_cli(GAUSS_3_BLOCKS, tmp_path, "a.csv"),
+                run_cli(GAUSS_3_BLOCKS, tmp_path, "b.csv"),
+                run_cli(GAUSS_3_BLOCKS, tmp_path, "env.csv",
+                        env={"TFMOTION_THREADS": "2"})]
+        assert [rc for rc, _ in outs] == [0] * 3
         data = [out.read_bytes() for _, out in outs]
         assert all(d == data[0] for d in data[1:])
         _, fmt, command, meta, columns, rows = calls[0]
@@ -460,41 +463,34 @@ class TestCsvFanOut:
         assert data[0] == text.encode()
         main_thread = threading.get_ident()
         assert csv_blocks == [(0, 16, main_thread), (16, 16, main_thread),
-                              (32, 2, main_thread)] * 4
+                              (32, 2, main_thread)] * 3
 
     def test_stdout_through_workers(self, tmp_path):
         # a buffered pipe: the header must reach it before the blocks, which
         # bypass the text layer
-        _, out = run_cli(GAUSS_3_BLOCKS + ["--threads", "1"], tmp_path)
+        _, out = run_cli(GAUSS_3_BLOCKS, tmp_path)
         env = package_env()
         env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.run([sys.executable, "-m", "tfmotion.cli", *GAUSS_3_BLOCKS,
-                               "--threads", "2", "--out", "-"],
+                               "--out", "-"],
                               capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out.read_bytes()
 
-    def test_pool_capped_by_blocks_and_cores(self, tmp_path, csv_blocks):
-        # --threads sets the sampling threads only: the blocks are formatted
-        # in the calling thread, however many workers are asked for
-        rc, _ = run_cli(GAUSS_3_BLOCKS + ["--threads", "64"], tmp_path)
-        assert rc == 0
-        assert {t for *_, t in csv_blocks} == {threading.get_ident()}
-        assert len(csv_blocks) == 3
-
     def test_one_block_stays_serial(self, tmp_path, csv_blocks):
-        rc, _ = run_cli(GAUSS_33 + ["--threads", "4"], tmp_path)
+        rc, _ = run_cli(GAUSS_33, tmp_path)
         assert rc == 0
         assert csv_blocks == [(0, 3, threading.get_ident())]
 
-    def test_threads_env_must_be_an_integer(self, tmp_path, capsys):
-        rc, _ = run_cli(GAUSS_33, tmp_path, env={"TFMOTION_THREADS": "abc"})
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "TFMOTION_THREADS" in err and "'abc'" in err
-
 
 class TestRemovedFlags:
+    def test_threads_flag_rejected(self):
+        # every command computes in the calling thread: --threads is gone
+        for command, argv in BASE_ARGV.items():
+            with pytest.raises(SystemExit) as e:
+                main([command, *argv, "--threads", "2"])
+            assert e.value.code == 2, command
+
     def test_simulate_tol_rejected(self):
         with pytest.raises(SystemExit) as e:
             main(GAUSS_33 + ["--tol", "1e-3"])
@@ -603,7 +599,7 @@ def parser_options():
             for name, sp in sub.choices.items()}
 
 
-RUN_WIDE = {"--H", "--lambda", "--seed", "--out", "--format", "--threads", "--config"}
+RUN_WIDE = {"--H", "--lambda", "--seed", "--out", "--format", "--config"}
 
 # a quick valid argv of each command, and a second valid value of each of
 # its own options (and of simulate's --seed); simulate runs at alpha = 1.5,
@@ -637,7 +633,8 @@ class TestOptionTable:
         own = {cmd: set(opts) - RUN_WIDE | ({"--seed"} if cmd == "simulate" else set())
                for cmd, opts in parser_options().items()}
         assert own == {cmd: set(vals) for cmd, vals in OTHER_VALUE.items()}
-        assert sum(map(len, parser_options().values())) == 61
+        # 61 options until --threads left the five commands
+        assert sum(map(len, parser_options().values())) == 56
 
     @pytest.mark.parametrize("command,option", [
         (cmd, opt) for cmd, vals in OTHER_VALUE.items() for opt in vals])
@@ -690,21 +687,21 @@ class TestEntryPoint:
         assert out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
-        # the package never imports SciPy, the process pool is imported only
-        # by simulate's CSV fan-out, and numpy.ma by neither the import nor
-        # limits
-        lazy = ("scipy", "multiprocessing", "concurrent.futures.process", "numpy.ma")
+        # the package never imports SciPy, a process or thread pool
+        # (multiprocessing, concurrent.futures), or numpy.ma, neither on
+        # import nor in limits
+        lazy = ("scipy", "multiprocessing", "concurrent.futures", "numpy.ma")
         code = ("import sys, tfmotion.cli\n"
                 f"lazy = {lazy!r}\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if any(m == p or m.startswith(p + '.') for p in lazy)))\n"
                 "assert tfmotion.cli.main(['limits', '--H', '0.7', '--alpha', '2',\n"
                 "                          '--lambda', '0.15', '--out', sys.argv[1]]) == 0\n"
-                "print('numpy.ma' in sys.modules)")
+                "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, os.devnull],
                               capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "False"]
+        assert proc.stdout.split() == ["[]", "False", "False"]
 
     def test_acvf_leaves_scipy_unloaded(self):
         # the cosine tails of the TFGN II autocovariance run on the NumPy

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tfmotion import specfun as sf
-from tfmotion.dependence import (codifference, decay_diagnostic,
+from tfmotion import cli, dependence, specfun as sf
+from tfmotion.dependence import (_limit_rows, codifference, decay_diagnostic,
                                  fsm_norm_limit, global_limit_check,
                                  global_limit_constant, local_limit_check,
                                  r_fn)
@@ -198,6 +199,48 @@ class TestLimitChecks:
         for check in (global_limit_check, local_limit_check):
             with pytest.raises(ValueError):
                 check(P_G, [10.0, b])
+
+    @pytest.mark.parametrize("H", [0.7, 1.3])
+    @pytest.mark.parametrize("kind", ["II", "I"])
+    def test_one_batch_rows_match_checks(self, H, kind):
+        # the global and local scales of one kind are one kernel_alpha_norm
+        # batch; its integrals are independent, so the rows are those of
+        # the two checks bit for bit (repr: NaN gaps outside 0 < H < 1)
+        p = ProcessParams(H=H, alpha=1.5, lam=0.3, kind=kind)
+        q = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
+        bg, bl = [50.0, 25.0], [0.01, 0.1]
+        rows_g, rows_l = _limit_rows(p, bg, bl, q)
+        assert repr(rows_g) == repr(global_limit_check(p, bg, q))
+        assert repr(rows_l) == repr(local_limit_check(p, bl, q))
+        if H < 1.0:  # a given untempered limit is used as it is
+            fsm = fsm_norm_limit(p, q)
+            assert repr(_limit_rows(p, bg, bl, q, fsm)) == repr((rows_g, rows_l))
+
+    def test_cli_limits_rows_match_checks(self, tmp_path, monkeypatch):
+        # limits makes one batch per kind and one untempered limit: three
+        # kernel_alpha_norm calls, and its rows are the checks' rows
+        norms = []
+        real = dependence.kernel_alpha_norm
+
+        def spy(p, t, q):
+            norms.append((p.kind, p.lam, np.size(t)))
+            return real(p, t, q)
+
+        monkeypatch.setattr(dependence, "kernel_alpha_norm", spy)
+        out = tmp_path / "limits.json"
+        assert cli.main(["limits", "--H", "0.7", "--alpha", "2", "--lambda", "0.15",
+                         "--format", "json", "--out", str(out)]) == 0
+        assert norms == [("I", 0.0, 1), ("II", 0.15, 7), ("I", 0.15, 7)]
+        monkeypatch.setattr(dependence, "kernel_alpha_norm", real)
+        q = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
+        want = []
+        for check, bs in ((global_limit_check, [25, 50, 100, 200]),
+                          (local_limit_check, [0.1, 0.01, 0.001])):
+            for kind in ("II", "I"):
+                p = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind=kind)
+                want += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
+                          r["rel_gap"], r["in_theorem_range"]] for r in check(p, bs, q)]
+        assert json.loads(out.read_text())["rows"] == want
 
     def test_local_out_of_range_flagged(self):
         p = ProcessParams(H=1.2, alpha=2.0, lam=0.5, kind="II")

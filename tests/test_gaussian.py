@@ -400,6 +400,8 @@ class TestSimulation:
         assert np.all(a.paths[:, 0] == 0.0)
 
     def test_worker_count_invariance(self):
+        # n_workers is accepted and ignored: the paths are made in the
+        # calling thread
         grid = SampleGrid.regular(1.0, 4)
         a = simulate_gaussian_paths(0.7, 0.15, grid, 16, seed=1, n_workers=1)
         b = simulate_gaussian_paths(0.7, 0.15, grid, 16, seed=1, n_workers=4)

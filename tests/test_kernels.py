@@ -188,6 +188,60 @@ class TestKernelStepArray:
                 assert va == pytest.approx(ref, rel=1e-12, abs=1e-15), a
 
 
+    # one width per element: every width of W at every a of A, interleaved;
+    # W holds 0 and the widths that put b = a + w = 0 on an element of A
+    W = np.array([0.0, 1e-9, 0.6, 1.0, 3.0, 0.05, 40.0])
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    @pytest.mark.parametrize("k", [-0.4, 0.0, 0.3, 1.2])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 25.0])
+    @pytest.mark.filterwarnings("error")
+    def test_width_array_matches_scalar_calls(self, kind, k, lam):
+        a, w = (g.ravel() for g in np.meshgrid(self.A, self.W))
+        order = np.random.default_rng(0).permutation(a.size)
+        a, w = a[order], w[order]
+        v = _kernel_step(kind, k, lam, a, w)
+        assert np.isinf(v).any() == (k < 0.0)  # the singular points are hit
+        for wi in self.W.tolist():
+            at = w == wi
+            assert v[at].tolist() == _kernel_step(kind, k, lam, a[at], wi).tolist(), wi
+        assert (v[w == 0.0] == 0.0).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_bad_width_element_raises(self, bad):
+        w = np.array([1.0, 0.0, bad, 2.0])
+        for kind in ("I", "II"):
+            with pytest.raises(ValueError):
+                _kernel_step(kind, 0.3, 0.5, np.array([-0.5, 1.0, 2.0, 3.0]), w)
+
+
+def test_alpha_norm_makes_one_kernel_call_per_sweep(monkeypatch):
+    # each _quad sweep (one _qk15 call) evaluates the kernels of every node
+    # of every time of the batch in one _kernel_step call
+    calls = {"sweeps": 0, "kernel": 0}
+    real_qk15, real_step = kernels._qk15, kernels._kernel_step
+
+    def qk15(*args):
+        calls["sweeps"] += 1
+        return real_qk15(*args)
+
+    def step(*args):
+        calls["kernel"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(kernels, "_qk15", qk15)
+    monkeypatch.setattr(kernels, "_kernel_step", step)
+    ts = np.array([0.001, 0.1, 1.0, 25.0, 200.0])
+    for p in (ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="II"),
+              ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="I"),
+              ProcessParams(H=0.55, alpha=1.5, lam=0.8, kind="II"),  # kappa < 0
+              ProcessParams(H=0.7, alpha=1.5, lam=0.0, kind="I")):
+        calls.update(sweeps=0, kernel=0)
+        v = kernel_alpha_norm(p, ts)
+        assert calls["sweeps"] > 1 and calls["kernel"] == calls["sweeps"], p
+        assert v.tolist() == [kernel_alpha_norm(p, t) for t in ts.tolist()]
+
+
 _P_I = ProcessParams(H=0.55, alpha=1.5, lam=0.8, kind="I")  # kappa < 0
 _YS = [-3.0, -0.2, 0.0, 0.7, 1.5, 2.0]  # y = 0 and y = t = 1.5 give -inf, +inf
 

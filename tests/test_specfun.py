@@ -284,6 +284,32 @@ class TestIncompleteGammaArray:
             assert vi == pytest.approx(oracles.mp_gammainc(a, xi, math.inf),
                                        rel=5e-13, abs=1e-300), xi
 
+    @pytest.mark.parametrize("a", A_NEG + A_POS)
+    def test_gamma_interval_width_array(self, a):
+        # one width per cell, every width of GI_WIDTHS at each of its points
+        # (both sides of the Gauss-Legendre seam, and for a > 1 the lower
+        # difference at x < a and the upper one past it), interleaved: each
+        # value is bit for bit that of the call with its width alone
+        x = np.concatenate([_interval_points(a, h) for h in GI_WIDTHS])
+        h = np.concatenate([np.full(_interval_points(a, h).size, h)
+                            for h in GI_WIDTHS])
+        order = np.random.default_rng(1).permutation(x.size)
+        x, h = x[order], h[order]
+        v = sf.gamma_interval(a, x, h)
+        for hi in GI_WIDTHS:
+            at = h == hi
+            assert v[at].tolist() == sf.gamma_interval(a, x[at], hi).tolist(), hi
+        n = x.size // 2 * 2  # an array of widths shaped like x
+        assert (sf.gamma_interval(a, x[:n].reshape(2, -1), h[:n].reshape(2, -1)).tolist()
+                == v[:n].reshape(2, -1).tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_gamma_interval_bad_width_element(self, bad):
+        with pytest.raises(ValueError):
+            sf.gamma_interval(0.5, np.array([1.0, 2.0, 3.0]), np.array([0.1, bad, 0.2]))
+        with pytest.raises(ValueError):  # one width per point
+            sf.gamma_interval(0.5, np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
+
     def test_empty_input(self):
         empty = np.empty(0)
         assert sf._lower_series(0.5, empty, 1.5).shape == (0,)
