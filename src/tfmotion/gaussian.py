@@ -1,14 +1,13 @@
 """Second-order theory and exact simulation of TFBM II / TFGN II.
 
 Closed-form variance and covariance of the normalized second-kind tempered
-fractional Brownian motion, on floats or elementwise on arrays, the
-Matern-type double-integral representation of the covariance (H > 1/2),
-autocovariance and spectral densities of the unit-lag increment noises, and
-exact Gaussian path sampling with a counter-based (Philox) generator: by
-circulant embedding of the stationary increment noise on regular grids from
-t = 0 (Davies-Harte / Wood-Chan), and by Cholesky factorization of the
-covariance matrix on every other grid and wherever the embedding has a
-negative eigenvalue.
+fractional Brownian motion, on floats or elementwise on arrays; its Matern
+integrand (_matern), over a rectangle for the covariance (H > 1/2) and over
+a lag's triangle for the increment autocovariance; spectral densities of the
+unit-lag increment noises; and exact Gaussian path sampling with a
+counter-based (Philox) generator, by circulant embedding of the stationary
+increment noise on regular grids from t = 0 (Davies-Harte / Wood-Chan), and
+by Cholesky on every other grid and where the embedding has a negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactorizationError, NumericsError, PoleError
-from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_error,
-                      _check_params, _epsilon, _quad)
+from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
+                      _quad)
 from .rng import philox_generator
 from . import specfun
 
@@ -202,18 +201,21 @@ def covariance_tfbm2(H: float, lam: float, s, t):
                   - variance_tfbm2(H, lam, t - s))
 
 
+def _matern(H: float, lam: float):
+    """(M, c): M(w) = w^{H-1} K_{H-1}(lam w) for w > 0 and c = 1 / (sqrt(pi)
+    Gamma(H - 1/2) (2 lam)^{H-1}), so that Cov[B(t), B(s)] of TFBM II is
+    c int_0^t int_0^s M(|u - v|) dv du (H != 1/2; c < 0 for H < 1/2).  c is
+    pinned against the spectral-integral variance (twice c, which sometimes
+    appears with this form, double-counts the |u - v| symmetry)."""
+    c = 1.0 / (_SQRT_PI * specfun.gamma_fn(H - 0.5) * (2.0 * lam) ** (H - 1.0))
+    return (lambda w: w ** (H - 1.0) * specfun.bessel_k(H - 1.0, lam * w)), c
+
+
 def matern_cov_integral(H: float, lam: float, s: float, t: float,
                         q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Covariance of TFBM II via the Matern-kernel double integral (H > 1/2).
-
-        C(H, lam) * int_0^t int_0^s |u-v|^{H-1} K_{H-1}(lam |u-v|) dv du,
-        C(H, lam) = 1 / (sqrt(pi) Gamma(H - 1/2) (2 lam)^{H-1}).
-
-    The prefactor is pinned by cross-validation against the spectral-integral
-    variance (a prefactor twice as large, which sometimes appears with this
-    representation, double-counts the |u-v| symmetry).  The rectangle integral
-    is reduced to one dimension in the difference variable w = |u - v|, whose
-    occupation length on [0,t] x [0,s] (s <= t) is
+    """Covariance of TFBM II, c int_0^t int_0^s M(|u - v|) dv du with M and c
+    of _matern (H > 1/2), reduced to one dimension in the difference variable
+    w = |u - v|, whose occupation length on [0,t] x [0,s] (s <= t) is
     rho(w) = min(s, t-w) + (s-w)_+; the integrable singularity at w = 0 sits
     at a panel endpoint.  The integrand takes K_{H-1} at all nodes of a
     quadrature sweep in one array call of specfun.bessel_k.  The tolerances
@@ -228,12 +230,10 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
         return 0.0
     if s > t:
         s, t = t, s
-    nu = H - 1.0
-    c = 1.0 / (_SQRT_PI * specfun.gamma_fn(H - 0.5) * (2.0 * lam) ** (H - 1.0))
+    m, c = _matern(H, lam)
 
     def f(w, rows):
-        rho = np.minimum(s, t - w) + np.maximum(s - w, 0.0)
-        return w ** (H - 1.0) * specfun.bessel_k(nu, lam * w) * rho
+        return m(w) * (np.minimum(s, t - w) + np.maximum(s - w, 0.0))
 
     splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
     return c * _quad(f, splits, q)[0]
@@ -245,54 +245,29 @@ def matern_cov_integral(H: float, lam: float, s: float, t: float,
 
 def tfgn2_acvf(H: float, lam: float, j: int,
                q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Autocovariance r(j) of TFGN II by quadrature of the real-line form
-
-        r(j) = (1/pi) int_0^inf cos(w j) 4 sin^2(w/2) w^{-2} (lam^2 + w^2)^{1/2 - H} dw
-
-    (4 sin^2(w/2), as 2 - 2 cos w cancels near w = 0).  The head over
-    [0, Omega] and the constant term of the tail's expansion into pure
-    cosines run at epsabs = 1e-13, each cos(m w) term through _cosine_tail;
-    each raises QuadratureError when its error exceeds the tolerances of q.
+    """Autocovariance r(j) of TFGN II: one _quad of M and c of _matern over
+    the lag's triangle, r(j) = c int_{j-1}^{j+1} (1 - |w - j|) M(w) dw, with
+    panel edges at the lag points (at j = 0 its halves fold onto [0, 1]).
+    For H < 1/2 that lag-0 integral diverges, and sum_j r(j) = lam^{1-2H}
+    gives r(0) = lam^{1-2H} - 2c int_0^inf min(w, 1) M(w) dw.  The error is
+    held to q.rel_tol relative, with no absolute floor, so r(j) ~ e^{-lam j}
+    keeps its digits.  H = 1/2 is white noise.
     """
     _check_params(H, lam, times=(j,))
     if not float(j).is_integer():
         raise ValueError(f"tfgn2_acvf is defined at integer lags j, got {j}")
     j = abs(int(j))
-
-    def g(w, rows=None):
-        return (lam * lam + w * w) ** (0.5 - H) / (w * w)
-
-    def head_f(w, rows):
-        return 4.0 * np.sin(0.5 * w) ** 2 * np.cos(j * w) * g(w)
-
-    omega = max(1.0, 2.0 * lam)
-    # head parts under half a period of cos(j w): none nears _LIMIT panels
-    z = np.linspace(0.0, omega, 2 + int(j * omega / math.pi))
-    vals, errs = _quad(head_f, np.column_stack([z[:-1], z[1:]]), q, epsabs=1e-13)
-    head = vals.sum(keepdims=True)
-    _check_error(head_f, head, errs.sum(keepdims=True), q)
-    # 4 sin^2(w/2) cos(j w) = 2 cos(j w) - cos((j - 1) w) - cos((j + 1) w)
-    tail = 0.0
-    for m, c in ((j, 2.0), (abs(j - 1), -1.0), (j + 1, -1.0)):
-        if m == 0:
-            tail += c * _quad(g, (omega, math.inf), q, epsabs=1e-13)[0]
-        else:
-            tail += c * _cosine_tail(g, m, omega, q)
-    return (head[0] + tail) / math.pi
-
-
-def _cosine_tail(g, m: int, omega: float, q: QuadratureConfig) -> float:
-    """int_omega^inf g(w) cos(m w) dw for a g decreasing to 0, as in QUADPACK's
-    QAWF: one _quad batch of 40 panels from omega through the next zeros of
-    cos(m w), Wynn's epsilon algorithm over their partial sums, and the panel
-    errors plus the epsilon error held to the bound of _quad."""
-    k = math.floor(m * omega / math.pi + 0.5) + 0.5  # first zero: (k pi / m) >= omega
-    z = np.concatenate([[omega], np.maximum((k + np.arange(40)) * math.pi / m, omega)])
-    vals, errs = _quad(lambda w, rows: g(w) * np.cos(m * w),
-                       np.column_stack([z[:-1], z[1:]]), q)
-    value, err = _epsilon(np.cumsum(vals)[None, :])
-    _check_error(g, value, err + errs.sum(), q)
-    return float(value[0])
+    if H == 0.5:
+        return float(j == 0)
+    m, c = _matern(H, lam)
+    base, edges, weight = 0.0, (j - 1.0, j, j + 1.0), lambda w: 1.0 - np.abs(w - j)
+    if j == 0 and H > 0.5:
+        edges, weight = (0.0, 1.0), lambda w: 2.0 - 2.0 * w
+    elif j == 0:  # lam^{1-2H} less the triangles of every lag j != 0
+        base, edges = lam ** (1.0 - 2.0 * H), (0.0, 1.0, math.inf)
+        weight = lambda w: -2.0 * np.minimum(w, 1.0)
+    return base + c * _quad(lambda w, rows: weight(w) * m(w), edges, q,
+                            epsabs=0.0)[0]
 
 
 def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,

@@ -20,13 +20,10 @@ kernel_alpha_norm is one call over the nodes of every time of its batch.
 Also here: _check_params, the one check of H, lambda, sigma, times and
 lags; quadrature of integral |kernel|^alpha dy (one batch over many t); and
 _quad, the one quadrature helper through which every integral of the
-package runs.
-_quad integrates a batch of integrals with QUADPACK's adaptive G7/K15 rule
-written in NumPy, one array integrand call per sweep over every active
-panel of every integral, with QUADPACK's epsilon extrapolation (_epsilon)
-for endpoint singularities.  It returns each integral's error estimate and
-raises QuadratureError when that estimate exceeds the QuadratureConfig
-tolerances.
+package runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
+extrapolation (_epsilon) in NumPy, over a batch of integrals, raising
+QuadratureError past the QuadratureConfig tolerances.  No other module
+names those three.
 The convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout;
 for kappa < 0 the primitive at x = 0 takes its infinite right limit, so the
 kernels return the signed infinite limit at the singular points y = 0 and
@@ -283,19 +280,6 @@ def _kronrod(f, edges, epsabs, epsrel):
         err = np.concatenate([err[keep], cerr])
 
 
-def _check_error(f, total, err, q: QuadratureConfig) -> None:
-    """Raise QuadratureError when an error estimate exceeds 40 max(q.abs_tol,
-    q.rel_tol |value|) or is NaN or inf (a non-finite integrand)."""
-    bound = 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
-    over = ~(err <= bound) | np.isinf(err)
-    if over.any():
-        r = np.flatnonzero(over)[0]
-        raise QuadratureError(
-            f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
-            f"estimate {err[r]:.3e} exceeds tolerance "
-            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[r]:.6e})")
-
-
 def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
           epsabs: float | None = None):
     """(value, error estimate) of integral f over [e[0], e[-1]] for each row
@@ -321,7 +305,13 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
     rows = [edges] if single else list(edges)
     total, err = _kronrod(f, rows, 0.25 * q.abs_tol if epsabs is None else epsabs,
                           0.25 * q.rel_tol)
-    _check_error(f, total, err, q)
+    bound = 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+    over = np.flatnonzero(~(err <= bound) | np.isinf(err))
+    if over.size:
+        raise QuadratureError(
+            f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
+            f"estimate {err[over[0]]:.3e} exceeds tolerance "
+            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[over[0]]:.6e})")
     if single:
         return float(total[0]), float(err[0])
     return total, err

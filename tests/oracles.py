@@ -106,17 +106,31 @@ def mp_hurwitz_em(s: float, q: float, n_direct: int, n_bernoulli: int) -> mp.mpf
         return v
 
 
+def mp_variance_tfbm2(H: float, lam: float, t) -> mp.mpf:
+    """TFBM II variance C_t^2 by the two-term 2F3 closed form, at the
+    working precision (H not an integer)."""
+    H, lam, t = mp.mpf(H), mp.mpf(lam), mp.mpf(t)
+    if t == 0:
+        return mp.mpf(0)
+    half = mp.mpf(0.5)
+    z = (lam * t) ** 2 / 4
+    a = -2 * mp.gamma(H) * lam ** (-2 * H) * mp.rgamma(H - half) / mp.sqrt(mp.pi)
+    b = (t ** (2 * H) * mp.gamma(1 - H)
+         / (mp.sqrt(mp.pi) * H * 2 ** (2 * H) * mp.gamma(H + half)))
+    return (a * (1 - mp.hyp2f3(1, -half, 1 - H, half, 1, z))
+            + b * mp.hyp2f3(1, H - half, 1, H + 1, H + half, z))
+
+
 def mp_tfgn2_acvf(H: float, lam: float, j: int) -> float:
-    """TFGN II autocovariance (1/pi) int_0^inf cos(w j) 4 sin^2(w/2) w^-2
-    (lam^2 + w^2)^{1/2-H} dw by mpmath's quadosc (j >= 1)."""
-    with mp.workdps(25):
-        H, lam = mp.mpf(H), mp.mpf(lam)
-
-        def f(w):
-            return (4 * mp.sin(w / 2) ** 2 * mp.cos(j * w)
-                    * (lam * lam + w * w) ** (mp.mpf(0.5) - H) / (w * w))
-
-        return float(mp.quadosc(f, [0, mp.inf], omega=j) / mp.pi)
+    """TFGN II autocovariance as half the second difference of the 2F3
+    variance, (C_{j+1}^2 - 2 C_j^2 + C_{|j-1|}^2) / 2, in mpmath at
+    30 + lam (2j + 1) / ln 10 digits: C_{j+1}^2 is a difference of terms
+    of order e^{lam (j+1)}, and r(j) is of order e^{-lam (j-1)}, so the
+    digits lost to both cancellations grow like 2 lam j / ln 10."""
+    j = abs(int(j))
+    with mp.workdps(30 + int(lam * (2 * j + 1) / math.log(10.0))):
+        return float((mp_variance_tfbm2(H, lam, j + 1) - 2 * mp_variance_tfbm2(H, lam, j)
+                      + mp_variance_tfbm2(H, lam, abs(j - 1))) / 2)
 
 
 def besselk_quadrature(nu: float, x: float) -> float:

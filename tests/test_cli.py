@@ -704,8 +704,9 @@ class TestEntryPoint:
         assert proc.stdout.split() == ["[]", "False", "False"]
 
     def test_acvf_leaves_scipy_unloaded(self):
-        # the cosine tails of the TFGN II autocovariance run on the NumPy
-        # quadrature, at every lag of the 201-lag table
+        # the TFGN II autocovariance integrates the Matern integrand on the
+        # NumPy quadrature and specfun.bessel_k, at every lag of the 201-lag
+        # table
         code = ("import sys\nfrom tfmotion.gaussian import tfgn2_acvf\n"
                 "r = [tfgn2_acvf(0.7, 0.15, j) for j in range(201)]\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -170,30 +170,37 @@ class TestAcvf:
             ref = 0.5 * (c2(j + 1) - 2.0 * c2(j) + c2(abs(j - 1)))
             assert tfgn2_acvf(0.7, 0.15, j) == pytest.approx(ref, rel=1e-7), j
 
-    @pytest.mark.parametrize("H,lam", [(0.2, 0.05), (0.7, 0.15), (1.7, 3.0)])
-    def test_cosine_tail_matches_qawf(self, H, lam):
-        # the zero-to-zero panels with epsilon extrapolation against
-        # QUADPACK's QAWF on the same tail
-        g = lambda w, rows=None: (lam * lam + w * w) ** (0.5 - H) / (w * w)
-        omega = max(1.0, 2.0 * lam)
-        for m in (1, 2, 37, 201):
-            ref = integrate.quad(g, omega, math.inf, weight="cos", wvar=m,
-                                 epsabs=1e-15, limlst=100)[0]
-            v = gaussian._cosine_tail(g, m, omega, gaussian.DEFAULT_QUAD)
-            assert v == pytest.approx(ref, rel=1e-10, abs=1e-14), m
+    @pytest.mark.parametrize("H,lam,j,ref,rel", [
+        # r(j) of order 1e-21 and 1e-15: an absolute error floor (1e-16 of
+        # noise) would leave no correct digit here
+        (0.7, 10.0, 5, 1.6106861765033201e-21, 1e-10),
+        (0.7, 1.0, 30, 1.2708021503003318e-15, 1e-10),
+        # lam = 200: a strongly singular, sharply decaying lag-1 triangle
+        (0.2, 200.0, 1, -0.07190078344711691, 4e-8),
+        # lag 0 at H < 1/2, from sum_j r(j) = lam^{1-2H}
+        (0.3, 40.0, 0, 4.436851236757468, 4e-8),
+        # small lam at lag 1, where mpmath's quadosc of the spectral form
+        # (at omega = j) is 8% and 5e-7 off
+        (0.2, 0.05, 1, -0.6500119102397648, 1e-10),
+        (0.7, 0.15, 1, 0.23468315386286864, 1e-10),
+        # lam (j - 1) above 745: r(j) ~ e^{-lam (j-1)} is 0 in floats, and
+        # the lag's triangle needs no more panels than at j = 1
+        (0.7, 3.0, 600, 0.0, 0.0),
+        (0.7, 3.0, 1200, 0.0, 0.0),
+    ])
+    def test_oracle_table(self, H, lam, j, ref, rel):
+        # ref: oracles.mp_tfgn2_acvf, the 2F3 second difference in mpmath
+        assert tfgn2_acvf(H, lam, j) == pytest.approx(ref, rel=rel, abs=0.0)
 
-    @pytest.mark.parametrize("j", [600, 1200])
-    def test_lags_past_one_integral_panel_limit(self, j):
-        # at lam = 3 the head [0, 6] holds 570 or more periods of cos(j w),
-        # more than one integral of at most 400 panels resolves; r(j) decays
-        # like e^{-lam j}, so it is 0 to far below the tolerance
-        assert abs(tfgn2_acvf(0.7, 3.0, j)) <= 1e-13
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_continuous_across_H_one(self, j):
+        # c and M have no pole at H = 1, where the 2F3 variance has one
+        lo, mid, hi = (tfgn2_acvf(H, 0.15, j) for H in (1.0 - 1e-6, 1.0, 1.0 + 1e-6))
+        assert min(lo, hi) <= mid <= max(lo, hi)
 
     @pytest.mark.parametrize("j", [126, 196])
     def test_large_lag_oracle(self, j):
-        # H = 1.7, lam = 0.05: the lags where the cancelling head 2 - 2 cos w
-        # sent every integral over budget; the oracle is mpmath's quadosc of
-        # the whole integral, whose integrand vanishes at the zeros of cos(j w)
+        # H = 1.7, lam = 0.05: lags where r(j) is far below r(0)
         assert tfgn2_acvf(1.7, 0.05, j) == pytest.approx(
             oracles.mp_tfgn2_acvf(1.7, 0.05, j), rel=0.0, abs=1e-12)
 

@@ -591,3 +591,20 @@ def test_every_public_name_has_a_caller():
               and not any(node.name in names for _, other, names in stmts
                           if other is not node)]
     assert not unused
+
+
+def test_one_quadrature_helper():
+    # _quad is the package's one quadrature entry point: no module but
+    # kernels names its rule (_qk15), its adaptive loop (_kronrod) or its
+    # extrapolation (_epsilon), in code or in an import
+    inner = {"_kronrod", "_qk15", "_epsilon"}
+    named = {}
+    for f in Path(kernels.__file__).parent.glob("*.py"):
+        if f.stem != "kernels":
+            tree = ast.parse(f.read_text())
+            names = {n.id if isinstance(n, ast.Name) else
+                     n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            named[f.stem] = sorted(inner & names)
+    assert named and not any(named.values()), named
