@@ -18,7 +18,7 @@ table.  limits integrates each kind's global and local scales as one
 quadrature batch, and the untempered limit constant once for both kinds.
 simulate's CSV is formatted in NumPy, one block of paths at a time, as the
 bytes Python's %.17g gives.  Exit codes: 0 ok, 2 invalid usage/parameters,
-3 numeric failure.
+3 numeric failure (a NumericsError or a float overflow).
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"tfmotion: error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, OverflowError) as exc:
         print(f"tfmotion: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,16 +1,16 @@
-"""Self-contained special functions backing the closed-form covariance theory.
+"""Special functions backing the closed-form covariance theory.
 
-Implements the gamma function (Lanczos approximation with reflection), the
-modified Bessel function of the second kind K_nu (the trapezoidal rule on
-its cosh integral), the unnormalized incomplete gamma functions (a series
-by Horner's rule and a double-exponential trapezoidal rule, each of a
-length set by the parameter a alone) and their integral over an interval,
-and the generalized hypergeometric series 2F3 and the Hurwitz zeta
-function.  K_nu, the incomplete gammas (one parameter a) and 2F3 take a
-float or an array argument and are written once in NumPy, for one point
+Implements the gamma function (math.gamma, with PoleError at the poles),
+the modified Bessel function of the second kind K_nu (the trapezoidal rule
+on its cosh integral), the unnormalized incomplete gamma functions (a
+series by Horner's rule and a double-exponential trapezoidal rule, each of
+a length set by the parameter a alone) and their integral over an
+interval, and the generalized hypergeometric series 2F3 and the Hurwitz
+zeta function.  K_nu, the incomplete gammas (one parameter a) and 2F3 take
+a float or an array argument and are written once in NumPy, for one point
 or a whole table; an array gives the values of per-element calls.  No
-external special-function library is used here; SciPy/mpmath appear only
-in the test suite as independent oracles.
+special-function library but Python's math is used here; SciPy/mpmath
+appear only in the test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -25,62 +25,23 @@ from .errors import PoleError, SeriesConvergenceError
 
 _EPS = 2.220446049250313e-16
 
-# Lanczos coefficients, g = 607/128, for log-gamma on the positive axis.
-_LANCZOS_G = 4.7421875
-_LANCZOS_COF = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-_LANCZOS_C0 = 0.999999999999997092
-_SQRT_2PI = 2.5066282746310005
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 (Lanczos, ~1e-15 relative)."""
+    """Natural log of Gamma(x) for x > 0 (math.lgamma)."""
     if x <= 0.0:
         raise PoleError(f"log_gamma requires x > 0, got {x}")
-    y = x
-    tmp = x + _LANCZOS_G + 0.5
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = _LANCZOS_C0
-    for c in _LANCZOS_COF:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_SQRT_2PI * ser / x)
-
-
-def _sin_pi(x: float) -> float:
-    # sin(pi*x) with the argument reduced to |r| <= 1/2 so accuracy holds
-    # near integers.
-    n = math.floor(x + 0.5)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if (int(n) & 1) else s
+    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real non-pole x; reflection formula below x = 1/2."""
+    """Gamma(x) for real non-pole x (math.gamma); OverflowError past 171.6."""
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma_fn pole at nonpositive integer x = {x}")
-    if x >= 0.5:
-        return math.exp(log_gamma(x))
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return math.pi / (_sin_pi(x) * math.exp(log_gamma(1.0 - x)))
+    return math.gamma(x)
 
 
 def _elementwise(name: str):
@@ -177,7 +138,7 @@ def _lower_series(a: float, x: np.ndarray, x_s: float) -> np.ndarray:
 
 def _upper_scaled(a: float, x: np.ndarray) -> np.ndarray:
     """G(a, x) with Gamma(a, x) = exp(-x) * x^a * G(a, x) over a 1-D array
-    x >= max(1, a + 1), for a > -1, by the trapezoidal rule on
+    x >= 0.3 for a < 1 and x >= a + 1 for a >= 1, by the trapezoidal rule on
 
         x G(a, x) = int_R (1 + phi(v)/x)^(a-1) e^-phi(v) phi'(v) dv,
 
@@ -188,24 +149,27 @@ def _upper_scaled(a: float, x: np.ndarray) -> np.ndarray:
     calls.  h = 0.2 up to a = 20; above it h = 0.2 sqrt(20/a), since the
     integrand nears exp(-t^2 / 2a), whose strip of analyticity narrows as a
     grows.  Against mpmath, x up to 700: relative error below 1e-15 for a
-    in (-1, 10], 7e-15 at a = 20, 5e-16 at a = 30, 100 and 160 next to the
-    seam.
+    in (-1, 10] and x >= 0.3 (at a = -0.95 it grows to 1e-14 at x = 0.2 and
+    3e-12 at x = 0.1), 7e-15 at a = 20, 5e-16 at a = 30, 100 and 160 next
+    to the seam.
     """
     h = 0.2 if a <= 20.0 else 0.2 * math.sqrt(20.0 / a)
     v_max = math.log(40.0 + 40.0 * max(a - 1.0, 0.0)) + 0.6
     v = -4.0 + h * np.arange(int((v_max + 4.0) / h) + 1)
     phi = np.exp(v - np.exp(-v))
     w = h * phi * (1.0 + np.exp(-v))
-    # (a - 1) log1p(phi/x) < phi for x >= a + 1, so no term overflows
+    # (a - 1) log1p(phi/x) < phi for x >= a + 1 or a <= 1: no term overflows
     terms = np.exp((a - 1.0) * np.log1p(phi / x[:, None]) - phi) * w
     return np.cumsum(terms, axis=1)[:, -1] / x
 
 
 def _incomplete(a: float, x: np.ndarray, lower: bool) -> np.ndarray:
     """gamma(a, x) if lower, else Gamma(a, x), over a 1-D array x > 0:
-    exp(-x) x^a times _lower_series below the seam max(1, a + 1) and
-    _upper_scaled from it on, each the other's complement to Gamma(a)."""
-    x_s = max(1.0, a + 1.0)
+    exp(-x) x^a times _lower_series below the seam and _upper_scaled from
+    it on, each the other's complement to Gamma(a).  The seam is a + 1 for
+    a >= 1, and 0.3 for a < 1, where _upper_scaled still holds 1e-15: for
+    small a, Gamma(a) minus the series cancels as x nears 1."""
+    x_s = a + 1.0 if a >= 1.0 else 0.3
     series = x < x_s
     out = np.empty(x.shape)
     for side, is_lower in ((series, True), (~series, False)):

@@ -92,6 +92,19 @@ class TestExitCodes:
         assert rc == 3
 
     @pytest.mark.parametrize("args", [
+        ["limits", "--H", "100", "--alpha", "2", "--lambda", "1"],
+        ["covariance", "--H", "180.3", "--lambda", "1"],
+    ])
+    def test_float_overflow_exits_3(self, args, tmp_path, capsys):
+        # a constant past the float range (c ** alpha in the global limit
+        # constant, Gamma(H + 1/2) in the variance prefactor) is a numeric
+        # failure with the one-line message, not a traceback
+        rc, out = run_cli(args, tmp_path)
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("tfmotion: numeric failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
         ["spectrum", "--H", "-1", "--lambda", "0.15"],
         ["spectrum", "--H", "0.7", "--lambda", "0"],
         ["spectrum", "--H", "0.7", "--lambda", "0.15", "--omega-grid=0:4:3"],

@@ -569,13 +569,10 @@ class TestQuadHelper:
             assert "kernel_row" not in src, mod.__name__
 
 
-def test_every_public_name_has_a_caller():
-    # no dead public code: each public function and class of the package is
-    # named by package code outside its own definition (in any module), is
-    # exported in tfmotion.__all__, or is a pyproject.toml console script
-    project = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    scripts = set(re.findall(r'"(tfmotion\.\w+):(\w+)"', project))
-    stmts = []  # (module, top-level statement, the names it mentions)
+def _package_statements():
+    """(module, top-level statement, the names it mentions) for every
+    top-level statement of the package's modules but __init__."""
+    stmts = []
     for f in Path(kernels.__file__).parent.glob("*.py"):
         if f.stem != "__init__":
             for node in ast.parse(f.read_text()).body:
@@ -583,6 +580,16 @@ def test_every_public_name_has_a_caller():
                          for n in ast.walk(node)
                          if isinstance(n, (ast.Name, ast.Attribute))}
                 stmts.append((f.stem, node, names))
+    return stmts
+
+
+def test_every_public_name_has_a_caller():
+    # no dead public code: each public function and class of the package is
+    # named by package code outside its own definition (in any module), is
+    # exported in tfmotion.__all__, or is a pyproject.toml console script
+    project = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = set(re.findall(r'"(tfmotion\.\w+):(\w+)"', project))
+    stmts = _package_statements()
     unused = [f"{mod}.{node.name}" for mod, node, _ in stmts
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
@@ -590,6 +597,28 @@ def test_every_public_name_has_a_caller():
               and (f"tfmotion.{mod}", node.name) not in scripts
               and not any(node.name in names for _, other, names in stmts
                           if other is not node)]
+    assert not unused
+
+
+def test_every_private_name_has_a_caller():
+    # no dead private code: each private top-level function, class and
+    # assigned constant of a module is named by another top-level statement
+    # of the package (tests do not count)
+    stmts = _package_statements()
+    unused = []
+    for mod, node, _ in stmts:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = {n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name)}
+        else:
+            continue
+        unused += [f"{mod}.{name}" for name in sorted(defined)
+                   if name.startswith("_") and not name.startswith("__")
+                   and not any(name in names for _, other, names in stmts
+                               if other is not node)]
     assert not unused
 
 
