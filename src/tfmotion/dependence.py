@@ -51,19 +51,19 @@ def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
 
 def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
                    theta2: float, q: QuadratureConfig) -> np.ndarray:
-    """I(t) at every integer lag of lags as one _quad batch over
-    x in (-cutoff, 1], or (-inf, 1] for lam = 0, to the relative tolerance
+    """I(t) at every integer lag of lags as one _quad batch over the panels
+    (-inf, -cutoff), (-cutoff, 0) and (0, 1), to the relative tolerance
     alone (epsabs = 0).  Each sweep evaluates the lag-t kernels of all lags
     in one kernel call, and the lag-0 kernel in another."""
     lags = np.asarray(lags, dtype=float)
-    left = -q.cutoff(p.lam) if p.lam > 0.0 else -math.inf
+    edges = (-math.inf, -q.cutoff(p.lam), 0.0, 1.0)
 
     def integrand(x, rows):
         a = theta1 * kernel(p, 1.0, x - lags[rows])
         b = theta2 * kernel(p, 1.0, x)
         return _stable_bracket(a, b, p.alpha)
 
-    return _quad(integrand, [(left, 0.0, 1.0)] * lags.size, q, epsabs=0.0)[0]
+    return _quad(integrand, [edges] * lags.size, q, epsabs=0.0)[0]
 
 
 def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
@@ -71,12 +71,12 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     """Codifference I(t) of the unit-lag noise at integer lag t >= 1.
 
     The one-lag case of the batch behind decay_diagnostic: quadrature of
-    the bracket integrand over x in (-cutoff, 1], or to -infinity through
-    QUADPACK's infinite map for lam = 0 (the untempered kernels decay only
-    polynomially), to the relative tolerance alone, with the near-cancellation
-    between the lag-t and lag-0 kernels evaluated through log1p/expm1.
+    the bracket integrand over x in (-inf, 1], with one panel through
+    QUADPACK's infinite map below -cutoff, to the relative tolerance alone,
+    with the near-cancellation between the lag-t and lag-0 kernels
+    evaluated through log1p/expm1.
     """
-    _check_params(times=(t,))
+    _check_params(times=(t,), weights=(theta1, theta2))
     if t < 1 or not float(t).is_integer():
         raise ValueError(f"codifference is defined for integer t >= 1, got {t}")
     if theta1 == 0.0 or theta2 == 0.0:
@@ -92,6 +92,7 @@ def r_fn(p: ProcessParams, t: int, theta1: float, theta2: float,
     K = E e^{i th1 Y(0)} E e^{i th2 Y(0)} > 0 comes from the marginal
     alpha-norm; the sign of r at finite t is reported, not asserted.
     """
+    _check_params(weights=(theta1, theta2))
     if p.beta != 0.0:
         raise ValueError("r_fn is defined for the symmetric case beta = 0")
     if theta1 == 0.0 or theta2 == 0.0:
@@ -128,6 +129,7 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     reports whether max/min of the ratio over the top half of t_range stays
     within band_factor.
     """
+    _check_params(weights=(theta1, theta2))
     if not (1.0 / p.alpha < p.H < 1.0):
         raise ValueError("decay theory requires 1/alpha < H < 1")
     if p.lam <= 0.0:

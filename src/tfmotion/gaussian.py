@@ -150,6 +150,7 @@ def variance_fbm_limit(H: float, t: float) -> float:
     """
     if not 0.0 < H < 1.0:
         raise ValueError(f"the untempered limit requires H in (0, 1), got {H}")
+    _check_params(times=(t,))
     return abs(t) ** (2.0 * H) * _fbm_coef(H)
 
 
@@ -195,10 +196,20 @@ def variance_tfbm2(H: float, lam: float, t):
 
 
 def covariance_tfbm2(H: float, lam: float, s, t):
-    """Cov[B(t), B(s)] = (C_t^2 + C_s^2 - C_{t-s}^2) / 2 for TFBM II, for
-    float s and t or elementwise over broadcastable arrays."""
-    return 0.5 * (variance_tfbm2(H, lam, t) + variance_tfbm2(H, lam, s)
-                  - variance_tfbm2(H, lam, t - s))
+    """Cov[B(t), B(s)] = ((C_t^2 + C_s^2) - C_{t-s}^2) / 2 for TFBM II, for
+    float s and t or elementwise over broadcastable arrays: one call of
+    ``variance_tfbm2`` over the distinct values among the |s|, |t| and
+    |t - s| (n of them over all pairs of a regular grid from 0), each found
+    by binary search in the sorted distinct ones."""
+    _check_params(times=(s, t))
+    args = [np.abs(t), np.abs(s), np.abs(t - s)]
+    uniq = np.concatenate([a.ravel() for a in args])
+    uniq.sort()  # distinct values by hand: np.unique loads numpy.ma
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+    var = variance_tfbm2(H, lam, uniq)
+    ct, cs, cd = (var[np.searchsorted(uniq, a)] for a in args)
+    out = 0.5 * ((ct + cs) - cd)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _matern(H: float, lam: float):
@@ -403,27 +414,11 @@ def tfgn1_spectral_density(H: float, lam: float, omega: float,
 
 
 def build_cov_matrix(H: float, lam: float, grid: SampleGrid) -> CovarianceMatrix:
-    """Covariance matrix of TFBM II over the grid, diagonal = C_t^2.
-
-    Entry (i, j) is 0.5 * ((C_{t_i}^2 + C_{t_j}^2) - C_{t_i - t_j}^2).
-    One call of ``variance_tfbm2`` takes the distinct values among the |t_i|
-    and the |t_i - t_j| (n of them on a regular grid starting at 0, against
-    n^2 entries); each entry finds its value by binary search in the sorted
-    distinct ones.  Any grid, uniform or not, takes this one path.
-    """
+    """Covariance matrix of TFBM II over the grid, diagonal = C_t^2: entry
+    (i, j) is ``covariance_tfbm2`` at (t_i, t_j), all pairs in one call.
+    Any grid, uniform or not, takes this one path."""
     t = grid.times
-    at = np.abs(t)
-    d = np.subtract.outer(t, t)
-    np.abs(d, out=d)
-    uniq = np.concatenate((d.ravel(), at))
-    uniq.sort()  # distinct values by hand: np.unique loads numpy.ma
-    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
-    var = variance_tfbm2(H, lam, uniq)
-    ct = var[np.searchsorted(uniq, at)]
-    values = var[np.searchsorted(uniq, d)]
-    np.subtract(ct[:, None] + ct[None, :], values, out=values)
-    values *= 0.5
-    return CovarianceMatrix(grid=grid, values=values)
+    return CovarianceMatrix(grid=grid, values=covariance_tfbm2(H, lam, t[:, None], t))
 
 
 # Eigenvalues of the circulant embedding in [-EIGEN_ROUNDING * max, 0) are

@@ -17,8 +17,10 @@ differences without cancellation over an array of a = -y, at one t or at
 one t per element; the public kernels take one t and a float or an array
 of y, so a kernel table row is one call, and each quadrature sweep of
 kernel_alpha_norm is one call over the nodes of every time of its batch.
-Also here: _check_params, the one check of H, lambda, sigma, times and
-lags; quadrature of integral |kernel|^alpha dy (one batch over many t); and
+Also here: _check_params, the one check of H, lambda, sigma, times, lags
+and weights; quadrature of integral |kernel|^alpha dy (one batch over many
+t), whose left tail is one infinite panel (-inf, -cutoff) for every lambda,
+as is the codifference's (QuadratureConfig); and
 _quad, the one quadrature helper through which every integral of the
 package runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
 extrapolation (_epsilon) in NumPy, over a batch of integrals, raising
@@ -43,12 +45,14 @@ from . import specfun
 
 def _check_params(H: float | None = None, lam: float | None = None, *,
                   lam_zero: bool = False, sigma: float | None = None,
-                  times=()) -> None:
+                  times=(), weights=()) -> None:
     """The package's one check of its process parameters, run before any
-    arithmetic on them: raise ValueError unless H, lambda and sigma are
-    finite, H > 0, lambda > 0 (>= 0 with lam_zero), sigma > 0, and every
-    time or lag in times (floats or arrays) is finite.  None skips one."""
-    for name, v in (("H", H), ("lambda", lam), ("sigma", sigma)):
+    arithmetic on them: raise ValueError unless H, lambda, sigma and every
+    weight (a float, such as a codifference's theta) are finite, H > 0,
+    lambda > 0 (>= 0 with lam_zero), sigma > 0, and every time or lag in
+    times (floats or arrays) is finite.  None skips one."""
+    named = [("H", H), ("lambda", lam), ("sigma", sigma)]
+    for name, v in named + [("weight", w) for w in weights]:
         if v is not None and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     if H is not None and H <= 0.0:
@@ -96,9 +100,10 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the library's integrals (see _quad).  For lambda > 0
-    the left tails are truncated at cutoff(lam) = max(50/lambda, 50); the
-    untempered integrals (lambda = 0) run on to -infinity past cutoff(0) = 50."""
+    """Tolerances of the library's integrals (see _quad), and
+    cutoff(lam) = max(50/lambda, 50) (50 at lambda = 0): the first finite
+    panel edge, -cutoff, of every left tail, which runs on to -infinity, and
+    the left truncation of the stable plan (DiscretizationPlan.for_grid)."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
@@ -427,35 +432,18 @@ def kernel(p: ProcessParams, t: float, y):
     return kernel_g(p, t, y) if p.kind == "I" else kernel_h(p, t, y)
 
 
-def alpha_norm_tail_bound(p: ProcessParams, t, a: float):
-    """Analytic bound on integral_{-inf}^{-a} |kernel(t; y)|^alpha dy, a > 0,
-    at a float or an array of times t.
-
-    From |h(t; -u)| <= (2 + lam t) (1 + t/a)^{max(kappa,0)} u^kappa e^{-lam u}
-    for u >= a, which also dominates |g|; requires lam > 0.
-    """
-    if p.lam <= 0.0:
-        raise ValueError("tail bound requires lambda > 0")
-    al, lam = p.alpha, p.lam
-    k = p.kappa
-    grow = (1.0 + t / a) ** (al * k) if k > 0.0 else 1.0
-    pref = (2.0 + lam * t) ** al * grow * (al * lam) ** (-al * p.H)
-    return pref * specfun.upper_gamma(al * p.H, al * lam * a)
-
-
 def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
     """Panel edges of the alpha-norm integral at time t > 0: graded
     geometrically, -t 10^k, from -t down to -cutoff, so that the mass on
     [-t, 0] and just left of it has panels of its own scale at any t; then
-    0 and t, and -inf as the first edge for lam = 0."""
+    0 and t.  The left tail is one infinite panel (-inf, -cutoff)."""
     a = q.cutoff(p.lam)
     left = []
     y = t
     while y < a:
         left.append(-y)
         y *= 10.0
-    first = [-math.inf, -a] if p.lam == 0.0 else [-a]
-    return first + left[::-1] + [0.0, t]
+    return [-math.inf, -a] + left[::-1] + [0.0, t]
 
 
 @specfun._elementwise("t")
@@ -465,10 +453,9 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     batch, and each sweep is one kernel call (_kernel_step) at the times of
     its nodes' integrals.
 
-    The panels are graded geometrically from -t to -cutoff (_norm_edges).
-    The left tail below -cutoff is truncated and covered by the analytic
-    exponential bound (lam > 0), which is added to the value, or integrated
-    to -infinity through QUADPACK's infinite map (lam = 0).  H = 1/alpha
+    The panels are graded geometrically from -t to -cutoff (_norm_edges),
+    and the left tail below -cutoff is one panel to -infinity through
+    QUADPACK's infinite map, for every lambda.  H = 1/alpha
     short-circuits to the exact value t.  Kernels with kappa < 0 are
     singular at y = 0 and y = t; _quad extrapolates those integrals.
     """
@@ -487,6 +474,4 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
         return np.abs(_kernel_step(p.kind, p.kappa, p.lam, -y, tp[rows])) ** p.alpha
 
     out[pos], _ = _quad(f, [_norm_edges(p, ti, q) for ti in tp], q)
-    if p.lam > 0.0:
-        out[pos] += alpha_norm_tail_bound(p, tp, q.cutoff(p.lam))
     return out

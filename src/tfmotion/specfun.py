@@ -31,14 +31,18 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 (math.lgamma)."""
+    """Natural log of Gamma(x) for finite x > 0 (math.lgamma)."""
+    if not math.isfinite(x):
+        raise ValueError(f"log_gamma requires finite x, got {x}")
     if x <= 0.0:
         raise PoleError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real non-pole x (math.gamma); OverflowError past 171.6."""
+    """Gamma(x) for finite non-pole x (math.gamma); OverflowError past 171.6."""
+    if not math.isfinite(x):
+        raise ValueError(f"gamma_fn requires finite x, got {x}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma_fn pole at nonpositive integer x = {x}")
     return math.gamma(x)

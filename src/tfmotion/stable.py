@@ -21,13 +21,13 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
-from .kernels import DEFAULT_QUAD, ProcessParams, kernel
+from .kernels import DEFAULT_QUAD, ProcessParams, _check_params, kernel
 from .rng import philox_generator
 
 # cell values per block of paths: 15 paths at 8,384 nodes
@@ -43,8 +43,9 @@ class DiscretizationPlan:
     n_nodes: int
 
     def __post_init__(self):
-        if self.dy <= 0.0:
-            raise ValueError("dy must be positive")
+        if not (math.isfinite(self.y_min) and 0.0 < self.dy < math.inf):
+            raise ValueError(f"need a finite y_min and a finite dy > 0, got "
+                             f"y_min = {self.y_min}, dy = {self.dy}")
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
 
@@ -59,15 +60,13 @@ class DiscretizationPlan:
     def for_grid(cls, grid: SampleGrid, p: ProcessParams, dy: float,
                  cutoff: float | None = None) -> "DiscretizationPlan":
         """Plan covering the kernel support of every grid time, truncated on
-        the left where the exponential tail is negligible."""
-        if not dy > 0.0:
-            raise ValueError(f"dy must be positive, got {dy}")
+        the left where the exponential tail is negligible.  The constructor
+        checks y_min and dy before the node count is taken from them."""
         if cutoff is None:
             cutoff = DEFAULT_QUAD.cutoff(p.lam)
-        t_max = float(grid.times[-1])
-        y_min = min(float(grid.times[0]), 0.0) - cutoff
-        n = int(math.ceil((t_max - y_min) / dy))
-        return cls(y_min=y_min, dy=dy, n_nodes=n)
+        plan = cls(y_min=min(float(grid.times[0]), 0.0) - cutoff, dy=dy, n_nodes=2)
+        n = math.ceil((float(grid.times[-1]) - plan.y_min) / dy)
+        return replace(plan, n_nodes=n)
 
 
 def _cms(alpha: float, beta: float, u1, u2):
@@ -123,8 +122,7 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     if not -1.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_params(sigma=sigma)
     u1 = np.asarray(u[0], dtype=float)
     u2 = np.asarray(u[1], dtype=float)
     if np.any((u1 <= 0.0) | (u1 >= 1.0)) or np.any((u2 <= 0.0) | (u2 >= 1.0)):

@@ -109,6 +109,22 @@ class TestCovariance:
         assert covariance_tfbm2(0.75, 0.5, 1.0, 2.0) == covariance_tfbm2(
             0.75, 0.5, 2.0, 1.0)
 
+    def test_one_variance_call_per_array_call(self, monkeypatch):
+        # C_t^2 at the distinct |s|, |t| and |t - s| of a call in one call
+        calls = []
+        real = gaussian.variance_tfbm2
+
+        def spy(H, lam, t):
+            calls.append(np.shape(t))
+            return real(H, lam, t)
+
+        monkeypatch.setattr(gaussian, "variance_tfbm2", spy)
+        t = np.array([-0.4, 0.0, 0.05, 0.3, 1.2])
+        for s in (t[:, None], t[::-1], 0.3):
+            calls.clear()
+            covariance_tfbm2(0.7, 0.15, s, t)
+            assert len(calls) == 1
+
 
 class TestMatern:
     def test_zero_range(self):
@@ -361,10 +377,15 @@ class TestCovMatrix:
         SampleGrid.regular(1.0, 65),
         SampleGrid.regular(2.0, 9, include_zero=False),
         SampleGrid(np.array([-0.4, 0.0, 0.05, 0.3, 0.31, 1.2, 2.75])),
-    ], ids=["regular", "no_zero", "non_uniform"])
+        SampleGrid(np.array([-1.5, -0.7, -0.4, 0.3, 1.2])),
+    ], ids=["regular", "no_zero", "non_uniform", "negative"])
     def test_bit_identical_to_loop_build(self, grid):
+        # and to covariance_tfbm2 called on each pair of times alone
         m = build_cov_matrix(0.7, 0.15, grid)
         assert np.array_equal(m.values, oracles.loop_cov_matrix(0.7, 0.15, grid.times))
+        ts = grid.times.tolist()
+        pairs = [[covariance_tfbm2(0.7, 0.15, s, t) for t in ts] for s in ts]
+        assert np.array_equal(m.values, np.array(pairs))
 
     def test_one_variance_call_per_build(self, monkeypatch):
         # the matrix and the circulant embedding each evaluate C_t^2 over

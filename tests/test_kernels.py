@@ -10,10 +10,14 @@ from scipy import integrate
 
 import tfmotion
 from tfmotion import kernels, specfun as sf
-from tfmotion.dependence import codifference
+from tfmotion import dependence
+from tfmotion.dependence import codifference, decay_diagnostic, r_fn
 from tfmotion.errors import QuadratureError
-from tfmotion.gaussian import (matern_cov_integral, tfgn1_spectral_density,
-                               tfgn2_acvf, tfgn2_spectral_density, variance_tfbm2)
+from tfmotion.gaussian import (SampleGrid, matern_cov_integral,
+                               tfgn1_spectral_density, tfgn2_acvf,
+                               tfgn2_spectral_density, variance_fbm_limit,
+                               variance_tfbm2)
+from tfmotion.stable import DiscretizationPlan, sample_stable
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
                               _kernel_step, _quad, kernel_alpha_norm,
                               kernel_g, kernel_h)
@@ -82,6 +86,25 @@ NON_FINITE = {
     "gamma_interval_h_inf": lambda: sf.gamma_interval(0.5, 1.0, math.inf),
     "gamma_interval_x_inf": lambda: sf.gamma_interval(0.5, math.inf, 0.1),
     "gamma_interval_a_nan": lambda: sf.gamma_interval(math.nan, 1.0, 0.1),
+    "gamma_fn_nan": lambda: sf.gamma_fn(math.nan),
+    "gamma_fn_inf": lambda: sf.gamma_fn(math.inf),
+    "log_gamma_nan": lambda: sf.log_gamma(math.nan),
+    "log_gamma_inf": lambda: sf.log_gamma(math.inf),
+    "fbm_limit_t_nan": lambda: variance_fbm_limit(0.7, math.nan),
+    "stable_sigma_nan": lambda: sample_stable(1.5, 0.0, math.nan, (0.3, 0.6)),
+    "stable_sigma_inf": lambda: sample_stable(1.5, 0.0, math.inf, (0.3, 0.6)),
+    "plan_y_min_nan": lambda: DiscretizationPlan(y_min=math.nan, dy=0.1, n_nodes=10),
+    "plan_y_min_inf": lambda: DiscretizationPlan(y_min=-math.inf, dy=0.1, n_nodes=10),
+    "plan_dy_nan": lambda: DiscretizationPlan(y_min=-1.0, dy=math.nan, n_nodes=10),
+    "plan_dy_inf": lambda: DiscretizationPlan(y_min=-1.0, dy=math.inf, n_nodes=10),
+    "plan_cutoff_inf": lambda: DiscretizationPlan.for_grid(
+        SampleGrid.regular(1.0, 5), P_STABLE, 0.1, cutoff=math.inf),
+    "codifference_theta1_nan": lambda: codifference(P_STABLE, 3, math.nan, 1.0),
+    "codifference_theta2_inf": lambda: codifference(P_STABLE, 3, 1.0, math.inf),
+    "r_fn_theta2_nan": lambda: r_fn(P_STABLE, 3, 1.0, math.nan),
+    "r_fn_theta1_inf": lambda: r_fn(P_STABLE, 3, math.inf, 1.0),
+    "decay_theta1_nan": lambda: decay_diagnostic(P_STABLE, [2, 3], math.nan, 1.0),
+    "decay_theta2_inf": lambda: decay_diagnostic(P_STABLE, [2, 3], 1.0, math.inf),
 }
 
 
@@ -240,6 +263,30 @@ def test_alpha_norm_makes_one_kernel_call_per_sweep(monkeypatch):
         v = kernel_alpha_norm(p, ts)
         assert calls["sweeps"] > 1 and calls["kernel"] == calls["sweeps"], p
         assert v.tolist() == [kernel_alpha_norm(p, t) for t in ts.tolist()]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.0])
+def test_left_tail_is_one_infinite_panel(monkeypatch, lam):
+    # for every lambda, each integral over y of the kernel norms and the
+    # codifferences starts with the one panel (-inf, -cutoff(lam))
+    rows = []
+    real = kernels._quad
+
+    def spy(f, edges, *args, **kwargs):
+        rows.extend([edges] if np.ndim(edges[0]) == 0 else edges)
+        return real(f, edges, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_quad", spy)
+    monkeypatch.setattr(dependence, "_quad", spy)
+    p = ProcessParams(H=0.8, alpha=1.5, lam=lam)
+    kernel_alpha_norm(p, np.array([1e-3, 1.0, 70.0]))
+    if lam > 0.0:
+        decay_diagnostic(p, [2, 3, 4], 1.0, 1.0)
+    else:  # the decay theory needs lambda > 0; codifference is its one-lag case
+        codifference(p, 3, 1.0, 1.0)
+    assert len(rows) == (6 if lam > 0.0 else 4)
+    cut = DEFAULT_QUAD.cutoff(lam)
+    assert all(list(r[:2]) == [-math.inf, -cut] for r in rows), rows
 
 
 _P_I = ProcessParams(H=0.55, alpha=1.5, lam=0.8, kind="I")  # kappa < 0
@@ -637,3 +684,19 @@ def test_one_quadrature_helper():
                      if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
             named[f.stem] = sorted(inner & names)
     assert named and not any(named.values()), named
+
+
+def test_one_covariance_evaluator():
+    # C_t^2 enters the package's covariances through covariance_tfbm2 and the
+    # circulant embedding's row alone: no other top-level statement of any
+    # module names variance_tfbm2, in code or in an import
+    named = set()
+    for f in Path(kernels.__file__).parent.glob("*.py"):
+        for node in ast.parse(f.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else
+                     n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            if "variance_tfbm2" in names:
+                named.add(getattr(node, "name", f.stem))
+    assert named == {"covariance_tfbm2", "_circulant_eigenvalues", "__init__"}
