@@ -353,7 +353,7 @@ def cmd_covariance(args) -> int:
 
 def cmd_decay(args) -> int:
     params = _build_params(args)
-    q = QuadratureConfig(rel_tol=min(args.tol, 1e-2))
+    q = QuadratureConfig(rel_tol=args.tol)
     lags = range(int(args.t_min), int(args.t_max) + 1, int(args.t_step))
     diag = decay_diagnostic(params, lags, args.theta1, args.theta2, q,
                             band_factor=args.band_factor)
@@ -369,7 +369,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    q = QuadratureConfig(abs_tol=1e-12, rel_tol=min(args.tol, 1e-2))
+    q = QuadratureConfig(abs_tol=1e-12, rel_tol=args.tol)
     b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
     kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
     # the untempered limit of the local rows is the same for both kinds

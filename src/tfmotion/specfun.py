@@ -226,28 +226,19 @@ _GL_REL_WIDTH = 0.5
 _GL_MAX_WIDTH = 1.0
 
 
-def _gl_factors(r: float) -> list[float]:
-    """The Gauss-Legendre factors w_j e^-d_j, d_j = r (1 + u_j), of one
-    half-width r."""
-    return [w * math.exp(-r * (1.0 + u)) for u, w in zip(_GL8_NODES, _GL8_WEIGHTS)]
-
-
 @_elementwise("x")
 def gamma_interval(a: float, x, h):
     """integral_x^{x+h} s^(a-1) e^(-s) ds = Gamma(a, x) - Gamma(a, x+h), for
-    finite a > -1, a != 0, x > 0 and finite widths h >= 0: one float for
-    every cell, or an array shaped like x with one width per cell.
+    finite a > -1, a != 0, x > 0 and one finite width h >= 0 per cell (a
+    float h is every cell's width).
 
     A cell with h <= min(x/2, 1) is integrated by 8-point Gauss-Legendre,
-    written r e^-x sum_j (w_j e^-d_j) (x + d_j)^(a-1) with r = h/2 and
-    d_j = r (1 + u_j), so that one width gives 8 shared factors and each
-    cell costs one exp and 8 powers.  An array of widths takes the factors
-    of each distinct width once, by the same math.exp as a float width, so
-    each cell's value is that of a call with its width alone.  The rule is
-    exact to rounding there: e^-s is entire, and the one singularity of
-    s^(a-1), at s = 0, lies at least 2x/h >= 4 half-widths left of the
-    cell; against mpmath the worst relative error over a in (-0.95, 3),
-    x in (1e-3, 60) is about 1e-15.
+    r e^-x sum_j w_j exp((a-1) log(x + d_j) - d_j) with r = h/2 and
+    d_j = r (1 + u_j), each term of its own cell.  The one singularity of
+    s^(a-1), at s = 0, lies at least 2x/h >= 4 half-widths left of the cell
+    and e^-s is entire; against mpmath the worst relative error over a in
+    [-0.95, 3), x in [1e-3, 60] is 2.5e-14, the rule's own error at
+    a = -0.95, x = 2, h = 1, and 1.7e-15 for a >= 0.
     A longer cell is a difference of upper gammas, or of lower gammas for
     a > 1 and x < a, where Gamma(a, x) is close to Gamma(a) and the upper
     difference would cancel; either loses at most about three digits.
@@ -255,40 +246,28 @@ def gamma_interval(a: float, x, h):
     cell makes none.
     """
     _check_upper_a("gamma_interval", a)
-    wide = np.ndim(h) > 0
-    if wide:
-        h = np.asarray(h, dtype=float).ravel()
-        if h.size != x.size:
-            raise ValueError(f"gamma_interval needs one width per x, got "
-                             f"{h.size} widths for {x.size} points")
-    hv = np.atleast_1d(h)
-    _check_x("gamma_interval", hv, (hv >= 0.0) & (hv < np.inf), "finite h >= 0")
+    h = np.full(x.shape, np.ravel(h), dtype=float)  # ValueError unless one per x
+    _check_x("gamma_interval", h, (h >= 0.0) & (h < np.inf), "finite h >= 0")
     _check_x("gamma_interval", x, (x > 0.0) & (x < np.inf), "finite x > 0")
     out = np.empty(x.shape)
     gl = h <= np.minimum(_GL_REL_WIDTH * x, _GL_MAX_WIDTH)
-    xg = x[gl]
-    if wide:  # the factors of each distinct half-width, then of each cell
-        r = 0.5 * h[gl]
-        ru, at = np.unique(r, return_inverse=True)
-        factors = np.array([_gl_factors(v) for v in ru.tolist()]).reshape(-1, 8)[at].T
-    else:
-        r = 0.5 * h
-        factors = _gl_factors(r)
+    xg, r = x[gl], 0.5 * h[gl]
     total = np.zeros(xg.shape)
-    for u, f in zip(_GL8_NODES, factors):
-        total += f * (xg + r * (1.0 + u)) ** (a - 1.0)
+    for u, w in zip(_GL8_NODES, _GL8_WEIGHTS):
+        d = r * (1.0 + u)
+        total += w * np.exp((a - 1.0) * np.log(xg + d) - d)
     out[gl] = r * np.exp(-xg) * total
     up = ~gl
     if a > 1.0:
         low = up & (x < a)
         xl = x[low]
         if xl.size:
-            g = lower_gamma(a, np.concatenate([xl + (h[low] if wide else h), xl]))
+            g = lower_gamma(a, np.concatenate([xl + h[low], xl]))
             out[low] = g[:xl.size] - g[xl.size:]
         up &= ~low
     xu = x[up]
     if xu.size:
-        g = upper_gamma(a, np.concatenate([xu, xu + (h[up] if wide else h)]))
+        g = upper_gamma(a, np.concatenate([xu, xu + h[up]]))
         out[up] = g[:xu.size] - g[xu.size:]
     return out
 

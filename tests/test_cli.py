@@ -147,6 +147,13 @@ class TestExitCodes:
             rc, out = e.code, tmp_path / "out.csv"
         assert rc == 2 and not out.exists()
 
+    @pytest.mark.parametrize("command", ["decay", "limits"])
+    def test_tol_above_quadrature_range_exits_2(self, command, tmp_path):
+        # QuadratureConfig's range (0, 1e-2] is the one rule for --tol
+        rc, out = run_cli([command, "--H", "0.7", "--lambda", "0.15",
+                           "--tol", "0.5"], tmp_path)
+        assert rc == 2 and not out.exists()
+
     def test_lattice_cap_exits_3(self, tmp_path):
         # the spectral lattice sum would need L > 4096 at this lambda
         rc, _ = run_cli(["spectrum", "--H", "0.7", "--lambda", "1e8",

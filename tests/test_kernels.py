@@ -44,6 +44,11 @@ class TestProcessParams:
             ProcessParams(H=0.7, alpha=2.0, lam=-0.1)
         with pytest.raises(ValueError):
             ProcessParams(H=1.3, alpha=1.5, lam=0.0, kind="I")
+        # at lam = 0 both kinds have the kernel (t-y)_+^kappa - (-y)_+^kappa,
+        # whose alpha-norm diverges for H >= 1
+        for H in (1.0, 1.0001, 1.2, 1.7):
+            with pytest.raises(ValueError, match="H in \\(0, 1\\)"):
+                ProcessParams(H=H, alpha=1.5, lam=0.0, kind="II")
 
     def test_beta_voided_at_alpha_two(self):
         p = ProcessParams(H=0.7, alpha=2.0, lam=0.1, beta=0.5)

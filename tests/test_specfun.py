@@ -416,6 +416,24 @@ class TestGammaIntervalRule:
                 ref = oracles.mp_gamma_interval(a, xi, h)
                 assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), (xi, h)
 
+    @pytest.mark.parametrize("a", [-0.95, -0.9, -0.75, -0.5, -0.25, -0.05, 0.05,
+                                   0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 2.99])
+    def test_accuracy_band(self, a):
+        # the rule's cells on a fixed grid against mpmath: x log-spaced over
+        # [1e-3, 60] and x = 2, where h = min(x/2, 1) = 1 reaches both limits
+        # and s = 0 is nearest (four half-widths); widths at fractions of the
+        # limit.  The worst relative errors measured when this test was
+        # written were 2.49e-14 (a = -0.95) and 1.67e-15 (a = 0.05, both at
+        # x = 2, h = 1): the bounds hold them, and only ever shrink
+        x = np.append(np.geomspace(1e-3, 60.0, 41), 2.0)
+        bound = 3e-14 if a < 0.0 else 2e-15
+        for f in (1.0, 0.5, 0.1, 1e-3):
+            h = f * np.minimum(x / 2.0, 1.0)
+            v = sf.gamma_interval(a, x, h)
+            for xi, hi, vi in zip(x.tolist(), h.tolist(), v.tolist()):
+                ref = oracles.mp_gamma_interval(a, xi, hi)
+                assert abs(vi - ref) <= bound * abs(ref), (xi, hi)
+
     @pytest.mark.parametrize("a", [-0.5, 0.2, 1.3, 5.0])
     @pytest.mark.parametrize("x", [1e-3, 0.3, 2.0, 7.5, 50.0])
     def test_seam_continuity(self, a, x):
