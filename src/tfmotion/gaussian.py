@@ -3,8 +3,8 @@
 Closed-form variance and covariance of the normalized second-kind tempered
 fractional Brownian motion, on floats or elementwise on arrays; its Matern
 integrand (_matern), over a rectangle for the covariance (H > 1/2) and over
-a lag's triangle for the increment autocovariance; spectral densities of the
-unit-lag increment noises; and exact Gaussian path sampling with a
+a lag's triangle for the increment autocovariance; both kinds' increment
+spectral densities as one lattice sum; and exact Gaussian path sampling with a
 counter-based (Philox) generator, by circulant embedding of the stationary
 increment noise on regular grids from t = 0 (Davies-Harte / Wood-Chan), and
 by Cholesky on every other grid and where the embedding has a negative eigenvalue.
@@ -324,89 +324,70 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
     return total, rem
 
 
-def _density_common(H: float, lam: float, omega: float, tol: float):
+def _spectral_density(kind: str, H: float, lam: float, omega: float,
+                      tol: float) -> tuple[float, float]:
+    """Spectral density on [-pi, pi] of the increment noise of either kind,
+    and its truncation bound, summed at |omega| (h is even):
+
+        h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} (lam^2 + x^2)^{1/2-H} / (x^2 + d),
+
+    x = w + 2 pi l, d = lam^2 for kind I and 0 for kind II.  The terms with
+    |l| <= L are summed directly, the rest by _lattice_tail_zeta (binomial
+    exponent 1/2 - H, less 1 for kind I), whose bound times w2/2pi is the
+    returned one.  L doubles from 8 until 2 pi (L+1) - pi > sqrt(2) lam (the
+    expansion converges) and the bound is below tol; NumericsError names the
+    one still failing at L = 4096 (the first, for lam above about 1.8e4).
+    At w = 0 the value is the exact limit, with zero bound.
+    """
     _check_params(H, lam)
     if not abs(omega) <= math.pi + 1e-12:
         raise ValueError(f"omega must lie in [-pi, pi], got {omega}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return min(max(omega, -math.pi), math.pi)
-
-
-def _lattice_sum(term, H: float, lam: float, omega: float, expo: float,
-                 direct: float, w2: float, tol: float) -> tuple[float, float, float]:
-    """(direct, tail, bound) of the lattice sum of term(x) over x = omega +- 2 pi l:
-    ``direct`` plus the terms with 0 < l <= L, the tail beyond L of
-    term(x) = |x|^-(1+2H) (1 + lam^2/x^2)^expo summed by _lattice_tail_zeta
-    on specfun.hurwitz_zeta, and w2/2pi times the tail's bound (binomial
-    truncation and zeta remainders).  L doubles from 8 until that bound is
-    below tol, and NumericsError is raised if it is not by L = 4096 (always
-    for lam above about 1.8e4, where the tail expansion does not converge
-    even there).
-    """
-    L = 8
-    while True:
-        try:
+    omega = min(abs(omega), math.pi)
+    if omega == 0.0:
+        return (lam ** (1.0 - 2.0 * H) / _TWO_PI if kind == "II" else 0.0), 0.0
+    d, expo = (0.0, 0.5 - H) if kind == "II" else (lam * lam, -(H + 0.5))
+    w2 = 2.0 - 2.0 * math.cos(omega)  # |e^{i w} - 1|^2
+    for L in (8 << k for k in range(10)):  # 8, 16, .., 4096
+        converges = (lam / (_TWO_PI * (L + 1.0) - math.pi)) ** 2 < 0.5
+        if converges:
             tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, expo, lam, omega, L,
                                            tol * _TWO_PI / max(w2, 1e-300))
-        except ValueError:  # the tail expansion needs a larger L
-            rem = math.inf
-        bound = w2 * rem / _TWO_PI
-        if bound <= tol:
-            break
-        if L >= 4096:
-            raise NumericsError(f"lattice sum at lambda = {lam}: bound {bound:.3g} "
-                                f"above tol {tol:.3g} at L = 4096")
-        L *= 2
-    acc = direct
+            bound = w2 * rem / _TWO_PI
+            if bound <= tol:
+                break
+    else:
+        why = (f"bound {bound:.3g} above tol {tol:.3g}" if converges else
+               "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
+        raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
+    term = lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x + d)
+    acc = 0.0  # the terms 0 < |l| <= L, before the larger l = 0 one
     for ell in range(1, L + 1):
-        for x in (omega + _TWO_PI * ell, omega - _TWO_PI * ell):
-            acc += term(x)
-    return acc, tail, bound
+        acc += term(omega + _TWO_PI * ell)
+        acc += term(omega - _TWO_PI * ell)
+    return w2 * (term(omega) + acc + tail) / _TWO_PI, bound
 
 
 def tfgn2_spectral_density(H: float, lam: float, omega: float,
                            tol: float = 1e-10) -> tuple[float, float]:
-    """Spectral density of TFGN II on [-pi, pi] and its truncation bound.
+    """Spectral density of TFGN II on [-pi, pi] and its truncation bound
+    (_spectral_density with d = 0), flat at w = 0 where it is lam^{1-2H}/2pi:
 
-        h(w) = (1/2pi) { |e^{iw}-1|^2 w^{-2} (lam^2+w^2)^{1/2-H}
-                 + |e^{iw}-1|^2 sum_{l != 0} (w+2pi l)^{-2}
-                                [lam^2+(w+2pi l)^2]^{1/2-H} }
-
-    The lattice sum runs directly over 0 < |l| <= L and the rest is summed
-    by a binomially expanded Hurwitz-zeta form (specfun.hurwitz_zeta, in
-    plain floats); the returned bound, kept below tol, covers the truncation
-    of that expansion and the Euler-Maclaurin remainders of its zeta values.
-    At w = 0 the value is the exact limit lam^{1-2H} / 2pi with zero bound.
+        h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} (w+2pi l)^{-2}
+                                              [lam^2+(w+2pi l)^2]^{1/2-H}
     """
-    omega = _density_common(H, lam, omega, tol)
-    if omega == 0.0:
-        return lam ** (1.0 - 2.0 * H) / _TWO_PI, 0.0
-    w2 = 2.0 - 2.0 * math.cos(omega)  # |e^{i w} - 1|^2
-    ell0 = (lam * lam + omega * omega) ** (0.5 - H) / (omega * omega)
-    direct, tail, bound = _lattice_sum(
-        lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x),
-        H, lam, omega, 0.5 - H, 0.0, w2, tol)
-    return (w2 * (ell0 + direct + tail)) / _TWO_PI, bound
+    return _spectral_density("II", H, lam, omega, tol)
 
 
 def tfgn1_spectral_density(H: float, lam: float, omega: float,
                            tol: float = 1e-10) -> tuple[float, float]:
-    """Spectral density of first-kind TFGN on [-pi, pi] and truncation bound.
+    """Spectral density of first-kind TFGN on [-pi, pi] and its truncation
+    bound (_spectral_density with d = lam^2), 0 at w = 0 (anti-persistence):
 
         h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} [lam^2+(w+2pi l)^2]^{-(H+1/2)}
-
-    with the l = 0 term included in the same form.  Vanishes at w = 0 (the
-    anti-persistent signature of the first kind).
     """
-    omega = _density_common(H, lam, omega, tol)
-    if omega == 0.0:
-        return 0.0, 0.0
-    w2 = 2.0 - 2.0 * math.cos(omega)
-    direct, tail, bound = _lattice_sum(
-        lambda x: (lam * lam + x * x) ** (-(H + 0.5)), H, lam, omega, -(H + 0.5),
-        (lam * lam + omega * omega) ** (-(H + 0.5)), w2, tol)
-    return w2 * (direct + tail) / _TWO_PI, bound
+    return _spectral_density("I", H, lam, omega, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ differences without cancellation over an array of a = -y with one width t
 per element; the public kernels take one t and a float or an array
 of y, so a kernel table row is one call, and each quadrature sweep of
 kernel_alpha_norm is one call over the nodes of every time of its batch.
-Also here: _check_params, the one check of H, lambda, sigma, times, lags
-and weights; quadrature of integral |kernel|^alpha dy (one batch over many
-t), whose left tail is one infinite panel (-inf, -cutoff) for every lambda,
-as is the codifference's (QuadratureConfig); and
-_quad, the one quadrature helper through which every integral of the
-package runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
+Also here: _check_params, the one check of H, alpha, lambda, sigma, beta,
+times, lags and weights; quadrature of integral |kernel|^alpha dy (one
+batch over many t), whose left tail is one infinite panel (-inf, -cutoff)
+for every lambda, as is the codifference's (QuadratureConfig); and _quad,
+the one quadrature helper through which every integral of the package
+runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
 extrapolation (_epsilon) in NumPy, over a batch of integrals, raising
 QuadratureError past the QuadratureConfig tolerances.  No other module
 names those three.
@@ -45,12 +45,15 @@ from . import specfun
 
 def _check_params(H: float | None = None, lam: float | None = None, *,
                   lam_zero: bool = False, sigma: float | None = None,
+                  alpha: float | None = None, beta: float | None = None,
                   times=(), weights=()) -> None:
     """The package's one check of its process parameters, run before any
-    arithmetic on them: raise ValueError unless H, lambda, sigma and every
-    weight (a float, such as a codifference's theta) are finite, H > 0,
-    lambda > 0 (>= 0 with lam_zero), sigma > 0, and every time or lag in
-    times (floats or arrays) is finite.  None skips one."""
+    arithmetic on them: raise ValueError unless alpha is in (1, 2], beta in
+    [-1, 1], H, lambda, sigma and every weight (a float, such as a theta)
+    finite, H > 0, lambda > 0 (>= 0 with lam_zero), sigma > 0, and every
+    time or lag in times (floats or arrays) finite.  None skips one."""
+    if alpha is not None and not 1.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     named = [("H", H), ("lambda", lam), ("sigma", sigma)]
     for name, v in named + [("weight", w) for w in weights]:
         if v is not None and not math.isfinite(v):
@@ -62,6 +65,8 @@ def _check_params(H: float | None = None, lam: float | None = None, *,
                          f"got {lam}")
     if sigma is not None and sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if beta is not None and not -1.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [-1, 1], got {beta}")
     for v in times:
         v = np.asarray(v, dtype=float)
         if not np.isfinite(v).all():
@@ -81,11 +86,8 @@ class ProcessParams:
     kind: str = "II"
 
     def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        _check_params(self.H, self.lam, lam_zero=True, sigma=self.sigma)
-        if not -1.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
+        _check_params(self.H, self.lam, lam_zero=True, sigma=self.sigma,
+                      alpha=self.alpha, beta=self.beta)
         if self.kind not in ("I", "II"):
             raise ValueError(f"kind must be 'I' or 'II', got {self.kind!r}")
         # at lam = 0 both kinds have one kernel, whose norm needs 0 < H < 1

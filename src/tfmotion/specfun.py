@@ -172,15 +172,21 @@ def _incomplete(a: float, x: np.ndarray, lower: bool) -> np.ndarray:
     exp(-x) x^a times _lower_series below the seam and _upper_scaled from
     it on, each the other's complement to Gamma(a).  The seam is a + 1 for
     a >= 1, and 0.3 for a < 1, where _upper_scaled still holds 1e-15: for
-    small a, Gamma(a) minus the series cancels as x nears 1."""
+    small a, Gamma(a) minus the series cancels as x nears 1.  The prefactor
+    is that product where x < 708 and x^a is finite, and exp(a log x - x),
+    whose exponent's rounding costs about x ulps, elsewhere."""
     x_s = a + 1.0 if a >= 1.0 else 0.3
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = nan
+        pre = np.exp(-x) * x ** a
+    far = ~((x < 708.0) & (pre < np.inf))
+    pre[far] = np.exp(a * np.log(x[far]) - x[far])
     series = x < x_s
     out = np.empty(x.shape)
     for side, is_lower in ((series, True), (~series, False)):
         xs = x[side]
         if xs.size:  # a side with no element is not evaluated
             f = _lower_series(a, xs, x_s) if is_lower else _upper_scaled(a, xs)
-            v = np.exp(a * np.log(xs) - xs) * f
+            v = pre[side] * f
             out[side] = v if is_lower == lower else gamma_fn(a) - v
     return out
 

@@ -118,11 +118,7 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
     (0, 1).  alpha = 2 degenerates to sqrt(2) sigma times a standard normal
     (through the same transform), matching the variance-2 sigma^2 convention.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    if not -1.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-    _check_params(sigma=sigma)
+    _check_params(sigma=sigma, alpha=alpha, beta=beta)
     u1 = np.asarray(u[0], dtype=float)
     u2 = np.asarray(u[1], dtype=float)
     if np.any((u1 <= 0.0) | (u1 >= 1.0)) or np.any((u2 <= 0.0) | (u2 >= 1.0)):

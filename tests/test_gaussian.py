@@ -257,7 +257,9 @@ class TestSpectralDensities:
             assert v == pytest.approx(ref, rel=3e-6), w
 
     def test_brute_lattice_sum(self):
-        for (H, lam, w) in [(0.7, 0.15, 2.0), (4.0 / 3.0, 0.1, 1.0), (1.2, 1.0, 3.1)]:
+        # lam = 60 and 600 take L = 16 and 256 lattice terms a side
+        for (H, lam, w) in [(0.7, 0.15, 2.0), (4.0 / 3.0, 0.1, 1.0), (1.2, 1.0, 3.1),
+                            (0.7, 60.0, 2.5), (0.3, 600.0, -0.5)]:
             v, bound = tfgn2_spectral_density(H, lam, w, tol=1e-12)
             ref, ref_tail = oracles.lattice_density_brute(H, lam, w, True)
             assert abs(v - ref) <= ref_tail + bound + 1e-12 * abs(ref), (H, lam, w)
@@ -272,7 +274,8 @@ class TestSpectralDensities:
             assert v > 0.0 and v - e > 0.0
 
     def test_first_kind_brute(self):
-        for (H, lam, w) in [(0.3, 0.15, 0.5), (0.7, 0.15, 2.0), (4.0 / 3.0, 0.1, 1.0)]:
+        for (H, lam, w) in [(0.3, 0.15, 0.5), (0.7, 0.15, 2.0), (4.0 / 3.0, 0.1, 1.0),
+                            (0.3, 60.0, -1.0), (1.2, 600.0, 3.0)]:
             v, bound = tfgn1_spectral_density(H, lam, w, tol=1e-12)
             ref, ref_tail = oracles.lattice_density_brute(H, lam, w, False)
             assert abs(v - ref) <= ref_tail + bound + 1e-12 * abs(ref), (H, lam, w)
@@ -290,12 +293,21 @@ class TestSpectralDensities:
         v, e = density(0.7, 1e4, 0.5)
         assert v > 0.0 and e <= 1e-10
         # beyond it the lattice would need L > 4096: an error, not a
-        # doubling of L without end
-        with pytest.raises(NumericsError, match="L = 4096"):
+        # doubling of L without end, that names the expansion's condition
+        with pytest.raises(NumericsError, match="L = 4096") as err:
             density(0.7, 1e8, 0.5)
+        assert "tail expansion needs" in str(err.value)
         # a bound still above tol at L = 4096 is an error, not a result
         with pytest.raises(NumericsError, match="above tol"):
             density(0.3, 0.15, 0.5, tol=1e-30)
+
+    @pytest.mark.parametrize("density", [tfgn1_spectral_density,
+                                         tfgn2_spectral_density])
+    @pytest.mark.parametrize("lam,w", [(0.15, 0.5), (1.0, 2.0), (100.0, 3.0),
+                                       (100.0, 1.0), (600.0, math.pi)])
+    def test_even_in_omega(self, density, lam, w):
+        # h is even: h(-w) equals h(w) bit for bit, bound included
+        assert density(0.7, lam, -w) == density(0.7, lam, w)
 
     def test_low_frequency_contrast(self):
         # second kind plateaus at lam^{1-2H}/2pi, first kind dies at 0

@@ -50,6 +50,18 @@ class TestProcessParams:
             with pytest.raises(ValueError, match="H in \\(0, 1\\)"):
                 ProcessParams(H=H, alpha=1.5, lam=0.0, kind="II")
 
+    @pytest.mark.parametrize("make", [
+        lambda alpha, beta: ProcessParams(H=0.7, alpha=alpha, beta=beta),
+        lambda alpha, beta: sample_stable(alpha, beta, 1.0, (0.3, 0.6))])
+    def test_alpha_beta_messages(self, make):
+        # one check words both ranges for both entry points, NaN included
+        for alpha in (1.0, 2.5, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\]"):
+                make(alpha, 0.0)
+        for beta in (-1.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"beta must lie in \[-1, 1\]"):
+                make(1.5, beta)
+
     def test_beta_voided_at_alpha_two(self):
         p = ProcessParams(H=0.7, alpha=2.0, lam=0.1, beta=0.5)
         assert p.beta == 0.0
@@ -705,3 +717,21 @@ def test_one_covariance_evaluator():
             if "variance_tfbm2" in names:
                 named.add(getattr(node, "name", f.stem))
     assert named == {"covariance_tfbm2", "_circulant_eigenvalues", "__init__"}
+
+
+def test_one_lattice_sum():
+    # both spectral densities are one lattice sum: only _spectral_density
+    # names the tail (_lattice_tail_zeta), and only that tail names
+    # hurwitz_zeta outside specfun, in code or in an import
+    named = {"_lattice_tail_zeta": set(), "hurwitz_zeta": set()}
+    for f in Path(kernels.__file__).parent.glob("*.py"):
+        for node in ast.parse(f.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else
+                     n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            for target in named.keys() & names:
+                if not (target == "hurwitz_zeta" and f.stem == "specfun"):
+                    named[target].add(f"{f.stem}.{getattr(node, 'name', '')}")
+    assert named == {"_lattice_tail_zeta": {"gaussian._spectral_density"},
+                     "hurwitz_zeta": {"gaussian._lattice_tail_zeta"}}

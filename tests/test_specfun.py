@@ -393,6 +393,27 @@ def test_upper_scaled_step_shrinks_with_a(a):
         assert gi == pytest.approx(ref, rel=1e-14, abs=0.0), xi
 
 
+@pytest.mark.parametrize("a", [-0.95, -0.7, -0.25, 0.05, 0.5, 1.5, 3.3, 10.0, 20.0])
+def test_upper_gamma_far_tail(a):
+    # x in [100, 700], where the prefactor exp(-x) x^a is formed as that
+    # product: the exponent form exp(a log x - x) was up to 7.2e-14 off here
+    # (5.5e-14 at a = -0.95), and the worst measured when this test was
+    # written was 7.8e-16 (a = 3.3, x = 117.6): the bound holds it, and only
+    # ever shrinks
+    x = np.append(np.geomspace(100.0, 700.0, 37), 544.63)
+    for xi, vi in zip(x.tolist(), sf.upper_gamma(a, x).tolist()):
+        ref = oracles.mp_gammainc(a, xi, math.inf)
+        assert abs(vi - ref) <= 1e-15 * ref, xi
+
+
+@pytest.mark.parametrize("x", [100.0, 700.0, 800.0, 1000.0])
+def test_upper_gamma_exponent_form(x):
+    # at a = 160, x^a overflows from x = 85 on and e^-x underflows past
+    # x = 745: the prefactor is exp(a log x - x) there, without a warning
+    ref = oracles.mp_gammainc(160.0, x, math.inf)
+    assert sf.upper_gamma(160.0, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def _no_recurrence(*args, **kwargs):
     raise AssertionError("short cell reached the series or the trapezoidal rule")
 
