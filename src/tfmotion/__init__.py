@@ -5,8 +5,8 @@ Monte Carlo stable simulation, and dependence/self-similarity diagnostics.
 """
 
 from .errors import (FactorizationError, NumericsError, PlanError, PoleError,
-                     QuadratureError, SeriesConvergenceError)
-from .specfun import bessel_k, gamma_fn, hyp2f3, log_gamma
+                     QuadratureError)
+from .specfun import bessel_k, gamma_fn
 from .kernels import (ProcessParams, QuadratureConfig, kernel, kernel_g,
                       kernel_h, kernel_alpha_norm)
 from .gaussian import (CovarianceMatrix, PathEnsemble, SampleGrid,
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FactorizationError", "NumericsError", "PlanError", "PoleError",
-    "QuadratureError", "SeriesConvergenceError",
-    "bessel_k", "gamma_fn", "hyp2f3", "log_gamma",
+    "QuadratureError",
+    "bessel_k", "gamma_fn",
     "ProcessParams", "QuadratureConfig", "kernel", "kernel_g", "kernel_h",
     "kernel_alpha_norm",
     "CovarianceMatrix", "PathEnsemble", "SampleGrid",

@@ -1,4 +1,6 @@
-"""Exception types shared across the numeric modules."""
+"""Exception types shared across the numeric modules: NumericsError and its
+subclasses for failed numerics (NumericsError itself where a value cannot be
+trusted, as a cancelled closed form), PoleError and PlanError for bad input."""
 
 
 class NumericsError(Exception):
@@ -7,11 +9,6 @@ class NumericsError(Exception):
 
 class PoleError(ValueError):
     """A special function was evaluated at (or too close to) a pole."""
-
-
-class SeriesConvergenceError(NumericsError):
-    """A series did not reach its tolerance within its term cap (the 2F3
-    series of specfun.hyp2f3, after 500 terms)."""
 
 
 class QuadratureError(NumericsError):

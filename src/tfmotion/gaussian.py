@@ -154,24 +154,58 @@ def variance_fbm_limit(H: float, t: float) -> float:
     return abs(t) ** (2.0 * H) * _fbm_coef(H)
 
 
+# variance_tfbm2 raises where C_t^2 is below this share of its terms' sizes
+_CANCEL = 1e-7
+
+
+def _variance_series(H: float, z: np.ndarray) -> np.ndarray:
+    """Rows 1 - F1 and F2 over a 1-D array z >= 0, with the 2F3 of C_t^2 as
+    F1 = 1F2(-1/2; 1-H, 1/2; z) and F2 = 1F2(H-1/2; H+1, H+1/2; z): 1 - F1
+    from its k = 1 term z/(1-H), so nothing cancels at small z, and F2 from
+    1, term j+1 of a row being term j times (a + j) z / prod(b + j).  An
+    element leaves the masked loop once both ratios are below 1/2 and both
+    terms within _EPS/8 of their sums, so that each tail |term| / (1 - ratio)
+    is within _EPS/4, or once a sum is not finite."""
+    a = np.array([[0.5], [H - 0.5]])
+    b = np.array([[2.0 - H, 1.5, 2.0], [H + 1.0, H + 0.5, 1.0]])[:, :, None]
+    term = np.stack([z / (1.0 - H), np.ones(z.size)])
+    s, out = term.copy(), np.empty(term.shape)
+    act, j = np.arange(z.size), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while act.size:
+            ratio = (a + j) / (b + j).prod(axis=1) * z
+            term *= ratio
+            s += term
+            settled = (np.abs(ratio) < 0.5) & (
+                np.abs(term) <= 0.125 * specfun._EPS * np.abs(s))
+            done = settled.all(axis=0) | ~np.isfinite(s).all(axis=0)
+            out[:, act[done]] = s.compress(done, axis=1)
+            live = ~done  # compress: boolean indexing along axis 1 is slower
+            act, z, term, s = (act[live], z[live], term.compress(live, axis=1),
+                               s.compress(live, axis=1))
+            j += 1
+    return out
+
+
 @specfun._elementwise("t")
 def variance_tfbm2(H: float, lam: float, t):
     """Variance C_t^2 of normalized TFBM II at a float or an array t (H, lambda > 0).
 
-    Two-term 2F3 closed form in the argument z = lambda^2 t^2 / 4:
+    Two-term closed form in the argument z = lambda^2 t^2 / 4:
 
         C_t^2 = -2 Gamma(H) lam^{-2H} / (sqrt(pi) Gamma(H - 1/2))
                   * [1 - 2F3(1, -1/2; 1-H, 1/2, 1; z)]
               + t^{2H} Gamma(1-H) / (sqrt(pi) H 2^{2H} Gamma(H + 1/2))
                   * 2F3(1, H - 1/2; 1, H+1, H+1/2; z)
 
-    validated against the defining spectral integral.  C_0^2 = 0 for every
-    H.  H = 1/2 is the Brownian case C_t^2 = |t| (the formula's 1/Gamma(0)
-    factor kills the first term); integer H hits genuine poles of the closed
-    form and raises PoleError unless every t is 0.  Negative t uses |t|
-    (stationary increments).  The two terms cancel as lam t grows (and at
-    tiny lam t for H near 1); a negative result is such a cancellation and
-    raises NumericsError naming the first t that gave one.
+    validated against the defining spectral integral, with both series from
+    _variance_series.  C_0^2 = 0 for every H.  H = 1/2 is the Brownian case
+    C_t^2 = |t| (the formula's 1/Gamma(0) factor kills the first term);
+    integer H hits genuine poles and raises PoleError unless every t is 0.
+    Negative t uses |t|.  The terms grow like e^{lam t} and cancel as lam t
+    grows: a C_t^2 below _CANCEL of their sizes' sum (negative or NaN too)
+    raises NumericsError naming the first such t; that is from lam t of 16
+    to 32, by H, and never up to 12.
     """
     _check_params(H, lam, times=(t,))
     t = np.abs(t)
@@ -180,17 +214,19 @@ def variance_tfbm2(H: float, lam: float, t):
     if H == math.floor(H):
         raise PoleError(
             f"the 2F3 closed form has parameter poles at integer H (H = {H})")
-    z = 0.25 * (lam * t) ** 2
-    f1 = specfun.hyp2f3((1.0, -0.5), (1.0 - H, 0.5, 1.0), z)
-    f2 = specfun.hyp2f3((1.0, H - 0.5), (1.0, H + 1.0, H + 0.5), z)
+    u, f2 = _variance_series(H, 0.25 * (lam * t) ** 2)
     a = -2.0 * specfun.gamma_fn(H) * lam ** (-2.0 * H) / (
         _SQRT_PI * specfun.gamma_fn(H - 0.5))
-    v = a * (1.0 - f1) + _fbm_coef(H) * t ** (2.0 * H) * f2
-    i = np.argmax(v < 0.0)  # the first negative value, if any
-    if v[i] < 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan raise below
+        au, bf = a * u, _fbm_coef(H) * t ** (2.0 * H) * f2
+        v = au + bf
+        bad = ~((v >= _CANCEL * (np.abs(au) + np.abs(bf))) & (v < np.inf))
+    i = np.argmax(bad)  # the first cancelled value, if any
+    if bad[i]:
         raise NumericsError(
-            f"variance_tfbm2: the 2F3 closed form gives C_t^2 = {v[i]:.6g} < 0 "
-            f"at H = {H}, lambda = {lam}, t = {t[i]}: its terms cancel")
+            f"variance_tfbm2: the closed form gives C_t^2 = {v[i]:.6g}, below "
+            f"{_CANCEL:g} of its terms' sizes, at H = {H}, lambda = {lam}, "
+            f"t = {t[i]}: its terms cancel")
     v[t == 0.0] = 0.0  # both terms are 0 there, each -0.0 for some H
     return v
 
@@ -337,6 +373,8 @@ def _spectral_density(kind: str, H: float, lam: float, omega: float,
     returned one.  L doubles from 8 until 2 pi (L+1) - pi > sqrt(2) lam (the
     expansion converges) and the bound is below tol; NumericsError names the
     one still failing at L = 4096 (the first, for lam above about 1.8e4).
+    Nothing cancels near w = 0: |e^{iw}-1|^2 is w2 = 4 sin^2(w/2), and the
+    l = 0 term times it (2 sin(w/2)/w)^2 (lam^2 + w^2)^{1/2-H} w^2/(w^2 + d).
     At w = 0 the value is the exact limit, with zero bound.
     """
     _check_params(H, lam)
@@ -348,7 +386,10 @@ def _spectral_density(kind: str, H: float, lam: float, omega: float,
     if omega == 0.0:
         return (lam ** (1.0 - 2.0 * H) / _TWO_PI if kind == "II" else 0.0), 0.0
     d, expo = (0.0, 0.5 - H) if kind == "II" else (lam * lam, -(H + 0.5))
-    w2 = 2.0 - 2.0 * math.cos(omega)  # |e^{i w} - 1|^2
+    w2 = 4.0 * math.sin(0.5 * omega) ** 2
+    sinc = 2.0 * math.sin(0.5 * omega) / omega if omega > 1e-8 else 1.0  # rounds to 1
+    head = sinc * sinc * (lam * lam + omega * omega) ** (0.5 - H) * (
+        omega * omega / (omega * omega + d) if d else 1.0)
     for L in (8 << k for k in range(10)):  # 8, 16, .., 4096
         converges = (lam / (_TWO_PI * (L + 1.0) - math.pi)) ** 2 < 0.5
         if converges:
@@ -362,11 +403,11 @@ def _spectral_density(kind: str, H: float, lam: float, omega: float,
                "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
         raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
     term = lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x + d)
-    acc = 0.0  # the terms 0 < |l| <= L, before the larger l = 0 one
+    acc = 0.0  # the terms 0 < |l| <= L
     for ell in range(1, L + 1):
         acc += term(omega + _TWO_PI * ell)
         acc += term(omega - _TWO_PI * ell)
-    return w2 * (term(omega) + acc + tail) / _TWO_PI, bound
+    return (head + w2 * (acc + tail)) / _TWO_PI, bound
 
 
 def tfgn2_spectral_density(H: float, lam: float, omega: float,

@@ -151,7 +151,7 @@ _LIMIT = 400  # most panels of one integral (QUADPACK's limit)
 
 
 def _qk15(f, row, pan):
-    """Kronrod value and QUADPACK qk15 error estimate of every panel.
+    """Kronrod value, qk15 error estimate and integral of |f| of every panel.
 
     pan has one row (lo, hi, bound, side) per panel.  Panels with side 0
     are [lo, hi] in x itself; side +1 and -1 are [lo, hi] in u under the
@@ -179,7 +179,7 @@ def _qk15(f, row, pan):
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     err = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                    np.maximum(50.0 * _EPMACH * resabs, err), err)
-    return resk * h, err
+    return resk * h, err, resabs
 
 
 def _epsilon(s):
@@ -219,10 +219,14 @@ def _kronrod(f, edges, epsabs, epsrel):
     to the next (an integrable endpoint singularity, where each sweep only
     halves the panel at the singular end) is extrapolated as QUADPACK's QAGS
     does: Wynn's epsilon algorithm over its last sweep totals (_epsilon),
-    accepted once that error estimate is within budget.  Returns the values
-    and error estimates.  An integral it cannot finish (a panel too narrow
-    to bisect, or still over budget at _LIMIT panels) keeps its last total
-    and summed error, and one with a non-finite panel value gets error inf.
+    accepted once that error estimate is within budget and the value is
+    within a factor 100 of the plain total and of its sign, or both are
+    within 1% of the integral of |f|, whose sign then changes (dqagse's ier = 6
+    test: a divergent integral's totals extrapolate to a finite wrong value).
+    Returns the values and error estimates.  An integral it cannot finish
+    (a panel too narrow to bisect, or still over budget at _LIMIT panels)
+    keeps its last total and summed error, and one with a non-finite panel
+    value gets error inf.
     """
     n = len(edges)
     row, pan = [], []
@@ -246,7 +250,7 @@ def _kronrod(f, edges, epsabs, epsrel):
     row = np.array(row, dtype=np.intp)
     pan = np.array(pan)
     active = np.bincount(row, minlength=n) > 0
-    val, err = _qk15(f, row, pan)
+    val, err, vabs = _qk15(f, row, pan)
     totals = []
     last_err = np.full(n, np.inf)
     while True:
@@ -262,7 +266,11 @@ def _kronrod(f, edges, epsabs, epsrel):
         last_err = tot_err
         if slow.size and len(totals) >= _EXTRAP_MIN:
             ext, ext_err = _epsilon(np.array(totals[-_EXTRAP_MAX:]).T[slow])
-            ok = ext_err <= np.maximum(epsabs, epsrel * np.abs(ext))
+            plain, absf = tot[slow], np.bincount(row, vabs, n)[slow]
+            with np.errstate(divide="ignore", invalid="ignore"):  # plain = 0
+                near = (0.01 <= ext / plain) & (ext / plain <= 100.0)
+            ok = (ext_err <= np.maximum(epsabs, epsrel * np.abs(ext))) & (
+                near | (np.maximum(np.abs(ext), np.abs(plain)) <= 0.01 * absf))
             slow = slow[ok]
             tot[slow], tot_err[slow], done[slow] = ext[ok], ext_err[ok], True
         value[active] = tot[active]
@@ -281,11 +289,12 @@ def _kronrod(f, edges, epsabs, epsrel):
         left, right = pan[split], pan[split]
         left[:, 1] = right[:, 0] = 0.5 * (left[:, 0] + left[:, 1])
         crow = np.concatenate([row[split], row[split]])
-        cval, cerr = _qk15(f, crow, np.concatenate([left, right]))
+        cval, cerr, cabs = _qk15(f, crow, np.concatenate([left, right]))
         row = np.concatenate([row[keep], crow])
         pan = np.concatenate([pan[keep], left, right])
         val = np.concatenate([val[keep], cval])
         err = np.concatenate([err[keep], cerr])
+        vabs = np.concatenate([vabs[keep], cabs])
 
 
 def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,

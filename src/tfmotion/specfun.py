@@ -5,10 +5,9 @@ the modified Bessel function of the second kind K_nu (the trapezoidal rule
 on its cosh integral), the unnormalized incomplete gamma functions (a
 series by Horner's rule and a double-exponential trapezoidal rule, each of
 a length set by the parameter a alone) and their integral over an
-interval, and the generalized hypergeometric series 2F3 and the Hurwitz
-zeta function.  K_nu, the incomplete gammas (one parameter a) and 2F3 take
-a float or an array argument and are written once in NumPy, for one point
-or a whole table; an array gives the values of per-element calls.  No
+interval, and the Hurwitz zeta function; no generic hypergeometric series.
+K_nu and the incomplete gammas take a float or an array argument and are
+written once in NumPy; an array gives the values of per-element calls.  No
 special-function library but Python's math is used here; SciPy/mpmath
 appear only in the test suite as independent oracles.
 """
@@ -21,29 +20,16 @@ import math
 
 import numpy as np
 
-from .errors import PoleError, SeriesConvergenceError
+from .errors import PoleError
 
 _EPS = 2.220446049250313e-16
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for finite x > 0 (math.lgamma)."""
-    if not math.isfinite(x):
-        raise ValueError(f"log_gamma requires finite x, got {x}")
-    if x <= 0.0:
-        raise PoleError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:
     """Gamma(x) for finite non-pole x (math.gamma); OverflowError past 171.6."""
     if not math.isfinite(x):
         raise ValueError(f"gamma_fn requires finite x, got {x}")
-    if _is_nonpositive_integer(x):
+    if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma_fn pole at nonpositive integer x = {x}")
     return math.gamma(x)
 
@@ -276,54 +262,6 @@ def gamma_interval(a: float, x, h):
         g = upper_gamma(a, np.concatenate([xu, xu + h[up]]))
         out[up] = g[:xu.size] - g[xu.size:]
     return out
-
-
-_HYP_REL_TOL = 1e-12
-_HYP_MAX_TERMS = 500
-
-
-@_elementwise("z")
-def hyp2f3(a: tuple[float, float], b: tuple[float, float, float], z):
-    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z) by direct series,
-    one masked iteration over the elements of z: each element keeps its own
-    sum and stopping test and leaves the active set when it stops.
-
-    An element stops once its term ratio r < 1/2 and the tail bound
-    |term| / (1 - r) is below _HYP_REL_TOL of its sum, and raises after
-    _HYP_MAX_TERMS terms; compensated (Kahan) summation guards the sum.
-    """
-    a1, a2 = a
-    b1, b2, b3 = b
-    for bi in (b1, b2, b3):
-        if _is_nonpositive_integer(bi):
-            raise PoleError(f"hyp2f3 denominator parameter {bi} is a nonpositive integer")
-    _check_x("hyp2f3", z, np.isfinite(z), "finite z")
-    out = np.empty(z.shape)
-    act = np.arange(z.size)
-    s = np.ones(z.size)
-    comp = np.zeros(z.size)  # Kahan compensation
-    term = np.ones(z.size)
-    # as in Python floats, terms past the float range go inf and nan silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_HYP_MAX_TERMS):
-            ratio = ((a1 + k) * (a2 + k) * z) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0))
-            term *= ratio
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-            r = np.abs(ratio)
-            small = r < 0.5
-            # term == 0: a numerator Pochhammer hit zero and the series ended
-            done = (term == 0.0) | small & (
-                np.abs(term) / np.where(small, 1.0 - r, 1.0) < _HYP_REL_TOL * np.abs(s))
-            out[act[done]] = s[done]
-            live = ~done
-            act, z, s, comp, term = act[live], z[live], s[live], comp[live], term[live]
-            if act.size == 0:
-                return out
-    raise SeriesConvergenceError(
-        f"hyp2f3 did not converge within {_HYP_MAX_TERMS} terms (z = {z[0]})")
 
 
 # Euler-Maclaurin form of the Hurwitz zeta function: _HZ_DIRECT terms summed

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: special
 functions come from mpmath, scipy.special or direct quadrature of integral
 representations, variances from oscillatory quadrature of the defining
 spectral integral, lattice sums from plain truncated summation with an
-integral-comparison tail bound, and covariance matrices, the 2F3 series and
-CLI table text from plain loops.
+integral-comparison tail bound, and covariance matrices and CLI table text
+from plain loops.
 """
 
 import functools
@@ -27,27 +27,12 @@ def mp_besselk(nu: float, x: float) -> float:
     return float(mp.besselk(mp.mpf(float(nu)), mp.mpf(float(x))))
 
 
-def mp_hyp2f3(a, b, z) -> float:
-    return float(mp.hyper([mp.mpf(x) for x in a], [mp.mpf(x) for x in b], mp.mpf(z)))
-
-
-def loop_hyp2f3(a, b, z: float) -> float:
-    """2F3 by the scalar series loop, in Python floats: Kahan summation,
-    stopping once the term ratio r < 1/2 and |term| / (1 - r) < 1e-12 |sum|.
-    The reference for bit-identity of the masked array series."""
-    (a1, a2), (b1, b2, b3) = a, b
-    s, comp, term = 1.0, 0.0, 1.0
-    for k in range(500):
-        ratio = ((a1 + k) * (a2 + k) * z) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0))
-        term *= ratio
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        r = abs(ratio)
-        if term == 0.0 or (r < 0.5 and abs(term) / (1.0 - r) < 1e-12 * abs(s)):
-            return s
-    raise RuntimeError(f"loop_hyp2f3 did not converge at z = {z}")
+def mp_hyp2f3(a, b, z, complement: bool = False) -> float:
+    """2F3(a; b; z), or 1 - 2F3(a; b; z) with complement, at 60 digits: 1 - 2F3
+    is of order z as z nears 0 and keeps 20 digits down to z = 1e-40."""
+    with mp.workdps(60):
+        v = mp.hyper([mp.mpf(x) for x in a], [mp.mpf(x) for x in b], mp.mpf(z))
+        return float(1 - v if complement else v)
 
 
 def mp_gammainc(a: float, x0: float, x1: float, scaled: bool = False) -> float:
@@ -285,23 +270,42 @@ def lattice_density_brute(H: float, lam: float, omega: float, second_kind: bool,
     """Spectral density by plain truncated lattice summation.
 
     Returns (value, tail_bound) with the bound from integral comparison of
-    the omitted |l| > n_terms terms.
+    the omitted |l| > n_terms terms.  |e^{iw}-1|^2 is 4 sin^2(w/2), and the
+    second kind's l = 0 term times it (2 sin(w/2)/w)^2 (lam^2 + w^2)^{1/2-H},
+    so that neither cancels nor divides by w^2 as w nears 0.
     """
     ell = np.arange(1, n_terms + 1, dtype=float)
     xs = np.concatenate([omega + 2.0 * np.pi * ell, omega - 2.0 * np.pi * ell])
+    sin_half = math.sin(0.5 * omega)
+    w2 = 4.0 * sin_half * sin_half
     if second_kind:
         s = float(np.sum((lam * lam + xs * xs) ** (0.5 - H) / (xs * xs)))
-        s += (lam * lam + omega * omega) ** (0.5 - H) / (omega * omega) \
-            if omega != 0.0 else 0.0
+        head = (2.0 * sin_half / omega if omega != 0.0 else 1.0) ** 2 \
+            * (lam * lam + omega * omega) ** (0.5 - H)
     else:
         s = float(np.sum((lam * lam + xs * xs) ** (-(H + 0.5))))
-        s += (lam * lam + omega * omega) ** (-(H + 0.5))
-    w2 = 2.0 - 2.0 * math.cos(omega)
+        head = w2 * (lam * lam + omega * omega) ** (-(H + 0.5))
     # omitted terms are below (2 pi l - pi)^{-1-2H} (1 + lam^2/pi^2)^{max(1/2-H,0)}
     sup = (1.0 + (lam / math.pi) ** 2) ** max(0.5 - H, 0.0)
     tail = 2.0 * sup * (2.0 * math.pi) ** (-1.0 - 2.0 * H) \
         * (n_terms - 0.5) ** (-2.0 * H) / (2.0 * H)
-    return w2 * s / (2.0 * math.pi), w2 * tail / (2.0 * math.pi)
+    return (head + w2 * s) / (2.0 * math.pi), w2 * tail / (2.0 * math.pi)
+
+
+def mp_lattice_density(H: float, lam: float, omega: float, second_kind: bool) -> float:
+    """Spectral density of either kind in mpmath at 20 digits: |e^{iw}-1|^2
+    as 4 sin^2(w/2), which mpmath evaluates to full relative precision at any
+    w, times the l = 0 term plus the terms l != 0, summed by Levin's
+    transformation (mpmath's default Richardson step is 3e-3 off at H = 0.3,
+    where the terms decay like l^(-1-2H); Levin agrees with Euler-Maclaurin
+    summation to 1e-18 for H in [0.3, 1.9], but not at H = 0.05)."""
+    with mp.workdps(20):
+        H, lam, w = mp.mpf(H), mp.mpf(lam), mp.mpf(omega)
+        d = 0 if second_kind else lam ** 2
+        term = lambda x: (lam ** 2 + x ** 2) ** (mp.mpf(0.5) - H) / (x ** 2 + d)
+        rest = mp.nsum(lambda l: term(w + 2 * mp.pi * l) + term(w - 2 * mp.pi * l),
+                       [1, mp.inf], method="levin")
+        return float(4 * mp.sin(w / 2) ** 2 * (term(w) + rest) / (2 * mp.pi))
 
 
 def riemann_alpha_norm(kern, alpha: float, t: float, y_min: float,

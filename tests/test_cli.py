@@ -104,6 +104,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tfmotion: numeric failure: ") and err.count("\n") == 1
 
+    def test_spectrum_near_zero_frequency(self, tmp_path):
+        # near omega = 0 the densities neither cancel nor divide by omega^2
+        # (omega^2 is 0.0 here): the first kind's column is 0 and the
+        # second's its limit lam^{1-2H}/2pi
+        rc, out = run_cli(["spectrum", "--H", "0.7", "--lambda", "0.15",
+                           "--omega-grid=1e-200:1e-199:2"], tmp_path)
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [float(r[1]) for r in rows] == [0.0, 0.0]
+        for r in rows:
+            assert float(r[2]) == pytest.approx(0.15 ** -0.4 / (2.0 * math.pi), rel=1e-15)
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--H", "-1", "--lambda", "0.15"],
         ["spectrum", "--H", "0.7", "--lambda", "0"],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -49,15 +50,38 @@ class TestVariance:
         with pytest.raises(PoleError):
             variance_tfbm2(1.0, 0.5, 1.0)
 
-    @pytest.mark.parametrize("H,lam,t", [
-        (0.75, 0.5, 100.0), (0.7, 40.0, 1.0),      # large lam t
-        (0.99, 0.15, 1.04e-8), (1.01, 1e-3, 1e-9),  # tiny lam t, H near 1
-    ])
+    @pytest.mark.parametrize("H,lam,t", [(0.75, 0.5, 100.0), (0.7, 40.0, 1.0)])
     def test_negative_closed_form_raises(self, H, lam, t):
-        # the two 2F3 terms cancel to C_t^2 < 0 here: a numeric failure,
-        # never a returned negative variance
+        # the two 2F3 terms cancel at large lam t: a numeric failure, never
+        # a returned negative or wrong variance
         with pytest.raises(NumericsError):
             variance_tfbm2(H, lam, t)
+
+    @pytest.mark.parametrize("H,lam,t", [(0.99, 0.15, 1.04e-8), (1.01, 1e-3, 1e-9)])
+    def test_tiny_lam_t_near_pole(self, H, lam, t):
+        # 1 - F1 is summed from its first nonzero term, so at tiny lam t and H
+        # near 1 nothing cancels (1 - F1 formed by subtraction had given a
+        # negative C_t^2 at these points)
+        with mp.workdps(60):
+            ref = float(oracles.mp_variance_tfbm2(H, lam, t))
+        assert variance_tfbm2(H, lam, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_against_mpmath_over_lam_t(self):
+        # H across (0, 2) and lam t log-spaced over [1e-10, 1e3], mpmath at
+        # 30 + lam t / 2.3 digits, and more as 1 - F1 ~ (lam t)^2 shrinks:
+        # within 1e-13 up to lam t = 1; above it within 1e-8 or NumericsError,
+        # and no error up to lam t = 12
+        lam = 0.15
+        for H in (0.05, 0.3, 0.5001, 0.7, 0.9, 0.99, 1.01, 1.3, 1.7, 1.9, 1.99):
+            for lt in np.logspace(-10.0, 3.0, 27).tolist():
+                with mp.workdps(30 + int(lt / 2.3) + max(0, int(-2.0 * math.log10(lt)))):
+                    ref = float(oracles.mp_variance_tfbm2(H, lam, lt / lam))
+                try:
+                    v = variance_tfbm2(H, lam, lt / lam)
+                except NumericsError:
+                    assert lt > 12.0, (H, lt)
+                    continue
+                assert v == pytest.approx(ref, rel=1e-13 if lt <= 1.0 else 1e-8, abs=0.0), (H, lt)
 
     def test_array_names_first_negative_time(self):
         with pytest.raises(NumericsError, match=r"t = 100\.0:"):
@@ -279,6 +303,21 @@ class TestSpectralDensities:
             v, bound = tfgn1_spectral_density(H, lam, w, tol=1e-12)
             ref, ref_tail = oracles.lattice_density_brute(H, lam, w, False)
             assert abs(v - ref) <= ref_tail + bound + 1e-12 * abs(ref), (H, lam, w)
+
+    @pytest.mark.parametrize("H", [0.3, 1.3])
+    def test_small_omega_against_mpmath(self, H):
+        # no cancellation as omega nears 0: within 1e-13 of mpmath for omega
+        # in [1e-300, 1e-2], with the truncation held to 1e-14 of the value;
+        # the first kind's value is of order omega^2 and is taken where that
+        # is a normal float
+        for w in np.logspace(-300.0, -2.0, 9).tolist():
+            ref = oracles.mp_lattice_density(H, 0.15, w, True)
+            v, _ = tfgn2_spectral_density(H, 0.15, w, tol=1e-14 * ref)
+            assert v == pytest.approx(ref, rel=1e-13, abs=0.0), w
+        for w in np.logspace(-140.0, -2.0, 7).tolist():
+            ref = oracles.mp_lattice_density(H, 0.15, w, False)
+            v, _ = tfgn1_spectral_density(H, 0.15, w, tol=1e-14 * ref)
+            assert v == pytest.approx(ref, rel=1e-13, abs=0.0), w
 
     def test_lattice_refinement_self_consistency(self):
         a, ea = tfgn1_spectral_density(0.3, 0.15, 0.5, tol=1e-8)

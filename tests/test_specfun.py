@@ -1,3 +1,4 @@
+import ast
 import math
 import warnings
 from pathlib import Path
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from tfmotion import specfun as sf
-from tfmotion.errors import PoleError, SeriesConvergenceError
+from tfmotion.errors import NumericsError, PoleError
+from tfmotion.gaussian import _variance_series, variance_tfbm2
 
 import oracles
 
@@ -49,12 +51,6 @@ class TestGamma:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 sf.gamma_fn(x)
-
-    def test_log_gamma_domain(self):
-        with pytest.raises(PoleError):
-            sf.log_gamma(-1.5)
-        assert sf.log_gamma(12.3) == pytest.approx(
-            math.log(oracles.mp_gamma(12.3)), rel=1e-14)
 
 
 class TestBesselK:
@@ -130,72 +126,94 @@ class TestBesselK:
                 assert token not in src, (f.name, token)
 
 
-# the (a, b) parameter sets of the 2F3 tests below
-HYP_SETS = [((0.7, -1.3), (0.4, 2.0, 1.1)), ((0.0, 1.4), (0.9, 2.0, 1.1)),
-            ((1.0, -0.5), (0.3, 0.5, 1.0)), ((1.0, 0.2), (1.0, 1.7, 1.2)),
-            ((1.0, -0.5), (-0.2, 0.5, 1.0)),
-            ((1.0, 5.0 / 6.0), (1.0, 7.0 / 3.0, 11.0 / 6.0))]
+# (H, largest lam t) of the series tests below: lam t up to where
+# variance_tfbm2 first raises on a grid of 10 points a decade
+SERIES_H = [(0.05, 25.0), (0.3, 25.0), (0.5001, 31.6), (0.7, 25.0), (0.99, 20.0),
+            (1.01, 20.0), (1.3, 20.0), (1.7, 20.0), (1.99, 15.8)]
 
 
 class TestHyp2F3:
+    """The variance's two series, gaussian._variance_series: its rows are
+    1 - F1 and F2 with F1 = 2F3(1, -1/2; 1-H, 1/2, 1; z) and
+    F2 = 2F3(1, H-1/2; 1, H+1, H+1/2; z)."""
+
     def test_z_zero(self):
-        assert sf.hyp2f3((0.7, -1.3), (0.4, 2.0, 1.1), 0.0) == 1.0
+        assert _variance_series(0.7, np.zeros(2)).tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_terminating_numerator(self):
-        for z in (0.5, 10.0, 300.0):
-            assert sf.hyp2f3((0.0, 1.4), (0.9, 2.0, 1.1), z) == 1.0
+        # at H = 1/2 the numerator H - 1/2 of F2 is 0 and F2 ends at its first term
+        assert _variance_series(0.5, np.array([0.5, 10.0, 300.0]))[1].tolist() == [1.0] * 3
 
     def test_variance_parameter_sets_frozen(self):
         # the two series entering the H = 0.7, lam = 0.15, t = 1 variance,
         # frozen from a 50-digit 200-term reference sum
-        z = 0.005625
-        assert sf.hyp2f3((1.0, -0.5), (0.3, 0.5, 1.0), z) == pytest.approx(
-            0.981236471749528045, rel=1e-12)
-        assert sf.hyp2f3((1.0, 0.2), (1.0, 1.7, 1.2), z) == pytest.approx(
-            1.0005517840329863, rel=1e-12)
+        u, f2 = _variance_series(0.7, np.array([0.005625]))[:, 0]
+        assert u == pytest.approx(1.0 - 0.981236471749528045, rel=1e-12)
+        assert f2 == pytest.approx(1.0005517840329863, rel=1e-12)
 
     def test_against_extended_precision(self):
-        cases = [
-            ((1.0, -0.5), (0.3, 0.5, 1.0), 6.25),
-            ((1.0, 0.2), (1.0, 1.7, 1.2), 25.0),
-            ((1.0, -0.5), (-0.2, 0.5, 1.0), 25.0),
-            ((1.0, 5.0 / 6.0), (1.0, 7.0 / 3.0, 11.0 / 6.0), 100.0),
-        ]
-        for a, b, z in cases:
-            assert sf.hyp2f3(a, b, z) == pytest.approx(
-                oracles.mp_hyp2f3(a, b, z), rel=1e-11), (a, b, z)
+        # both rows within 4e-15 of mpmath from z = 1e-40 up to the raise
+        # boundary z = (lam t)^2 / 4; 1 - F1 relative to itself, although it
+        # is of order z, and F2 relative to max(1, |F2|), since for H < 1/2
+        # its terms after the first are negative
+        for H, lt_max in SERIES_H:
+            z = np.concatenate([[1e-40, 1e-21],
+                                np.logspace(-12.0, math.log10(lt_max ** 2 / 4), 25)])
+            u, f2 = _variance_series(H, z)
+            for zi, ui, fi in zip(z.tolist(), u.tolist(), f2.tolist()):
+                ref_u = oracles.mp_hyp2f3((1.0, -0.5), (1.0 - H, 0.5, 1.0), zi,
+                                          complement=True)
+                ref_f = oracles.mp_hyp2f3((1.0, H - 0.5), (1.0, H + 1.0, H + 0.5), zi)
+                assert ui == pytest.approx(ref_u, rel=4e-15, abs=0.0), (H, zi)
+                assert abs(fi - ref_f) <= 4e-15 * max(1.0, abs(ref_f)), (H, zi)
 
     def test_denominator_pole(self):
-        with pytest.raises(PoleError):
-            sf.hyp2f3((1.0, 0.5), (0.5, -2.0, 1.0), 0.3)
+        # at integer H a denominator parameter of a series (1 - H, or H + 1/2
+        # at H = 1/2 - k) is a pole: variance_tfbm2 raises before summing
+        for H in (1.0, 2.0, 3.0):
+            with pytest.raises(PoleError):
+                variance_tfbm2(H, 0.5, 0.3)
 
     def test_non_convergence(self):
-        # at z = 1.28e5 the term ratio z / ((k+1)(k+2)) falls below 1/2 only
-        # near k = 505, after the 500-term cap, while every term and sum
-        # stays finite; at z = 1e6 the terms leave the float range first,
-        # which ends in the same error and no warning
+        # at z = 1.28e5 the terms grow to about e^(2 sqrt z) = e^716 and leave
+        # the float range, and at z = 1e6 sooner: the sums turn inf, the loop
+        # ends there, and variance_tfbm2 raises NumericsError with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for z in (1.28e5, 1e6):
-                with pytest.raises(SeriesConvergenceError):
-                    sf.hyp2f3((1.0, 0.5), (0.5, 2.0, 1.0), z)
+                assert not np.isfinite(_variance_series(0.7, np.array([z]))).all()
+                with pytest.raises(NumericsError, match="its terms cancel"):
+                    variance_tfbm2(0.7, 1.0, 2.0 * math.sqrt(z))
 
-    @pytest.mark.parametrize("a,b", HYP_SETS)
-    def test_array_matches_scalar_loop(self, a, b):
-        # one masked iteration does the arithmetic of the scalar series loop
-        z = np.concatenate([[0.0, 0.005625, 6.25, 25.0, 100.0, 300.0, -50.0],
-                            np.logspace(-12.0, 3.0, 40), -np.logspace(-3.0, 3.0, 20)])
+    @pytest.mark.parametrize("H,lt_max", SERIES_H)
+    def test_array_matches_per_element_calls(self, H, lt_max):
+        # one masked loop does the arithmetic of per-element calls, bit for
+        # bit, both through the series and through variance_tfbm2
+        lam = 0.15
+        lt = np.logspace(-10.0, math.log10(0.8 * lt_max), 40)
+        t = np.concatenate([[0.0, 1.0, 1e-9], lt]) / lam
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sf.hyp2f3(a, b, z)
-        assert got.tolist() == [oracles.loop_hyp2f3(a, b, x) for x in z.tolist()]
+            z = 0.25 * (lam * t) ** 2
+            assert _variance_series(H, z).T.tolist() == [
+                _variance_series(H, z[i:i + 1])[:, 0].tolist() for i in range(z.size)]
+            got = variance_tfbm2(H, lam, t)
+        assert got.tolist() == [variance_tfbm2(H, lam, x) for x in t.tolist()]
 
     def test_no_series_control(self):
-        # the tolerance and the term cap are module constants, not options
+        # no series options, no generic 2F3 and no term cap anywhere in the
+        # package, and variance_tfbm2 is the one caller of its series
+        callers = set()
         for f in Path(sf.__file__).parent.glob("*.py"):
             src = f.read_text()
-            for token in ("SeriesControl", "DEFAULT_SERIES"):
+            for token in ("SeriesControl", "DEFAULT_SERIES", "hyp2f3", "_HYP_",
+                          "SeriesConvergenceError"):
                 assert token not in src, (f.name, token)
+            callers |= {f"{f.stem}.{getattr(node, 'name', '')}" for node in ast.parse(src).body
+                        if any(isinstance(n, ast.Name) and n.id == "_variance_series"
+                               or isinstance(n, ast.Attribute) and n.attr == "_variance_series"
+                               for n in ast.walk(node))}
+        assert callers == {"gaussian.variance_tfbm2"}
 
 
 class TestIncompleteGamma:
