@@ -10,9 +10,10 @@ CLI's float type ``finite`` also rejects NaN and inf in the numbers the
 library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
 paths.  Every command computes through the library modules and emits one
-table as CSV or JSON.  Runs are deterministic given the flags and seed,
-and every command computes in the calling thread.  Gaussian paths are made
-in batches that share one inverse FFT, stable paths in blocks whose bounds
+table as CSV or JSON; spectrum makes one array call of each density for its
+whole grid.  Runs are deterministic given the flags and seed, and every
+command computes in the calling thread.  Gaussian paths are made in
+batches that share one inverse FFT, stable paths in blocks whose bounds
 depend on the plan alone, each block one matrix product with the kernel
 table.  limits integrates each kind's global and local scales as one
 quadrature batch, and the untempered limit constant once for both kinds.
@@ -304,11 +305,10 @@ def _build_params(args, **fixed) -> ProcessParams:
 
 
 def cmd_spectrum(args) -> int:
-    rows = []
-    for w in _parse_grid_spec(args.omega_grid):
-        v1, e1 = tfgn1_spectral_density(args.H, args.lam, float(w), args.tol)
-        v2, e2 = tfgn2_spectral_density(args.H, args.lam, float(w), args.tol)
-        rows.append([float(w), v1, v2, e1, e2])
+    omega = _parse_grid_spec(args.omega_grid)
+    h1, e1 = tfgn1_spectral_density(args.H, args.lam, omega, args.tol)
+    h2, e2 = tfgn2_spectral_density(args.H, args.lam, omega, args.tol)
+    rows = np.column_stack([omega, h1, h2, e1, e2]).tolist()
     meta = {"H": args.H, "lambda": args.lam, "tol": args.tol}
     _emit(args.out, args.format, "spectrum", meta,
           ["omega", "tfgn_density", "tfgn2_density", "err_bound_1", "err_bound_2"],
@@ -354,6 +354,8 @@ def cmd_covariance(args) -> int:
 def cmd_decay(args) -> int:
     params = _build_params(args)
     q = QuadratureConfig(rel_tol=args.tol)
+    if args.t_step < 1:
+        raise ValueError(f"--t-step must be >= 1, got {args.t_step}")
     lags = range(int(args.t_min), int(args.t_max) + 1, int(args.t_step))
     diag = decay_diagnostic(params, lags, args.theta1, args.theta2, q,
                             band_factor=args.band_factor)

@@ -4,10 +4,11 @@ Closed-form variance and covariance of the normalized second-kind tempered
 fractional Brownian motion, on floats or elementwise on arrays; its Matern
 integrand (_matern), over a rectangle for the covariance (H > 1/2) and over
 a lag's triangle for the increment autocovariance; both kinds' increment
-spectral densities as one lattice sum; and exact Gaussian path sampling with a
-counter-based (Philox) generator, by circulant embedding of the stationary
-increment noise on regular grids from t = 0 (Davies-Harte / Wood-Chan), and
-by Cholesky on every other grid and where the embedding has a negative eigenvalue.
+spectral densities as one lattice sum, on floats or elementwise on arrays of
+omega; and exact Gaussian path sampling with a counter-based (Philox)
+generator, by circulant embedding of the stationary increment noise on
+regular grids from t = 0 (Davies-Harte / Wood-Chan), and by Cholesky on
+every other grid and where the embedding has a negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -317,29 +318,36 @@ def tfgn2_acvf(H: float, lam: float, j: int,
                             epsabs=0.0)[0]
 
 
-def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
-                       L: int, tol: float) -> tuple[float, float]:
-    """sum_{|l| > L} |omega + 2 pi l|^{-power} (1 + lam^2/(omega+2 pi l)^2)^expo.
+def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
+                       tol) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{|l| > L} |omega + 2 pi l|^{-power} (1 + lam^2/(omega+2 pi l)^2)^expo
+    at each element of omega, to a tol per element (or one for all).
 
     Binomial expansion in lam^2/x^2 with each resulting pure power summed
-    through specfun.hurwitz_zeta; returns (value, bound), the bound being
-    the first omitted binomial term plus the Euler-Maclaurin remainders of
-    the zeta values used, each times its term's coefficient.  Requires
+    through specfun.hurwitz_zeta, one call per power for all elements and
+    both signs of omega; returns arrays (value, bound), the bound being the
+    first omitted binomial term plus the Euler-Maclaurin remainders of the
+    zeta values used, each times its term's coefficient.  An element leaves
+    the sum once its bound is within its tol (or 1e-18 of its value), so its
+    values are those of a call with it alone.  Requires
     2 pi (L+1) - pi > sqrt(2) lam so the expansion converges.
     """
-    qp = L + 1.0 + omega / _TWO_PI
-    qm = L + 1.0 - omega / _TWO_PI
+    omega = np.ravel(omega)
+    tol = np.full(omega.shape, tol)
     x_min = _TWO_PI * (L + 1.0) - math.pi
     u_max = (lam / x_min) ** 2
     if u_max >= 0.5:
         raise ValueError("lattice tail expansion needs 2 pi (L+1) - pi > sqrt(2) lam")
+    value, bound = np.empty(omega.shape), np.empty(omega.shape)
+    live = np.arange(omega.size)  # the elements still summing
+    q = L + 1.0 + np.stack([omega, -omega]) / _TWO_PI  # q+ and q- of each
 
     def zeta_pair(s):  # zeta(s, q+) + zeta(s, q-) and its remainder bound
-        (vp, rp), (vm, rm) = specfun.hurwitz_zeta(s, qp), specfun.hurwitz_zeta(s, qm)
-        return vp + vm, rp + rm
+        v, r = specfun.hurwitz_zeta(s, q)
+        return v[0] + v[1], r[0] + r[1]
 
-    total = 0.0
-    zeta_rem = 0.0  # sum of |term coefficient| * zeta remainder
+    total = np.zeros(omega.shape)
+    zeta_rem = np.zeros(omega.shape)  # sum of |term coefficient| * zeta remainder
     coef = 1.0  # binom(expo, i)
     lam2i = 1.0
     zsum, zrem = zeta_pair(power)
@@ -354,66 +362,85 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega: float,
         zs_next, zr_next = zeta_pair(power + 2 * i + 2)
         rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
             * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
-        if rem < tol or rem < 1e-18 * abs(total):
-            return total, rem
-        coef, lam2i, zsum, zrem = coef_next, lam2i_next, zs_next, zr_next
-    return total, rem
+        value[live], bound[live] = total, rem
+        more = ~((rem < tol) | (rem < 1e-18 * np.abs(total)))
+        if not more.any():
+            break
+        live, q, tol = live[more], q[:, more], tol[more]
+        total, zeta_rem = total[more], zeta_rem[more]
+        coef, lam2i, zsum, zrem = coef_next, lam2i_next, zs_next[more], zr_next[more]
+    return value, bound
 
 
-def _spectral_density(kind: str, H: float, lam: float, omega: float,
-                      tol: float) -> tuple[float, float]:
+@specfun._elementwise("omega")
+def _spectral_density(kind: str, H: float, lam: float, omega,
+                      tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Spectral density on [-pi, pi] of the increment noise of either kind,
-    and its truncation bound, summed at |omega| (h is even):
+    and its truncation bound, summed at |omega| (h is even), at a float
+    omega (two floats) or elementwise over an array of omega (two arrays of
+    its shape):
 
         h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} (lam^2 + x^2)^{1/2-H} / (x^2 + d),
 
     x = w + 2 pi l, d = lam^2 for kind I and 0 for kind II.  The terms with
     |l| <= L are summed directly, the rest by _lattice_tail_zeta (binomial
     exponent 1/2 - H, less 1 for kind I), whose bound times w2/2pi is the
-    returned one.  L doubles from 8 until 2 pi (L+1) - pi > sqrt(2) lam (the
-    expansion converges) and the bound is below tol; NumericsError names the
-    one still failing at L = 4096 (the first, for lam above about 1.8e4).
+    returned one.  Each element's L doubles from 8 until 2 pi (L+1) - pi >
+    sqrt(2) lam (the expansion converges) and its bound is below tol, and
+    its direct terms are added in the order of l, so an element's values
+    are those of a call with it alone; NumericsError names the first element
+    still failing at L = 4096 (every one, for lam above about 1.8e4).
     Nothing cancels near w = 0: |e^{iw}-1|^2 is w2 = 4 sin^2(w/2), and the
     l = 0 term times it (2 sin(w/2)/w)^2 (lam^2 + w^2)^{1/2-H} w^2/(w^2 + d).
     At w = 0 the value is the exact limit, with zero bound.
     """
     _check_params(H, lam)
-    if not abs(omega) <= math.pi + 1e-12:
-        raise ValueError(f"omega must lie in [-pi, pi], got {omega}")
+    specfun._check_x("the spectral density", omega,
+                     np.abs(omega) <= math.pi + 1e-12, "omega in [-pi, pi]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    omega = min(abs(omega), math.pi)
-    if omega == 0.0:
-        return (lam ** (1.0 - 2.0 * H) / _TWO_PI if kind == "II" else 0.0), 0.0
+    omega = np.minimum(np.abs(omega), math.pi)
+    limit = lam ** (1.0 - 2.0 * H) / _TWO_PI if kind == "II" else 0.0
+    value, bound = np.full(omega.shape, limit), np.zeros(omega.shape)
+    on = np.flatnonzero(omega)  # w = 0 keeps the limit, with zero bound
+    w = omega[on]
     d, expo = (0.0, 0.5 - H) if kind == "II" else (lam * lam, -(H + 0.5))
-    w2 = 4.0 * math.sin(0.5 * omega) ** 2
-    sinc = 2.0 * math.sin(0.5 * omega) / omega if omega > 1e-8 else 1.0  # rounds to 1
-    head = sinc * sinc * (lam * lam + omega * omega) ** (0.5 - H) * (
-        omega * omega / (omega * omega + d) if d else 1.0)
-    for L in (8 << k for k in range(10)):  # 8, 16, .., 4096
+    half = np.sin(0.5 * w)
+    w2 = 4.0 * half ** 2
+    sinc = np.where(w > 1e-8, 2.0 * half / w, 1.0)  # rounds to 1
+    head = sinc * sinc * (lam * lam + w * w) ** (0.5 - H) * (
+        w * w / (w * w + d) if d else 1.0)
+    tail, err = np.zeros(w.shape), np.full(w.shape, math.inf)
+    ells = np.zeros(w.shape, dtype=int)  # each element's L
+    L, converges = 4, False
+    while (live := np.flatnonzero(~(err <= tol))).size:  # L = 8, 16, .., 4096
+        if L == 4096:
+            why = (f"bound {err[live[0]]:.3g} above tol {tol:.3g}" if converges else
+                   "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
+            raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
+        L *= 2
         converges = (lam / (_TWO_PI * (L + 1.0) - math.pi)) ** 2 < 0.5
         if converges:
-            tail, rem = _lattice_tail_zeta(1.0 + 2.0 * H, expo, lam, omega, L,
-                                           tol * _TWO_PI / max(w2, 1e-300))
-            bound = w2 * rem / _TWO_PI
-            if bound <= tol:
-                break
-    else:
-        why = (f"bound {bound:.3g} above tol {tol:.3g}" if converges else
-               "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
-        raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
+            tail[live], rem = _lattice_tail_zeta(
+                1.0 + 2.0 * H, expo, lam, w[live], L,
+                tol * _TWO_PI / np.maximum(w2[live], 1e-300))
+            err[live], ells[live] = w2[live] * rem / _TWO_PI, L
     term = lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x + d)
-    acc = 0.0  # the terms 0 < |l| <= L
-    for ell in range(1, L + 1):
-        acc += term(omega + _TWO_PI * ell)
-        acc += term(omega - _TWO_PI * ell)
-    return (head + w2 * (acc + tail)) / _TWO_PI, bound
+    acc = np.zeros(w.shape)  # the terms 0 < |l| <= L
+    for ell in range(1, ells.max(initial=0) + 1):
+        inner = ells >= ell
+        np.add(acc, term(w + _TWO_PI * ell), out=acc, where=inner)
+        np.add(acc, term(w - _TWO_PI * ell), out=acc, where=inner)
+    value[on] = (head + w2 * (acc + tail)) / _TWO_PI
+    bound[on] = err
+    return value, bound
 
 
-def tfgn2_spectral_density(H: float, lam: float, omega: float,
-                           tol: float = 1e-10) -> tuple[float, float]:
+def tfgn2_spectral_density(H: float, lam: float, omega,
+                           tol: float = 1e-10):
     """Spectral density of TFGN II on [-pi, pi] and its truncation bound
-    (_spectral_density with d = 0), flat at w = 0 where it is lam^{1-2H}/2pi:
+    (_spectral_density with d = 0) at a float omega, or elementwise over an
+    array of omega, flat at w = 0 where it is lam^{1-2H}/2pi:
 
         h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} (w+2pi l)^{-2}
                                               [lam^2+(w+2pi l)^2]^{1/2-H}
@@ -421,10 +448,11 @@ def tfgn2_spectral_density(H: float, lam: float, omega: float,
     return _spectral_density("II", H, lam, omega, tol)
 
 
-def tfgn1_spectral_density(H: float, lam: float, omega: float,
-                           tol: float = 1e-10) -> tuple[float, float]:
+def tfgn1_spectral_density(H: float, lam: float, omega,
+                           tol: float = 1e-10):
     """Spectral density of first-kind TFGN on [-pi, pi] and its truncation
-    bound (_spectral_density with d = lam^2), 0 at w = 0 (anti-persistence):
+    bound (_spectral_density with d = lam^2) at a float omega, or
+    elementwise over an array of omega, 0 at w = 0 (anti-persistence):
 
         h(w) = (1/2pi) |e^{iw}-1|^2 sum_{l in Z} [lam^2+(w+2pi l)^2]^{-(H+1/2)}
     """

@@ -36,11 +36,12 @@ def gamma_fn(x: float) -> float:
 
 def _elementwise(name: str):
     """Decorator for a function whose body takes a 1-D float array in its
-    argument ``name``: the wrapped function takes a float there and returns
-    a Python float, or an array of any shape and returns an array of that
-    shape.  The argument's position is found once, here; a call is bound
-    to the signature only when it passes keywords (or too few arguments,
-    so that it raises the usual TypeError)."""
+    argument ``name`` and returns an array or a tuple of arrays of its
+    length: the wrapped function takes a float there and returns a Python
+    float (or a tuple of them), or an array of any shape and returns arrays
+    of that shape.  The argument's position is found once, here; a call is
+    bound to the signature only when it passes keywords (or too few
+    arguments, so that it raises the usual TypeError)."""
 
     def decorate(body):
         sig = inspect.signature(body)
@@ -54,8 +55,14 @@ def _elementwise(name: str):
             x = args[pos]
             xa = np.asarray(x, dtype=float)
             args = args[:pos] + (xa.ravel(),) + args[pos + 1:]
-            out = body(*args, **kwargs).reshape(xa.shape)
-            return float(out) if xa.ndim == 0 and not isinstance(x, np.ndarray) else out
+            scalar = xa.ndim == 0 and not isinstance(x, np.ndarray)
+
+            def shaped(out):
+                out = out.reshape(xa.shape)
+                return float(out) if scalar else out
+
+            out = body(*args, **kwargs)
+            return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
         return f
 
@@ -277,9 +284,12 @@ _HZ_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 _HZ_REM = 4.0 / (2.0 * math.pi) ** 24
 
 
-def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
+@_elementwise("q")
+def hurwitz_zeta(s: float, q):
     """Hurwitz zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1 and q > 0, and
-    a bound on the truncation error of the formula that computes it.
+    a bound on the truncation error of the formula that computes it, at a
+    float q (two floats) or elementwise over an array of q (two arrays of
+    its shape, each element's values those of a call with it alone).
 
     Euler-Maclaurin summation: the terms k < N = 9 directly, then, with
     x = q + N, the integral x^(1-s)/(s-1), the half term x^-s/2 and
@@ -291,8 +301,9 @@ def hurwitz_zeta(s: float, q: float) -> tuple[float, float]:
     is not in the bound: it is a few units in the last place, as the terms
     are added from the smallest up.
     """
-    if not (s > 1.0 and q > 0.0):
-        raise ValueError(f"hurwitz_zeta requires s > 1 and q > 0, got s = {s}, q = {q}")
+    if not s > 1.0:
+        raise ValueError(f"hurwitz_zeta requires s > 1, got s = {s}")
+    _check_x("hurwitz_zeta", q, q > 0.0, "q > 0")
     x = q + _HZ_DIRECT
     xs = x ** -s
     term = s * xs / x  # (s)_(2j-1) x^(-s-2j+1) at j = 1

@@ -133,10 +133,16 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
 
     Each time row is one array call of kernels.kernel, which evaluates the
     kind's primitive difference over all nodes; filling one row at a time
-    keeps the temporaries the size of a row.
+    keeps the temporaries the size of a row.  A plan whose nodes or table
+    cannot be allocated raises PlanError naming both sizes.
     """
-    ys = plan.nodes()
-    table = np.empty((grid.n, plan.n_nodes))
+    try:
+        ys = plan.nodes()
+        table = np.empty((grid.n, plan.n_nodes))
+    except MemoryError as exc:
+        raise PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
+                        f"{plan.n_nodes} kernel table ({8 * grid.n * plan.n_nodes:.3g} "
+                        f"bytes), more than can be allocated; raise dy") from exc
     for i, t in enumerate(grid.times.tolist()):
         table[i] = kernel(p, t, ys)
     if not np.all(np.isfinite(table)):

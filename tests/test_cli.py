@@ -166,11 +166,34 @@ class TestExitCodes:
                            "--tol", "0.5"], tmp_path)
         assert rc == 2 and not out.exists()
 
-    def test_lattice_cap_exits_3(self, tmp_path):
+    def test_lattice_cap_exits_3(self, tmp_path, capsys):
         # the spectral lattice sum would need L > 4096 at this lambda
         rc, _ = run_cli(["spectrum", "--H", "0.7", "--lambda", "1e8",
                          "--omega-grid=-3:3:3"], tmp_path)
         assert rc == 3
+        assert "L = 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_t_step_exits_2(self, step, tmp_path, capsys):
+        rc, out = run_cli(["decay", "--H", "0.8", "--lambda", "0.3",
+                           f"--t-step={step}"], tmp_path)
+        assert rc == 2 and not out.exists()
+        assert f"--t-step must be >= 1, got {step}" in capsys.readouterr().err
+
+    def test_unallocatable_plan_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a plan of 3.3e11 nodes: its allocation is made to fail here, not
+        # attempted, and the failure is a plan error naming both sizes
+        def no_memory(plan):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(cli.DiscretizationPlan, "nodes", no_memory)
+        rc, out = run_cli(["simulate", "--H", "0.7", "--lambda", "0.15",
+                           "--alpha", "1.5", "--n", "3", "--plan-dy", "1e-9"],
+                          tmp_path)
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("tfmotion: error: plan of 334333333334 nodes")
+        assert "3 x 334333333334 kernel table" in err
 
 
 class TestSpectrum:
@@ -185,6 +208,27 @@ class TestSpectrum:
         assert first[0] == 0.0
         assert first[1] == 0.0  # first kind vanishes at the origin
         assert first[2] == pytest.approx(0.15 ** (-0.4) / (2 * math.pi), abs=1e-12)
+
+    def test_one_density_call_per_kind(self, tmp_path, monkeypatch):
+        # the grid is one array call of each density, and each row holds the
+        # values of the one-element calls at its omega
+        calls = []
+        for name in ("tfgn1_spectral_density", "tfgn2_spectral_density"):
+            def spy(*args, real=getattr(cli, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        rc, out = run_cli(["spectrum", "--H", "0.7", "--lambda", "0.15",
+                           "--omega-grid=-3:3:13"], tmp_path)
+        assert rc == 0
+        assert sorted(calls) == ["tfgn1_spectral_density", "tfgn2_spectral_density"]
+        monkeypatch.undo()
+        _, _, rows = read_csv(out)
+        assert len(rows) == 13
+        for row in rows:
+            w, h1, h2, e1, e2 = (float(x) for x in row)
+            assert (h1, e1) == cli.tfgn1_spectral_density(0.7, 0.15, w, 1e-10)
+            assert (h2, e2) == cli.tfgn2_spectral_density(0.7, 0.15, w, 1e-10)
 
     def test_white_noise_constant(self, tmp_path):
         rc, out = run_cli(["spectrum", "--H", "0.5", "--lambda", "0.7",

@@ -10,7 +10,7 @@ from tfmotion.dependence import (_limit_rows, codifference, decay_diagnostic,
                                  global_limit_constant, local_limit_check,
                                  r_fn)
 from tfmotion.gaussian import tfgn2_acvf, variance_fbm_limit
-from tfmotion.kernels import (ProcessParams, QuadratureConfig, kernel,
+from tfmotion.kernels import (ProcessParams, QuadratureConfig, _quad, kernel,
                               kernel_alpha_norm, kernel_g, kernel_h)
 
 import oracles
@@ -136,6 +136,43 @@ class TestDecayDiagnostic:
         d = decay_diagnostic(p, lags, 0.7, 1.3)
         for t, v in zip(lags, d.i_values):
             assert v == pytest.approx(codifference(p, t, 0.7, 1.3), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [P_II, P_I])
+    def test_lag0_kernel_takes_distinct_nodes(self, p, monkeypatch):
+        # each sweep makes one kernel call for the lag-t kernels of all lags
+        # and one for the lag-0 kernel, which depends on the node alone: that
+        # call receives each distinct node of the sweep once
+        calls = []
+
+        def spy(p_, t, y):
+            calls.append(np.array(y))
+            return kernel(p_, t, y)
+
+        monkeypatch.setattr(dependence, "kernel", spy)
+        decay_diagnostic(p, [2, 7, 30], 0.7, 1.3)
+        lag_t, lag_0 = calls[::2], calls[1::2]
+        assert len(lag_0) == len(lag_t) >= 1
+        for x, y in zip(lag_t, lag_0):
+            assert np.all(np.diff(y) > 0.0) and y.size <= x.size
+        assert sum(y.size for y in lag_0) < sum(x.size for x in lag_t)
+
+    @pytest.mark.parametrize("p", [P_II, P_I])
+    def test_values_equal_lag0_kernel_at_every_node(self, p):
+        # kernel is elementwise, so gathering the lag-0 kernel from the
+        # distinct nodes gives, bit for bit, the values of an integrand that
+        # evaluates it at every node
+        lags = np.arange(2.0, 16.0)
+        q = QuadratureConfig(rel_tol=1e-8)
+        edges = (-math.inf, -q.cutoff(p.lam), 0.0, 1.0)
+
+        def every_node(x, rows):
+            a = 0.7 * kernel(p, 1.0, x - lags[rows])
+            b = 1.3 * kernel(p, 1.0, x)
+            return dependence._stable_bracket(a, b, p.alpha)
+
+        ref = _quad(every_node, [edges] * lags.size, q, epsabs=0.0)[0]
+        d = decay_diagnostic(p, lags, 0.7, 1.3, q)
+        assert np.array_equal(d.i_values, ref)
 
     def test_ratio_positive_and_finite(self):
         d = decay_diagnostic(P_II, range(5, 21, 5), 1.0, 1.0)

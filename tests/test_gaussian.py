@@ -339,14 +339,61 @@ class TestSpectralDensities:
         # a bound still above tol at L = 4096 is an error, not a result
         with pytest.raises(NumericsError, match="above tol"):
             density(0.3, 0.15, 0.5, tol=1e-30)
+        # in an array call, one such element fails the call
+        with pytest.raises(NumericsError, match="L = 4096"):
+            density(0.7, 1e8, np.array([0.0, 0.5, 3.0]))
+        with pytest.raises(NumericsError, match="above tol"):
+            density(0.3, 0.15, np.array([0.0, 0.5]), tol=1e-30)
 
     @pytest.mark.parametrize("density", [tfgn1_spectral_density,
                                          tfgn2_spectral_density])
     @pytest.mark.parametrize("lam,w", [(0.15, 0.5), (1.0, 2.0), (100.0, 3.0),
                                        (100.0, 1.0), (600.0, math.pi)])
     def test_even_in_omega(self, density, lam, w):
-        # h is even: h(-w) equals h(w) bit for bit, bound included
+        # h is even: h(-w) equals h(w) bit for bit, bound included, in a
+        # float call and in an array call
         assert density(0.7, lam, -w) == density(0.7, lam, w)
+        v, e = density(0.7, lam, np.array([w, -w]))
+        assert v[0] == v[1] and e[0] == e[1]
+
+    @pytest.mark.parametrize("density", [tfgn1_spectral_density,
+                                         tfgn2_spectral_density])
+    @pytest.mark.parametrize("H,lam,tol", [(0.7, 0.15, 1e-10), (0.3, 600.0, 1e-10),
+                                           (1.3, 0.15, 1e-15), (0.3, 37.0, 1e-20)])
+    def test_array_elements_equal_one_element_calls(self, density, H, lam, tol):
+        # an array call gives each element its own L, binomial stop and
+        # bound: the values of a call with that element alone (at lam = 37,
+        # tol = 1e-20 the elements of one call end at L = 8 to 64)
+        w = np.concatenate([np.linspace(-math.pi, math.pi, 41),
+                            [0.0, 1e-300, -1e-8, 1e-3, 3.0]])
+        v, e = density(H, lam, w, tol)
+        assert v.shape == e.shape == w.shape
+        for x, vi, ei in zip(w.tolist(), v.tolist(), e.tolist()):
+            one = density(H, lam, x, tol)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert one == (vi, ei), x
+        v2, e2 = density(H, lam, w[:40].reshape(5, 8), tol)
+        assert np.array_equal(v2.ravel(), v[:40]) and np.array_equal(e2.ravel(), e[:40])
+
+    def test_array_rows_at_origin_pi_and_tiny(self):
+        # omega = 0 gives the exact limits with zero bound, +-pi and 1e-300
+        # the lattice sums, within 1e-13 of mpmath
+        H, lam = 0.7, 0.15
+        w = np.array([0.0, math.pi, -math.pi, 1e-300])
+        v1, e1 = tfgn1_spectral_density(H, lam, w, 1e-16)
+        v2, e2 = tfgn2_spectral_density(H, lam, w, 1e-16)
+        assert (v1[0], e1[0]) == (0.0, 0.0)
+        assert (v2[0], e2[0]) == (lam ** (1.0 - 2.0 * H) / TWO_PI, 0.0)
+        ref1 = oracles.mp_lattice_density(H, lam, math.pi, False)
+        ref2 = oracles.mp_lattice_density(H, lam, math.pi, True)
+        for i in (1, 2):
+            assert v1[i] == pytest.approx(ref1, rel=1e-13, abs=0.0)
+            assert v2[i] == pytest.approx(ref2, rel=1e-13, abs=0.0)
+        assert v1[1] == v1[2] and v2[1] == v2[2]
+        # the first kind's value there is of order omega^2 and underflows
+        assert (v1[3], e1[3]) == (0.0, 0.0)
+        ref = oracles.mp_lattice_density(H, lam, 1e-300, True)
+        assert v2[3] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_low_frequency_contrast(self):
         # second kind plateaus at lam^{1-2H}/2pi, first kind dies at 0
@@ -365,12 +412,13 @@ class TestSpectralDensities:
     @pytest.mark.parametrize("H,lam,w", [(0.7, 0.15, 0.5), (0.3, 2.5, -2.0)])
     def test_lattice_tail_evaluates_each_zeta_once(self, H, lam, w, monkeypatch):
         # the remainder term's zeta sum is the next term's: each (s, q) is
-        # evaluated once per tail (w != 0, so that q+ != q-)
+        # evaluated once per tail (w != 0, so that q+ != q-); one call of
+        # hurwitz_zeta takes the q of every element and sign
         calls = []
         real = specfun.hurwitz_zeta
 
         def spy(s, q):
-            calls.append((s, q))
+            calls.extend((s, x) for x in np.ravel(q).tolist())
             return real(s, q)
 
         monkeypatch.setattr(specfun, "hurwitz_zeta", spy)
@@ -383,6 +431,8 @@ class TestSpectralDensities:
             tfgn2_spectral_density(0.7, 0.15, 4.0)
         with pytest.raises(ValueError):
             tfgn1_spectral_density(0.7, 0.15, -4.0)
+        with pytest.raises(ValueError, match="got 4.0"):
+            tfgn2_spectral_density(0.7, 0.15, np.array([0.5, 4.0]))
 
 
 class TestSampleGrid:

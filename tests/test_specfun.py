@@ -539,6 +539,18 @@ class TestHurwitzZeta:
             if ref > 1e-300:
                 assert abs(oracles.mp_hurwitz_zeta_integral(s, q) - ref) <= 1e-17 * ref
 
+    def test_array_elements_equal_one_element_calls(self):
+        # an array of q gives arrays of its shape, each element's values
+        # those of a call with it alone (a float q gives two floats)
+        q = np.array(_ZETA_Q).reshape(3, 4)
+        for s in _ZETA_S:
+            v, bound = sf.hurwitz_zeta(s, q)
+            assert v.shape == bound.shape == q.shape
+            for x, vi, bi in zip(q.ravel().tolist(), v.ravel().tolist(),
+                                 bound.ravel().tolist()):
+                one = sf.hurwitz_zeta(s, x)
+                assert type(one[0]) is float and one == (vi, bi), (s, x)
+
     def test_integer_s(self):
         # zeta(2, 1) = pi^2/6 and zeta(4, 1/2) = 15 zeta(4) = pi^4/6
         assert sf.hurwitz_zeta(2.0, 1.0)[0] == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
@@ -548,3 +560,5 @@ class TestHurwitzZeta:
         for s, q in ((1.0, 9.0), (0.5, 9.0), (2.0, 0.0), (2.0, -1.0)):
             with pytest.raises(ValueError):
                 sf.hurwitz_zeta(s, q)
+        with pytest.raises(ValueError, match="got -1.0"):  # the first bad q
+            sf.hurwitz_zeta(2.0, np.array([9.0, -1.0, 0.0]))

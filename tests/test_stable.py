@@ -296,6 +296,18 @@ class TestNodeTable:
         with pytest.raises(PlanError):
             kernel_node_table(p, grid, plan)
 
+    def test_unallocatable_plan_raises_plan_error(self, monkeypatch):
+        # the allocation is made to fail here rather than attempted
+        def no_memory(plan):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(DiscretizationPlan, "nodes", no_memory)
+        grid = SampleGrid.regular(1.0, 3)
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=1e-9)
+        with pytest.raises(PlanError, match=rf"{plan.n_nodes} nodes needs a "
+                                            rf"3 x {plan.n_nodes} kernel table"):
+            kernel_node_table(P15, grid, plan)
+
     def test_negative_time_rejected(self):
         grid = SampleGrid(np.array([-0.5, 1.0]))
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.05, cutoff=5.0)
