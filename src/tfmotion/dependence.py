@@ -12,12 +12,12 @@ the measurable distinction between the two processes.  Every integral here
 runs through kernels._quad, so an error estimate above the QuadratureConfig
 tolerances raises QuadratureError instead of passing silently.  The lags of
 decay_diagnostic run as one _quad batch, each sweep evaluating the kernels
-of every lag in array calls of kernels.kernel, the lag-0 kernel once per
-distinct node; codifference is the one-lag case of the decay batch.  The
-global and local scales b of one kind are one kernel_alpha_norm batch
-(_limit_rows, the one place of the limit rows' formulas, behind
-global_limit_check and local_limit_check), whose every sweep is one kernel
-call.
+of every lag in array calls of kernels.kernel, the second kind's lag-0
+kernel once per distinct node; codifference is the one-lag case of the
+decay batch.  The global and local scales b of one kind are one
+kernel_alpha_norm batch (_limit_rows, the one place of the limit rows'
+formulas, behind global_limit_check and local_limit_check), whose every
+sweep is one kernel call.
 """
 
 from __future__ import annotations
@@ -57,17 +57,22 @@ def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
     alone (epsabs = 0).  Each sweep evaluates the lag-t kernels of all lags
     in one kernel call, and the lag-0 kernel in another.  The lag-0 kernel
     depends on the node alone, and every lag integrates over the same
-    edges, so most nodes of a sweep repeat across lags: that call takes
-    each distinct node once (np.unique) and the values are gathered back
-    to every row.  kernel is elementwise, so each value is the one an
-    evaluation at every node would give."""
+    edges, so most nodes of a sweep repeat across lags: for the second
+    kind that call takes each distinct node once (np.unique) and the values
+    are gathered back to every row.  The first kind's kernel costs less
+    than that sort, so it is evaluated at every node.  kernel is
+    elementwise, so each value is the one an evaluation at every node would
+    give."""
     lags = np.asarray(lags, dtype=float)
     edges = (-math.inf, -q.cutoff(p.lam), 0.0, 1.0)
 
     def integrand(x, rows):
         a = theta1 * kernel(p, 1.0, x - lags[rows])
-        nodes, at = np.unique(x, return_inverse=True)
-        b = theta2 * kernel(p, 1.0, nodes)[at]
+        if p.kind == "I":
+            b = theta2 * kernel(p, 1.0, x)
+        else:
+            nodes, at = np.unique(x, return_inverse=True)
+            b = theta2 * kernel(p, 1.0, nodes)[at]
         return _stable_bracket(a, b, p.alpha)
 
     return _quad(integrand, [edges] * lags.size, q, epsabs=0.0)[0]

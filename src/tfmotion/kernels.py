@@ -14,9 +14,14 @@ indicator of [0, t), uses
 
 Every kernel value goes through _kernel_step, which evaluates these
 differences without cancellation over an array of a = -y with one width t
-per element; the public kernels take one t and a float or an array
-of y, so a kernel table row is one call, and each quadrature sweep of
-kernel_alpha_norm is one call over the nodes of every time of its batch.
+per element; the public kernels take one t, or one t per element, and a
+float or an array of y, so each quadrature sweep of kernel_alpha_norm is one
+call over the nodes of every time of its batch.  The one exception is the
+second kind's far field (_far_kernel), for the stable kernel table: at
+nodes a >= 8 t_max, lam > 0 and -1 < kappa < 2, kappa != 0, h is the
+separable series kappa lam^-kappa x^(kappa-1) e^-x sum_n C(kappa-1, n)
+gamma(n+1, lam t) x^-n in x = lam a, whose 21 terms leave a tail below
+2^-56 of the sum.
 Also here: _check_params, the one check of H, alpha, lambda, sigma, beta,
 times, lags and weights; quadrature of integral |kernel|^alpha dy (one
 batch over many t), whose left tail is one infinite panel (-inf, -cutoff)
@@ -401,10 +406,63 @@ def _kernel_step(kind: str, k: float, lam: float, a: np.ndarray,
     return out
 
 
+# terms of the far-field series (_far_kernel), and the least x = lam a it
+# takes, so that x^-20 stays below 2^800
+_FAR_TERMS = 21
+_FAR_MIN_X = 2.0 ** -40
+
+
+def _far_kernel(k: float, lam: float, a: np.ndarray, t: np.ndarray,
+                out: np.ndarray) -> int:
+    """Second-kind kernel values h(t_i; -a_j) for lam > 0 and kappa = k in
+    (-1, 2), k != 0, at the times t (rows) and the leading nodes of a
+    descending 1-D array a that lie far left of every time (columns): the
+    first m nodes, those with x = lam a >= max(8 lam max(t), _FAR_MIN_X).
+    Writes out[:, :m] and returns m (0 for k >= 2).
+
+    With w = lam t, every s = x + u of the cell [x, x + w] has u <= x/8, so
+    (1 + u/x)^(k-1) is its binomial series and
+
+        h(t; -a) = k lam^-k x^(k-1) e^-x sum_n C(k-1, n) gamma(n+1, w) x^-n.
+
+    |C(k-1, n)| <= n + 1 for k - 1 in (-2, 1], so term n is at most
+    (n + 1) 8^-n of the first, and the _FAR_TERMS = 21 terms leave a tail
+    below 2^-56 of the sum.  The series is separable: the row
+    coefficients C(k-1, n) n! P_n(w), with P_n = gamma(n+1, w)/n! from
+    specfun.lower_gamma at n = 20 and downward by P_(n-1) = P_n +
+    e^-w w^n/n!, a sum of positive terms; the node powers x^-n, one
+    cumulative product; the block is one np.einsum, which sums over n in
+    order whatever the BLAS, times the node prefactor.  A zero time gives
+    a row of exact zeros.  A negative or non-finite time raises ValueError.
+    """
+    specfun._check_x("kernel", t, (t >= 0.0) & (t < np.inf), "finite t >= 0")
+    if k >= 2.0:
+        return 0
+    x = lam * a
+    w = lam * t
+    m = int(np.searchsorted(-x, -max(8.0 * w.max(), _FAR_MIN_X), side="right"))
+    if m == 0:
+        return 0
+    n = np.arange(1.0, _FAR_TERMS)
+    d = np.cumprod(np.column_stack([np.exp(-w), w[:, None] / n]), axis=1)
+    top = specfun.lower_gamma(float(_FAR_TERMS), w) / math.factorial(_FAR_TERMS - 1)
+    p = np.cumsum(np.column_stack([top, d[:, :0:-1]]), axis=1)[:, ::-1]
+    coef = p * np.cumprod(np.concatenate([[1.0], k - n]))
+    xm = x[:m]
+    powers = np.empty((_FAR_TERMS, m))
+    powers[0] = 1.0
+    powers[1:] = 1.0 / xm
+    np.cumprod(powers, axis=0, out=powers)
+    block = out[:, :m]
+    np.einsum("in,nk->ik", coef, powers, out=block)
+    block *= k * lam ** (-k) * (np.exp(-xm) * xm ** (k - 1.0))
+    return m
+
+
 @specfun._elementwise("y")
-def kernel_g(p: ProcessParams, t: float, y):
+def kernel_g(p: ProcessParams, t, y):
     """First-kind kernel g(t; y) = phi(t - y) - phi(-y) at a float or an
-    array of y.
+    array of y, and one t or an array of one t per element of y.
 
     For kappa < 0 the values at exactly y = t and y = 0 are the one-sided
     infinite limits +inf and -inf.
@@ -413,9 +471,10 @@ def kernel_g(p: ProcessParams, t: float, y):
 
 
 @specfun._elementwise("y")
-def kernel_h(p: ProcessParams, t: float, y):
+def kernel_h(p: ProcessParams, t, y):
     """Second-kind kernel h(t; y) = R(-y) - R(t - y) at a float or an array
-    of y.
+    of y, and one t or an array of one t per element of y (each value is
+    that of a call with its own t).
 
     H = 1/alpha gives the indicator of [0, t) exactly and lam = 0 the
     untempered kernel (t-y)_+^kappa - (-y)_+^kappa.  For 0 <= y < t the value
@@ -429,9 +488,10 @@ def kernel_h(p: ProcessParams, t: float, y):
     return _kernel_step("II", p.kappa, p.lam, -y, t)
 
 
-def kernel(p: ProcessParams, t: float, y):
-    """Kernel of the process selected by p.kind (g for I, h for II) at one
-    time t and a float or an array of y."""
+def kernel(p: ProcessParams, t, y):
+    """Kernel of the process selected by p.kind (g for I, h for II) at a
+    float or an array of y, and one time t or a 1-D array of one time per
+    element of y, whose values equal the per-element calls bit for bit."""
     return kernel_g(p, t, y) if p.kind == "I" else kernel_h(p, t, y)
 
 

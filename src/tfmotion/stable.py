@@ -12,10 +12,14 @@ increments with scale sigma * dy^(1/alpha), generated from the shared
 counter-based (Philox) keying so that first- and second-kind runs with the
 same seed are driven by identical noise.  The variates come from one
 Chambers-Mallows-Stuck transform (_cms) whose sines and cosines are taken
-from the uniforms without cancellation, by half-angle tangents.  The sampler
-runs in the calling thread over blocks of whole paths, about 2^17 cell
-values each, and each block's paths are one matrix product with the kernel
-table.
+from the uniforms without cancellation, by half-angle tangents.  The kernel
+table of the second kind (kernel_node_table) takes the nodes y <= -8 t_max
+from the separable far-field series of kernels._far_kernel, one np.einsum,
+and the rest from kernels.kernel: one call with one time per element for a
+small block, else one call per time row, as for the first kind.  The
+sampler runs in the calling thread over blocks of whole paths, about 2^17
+cell values each, and each block's paths are one matrix product with the
+kernel table.
 """
 
 from __future__ import annotations
@@ -27,11 +31,16 @@ import numpy as np
 
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
-from .kernels import DEFAULT_QUAD, ProcessParams, _check_params, kernel
+from .kernels import (DEFAULT_QUAD, ProcessParams, _check_params, _far_kernel,
+                      kernel)
 from .rng import philox_generator
 
 # cell values per block of paths: 15 paths at 8,384 nodes
 _BLOCK_VALUES = 2 ** 17
+# most values of a kernel table's near block that make one kernel call (the
+# README plan's 65 x 451); calls of 2^17 values took a 65 x 3,000 block about
+# 25% longer than one call per row, in page faults of their temporaries
+_NEAR_VALUES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,14 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> np.ndarray:
     """Kernel values k(t_i; y_k) on the plan nodes, n_times x n_nodes.
 
-    Each time row is one array call of kernels.kernel, which evaluates the
-    kind's primitive difference over all nodes; filling one row at a time
-    keeps the temporaries the size of a row.  A plan whose nodes or table
-    cannot be allocated raises PlanError naming both sizes.
+    For the second kind with lam > 0 and kappa != 0, the nodes far left of
+    every time, y <= -8 max(t), are a prefix of the ascending nodes:
+    kernels._far_kernel fills that block from its separable series, one
+    np.einsum.  The other nodes, the near block, are one call of
+    kernels.kernel with one time per element when the block has at most
+    _NEAR_VALUES values (the README plan's 65 x 451), and one call per time
+    row otherwise, whose temporaries stay the size of a row.  A plan whose
+    nodes or table cannot be allocated raises PlanError naming both sizes.
     """
     try:
         ys = plan.nodes()
@@ -143,8 +156,16 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
         raise PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
                         f"{plan.n_nodes} kernel table ({8 * grid.n * plan.n_nodes:.3g} "
                         f"bytes), more than can be allocated; raise dy") from exc
-    for i, t in enumerate(grid.times.tolist()):
-        table[i] = kernel(p, t, ys)
+    far = 0
+    if p.kind == "II" and p.lam > 0.0 and p.kappa != 0.0:
+        far = _far_kernel(p.kappa, p.lam, -ys, grid.times, table)
+    near = ys[far:]
+    if grid.n * near.size <= _NEAR_VALUES:
+        block = kernel(p, np.repeat(grid.times, near.size), np.tile(near, grid.n))
+        table[:, far:] = block.reshape(grid.n, near.size)
+    else:
+        for i, t in enumerate(grid.times.tolist()):
+            table[i, far:] = kernel(p, t, near)
     if not np.all(np.isfinite(table)):
         raise PlanError("kernel table hit a singular node; shift y_min or dy "
                         "so midpoints avoid y = 0 and the grid times")

@@ -137,11 +137,9 @@ class TestDecayDiagnostic:
         for t, v in zip(lags, d.i_values):
             assert v == pytest.approx(codifference(p, t, 0.7, 1.3), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("p", [P_II, P_I])
-    def test_lag0_kernel_takes_distinct_nodes(self, p, monkeypatch):
-        # each sweep makes one kernel call for the lag-t kernels of all lags
-        # and one for the lag-0 kernel, which depends on the node alone: that
-        # call receives each distinct node of the sweep once
+    @staticmethod
+    def _kernel_calls(p, monkeypatch):
+        # the node arrays of decay_diagnostic's kernel calls, lag-t and lag-0
         calls = []
 
         def spy(p_, t, y):
@@ -152,9 +150,26 @@ class TestDecayDiagnostic:
         decay_diagnostic(p, [2, 7, 30], 0.7, 1.3)
         lag_t, lag_0 = calls[::2], calls[1::2]
         assert len(lag_0) == len(lag_t) >= 1
+        return lag_t, lag_0
+
+    @pytest.mark.parametrize("p", [P_II])
+    def test_lag0_kernel_takes_distinct_nodes(self, p, monkeypatch):
+        # each sweep makes one kernel call for the lag-t kernels of all lags
+        # and one for the lag-0 kernel, which depends on the node alone: for
+        # the second kind that call receives each distinct node of the sweep
+        # once
+        lag_t, lag_0 = self._kernel_calls(p, monkeypatch)
         for x, y in zip(lag_t, lag_0):
             assert np.all(np.diff(y) > 0.0) and y.size <= x.size
         assert sum(y.size for y in lag_0) < sum(x.size for x in lag_t)
+
+    def test_first_kind_lag0_kernel_takes_every_node(self, monkeypatch):
+        # the first kind's kernel costs less than the sort that would dedup
+        # its nodes, so its lag-0 call receives every node of the sweep
+        lag_t, lag_0 = self._kernel_calls(P_I, monkeypatch)
+        for x, y in zip(lag_t, lag_0):
+            assert y.size == x.size
+        assert any(np.unique(y).size < y.size for y in lag_0)
 
     @pytest.mark.parametrize("p", [P_II, P_I])
     def test_values_equal_lag0_kernel_at_every_node(self, p):

@@ -17,9 +17,9 @@ from tfmotion.gaussian import (SampleGrid, matern_cov_integral,
                                tfgn1_spectral_density, tfgn2_acvf,
                                tfgn2_spectral_density, variance_fbm_limit,
                                variance_tfbm2)
-from tfmotion.stable import DiscretizationPlan, sample_stable
+from tfmotion.stable import DiscretizationPlan, kernel_node_table, sample_stable
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
-                              _kernel_step, _quad, kernel_alpha_norm,
+                              _kernel_step, _quad, kernel, kernel_alpha_norm,
                               kernel_g, kernel_h)
 
 import oracles
@@ -251,6 +251,119 @@ class TestKernelStepArray:
         for kind in ("I", "II"):
             with pytest.raises(ValueError):
                 _kernel_step(kind, 0.3, 0.5, np.array([-0.5, 1.0, 2.0, 3.0]), w)
+
+
+class TestFarKernel:
+    # kernels._far_kernel: the second kind's far-field series at the leading
+    # nodes a >= 8 max(t) of a descending node array, against _kernel_step
+    T = np.linspace(0.0, 1.0, 9)
+
+    @staticmethod
+    def _nodes(lam, n=400):
+        # descending a = -y over the stable plan's span [-1, cutoff(lam)]
+        return np.linspace(DEFAULT_QUAD.cutoff(lam), -1.0, n) + 1.0 / 3.0
+
+    @staticmethod
+    def _far(k, lam, a, t):
+        out = np.full((t.size, a.size), np.nan)
+        m = kernels._far_kernel(k, lam, a, t, out)
+        return m, out[:, :m]
+
+    @pytest.mark.parametrize("H", [0.3, 0.8, 1.3, 1.9])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("lam", [1e-3, 0.3, 2.0, 25.0])
+    def test_matches_kernel_step(self, H, alpha, lam):
+        # within the Gauss-Legendre band of 2.5e-14 relative wherever
+        # |h| >= 1e-290; the far block is the prefix a >= 8 max(t)
+        k = H - 1.0 / alpha
+        a = self._nodes(lam)
+        m, block = self._far(k, lam, a, self.T)
+        assert m == np.count_nonzero(a >= 8.0) > 0
+        ref = np.array([_kernel_step("II", k, lam, a[:m], t) for t in self.T.tolist()])
+        big = np.abs(ref) >= 1e-290
+        assert big[1:].any()
+        assert np.all(np.abs(block - ref)[big] <= 2.5e-14 * np.abs(ref[big]))
+        assert np.all(np.abs(block[~big]) < 1e-289)
+
+    @pytest.mark.parametrize("H,alpha,lam", [
+        (0.3, 1.5, 0.3), (0.3, 1.2, 2.0),     # kappa < 0
+        (1.9, 1.2, 0.3), (1.9, 1.5, 2.0),     # kappa > 1
+    ])
+    def test_against_mpmath(self, H, alpha, lam):
+        a = np.array([40.0, 12.3, 10.0, 8.01, 8.0])
+        t = np.array([0.37, 1.0])
+        m, block = self._far(H - 1.0 / alpha, lam, a, t)
+        assert m == a.size
+        for i, ti in enumerate(t.tolist()):
+            for j, aj in enumerate(a.tolist()):
+                ref = oracles.mp_kernel_h(H, alpha, lam, ti, -aj)
+                assert block[i, j] == pytest.approx(ref, rel=4e-15, abs=0.0), (ti, aj)
+
+    @pytest.mark.parametrize("H", [0.3, 1.3])
+    def test_continuous_across_boundary(self, H):
+        # a kind-II table whose nodes step through y = -8 t_max: the far
+        # block ends there, and both sides agree with _kernel_step, so the
+        # table has no jump at the seam
+        p = ProcessParams(H=H, alpha=1.5, lam=0.3)
+        grid = SampleGrid.regular(1.0, 5)
+        plan = DiscretizationPlan(y_min=-8.02, dy=1e-3, n_nodes=9030)
+        ys = plan.nodes()
+        m, _ = self._far(p.kappa, p.lam, -ys, grid.times)
+        assert m == 20 and ys[m - 1] < -8.0 < ys[m]
+        table = kernel_node_table(p, grid, plan)
+        seam = slice(m - 10, m + 10)
+        for i, t in enumerate(grid.times.tolist()):
+            ref = _kernel_step("II", p.kappa, p.lam, -ys[seam], t)
+            assert np.all(np.abs(table[i, seam] - ref) <= 2.5e-14 * np.abs(ref)), t
+
+    def test_zero_time_row_is_zero(self):
+        for k in (-0.5, 0.4, 1.3):
+            m, block = self._far(k, 0.3, self._nodes(0.3), self.T)
+            assert m > 0 and block[0].tolist() == [0.0] * m
+
+    @pytest.mark.parametrize("lam,t_max", [
+        (1e-12, 1e-6), (1e-14, 1.0), (1e-3, 1e-12), (0.3, 1.0), (25.0, 40.0),
+        (1e8, 1.0), (1e3, 1e3)])
+    def test_coefficients_finite(self, lam, t_max, monkeypatch):
+        # the row coefficients and node powers that np.einsum contracts are
+        # finite for tiny and huge lam t_max, and so is every value
+        seen = []
+        real = np.einsum
+
+        def spy(spec, *ops, **kwargs):
+            seen.append(ops)
+            return real(spec, *ops, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        t = np.linspace(0.0, t_max, 7)
+        a = np.geomspace(1e4 * t_max + 50.0 / lam, 1e-3 * t_max, 300)
+        for k in (-0.9, 0.4, 1.9):
+            m, block = self._far(k, lam, a, t)
+            assert m > 0 and np.isfinite(block).all(), k
+            assert all(np.isfinite(op).all() for op in seen.pop())
+            ref = np.array([_kernel_step("II", k, lam, a[:m], ti) for ti in t.tolist()])
+            big = np.abs(ref) >= 1e-290
+            assert np.all(np.abs(block - ref)[big] <= 2.5e-14 * np.abs(ref[big])), k
+
+    def test_outside_series_domain_fills_nothing(self):
+        # kappa >= 2, or no node far enough, leaves out untouched
+        a = self._nodes(0.3)
+        assert self._far(2.0, 0.3, a, self.T)[0] == 0
+        assert self._far(0.4, 0.3, a[-5:], self.T)[0] == 0
+        with pytest.raises(ValueError, match="t >= 0"):
+            self._far(0.4, 0.3, a, np.array([-0.5, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("H,lam", [(0.8, 0.3), (0.5, 0.3), (0.8, 0.0), (0.8, 25.0)])
+def test_kernel_takes_one_time_per_element(kind, H, lam):
+    # kernel(p, t_array, y_array) equals the per-element calls bit for bit,
+    # singular points and zero times included
+    p = ProcessParams(H=H, alpha=1.5, lam=lam, kind=kind)
+    t, y = (g.ravel() for g in np.meshgrid([0.0, 0.25, 1.0, 3.0],
+                                           [-300.0, -9.0, -1.0, 0.0, 0.1, 0.25, 1.0, 2.0]))
+    v = kernel(p, t, y)
+    assert v.tolist() == [kernel(p, ti, yi) for ti, yi in zip(t.tolist(), y.tolist())]
 
 
 def test_alpha_norm_makes_one_kernel_call_per_sweep(monkeypatch):

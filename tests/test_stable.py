@@ -1,4 +1,8 @@
+import ast
+import inspect
 import math
+import textwrap
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,7 +13,7 @@ from tfmotion.dependence import global_limit_constant
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
 from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h
-from tfmotion import stable
+from tfmotion import kernels, stable
 from tfmotion.rng import philox_generator
 from tfmotion.stable import (DiscretizationPlan, kernel_node_table,
                              path_increments, sample_stable,
@@ -313,6 +317,55 @@ class TestNodeTable:
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.05, cutoff=5.0)
         with pytest.raises(ValueError):
             kernel_node_table(P15, grid, plan)
+
+    def test_near_block_is_one_kernel_call(self, monkeypatch):
+        # README plan: the 7,933 nodes at y <= -8 are the far block, and the
+        # 65 x 451 near block is one kernel call with one time per element;
+        # the first kind's 65 x 8,384 table, past _NEAR_VALUES, is one call
+        # per time row
+        sizes = []
+        real = stable.kernel
+
+        def spy(p, t, y):
+            sizes.append(np.size(y))
+            return real(p, t, y)
+
+        monkeypatch.setattr(stable, "kernel", spy)
+        grid = SampleGrid.regular(1.0, 65)
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=0.02)
+        assert plan.n_nodes == 8384
+        kernel_node_table(P15, grid, plan)
+        assert sizes == [65 * 451]
+        sizes.clear()
+        kernel_node_table(replace(P15, kind="I"), grid, plan)
+        assert sizes == [8384] * 65
+
+    def test_large_near_block_is_one_call_per_row(self, monkeypatch):
+        # a near block of more than _NEAR_VALUES values is one kernel call
+        # per time row, and the table is that of the one-call block
+        grid = SampleGrid.regular(1.0, 11)
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=0.02)
+        one_call = kernel_node_table(P15, grid, plan)
+        monkeypatch.setattr(stable, "_NEAR_VALUES", 1000)
+        assert kernel_node_table(P15, grid, plan).tobytes() == one_call.tobytes()
+
+    def test_no_blas_product(self, monkeypatch):
+        # the far block is an np.einsum, which sums over n in order; no BLAS
+        # product (whose bytes may follow the thread count) runs in the table
+        def banned(*args, **kwargs):
+            raise AssertionError("BLAS product in kernel_node_table")
+
+        for name in ("matmul", "dot", "tensordot", "inner", "vdot"):
+            monkeypatch.setattr(np, name, banned)
+        grid = SampleGrid.regular(1.0, 65)
+        for kind in ("I", "II"):
+            p = replace(P15, kind=kind)
+            kernel_node_table(p, grid, DiscretizationPlan.for_grid(grid, p, dy=0.02))
+        for f in (kernel_node_table, kernels._far_kernel):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(f)))
+            assert not any(isinstance(n, ast.MatMult) for n in ast.walk(tree))
+            assert not any(isinstance(n, ast.keyword) and n.arg == "optimize"
+                           for n in ast.walk(tree))
 
     @pytest.mark.parametrize("kind,H,lam", [
         ("II", 0.8, 0.3), ("I", 0.8, 0.3),        # kappa > 0
