@@ -38,8 +38,9 @@ from .rng import philox_generator
 # cell values per block of paths: 15 paths at 8,384 nodes
 _BLOCK_VALUES = 2 ** 17
 # most values of a kernel table's near block that make one kernel call (the
-# README plan's 65 x 451); calls of 2^17 values took a 65 x 3,000 block about
-# 25% longer than one call per row, in page faults of their temporaries
+# README plan's 65 x 451); on a 2-core x86-64 VM, calls of 2^17 values took
+# a 65 x 3,000 block about 25% longer than one call per row, in page faults
+# of their temporaries
 _NEAR_VALUES = 2 ** 15
 
 
