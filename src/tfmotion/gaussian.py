@@ -241,7 +241,7 @@ def covariance_tfbm2(H: float, lam: float, s, t):
     _check_params(times=(s, t))
     args = [np.abs(t), np.abs(s), np.abs(t - s)]
     uniq = np.concatenate([a.ravel() for a in args])
-    uniq.sort()  # distinct values by hand: np.unique loads numpy.ma
+    uniq.sort()  # by hand: faster than np.unique(..., return_inverse=True)
     uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     var = variance_tfbm2(H, lam, uniq)
     ct, cs, cd = (var[np.searchsorted(uniq, a)] for a in args)
@@ -425,12 +425,14 @@ def _spectral_density(kind: str, H: float, lam: float, omega,
                 1.0 + 2.0 * H, expo, lam, w[live], L,
                 tol * _TWO_PI / np.maximum(w2[live], 1e-300))
             err[live], ells[live] = w2[live] * rem / _TWO_PI, L
-    term = lambda x: (lam * lam + x * x) ** (0.5 - H) / (x * x + d)
-    acc = np.zeros(w.shape)  # the terms 0 < |l| <= L
-    for ell in range(1, ells.max(initial=0) + 1):
-        inner = ells >= ell
-        np.add(acc, term(w + _TWO_PI * ell), out=acc, where=inner)
-        np.add(acc, term(w - _TWO_PI * ell), out=acc, where=inner)
+    # the terms 0 < |l| <= L in the order l = +1, -1, +2, .., 64 values of |l|
+    # at a time, each block summed on from the last by one sequential cumsum
+    acc = np.zeros(w.shape)
+    for ell in range(1, ells.max(initial=0) + 1, 64):
+        mag = np.repeat(np.arange(ell, ell + 64.0), 2)  # |l|
+        x = w[:, None] + _TWO_PI * (np.tile([1.0, -1.0], 64) * mag)
+        terms = (lam * lam + x * x) ** (0.5 - H) / (x * x + d) * (mag <= ells[:, None])
+        acc = np.cumsum(np.column_stack([acc, terms]), axis=1)[:, -1]
     value[on] = (head + w2 * (acc + tail)) / _TWO_PI
     bound[on] = err
     return value, bound

@@ -17,11 +17,10 @@ differences without cancellation over an array of a = -y with one width t
 per element; the public kernels take one t, or one t per element, and a
 float or an array of y, so each quadrature sweep of kernel_alpha_norm is one
 call over the nodes of every time of its batch.  The one exception is the
-second kind's far field (_far_kernel), for the stable kernel table: at
-nodes a >= 8 t_max, lam > 0 and -1 < kappa < 2, kappa != 0, h is the
-separable series kappa lam^-kappa x^(kappa-1) e^-x sum_n C(kappa-1, n)
-gamma(n+1, lam t) x^-n in x = lam a, whose 21 terms leave a tail below
-2^-56 of the sum.
+far field of either kind (_far_kernel), for the stable kernel table: at
+nodes a >= 8 t_max, lam > 0 and -1 < kappa < 2, the kernel is a separable
+series in x = lam a and lam t, the binomial series of the primitive's power
+of x, whose 21 terms leave a tail below 2^-56 of the sum.
 Also here: _check_params, the one check of H, alpha, lambda, sigma, beta,
 times, lags and weights; quadrature of integral |kernel|^alpha dy (one
 batch over many t), whose left tail is one infinite panel (-inf, -cutoff)
@@ -412,30 +411,32 @@ _FAR_TERMS = 21
 _FAR_MIN_X = 2.0 ** -40
 
 
-def _far_kernel(k: float, lam: float, a: np.ndarray, t: np.ndarray,
+def _far_kernel(p: ProcessParams, a: np.ndarray, t: np.ndarray,
                 out: np.ndarray) -> int:
-    """Second-kind kernel values h(t_i; -a_j) for lam > 0 and kappa = k in
-    (-1, 2), k != 0, at the times t (rows) and the leading nodes of a
-    descending 1-D array a that lie far left of every time (columns): the
-    first m nodes, those with x = lam a >= max(8 lam max(t), _FAR_MIN_X).
+    """Kernel values g or h(t_i; -a_j) of p's kind for k = kappa in (-1, 2),
+    at the times t (rows) and the leading nodes of a descending 1-D array a
+    that lie far left of every time (columns): the first m nodes, those
+    with x = lam a >= max(8 lam max(t), _FAR_MIN_X), none at lam = 0.
     Writes out[:, :m] and returns m (0 for k >= 2).
 
-    With w = lam t, every s = x + u of the cell [x, x + w] has u <= x/8, so
-    (1 + u/x)^(k-1) is its binomial series and
+    With w = lam t <= x/8 and d_n = e^-w w^n/n!, binomial series give
 
+        g(t; -a) = lam^-k x^k e^-x (expm1(-w) + sum_{n>=1} C(k, n) n! d_n x^-n),
         h(t; -a) = k lam^-k x^(k-1) e^-x sum_n C(k-1, n) gamma(n+1, w) x^-n.
 
-    |C(k-1, n)| <= n + 1 for k - 1 in (-2, 1], so term n is at most
-    (n + 1) 8^-n of the first, and the _FAR_TERMS = 21 terms leave a tail
-    below 2^-56 of the sum.  The series is separable: the row
-    coefficients C(k-1, n) n! P_n(w), with P_n = gamma(n+1, w)/n! from
-    specfun.lower_gamma at n = 20 and downward by P_(n-1) = P_n +
-    e^-w w^n/n!, a sum of positive terms; the node powers x^-n, one
-    cumulative product; the block is one np.einsum, which sums over n in
-    order whatever the BLAS, times the node prefactor.  A zero time gives
-    a row of exact zeros.  A negative or non-finite time raises ValueError.
+    As |C(k, n)| <= |k| and |C(k-1, n)| <= n + 1, term n is at most
+    (n + 1) 8^-n of the first (for g, of |g|/phi(a) + |expm1(-w)|), and the
+    _FAR_TERMS = 21 terms leave a tail below 2^-56.  The series is
+    separable: the row coefficients, a falling factorial times d_n, or for h
+    times P_n = gamma(n+1, w)/n! from specfun.lower_gamma at n = 20 and
+    downward by P_(n-1) = P_n + d_n, a sum of positive terms; the node
+    powers x^-n, one cumulative product; the block is one np.einsum, which
+    sums over n in order whatever the BLAS, times the node prefactor.  A
+    zero time gives a row of zeros, as does h at k = 0.  A negative or
+    non-finite time raises ValueError.
     """
     specfun._check_x("kernel", t, (t >= 0.0) & (t < np.inf), "finite t >= 0")
+    k, lam = p.kappa, p.lam
     if k >= 2.0:
         return 0
     x = lam * a
@@ -445,9 +446,14 @@ def _far_kernel(k: float, lam: float, a: np.ndarray, t: np.ndarray,
         return 0
     n = np.arange(1.0, _FAR_TERMS)
     d = np.cumprod(np.column_stack([np.exp(-w), w[:, None] / n]), axis=1)
-    top = specfun.lower_gamma(float(_FAR_TERMS), w) / math.factorial(_FAR_TERMS - 1)
-    p = np.cumsum(np.column_stack([top, d[:, :0:-1]]), axis=1)[:, ::-1]
-    coef = p * np.cumprod(np.concatenate([[1.0], k - n]))
+    if p.kind == "I":  # k (k-1) .. (k-n+1) d_n, and expm1(-w) at n = 0
+        c, lead, e, n = d, 1.0, k, n - 1.0
+        c[:, 0] = np.expm1(-w)
+    else:  # (k-1) (k-2) .. (k-n) P_n
+        top = specfun.lower_gamma(float(_FAR_TERMS), w) / math.factorial(_FAR_TERMS - 1)
+        c = np.cumsum(np.column_stack([top, d[:, :0:-1]]), axis=1)[:, ::-1]
+        lead, e = k, k - 1.0
+    coef = c * np.cumprod(np.concatenate([[1.0], k - n]))
     xm = x[:m]
     powers = np.empty((_FAR_TERMS, m))
     powers[0] = 1.0
@@ -455,7 +461,7 @@ def _far_kernel(k: float, lam: float, a: np.ndarray, t: np.ndarray,
     np.cumprod(powers, axis=0, out=powers)
     block = out[:, :m]
     np.einsum("in,nk->ik", coef, powers, out=block)
-    block *= k * lam ** (-k) * (np.exp(-xm) * xm ** (k - 1.0))
+    block *= lead * lam ** (-k) * (np.exp(-xm) * xm ** e)
     return m
 
 

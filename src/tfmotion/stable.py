@@ -13,10 +13,10 @@ counter-based (Philox) keying so that first- and second-kind runs with the
 same seed are driven by identical noise.  The variates come from one
 Chambers-Mallows-Stuck transform (_cms) whose sines and cosines are taken
 from the uniforms without cancellation, by half-angle tangents.  The kernel
-table of the second kind (kernel_node_table) takes the nodes y <= -8 t_max
+table of either kind (kernel_node_table) takes the nodes y <= -8 t_max
 from the separable far-field series of kernels._far_kernel, one np.einsum,
-and the rest from kernels.kernel: one call with one time per element for a
-small block, else one call per time row, as for the first kind.  The
+and the rest from kernels.kernel, one call with one time per element over
+each block of whole time rows of at most _NEAR_VALUES values.  The
 sampler runs in the calling thread over blocks of whole paths, about 2^17
 cell values each, and each block's paths are one matrix product with the
 kernel table.
@@ -37,11 +37,11 @@ from .rng import philox_generator
 
 # cell values per block of paths: 15 paths at 8,384 nodes
 _BLOCK_VALUES = 2 ** 17
-# most values of a kernel table's near block that make one kernel call (the
-# README plan's 65 x 451); on a 2-core x86-64 VM, calls of 2^17 values took
-# a 65 x 3,000 block about 25% longer than one call per row, in page faults
-# of their temporaries
-_NEAR_VALUES = 2 ** 15
+# most values of one kernel call of a kernel table's near block, in whole
+# time rows (at least one); on a 2-core x86-64 VM, calls of 2^14 values took
+# a 65 x 3,000 first-kind block about 1.5 times as long as calls of 2^13, in
+# page faults of their temporaries
+_NEAR_VALUES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,13 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> np.ndarray:
     """Kernel values k(t_i; y_k) on the plan nodes, n_times x n_nodes.
 
-    For the second kind with lam > 0 and kappa != 0, the nodes far left of
-    every time, y <= -8 max(t), are a prefix of the ascending nodes:
-    kernels._far_kernel fills that block from its separable series, one
-    np.einsum.  The other nodes, the near block, are one call of
-    kernels.kernel with one time per element when the block has at most
-    _NEAR_VALUES values (the README plan's 65 x 451), and one call per time
-    row otherwise, whose temporaries stay the size of a row.  A plan whose
-    nodes or table cannot be allocated raises PlanError naming both sizes.
+    The nodes far left of every time, y <= -8 max(t), are a prefix of the
+    ascending nodes: kernels._far_kernel fills that block from its separable
+    series, one np.einsum.  The other nodes, the near block, are one call of
+    kernels.kernel with one time per element for each block of whole time
+    rows of at most _NEAR_VALUES values (one row if a row is longer), whose
+    temporaries stay that size.  A plan whose nodes or table cannot be
+    allocated raises PlanError naming both sizes.
     """
     try:
         ys = plan.nodes()
@@ -157,16 +156,13 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
         raise PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
                         f"{plan.n_nodes} kernel table ({8 * grid.n * plan.n_nodes:.3g} "
                         f"bytes), more than can be allocated; raise dy") from exc
-    far = 0
-    if p.kind == "II" and p.lam > 0.0 and p.kappa != 0.0:
-        far = _far_kernel(p.kappa, p.lam, -ys, grid.times, table)
+    far = _far_kernel(p, -ys, grid.times, table)
     near = ys[far:]
-    if grid.n * near.size <= _NEAR_VALUES:
-        block = kernel(p, np.repeat(grid.times, near.size), np.tile(near, grid.n))
-        table[:, far:] = block.reshape(grid.n, near.size)
-    else:
-        for i, t in enumerate(grid.times.tolist()):
-            table[i, far:] = kernel(p, t, near)
+    rows = max(1, _NEAR_VALUES // max(1, near.size))
+    for i in range(0, grid.n, rows):
+        t = grid.times[i:i + rows]
+        block = kernel(p, np.repeat(t, near.size), np.tile(near, t.size))
+        table[i:i + rows, far:] = block.reshape(t.size, near.size)
     if not np.all(np.isfinite(table)):
         raise PlanError("kernel table hit a singular node; shift y_min or dy "
                         "so midpoints avoid y = 0 and the grid times")

@@ -277,6 +277,16 @@ class TestSimulate:
         n = inc.size
         assert abs(inc.var() - 0.25) <= 4.0 * 0.25 * math.sqrt(2.0 / n)
 
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_one_point_grid(self, tmp_path, kind):
+        # n = 1 samples t = 0 alone: every plan node is far left of it, the
+        # kernel table's near block is empty, and the path is 0
+        rc, out = run_cli(["simulate", "--H", "0.8", "--lambda", "1", "--alpha",
+                           "1.5", "--n", "1", "--plan-dy", "0.5", "--kind", kind],
+                          tmp_path)
+        assert rc == 0
+        assert read_csv(out)[2] == [["0", "0", "0"]]
+
     def test_coupled_kinds_identity(self, tmp_path):
         base = ["simulate", "--H", "0.8", "--alpha", "1.5", "--lambda", "0.3",
                 "--t-max", "1", "--n", "33", "--n-paths", "2", "--seed", "11",

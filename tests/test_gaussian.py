@@ -288,6 +288,31 @@ class TestSpectralDensities:
             ref, ref_tail = oracles.lattice_density_brute(H, lam, w, True)
             assert abs(v - ref) <= ref_tail + bound + 1e-12 * abs(ref), (H, lam, w)
 
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_direct_terms_add_in_order_of_l(self, kind, monkeypatch):
+        # the terms 0 < |l| <= L are added one at a time in the order
+        # l = +1, -1, +2, -2, .., bit for bit; the tail is set to 0 here, so
+        # lam = 600 stops at L = 256, the first L whose tail expansion
+        # converges
+        def no_tail(power, expo, lam, w, L, tol):
+            return np.zeros(w.shape), np.zeros(w.shape)
+
+        monkeypatch.setattr(gaussian, "_lattice_tail_zeta", no_tail)
+        H, lam, w, L = 0.3, 600.0, np.array([1.0]), 256
+        d = 0.0 if kind == "II" else lam * lam
+        ell = np.repeat(np.arange(1.0, L + 1.0), 2) * np.tile([1.0, -1.0], L)
+        x = w + TWO_PI * ell
+        acc = 0.0
+        for term in ((lam * lam + x * x) ** (0.5 - H) / (x * x + d)).tolist():
+            acc += term
+        half = np.sin(0.5 * w)
+        w2 = 4.0 * half ** 2
+        sinc = 2.0 * half / w
+        head = sinc * sinc * (lam * lam + w * w) ** (0.5 - H) * (
+            w * w / (w * w + d) if d else 1.0)
+        ref = (head + w2 * (acc + 0.0)) / TWO_PI
+        assert gaussian._spectral_density(kind, H, lam, w, 1e-10)[0].tolist() == ref.tolist()
+
     def test_first_kind_origin(self):
         v, e = tfgn1_spectral_density(0.7, 0.15, 0.0)
         assert v == 0.0 and e == 0.0

@@ -254,8 +254,12 @@ class TestKernelStepArray:
 
 
 class TestFarKernel:
-    # kernels._far_kernel: the second kind's far-field series at the leading
-    # nodes a >= 8 max(t) of a descending node array, against _kernel_step
+    # kernels._far_kernel: the far-field series at the leading nodes
+    # a >= 8 max(t) of a descending node array, against _kernel_step within
+    # TOL of each value's term scale (_ref); this class checks the second
+    # kind, TestFarKernelFirstKind the first
+    KIND = "II"
+    TOL = 2.5e-14  # the Gauss-Legendre band of _kernel_step
     T = np.linspace(0.0, 1.0, 9)
 
     @staticmethod
@@ -263,26 +267,39 @@ class TestFarKernel:
         # descending a = -y over the stable plan's span [-1, cutoff(lam)]
         return np.linspace(DEFAULT_QUAD.cutoff(lam), -1.0, n) + 1.0 / 3.0
 
+    def _params(self, H, alpha, lam):
+        return ProcessParams(H=H, alpha=alpha, lam=lam, kind=self.KIND)
+
+    def _kappa(self, k, lam):
+        # a process with kappa near k: alpha = 1.1 lets k reach -0.9
+        return self._params(k + 1.0 / 1.1, 1.1, lam)
+
     @staticmethod
-    def _far(k, lam, a, t):
+    def _far(p, a, t):
         out = np.full((t.size, a.size), np.nan)
-        m = kernels._far_kernel(k, lam, a, t, out)
+        m = kernels._far_kernel(p, a, t, out)
         return m, out[:, :m]
+
+    def _ref(self, p, a, t):
+        # _kernel_step's rows at the times t, and the term scale of each
+        # value: |h| for the second kind
+        ref = np.array([_kernel_step(p.kind, p.kappa, p.lam, a, ti) for ti in t.tolist()])
+        return ref, np.abs(ref)
 
     @pytest.mark.parametrize("H", [0.3, 0.8, 1.3, 1.9])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
     @pytest.mark.parametrize("lam", [1e-3, 0.3, 2.0, 25.0])
     def test_matches_kernel_step(self, H, alpha, lam):
-        # within the Gauss-Legendre band of 2.5e-14 relative wherever
-        # |h| >= 1e-290; the far block is the prefix a >= 8 max(t)
-        k = H - 1.0 / alpha
+        # within TOL of the term scale wherever it is >= 1e-290; the far
+        # block is the prefix a >= 8 max(t)
+        p = self._params(H, alpha, lam)
         a = self._nodes(lam)
-        m, block = self._far(k, lam, a, self.T)
+        m, block = self._far(p, a, self.T)
         assert m == np.count_nonzero(a >= 8.0) > 0
-        ref = np.array([_kernel_step("II", k, lam, a[:m], t) for t in self.T.tolist()])
-        big = np.abs(ref) >= 1e-290
+        ref, scale = self._ref(p, a[:m], self.T)
+        big = scale >= 1e-290
         assert big[1:].any()
-        assert np.all(np.abs(block - ref)[big] <= 2.5e-14 * np.abs(ref[big]))
+        assert np.all(np.abs(block - ref)[big] <= self.TOL * scale[big])
         assert np.all(np.abs(block[~big]) < 1e-289)
 
     @pytest.mark.parametrize("H,alpha,lam", [
@@ -292,7 +309,7 @@ class TestFarKernel:
     def test_against_mpmath(self, H, alpha, lam):
         a = np.array([40.0, 12.3, 10.0, 8.01, 8.0])
         t = np.array([0.37, 1.0])
-        m, block = self._far(H - 1.0 / alpha, lam, a, t)
+        m, block = self._far(self._params(H, alpha, lam), a, t)
         assert m == a.size
         for i, ti in enumerate(t.tolist()):
             for j, aj in enumerate(a.tolist()):
@@ -301,25 +318,34 @@ class TestFarKernel:
 
     @pytest.mark.parametrize("H", [0.3, 1.3])
     def test_continuous_across_boundary(self, H):
-        # a kind-II table whose nodes step through y = -8 t_max: the far
-        # block ends there, and both sides agree with _kernel_step, so the
-        # table has no jump at the seam
-        p = ProcessParams(H=H, alpha=1.5, lam=0.3)
+        # a table whose nodes step through y = -8 t_max: the far block ends
+        # there, and both sides agree with _kernel_step, so the table has no
+        # jump at the seam
+        p = self._params(H, 1.5, 0.3)
         grid = SampleGrid.regular(1.0, 5)
         plan = DiscretizationPlan(y_min=-8.02, dy=1e-3, n_nodes=9030)
         ys = plan.nodes()
-        m, _ = self._far(p.kappa, p.lam, -ys, grid.times)
+        m, _ = self._far(p, -ys, grid.times)
         assert m == 20 and ys[m - 1] < -8.0 < ys[m]
         table = kernel_node_table(p, grid, plan)
         seam = slice(m - 10, m + 10)
-        for i, t in enumerate(grid.times.tolist()):
-            ref = _kernel_step("II", p.kappa, p.lam, -ys[seam], t)
-            assert np.all(np.abs(table[i, seam] - ref) <= 2.5e-14 * np.abs(ref)), t
+        ref, scale = self._ref(p, -ys[seam], grid.times)
+        assert np.all(np.abs(table[:, seam] - ref) <= self.TOL * scale)
 
     def test_zero_time_row_is_zero(self):
         for k in (-0.5, 0.4, 1.3):
-            m, block = self._far(k, 0.3, self._nodes(0.3), self.T)
+            m, block = self._far(self._kappa(k, 0.3), self._nodes(0.3), self.T)
             assert m > 0 and block[0].tolist() == [0.0] * m
+
+    def test_kappa_zero(self):
+        # the second kind is then the indicator, whose block is zeros, and
+        # the first kind e^-x expm1(-w)
+        p = self._params(2.0 / 3.0, 1.5, 0.3)
+        assert p.kappa == 0.0
+        a = self._nodes(0.3)
+        m, block = self._far(p, a, self.T)
+        ref, scale = self._ref(p, a[:m], self.T)
+        assert m > 0 and np.all(np.abs(block - ref) <= self.TOL * scale)
 
     @pytest.mark.parametrize("lam,t_max", [
         (1e-12, 1e-6), (1e-14, 1.0), (1e-3, 1e-12), (0.3, 1.0), (25.0, 40.0),
@@ -338,20 +364,54 @@ class TestFarKernel:
         t = np.linspace(0.0, t_max, 7)
         a = np.geomspace(1e4 * t_max + 50.0 / lam, 1e-3 * t_max, 300)
         for k in (-0.9, 0.4, 1.9):
-            m, block = self._far(k, lam, a, t)
+            p = self._kappa(k, lam)
+            m, block = self._far(p, a, t)
             assert m > 0 and np.isfinite(block).all(), k
             assert all(np.isfinite(op).all() for op in seen.pop())
-            ref = np.array([_kernel_step("II", k, lam, a[:m], ti) for ti in t.tolist()])
-            big = np.abs(ref) >= 1e-290
-            assert np.all(np.abs(block - ref)[big] <= 2.5e-14 * np.abs(ref[big])), k
+            ref, scale = self._ref(p, a[:m], t)
+            big = scale >= 1e-290
+            assert np.all(np.abs(block - ref)[big] <= self.TOL * scale[big]), k
 
     def test_outside_series_domain_fills_nothing(self):
-        # kappa >= 2, or no node far enough, leaves out untouched
+        # kappa >= 2, lam = 0 or no node far enough leaves out untouched
         a = self._nodes(0.3)
-        assert self._far(2.0, 0.3, a, self.T)[0] == 0
-        assert self._far(0.4, 0.3, a[-5:], self.T)[0] == 0
+        assert self._far(self._kappa(2.0, 0.3), a, self.T)[0] == 0
+        assert self._far(self._params(0.8, 1.5, 0.0), a, self.T)[0] == 0
+        p = self._params(0.8, 1.5, 0.3)
+        assert self._far(p, a[-5:], self.T)[0] == 0
         with pytest.raises(ValueError, match="t >= 0"):
-            self._far(0.4, 0.3, a, np.array([-0.5, 1.0]))
+            self._far(p, a, np.array([-0.5, 1.0]))
+
+
+class TestFarKernelFirstKind(TestFarKernel):
+    # the first kind's series; near its sign change a ~ kappa/lam the two
+    # terms of g = phi(t - y) - phi(-y) cancel, so each value's term scale
+    # is |g| + |expm1(-lam t)| phi(a)
+    KIND = "I"
+    TOL = 4e-15
+
+    def _ref(self, p, a, t):
+        ref, _ = super()._ref(p, a, t)
+        phi = kernels._phi(p.kappa, p.lam, a)
+        return ref, np.abs(ref) + np.abs(np.expm1(-p.lam * t))[:, None] * phi
+
+    @pytest.mark.parametrize("H,alpha,lam,a", [
+        (0.3, 1.5, 0.3, [40.0, 12.3, 10.0, 8.01, 8.0]),     # kappa < 0
+        (1.9, 1.2, 2.0, [40.0, 12.3, 10.0, 8.01, 8.0]),     # kappa > 1
+        # g changes sign at a = 13.1487 for t = 0.37 and 12.8395 for t = 1
+        (0.8, 1.5, 0.01, [30.0, 13.1487, 13.0, 12.8395, 8.0]),
+    ])
+    def test_against_mpmath(self, H, alpha, lam, a):
+        a = np.array(a)
+        t = np.array([0.37, 1.0])
+        p = self._params(H, alpha, lam)
+        m, block = self._far(p, a, t)
+        assert m == a.size
+        _, scale = self._ref(p, a, t)
+        for i, ti in enumerate(t.tolist()):
+            for j, aj in enumerate(a.tolist()):
+                ref = oracles.mp_kernel_g(H, alpha, lam, ti, -aj)
+                assert abs(block[i, j] - ref) <= 4e-15 * scale[i, j], (ti, aj)
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])
@@ -879,3 +939,14 @@ def test_one_lattice_sum():
                     named[target].add(f"{f.stem}.{getattr(node, 'name', '')}")
     assert named == {"_lattice_tail_zeta": {"gaussian._spectral_density"},
                      "hurwitz_zeta": {"gaussian._lattice_tail_zeta"}}
+
+
+def test_one_kernel_table():
+    # both kinds' stable kernel tables are one algorithm: kernel_node_table
+    # names no kind, neither an attribute .kind nor the string "I" or "II"
+    tree = ast.parse((Path(kernels.__file__).parent / "stable.py").read_text())
+    table = next(n for n in tree.body if getattr(n, "name", "") == "kernel_node_table")
+    kinds = [n for n in ast.walk(table)
+             if isinstance(n, ast.Attribute) and n.attr == "kind"
+             or isinstance(n, ast.Constant) and n.value in ("I", "II")]
+    assert not kinds

@@ -318,36 +318,56 @@ class TestNodeTable:
         with pytest.raises(ValueError):
             kernel_node_table(P15, grid, plan)
 
-    def test_near_block_is_one_kernel_call(self, monkeypatch):
-        # README plan: the 7,933 nodes at y <= -8 are the far block, and the
-        # 65 x 451 near block is one kernel call with one time per element;
-        # the first kind's 65 x 8,384 table, past _NEAR_VALUES, is one call
-        # per time row
-        sizes = []
+    def test_near_block_calls_cover_whole_rows(self, monkeypatch):
+        # README plan: the 7,933 nodes at y <= -8 are the far block of either
+        # kind, and every kernel call of the 65 x 451 near block takes whole
+        # time rows, in order, of at most _NEAR_VALUES values
+        calls = []
         real = stable.kernel
 
         def spy(p, t, y):
-            sizes.append(np.size(y))
+            calls.append((np.asarray(t), np.asarray(y)))
             return real(p, t, y)
 
         monkeypatch.setattr(stable, "kernel", spy)
         grid = SampleGrid.regular(1.0, 65)
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.02)
         assert plan.n_nodes == 8384
-        kernel_node_table(P15, grid, plan)
-        assert sizes == [65 * 451]
-        sizes.clear()
-        kernel_node_table(replace(P15, kind="I"), grid, plan)
-        assert sizes == [8384] * 65
+        near = plan.nodes()[7933:]
+        for kind in ("I", "II"):
+            calls.clear()
+            kernel_node_table(replace(P15, kind=kind), grid, plan)
+            rows = []
+            for t, y in calls:
+                assert t.size == y.size <= stable._NEAR_VALUES
+                t, y = t.reshape(-1, near.size), y.reshape(-1, near.size)
+                assert (t == t[:, :1]).all() and (y == near).all()
+                rows += t[:, 0].tolist()
+            assert rows == grid.times.tolist(), kind
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_every_node_far(self, kind):
+        # a one-point grid at t = 0 puts every node in the far block, so the
+        # near block is empty; the table is the zero row
+        p = ProcessParams(H=0.8, alpha=1.5, lam=1.0, kind=kind)
+        grid = SampleGrid(np.array([0.0]))
+        plan = DiscretizationPlan.for_grid(grid, p, dy=0.5)
+        out = np.empty((1, plan.n_nodes))
+        assert kernels._far_kernel(p, -plan.nodes(), grid.times, out) == plan.n_nodes
+        assert kernel_node_table(p, grid, plan).tolist() == [[0.0] * plan.n_nodes]
 
     def test_large_near_block_is_one_call_per_row(self, monkeypatch):
-        # a near block of more than _NEAR_VALUES values is one kernel call
-        # per time row, and the table is that of the one-call block
+        # a smaller _NEAR_VALUES, down to one time row per kernel call,
+        # gives the same table bytes, for either kind
         grid = SampleGrid.regular(1.0, 11)
-        plan = DiscretizationPlan.for_grid(grid, P15, dy=0.02)
-        one_call = kernel_node_table(P15, grid, plan)
-        monkeypatch.setattr(stable, "_NEAR_VALUES", 1000)
-        assert kernel_node_table(P15, grid, plan).tobytes() == one_call.tobytes()
+        for kind in ("I", "II"):
+            p = replace(P15, kind=kind)
+            plan = DiscretizationPlan.for_grid(grid, p, dy=0.02)
+            one_call = kernel_node_table(p, grid, plan)
+            for values in (1000, 1):
+                monkeypatch.setattr(stable, "_NEAR_VALUES", values)
+                assert kernel_node_table(p, grid, plan).tobytes() == one_call.tobytes()
+            monkeypatch.undo()
 
     def test_no_blas_product(self, monkeypatch):
         # the far block is an np.einsum, which sums over n in order; no BLAS
