@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FactorizationError, NumericsError, PoleError
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
                       _quad)
-from .rng import philox_generator
+from .rng import philox_streams
 from . import specfun
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -505,12 +505,12 @@ def _circulant_eigenvalues(H: float, lam: float, m: int, dt: float) -> np.ndarra
 def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
     """Paths at times 0, dt, .., m dt from the nonnegative eigenvalues ev.
 
-    Path i draws M = 2m normals z from ``philox_generator(seed, i)``:
+    Path i draws M = 2m normals z from stream i of ``philox_streams(seed)``:
     w_0 = sqrt(ev_0) z_0, w_m = sqrt(ev_m) z_1 and, for 0 < k < m,
-    w_k = sqrt(ev_k / 2) (z_{2k} + i z_{2k+1}).  The increments are the first
-    m entries of sqrt(M) irfft(w, M) and the path is their cumulative sum
-    from 0.  A batch of paths shares one irfft; batch boundaries depend on
-    the grid only.
+    w_k = sqrt(ev_k / 2) (z_{2k} + i z_{2k+1}), drawn into the floats of w
+    (z_1 then moves to w_m).  The increments are the first m entries of
+    sqrt(M) irfft(w, M) and the path is their cumulative sum from 0.  A batch
+    of paths shares one irfft; batch boundaries depend on the grid only.
     """
     m = ev.size - 1
     size = 2 * m
@@ -518,15 +518,15 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
     amp[1:m] *= math.sqrt(0.5)
     per_batch = max(1, _BATCH_NORMALS // size)
     paths = np.zeros((n_paths, m + 1))
+    streams = philox_streams(seed, range(n_paths))
     for i0 in range(0, n_paths, per_batch):
         i1 = min(i0 + per_batch, n_paths)
-        z = np.empty((i1 - i0, size))
-        for r, i in enumerate(range(i0, i1)):
-            philox_generator(seed, i).standard_normal(out=z[r])
         w = np.empty((i1 - i0, m + 1), dtype=complex)
-        w[:, 0] = z[:, 0]
-        w[:, m] = z[:, 1]
-        w[:, 1:m] = z[:, 2:].view(complex)
+        z = w.view(float)
+        for r in range(i1 - i0):
+            next(streams).standard_normal(out=z[r, :size])
+        w[:, m] = w[:, 0].imag
+        w[:, 0].imag = 0.0
         w *= amp
         x = np.fft.irfft(w, size, axis=1)
         np.cumsum(x[:, :m], axis=1, out=paths[i0:i1, 1:])
@@ -535,17 +535,16 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
 
 def _cholesky_paths(H: float, lam: float, grid: SampleGrid, n_paths: int,
                     seed: int) -> np.ndarray:
-    """Paths L z with L the Cholesky factor of ``build_cov_matrix`` and z the
-    normals of ``philox_generator(seed, i)`` at the positive-variance times."""
+    """Paths L z with L the Cholesky factor of ``build_cov_matrix`` and z
+    stream i's normals at the positive-variance times."""
     cov = build_cov_matrix(H, lam, grid)
     L = cov.cholesky()
     live = np.diag(cov.values) > 0.0
     lsub = L[np.ix_(live, live)]
     k = int(live.sum())
     paths = np.zeros((n_paths, grid.n))
-    for i in range(n_paths):
-        z = philox_generator(seed, i).standard_normal(k)
-        paths[i, live] = lsub @ z
+    for i, gen in enumerate(philox_streams(seed, range(n_paths))):
+        paths[i, live] = lsub @ gen.standard_normal(k)
     return paths
 
 

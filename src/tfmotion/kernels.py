@@ -20,7 +20,7 @@ call over the nodes of every time of its batch.  The one exception is the
 far field of either kind (_far_kernel), for the stable kernel table: at
 nodes a >= 8 t_max, lam > 0 and -1 < kappa < 2, the kernel is a separable
 series in x = lam a and lam t, the binomial series of the primitive's power
-of x, whose 21 terms leave a tail below 2^-56 of the sum.
+of x, whose 21 terms leave a tail below 2^-56, in factors of rank 21.
 Also here: _check_params, the one check of H, alpha, lambda, sigma, beta,
 times, lags and weights; quadrature of integral |kernel|^alpha dy (one
 batch over many t), whose left tail is one infinite panel (-inf, -cutoff)
@@ -411,13 +411,13 @@ _FAR_TERMS = 21
 _FAR_MIN_X = 2.0 ** -40
 
 
-def _far_kernel(p: ProcessParams, a: np.ndarray, t: np.ndarray,
-                out: np.ndarray) -> int:
-    """Kernel values g or h(t_i; -a_j) of p's kind for k = kappa in (-1, 2),
-    at the times t (rows) and the leading nodes of a descending 1-D array a
-    that lie far left of every time (columns): the first m nodes, those
-    with x = lam a >= max(8 lam max(t), _FAR_MIN_X), none at lam = 0.
-    Writes out[:, :m] and returns m (0 for k >= 2).
+def _far_kernel(p: ProcessParams, a: np.ndarray, t: np.ndarray):
+    """Factors (coef, powers, scale), n x 21, 21 x m and m, of the kernel
+    values g or h(t_i; -a_j) = (coef @ powers)_ij scale_j of p's kind for
+    k = kappa in (-1, 2), at the times t (rows) and the leading nodes of a
+    descending 1-D array a that lie far left of every time (columns): the
+    first m nodes, those with x = lam a >= max(8 lam max(t), _FAR_MIN_X),
+    none at lam = 0 or k >= 2.
 
     With w = lam t <= x/8 and d_n = e^-w w^n/n!, binomial series give
 
@@ -427,23 +427,20 @@ def _far_kernel(p: ProcessParams, a: np.ndarray, t: np.ndarray,
     As |C(k, n)| <= |k| and |C(k-1, n)| <= n + 1, term n is at most
     (n + 1) 8^-n of the first (for g, of |g|/phi(a) + |expm1(-w)|), and the
     _FAR_TERMS = 21 terms leave a tail below 2^-56.  The series is
-    separable: the row coefficients, a falling factorial times d_n, or for h
-    times P_n = gamma(n+1, w)/n! from specfun.lower_gamma at n = 20 and
-    downward by P_(n-1) = P_n + d_n, a sum of positive terms; the node
-    powers x^-n, one cumulative product; the block is one np.einsum, which
-    sums over n in order whatever the BLAS, times the node prefactor.  A
-    zero time gives a row of zeros, as does h at k = 0.  A negative or
+    separable: the row coefficients coef, a falling factorial times d_n, or
+    for h times P_n = gamma(n+1, w)/n! from specfun.lower_gamma at n = 20
+    and downward by P_(n-1) = P_n + d_n, a sum of positive terms; the node
+    powers x^-n, one cumulative product; the node prefactor scale.  A zero
+    time gives a row of zeros, as does h at k = 0.  A negative or
     non-finite time raises ValueError.
     """
     specfun._check_x("kernel", t, (t >= 0.0) & (t < np.inf), "finite t >= 0")
     k, lam = p.kappa, p.lam
-    if k >= 2.0:
-        return 0
     x = lam * a
     w = lam * t
     m = int(np.searchsorted(-x, -max(8.0 * w.max(), _FAR_MIN_X), side="right"))
-    if m == 0:
-        return 0
+    if m == 0 or k >= 2.0:
+        return np.empty((t.size, 0)), np.empty((0, 0)), np.empty(0)
     n = np.arange(1.0, _FAR_TERMS)
     d = np.cumprod(np.column_stack([np.exp(-w), w[:, None] / n]), axis=1)
     if p.kind == "I":  # k (k-1) .. (k-n+1) d_n, and expm1(-w) at n = 0
@@ -459,10 +456,7 @@ def _far_kernel(p: ProcessParams, a: np.ndarray, t: np.ndarray,
     powers[0] = 1.0
     powers[1:] = 1.0 / xm
     np.cumprod(powers, axis=0, out=powers)
-    block = out[:, :m]
-    np.einsum("in,nk->ik", coef, powers, out=block)
-    block *= lead * lam ** (-k) * (np.exp(-xm) * xm ** e)
-    return m
+    return coef, powers, lead * lam ** (-k) * (np.exp(-xm) * xm ** e)
 
 
 @specfun._elementwise("y")

@@ -12,8 +12,12 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def philox_generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & _MASK64), np.uint64(stream & _MASK64)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
+def philox_streams(seed: int, streams):
+    """Yield for each stream index in turn one generator, re-keyed to draw as
+    a new np.random.Philox(key=(seed, stream)): a fresh state with that key."""
+    gen = np.random.Generator(np.random.Philox(0))
+    fresh = gen.bit_generator.state
+    for stream in streams:
+        key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+        gen.bit_generator.state = dict(fresh, state=dict(fresh["state"], key=key))
+        yield gen

@@ -13,13 +13,13 @@ counter-based (Philox) keying so that first- and second-kind runs with the
 same seed are driven by identical noise.  The variates come from one
 Chambers-Mallows-Stuck transform (_cms) whose sines and cosines are taken
 from the uniforms without cancellation, by half-angle tangents.  The kernel
-table of either kind (kernel_node_table) takes the nodes y <= -8 t_max
-from the separable far-field series of kernels._far_kernel, one np.einsum,
-and the rest from kernels.kernel, one call with one time per element over
-each block of whole time rows of at most _NEAR_VALUES values.  The
+table of either kind (kernel_node_table) keeps the nodes y <= -8 t_max as
+the factors of the separable far-field series of kernels._far_kernel, and
+the rest dense, from kernels.kernel, one call with one time per element
+over each block of whole time rows of at most _NEAR_VALUES values.  The
 sampler runs in the calling thread over blocks of whole paths, about 2^17
-cell values each, and each block's paths are one matrix product with the
-kernel table.
+cell values each, whose paths are one matrix product with the near block
+and two through the far block's factors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
 from .kernels import (DEFAULT_QUAD, ProcessParams, _check_params, _far_kernel,
                       kernel)
-from .rng import philox_generator
+from .rng import philox_streams
 
 # cell values per block of paths: 15 paths at 8,384 nodes
 _BLOCK_VALUES = 2 ** 17
@@ -137,47 +137,71 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True, eq=False)  # arrays have no truth value for ==
+class KernelTable:
+    """Kernel values k(t_i; y_k), n_times x n_nodes, in factors: the far
+    block (coef @ powers) * scale of kernels._far_kernel at the first
+    scale.size nodes, and the dense near block at the others."""
+
+    coef: np.ndarray
+    powers: np.ndarray
+    scale: np.ndarray
+    near: np.ndarray
+
+    @property
+    def size(self) -> int:  # values stored
+        return self.coef.size + self.powers.size + self.scale.size + self.near.size
+
+    def dense(self) -> np.ndarray:
+        """The table as one array; np.einsum sums its far block over n in order."""
+        out = np.hstack([np.empty((self.near.shape[0], self.scale.size)), self.near])
+        far = out[:, :self.scale.size]
+        np.einsum("in,nk->ik", self.coef, self.powers, out=far)
+        far *= self.scale
+        return out
+
+
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,
-                      plan: DiscretizationPlan) -> np.ndarray:
-    """Kernel values k(t_i; y_k) on the plan nodes, n_times x n_nodes.
+                      plan: DiscretizationPlan) -> KernelTable:
+    """Kernel values k(t_i; y_k) on the plan nodes as a KernelTable.
 
     The nodes far left of every time, y <= -8 max(t), are a prefix of the
-    ascending nodes: kernels._far_kernel fills that block from its separable
-    series, one np.einsum.  The other nodes, the near block, are one call of
-    kernels.kernel with one time per element for each block of whole time
-    rows of at most _NEAR_VALUES values (one row if a row is longer), whose
-    temporaries stay that size.  A plan whose nodes or table cannot be
-    allocated raises PlanError naming both sizes.
+    ascending nodes, whose block kernels._far_kernel gives in factors.  The
+    other nodes, the near block, are one call of kernels.kernel with one
+    time per element for each block of whole time rows of at most
+    _NEAR_VALUES values (one row if a row is longer), whose temporaries stay
+    that size.  A plan whose nodes or table cannot be allocated raises
+    PlanError naming both sizes.
     """
     try:
         ys = plan.nodes()
-        table = np.empty((grid.n, plan.n_nodes))
+        coef, powers, scale = _far_kernel(p, -ys, grid.times)
+        ys = ys[scale.size:]
+        near = np.empty((grid.n, ys.size))
     except MemoryError as exc:
         raise PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
                         f"{plan.n_nodes} kernel table ({8 * grid.n * plan.n_nodes:.3g} "
                         f"bytes), more than can be allocated; raise dy") from exc
-    far = _far_kernel(p, -ys, grid.times, table)
-    near = ys[far:]
-    rows = max(1, _NEAR_VALUES // max(1, near.size))
+    rows = max(1, _NEAR_VALUES // max(1, ys.size))
     for i in range(0, grid.n, rows):
         t = grid.times[i:i + rows]
-        block = kernel(p, np.repeat(t, near.size), np.tile(near, t.size))
-        table[i:i + rows, far:] = block.reshape(t.size, near.size)
-    if not np.all(np.isfinite(table)):
+        block = kernel(p, np.repeat(t, ys.size), np.tile(ys, t.size))
+        near[i:i + rows] = block.reshape(t.size, ys.size)
+    if not all(np.isfinite(a).all() for a in (coef, powers, scale, near)):
         raise PlanError("kernel table hit a singular node; shift y_min or dy "
                         "so midpoints avoid y = 0 and the grid times")
-    return table
+    return KernelTable(coef, powers, scale, near)
 
 
 def path_increments(p: ProcessParams, plan: DiscretizationPlan,
-                    seed: int, path: int) -> np.ndarray:
-    """Stable cell increments of one path, reproducible from (seed, path).
+                    rng: np.random.Generator) -> np.ndarray:
+    """Stable cell increments of one path, drawn from rng; simulate_tfsm_paths
+    passes path i stream i of rng.philox_streams(seed).
 
     The keying ignores p.kind, so first- and second-kind runs at the same
     seed are coupled through identical driving noise.  simulate_tfsm_paths
     makes one call per path, so these are bitwise the increments it used.
     """
-    rng = philox_generator(seed, path)
     u = rng.random((plan.n_nodes, 2))
     u[u == 0.0] = 0.5 ** 53  # CMS transform needs open-interval uniforms
     cell_sigma = p.sigma * plan.dy ** (1.0 / p.alpha)
@@ -194,10 +218,11 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
 
     Paths are made in blocks of max(1, _BLOCK_VALUES // n_nodes) paths in
     the calling thread: each path's increments (path_increments) fill one
-    row of the block, and one matrix product with the kernel table gives
-    the block's paths.  The block bounds depend on the plan alone, so the
-    output bytes depend on neither n_workers (accepted for callers that pass
-    it, and ignored) nor the BLAS thread count.
+    row of the block dM, whose paths are the products with the kernel
+    table's factors dM_near @ near.T + ((dM_far * scale) @ powers.T) @ coef.T.
+    The block bounds depend on the plan alone, so the output bytes depend on
+    neither n_workers (accepted for callers that pass it, and ignored) nor
+    the BLAS thread count.
     """
     if p.alpha == 2.0:
         raise ValueError("alpha = 2 is simulated exactly by the gaussian module")
@@ -207,12 +232,15 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
         raise PlanError(f"plan ends at y = {plan.y_max} but the grid reaches "
                         f"t = {grid.times[-1]}")
     table = kernel_node_table(p, grid, plan)
+    m = table.scale.size
     paths = np.empty((n_paths, grid.n))
     rows = max(1, _BLOCK_VALUES // plan.n_nodes)
     dm = np.empty((min(rows, n_paths), plan.n_nodes))
+    streams = philox_streams(seed, range(n_paths))
     for i0 in range(0, n_paths, rows):
-        i1 = min(i0 + rows, n_paths)
-        for i in range(i0, i1):
-            dm[i - i0] = path_increments(p, plan, seed, i)
-        np.matmul(dm[:i1 - i0], table.T, out=paths[i0:i1])
+        d = dm[:min(rows, n_paths - i0)]
+        for r in range(len(d)):
+            d[r] = path_increments(p, plan, next(streams))
+        far = (d[:, :m] * table.scale) @ table.powers.T
+        paths[i0:i0 + len(d)] = d[:, m:] @ table.near.T + far @ table.coef.T
     return PathEnsemble(params=p, grid=grid, paths=paths, seed=int(seed))

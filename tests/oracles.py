@@ -397,19 +397,41 @@ def loop_cov_matrix(H: float, lam: float, times) -> np.ndarray:
     return values
 
 
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """A newly built Philox generator keyed by (seed, stream), both taken
+    modulo 2^64: the stream the samplers draw path ``stream`` from."""
+    key = np.array([seed % 2 ** 64, stream % 2 ** 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
+    """Gaussian paths from the circulant eigenvalues ev_0..ev_m path by path:
+    the M = 2m normals z of ``philox(seed, i)`` give w_0 = z_0, w_m = z_1 and
+    w_k = z_2k + i z_(2k+1), times sqrt(M ev_k) (halved inside for
+    0 < k < m); the path is the cumulative sum from 0 of the first m entries
+    of irfft(w, M).  The reference of the circulant sampler."""
+    m = ev.size - 1
+    amp = np.sqrt(2 * m * ev)
+    amp[1:m] *= math.sqrt(0.5)
+    paths = np.zeros((n_paths, m + 1))
+    for i in range(n_paths):
+        z = philox(seed, i).standard_normal(2 * m)
+        w = np.concatenate([z[:1], z[2:].view(complex), z[1:2]]) * amp
+        paths[i, 1:] = np.cumsum(np.fft.irfft(w, 2 * m)[:m])
+    return paths
+
+
 def cholesky_paths(H: float, lam: float, times, n_paths: int, seed: int) -> np.ndarray:
     """Gaussian paths L z path by path: L the unjittered Cholesky factor of the
     loop-built covariance at the positive-variance times, z the normals of
-    ``philox_generator(seed, i)``; zero at the other times.  The reference
-    of the Cholesky sampler."""
-    from tfmotion.rng import philox_generator
-
+    ``philox(seed, i)``; zero at the other times.  The reference of the
+    Cholesky sampler."""
     c = loop_cov_matrix(H, lam, times)
     live = np.diag(c) > 0.0
     L = np.linalg.cholesky(c[np.ix_(live, live)])
     paths = np.zeros((n_paths, c.shape[0]))
     for i in range(n_paths):
-        paths[i, live] = L @ philox_generator(seed, i).standard_normal(int(live.sum()))
+        paths[i, live] = L @ philox(seed, i).standard_normal(int(live.sum()))
     return paths
 
 

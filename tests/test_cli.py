@@ -302,14 +302,15 @@ class TestSimulate:
         # unobservable here, check the difference-of-differences over time,
         # which eliminates it: d(t) - t d(1) has no C0 term error
         from tfmotion.kernels import ProcessParams
+        from tfmotion.rng import philox_streams
         from tfmotion.stable import DiscretizationPlan, path_increments
         from tfmotion.gaussian import SampleGrid
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
         plan = DiscretizationPlan.for_grid(SampleGrid(ts), p, dy=0.02, cutoff=40.0)
         drift = np.array([oracles.plus_pow(-y, p.kappa) * math.exp(-p.lam * max(-y, 0.0))
                           for y in plan.nodes()])
-        for i in range(2):
-            c0 = float(drift @ path_increments(p, plan, 11, i))
+        for i, rng in enumerate(philox_streams(11, range(2))):
+            c0 = float(drift @ path_increments(p, plan, rng))
             lhs = vII[i, -1] - vI[i, -1]
             rhs = p.lam * (np.trapezoid(vI[i], ts) + 1.0 * c0)
             assert abs(lhs - rhs) < 2e-2
@@ -811,10 +812,10 @@ class TestEntryPoint:
         # decay and limits at the benchmark's parameters run on the NumPy
         # quadrature alone, spectrum's lattice tails on specfun.hurwitz_zeta,
         # and Gaussian paths on a regular grid on NumPy's FFT; none uses
-        # BLAS.  Stable paths are one BLAS matrix product per block of paths
-        # (here 8,384 plan nodes, 15 paths per block, so 20 paths make two
-        # blocks), whose bytes do not depend on the OpenBLAS thread count
-        # either
+        # BLAS.  Stable paths of either kind are three BLAS matrix products
+        # per block of paths, with the kernel table's factors (here 8,384
+        # plan nodes, 15 paths per block, so 20 paths make two blocks), whose
+        # bytes do not depend on the OpenBLAS thread count either
         commands = [
             "decay --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
             "decay --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-min 2 --t-max 12 --t-step 2",
@@ -822,6 +823,8 @@ class TestEntryPoint:
             "simulate --alpha 2 --H 0.7 --lambda 0.15 --t-max 1 --n 2049 --n-paths 2",
             "spectrum --H 0.7 --lambda 0.15 --omega-grid=-3.14159:3.14159:201",
             "simulate --kind II --H 0.8 --alpha 1.5 --lambda 0.3 --t-max 1 --n 65 "
+            "--plan-dy 0.02 --n-paths 20",
+            "simulate --kind I --H 0.8 --alpha 1.5 --lambda 0.3 --t-max 1 --n 65 "
             "--plan-dy 0.02 --n-paths 20",
         ]
         code = ("import sys\nfrom tfmotion import cli\n"
@@ -841,5 +844,5 @@ class TestEntryPoint:
             return proc.stdout
 
         outs = [run(None), run(None), run("1"), run("2")]
-        assert outs[0].count("# tfmotion") == 6
+        assert outs[0].count("# tfmotion") == 7
         assert all(o == outs[0] for o in outs[1:])

@@ -611,6 +611,15 @@ class TestCirculantSampler:
             ens = simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, n), 4, seed=1)
             assert np.all(ens.paths[:, 0] == 0.0) and np.all(ens.paths[:, 1:] != 0.0)
 
+    @pytest.mark.parametrize("n,n_paths", [(2, 3), (65, 5), (2049, 130)])
+    def test_paths_equal_circulant_reference(self, n, n_paths):
+        # bitwise the path-by-path reference, across batches of paths
+        # (2049 points: 64 paths per batch)
+        grid = SampleGrid.regular(1.0, n)
+        ens = simulate_gaussian_paths(0.7, 0.15, grid, n_paths, seed=4)
+        ev = np.maximum(_circulant_eigenvalues(0.7, 0.15, n - 1, grid.dt), 0.0)
+        assert np.array_equal(ens.paths, oracles.circulant_paths(ev, n_paths, 4))
+
     def test_long_grid(self):
         ens = simulate_gaussian_paths(0.7, 0.15, SampleGrid.regular(1.0, 65537), 2, seed=1)
         assert ens.paths.shape == (2, 65537)

@@ -12,9 +12,9 @@ from scipy import integrate
 from tfmotion.dependence import global_limit_constant
 from tfmotion.errors import PlanError
 from tfmotion.gaussian import SampleGrid
-from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_h
+from tfmotion.kernels import ProcessParams, kernel, kernel_alpha_norm, kernel_h
 from tfmotion import kernels, stable
-from tfmotion.rng import philox_generator
+from tfmotion.rng import philox_streams
 from tfmotion.stable import (DiscretizationPlan, kernel_node_table,
                              path_increments, sample_stable,
                              simulate_tfsm_paths)
@@ -25,7 +25,7 @@ P15 = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
 
 
 def _uniforms(n, seed=0):
-    u = philox_generator(seed, 0).random((n, 2))
+    u = next(philox_streams(seed, [0])).random((n, 2))
     u[u == 0.0] = 0.5 ** 53
     return u[:, 0], u[:, 1]
 
@@ -96,7 +96,7 @@ class TestCmsAccuracy:
     @pytest.mark.parametrize("beta", [0.0, 0.7, -0.7, 0.99, -0.99, 1.0, -1.0])
     def test_against_mpmath(self, alpha, beta):
         pts = [*self.ENDS, 0.5, *(1.0 - e for e in self.ENDS),
-               *philox_generator(19, 0).random(5).tolist()]
+               *next(philox_streams(19, [0])).random(5).tolist()]
         u1, u2 = (g.ravel() for g in np.meshgrid(pts, pts, indexing="ij"))
         ref = [oracles.mp_cms(alpha, beta, a, b) for a, b in zip(u1.tolist(), u2.tolist())]
         err = self._rel_err(sample_stable(alpha, beta, 1.0, (u1, u2)), ref)
@@ -162,8 +162,9 @@ class TestSimulate:
 
     def test_blocks_are_one_product_of_path_increments(self):
         # 4,100 plan nodes: blocks of 31 paths, so 40 paths make a full block
-        # and a partial one; each block's paths are bitwise the matrix
-        # product of that block's path_increments rows with the kernel table
+        # and a partial one; each block's paths are bitwise the factored
+        # product of that block's path_increments rows with the kernel
+        # table, and within rounding of the product with its dense form
         grid = SampleGrid.regular(1.0, 9)
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.01, cutoff=40.0)
         rows = stable._BLOCK_VALUES // plan.n_nodes
@@ -171,9 +172,65 @@ class TestSimulate:
         assert rows < n < 2 * rows
         ens = simulate_tfsm_paths(P15, grid, plan, n, seed=7)
         table = kernel_node_table(P15, grid, plan)
-        dm = np.array([path_increments(P15, plan, 7, i) for i in range(n)])
+        m = table.scale.size
+        assert 0 < m < plan.n_nodes
+        dm = np.array([path_increments(P15, plan, rng)
+                       for rng in philox_streams(7, range(n))])
         for i0 in (0, rows):
-            assert np.array_equal(ens.paths[i0:i0 + rows], dm[i0:i0 + rows] @ table.T)
+            d = dm[i0:i0 + rows]
+            paths = (d[:, m:] @ table.near.T
+                     + ((d[:, :m] * table.scale) @ table.powers.T) @ table.coef.T)
+            assert np.array_equal(ens.paths[i0:i0 + rows], paths)
+        dense = table.dense()
+        bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
+        assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
+
+    @pytest.mark.parametrize("kind,H,alpha,lam,t,far", [
+        ("I", 0.8, 1.5, 1.0, [0.0], "all"),          # far-only plan
+        ("II", 0.8, 1.5, 1.0, [0.0], "all"),
+        ("I", 2.7, 1.5, 0.3, [0.5, 1.0], "none"),    # kappa >= 2
+        ("II", 2.7, 1.5, 0.3, [0.5, 1.0], "none"),
+        ("I", 0.8, 1.5, 0.01, [0.37, 1.0], "some"),  # g changes sign
+        ("II", 2.0 / 3.0, 1.5, 0.3, [0.5, 1.0], "some"),  # kappa = 0
+    ])
+    def test_factored_paths_match_dense_table(self, kind, H, alpha, lam, t, far):
+        # the factored product of the sampler against the dense table, within
+        # rounding of each value's sum of |k_ik dM_k|, on plans whose far
+        # block is every node, no node, or a prefix
+        p = ProcessParams(H=H, alpha=alpha, lam=lam, kind=kind)
+        grid = SampleGrid(np.array(t))
+        plan = DiscretizationPlan.for_grid(grid, p, dy=0.05)
+        table = kernel_node_table(p, grid, plan)
+        m = table.scale.size
+        assert {"all": m == plan.n_nodes, "none": m == 0,
+                "some": 0 < m < plan.n_nodes}[far]
+        ens = simulate_tfsm_paths(p, grid, plan, 3, seed=2)
+        dm = np.array([path_increments(p, plan, rng)
+                       for rng in philox_streams(2, range(3))])
+        dense = table.dense()
+        bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
+        assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
+        if t == [0.0] or p.kappa == 0.0 and kind == "II":
+            assert not dense[:, :m].any()
+
+    def test_plan_errors_reach_simulate(self, monkeypatch):
+        # a singular node and an unallocatable plan raise PlanError through
+        # simulate_tfsm_paths, for either kind
+        grid = SampleGrid(np.array([1.0]))
+        plan = DiscretizationPlan(y_min=-10.25, dy=0.5, n_nodes=23)
+        for kind in ("I", "II"):
+            p = ProcessParams(H=0.3, alpha=1.5, lam=0.4, kind=kind)
+            with pytest.raises(PlanError, match="singular node"):
+                simulate_tfsm_paths(p, grid, plan, 2, seed=0)
+
+        def no_memory(plan):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(DiscretizationPlan, "nodes", no_memory)
+        plan = DiscretizationPlan.for_grid(grid, P15, dy=1e-9)
+        with pytest.raises(PlanError, match=rf"{plan.n_nodes} nodes needs a "
+                                            rf"1 x {plan.n_nodes} kernel table"):
+            simulate_tfsm_paths(P15, grid, plan, 2, seed=0)
 
     def test_alpha_two_rejected(self):
         grid = SampleGrid(np.array([1.0]))
@@ -236,8 +293,8 @@ class TestSimulate:
         ys = plan.nodes()
         drift = np.array([oracles.plus_pow(-y, pII.kappa) * math.exp(-pII.lam * max(-y, 0.0))
                           for y in ys])
-        for i in range(3):
-            dm = path_increments(pII, plan, 5, i)
+        for i, rng in enumerate(philox_streams(5, range(3))):
+            dm = path_increments(pII, plan, rng)
             c0 = float(drift @ dm)
             lhs = eII.paths[i, -1] - eI.paths[i, -1]
             rhs = pII.lam * (np.trapezoid(eI.paths[i], grid.times) + 1.0 * c0)
@@ -300,6 +357,19 @@ class TestNodeTable:
         with pytest.raises(PlanError):
             kernel_node_table(p, grid, plan)
 
+    def test_non_finite_far_factor_rejected(self, monkeypatch):
+        # the finiteness check covers the far block's factors too
+        def bad_far(*args):
+            coef, powers, scale = real(*args)
+            scale[0] = math.inf
+            return coef, powers, scale
+
+        real = stable._far_kernel
+        monkeypatch.setattr(stable, "_far_kernel", bad_far)
+        grid = SampleGrid.regular(1.0, 5)
+        with pytest.raises(PlanError, match="singular node"):
+            kernel_node_table(P15, grid, DiscretizationPlan.for_grid(grid, P15, dy=0.05))
+
     def test_unallocatable_plan_raises_plan_error(self, monkeypatch):
         # the allocation is made to fail here rather than attempted
         def no_memory(plan):
@@ -352,9 +422,30 @@ class TestNodeTable:
         p = ProcessParams(H=0.8, alpha=1.5, lam=1.0, kind=kind)
         grid = SampleGrid(np.array([0.0]))
         plan = DiscretizationPlan.for_grid(grid, p, dy=0.5)
-        out = np.empty((1, plan.n_nodes))
-        assert kernels._far_kernel(p, -plan.nodes(), grid.times, out) == plan.n_nodes
-        assert kernel_node_table(p, grid, plan).tolist() == [[0.0] * plan.n_nodes]
+        table = kernel_node_table(p, grid, plan)
+        assert table.scale.size == plan.n_nodes and table.near.shape == (1, 0)
+        assert table.dense().tolist() == [[0.0] * plan.n_nodes]
+
+    def test_dense_is_the_einsum_table(self):
+        # README plan: dense() is the far block np.einsum(coef, powers)
+        # times the node prefactor, then the near block, whose rows are
+        # bitwise kernel calls with one time; size counts the stored values
+        grid = SampleGrid.regular(1.0, 65)
+        for kind in ("I", "II"):
+            p = replace(P15, kind=kind)
+            plan = DiscretizationPlan.for_grid(grid, p, dy=0.02)
+            table = kernel_node_table(p, grid, plan)
+            assert (table.coef.shape, table.powers.shape, table.near.shape) == (
+                (65, 21), (21, 7933), (65, 451))
+            assert table.size == 65 * 21 + 21 * 7933 + 7933 + 65 * 451
+            dense = table.dense()
+            far = np.einsum("in,nk->ik", table.coef, table.powers)
+            far *= table.scale
+            assert dense[:, :7933].tobytes() == far.tobytes()
+            ys = plan.nodes()[7933:]
+            for i in (0, 1, 40, 64):
+                row = kernel(p, grid.times[i], ys)
+                assert dense[i, 7933:].tobytes() == row.tobytes()
 
     def test_large_near_block_is_one_call_per_row(self, monkeypatch):
         # a smaller _NEAR_VALUES, down to one time row per kernel call,
@@ -363,10 +454,11 @@ class TestNodeTable:
         for kind in ("I", "II"):
             p = replace(P15, kind=kind)
             plan = DiscretizationPlan.for_grid(grid, p, dy=0.02)
-            one_call = kernel_node_table(p, grid, plan)
+            one_call = kernel_node_table(p, grid, plan).dense()
             for values in (1000, 1):
                 monkeypatch.setattr(stable, "_NEAR_VALUES", values)
-                assert kernel_node_table(p, grid, plan).tobytes() == one_call.tobytes()
+                table = kernel_node_table(p, grid, plan).dense()
+                assert table.tobytes() == one_call.tobytes()
             monkeypatch.undo()
 
     def test_no_blas_product(self, monkeypatch):
@@ -409,7 +501,7 @@ class TestNodeTable:
             grid = SampleGrid.regular(1.0, 65)
             plan = DiscretizationPlan.for_grid(grid, p, dy=0.02,
                                                cutoff=20.0 + 1.0 / 3.0)
-        table = kernel_node_table(p, grid, plan)
+        table = kernel_node_table(p, grid, plan).dense()
         ys = plan.nodes()
         mp_kernel = oracles.mp_kernel_g if kind == "I" else oracles.mp_kernel_h
         for i in (0, 1, grid.n // 2, grid.n - 1):
