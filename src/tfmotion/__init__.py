@@ -10,13 +10,12 @@ from .specfun import bessel_k, gamma_fn
 from .kernels import (ProcessParams, QuadratureConfig, kernel, kernel_g,
                       kernel_h, kernel_alpha_norm)
 from .gaussian import (CovarianceMatrix, PathEnsemble, SampleGrid,
-                       build_cov_matrix, covariance_tfbm2,
-                       matern_cov_integral, simulate_gaussian_paths,
+                       build_cov_matrix, covariance_tfbm2, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density,
                        tfgn2_acvf, variance_fbm_limit, variance_tfbm2)
 from .stable import DiscretizationPlan, sample_stable, simulate_tfsm_paths
 from .dependence import (DecayDiagnostic, codifference, decay_diagnostic,
-                         global_limit_check, local_limit_check, r_fn)
+                         global_limit_check, local_limit_check)
 
 __version__ = "0.1.0"
 
@@ -27,11 +26,10 @@ __all__ = [
     "ProcessParams", "QuadratureConfig", "kernel", "kernel_g", "kernel_h",
     "kernel_alpha_norm",
     "CovarianceMatrix", "PathEnsemble", "SampleGrid",
-    "build_cov_matrix", "covariance_tfbm2", "matern_cov_integral",
-    "simulate_gaussian_paths", "tfgn1_spectral_density",
-    "tfgn2_spectral_density", "tfgn2_acvf", "variance_fbm_limit",
-    "variance_tfbm2",
+    "build_cov_matrix", "covariance_tfbm2", "simulate_gaussian_paths",
+    "tfgn1_spectral_density", "tfgn2_spectral_density", "tfgn2_acvf",
+    "variance_fbm_limit", "variance_tfbm2",
     "DiscretizationPlan", "sample_stable", "simulate_tfsm_paths",
     "DecayDiagnostic", "codifference", "decay_diagnostic",
-    "global_limit_check", "local_limit_check", "r_fn",
+    "global_limit_check", "local_limit_check",
 ]

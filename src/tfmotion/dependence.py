@@ -96,25 +96,6 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     return float(_codifferences(p, [int(t)], theta1, theta2, q)[0])
 
 
-def r_fn(p: ProcessParams, t: int, theta1: float, theta2: float,
-         q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Covariance surrogate r(t) = K (e^{-I(t)} - 1) of the bivariate
-    characteristic function, for symmetric noise (beta = 0).
-
-    K = E e^{i th1 Y(0)} E e^{i th2 Y(0)} > 0 comes from the marginal
-    alpha-norm; the sign of r at finite t is reported, not asserted.
-    """
-    _check_params(weights=(theta1, theta2))
-    if p.beta != 0.0:
-        raise ValueError("r_fn is defined for the symmetric case beta = 0")
-    if theta1 == 0.0 or theta2 == 0.0:
-        return 0.0
-    n0 = kernel_alpha_norm(p, 1.0, q)  # ||Y(0)||_alpha^alpha
-    k = math.exp(-p.sigma ** p.alpha * (abs(theta1) ** p.alpha
-                                        + abs(theta2) ** p.alpha) * n0)
-    return k * math.expm1(-codifference(p, t, theta1, theta2, q))
-
-
 @dataclass(frozen=True)
 class DecayDiagnostic:
     """Codifference decay against the theoretical envelope e^{-lam t} t^p."""

@@ -2,13 +2,13 @@
 
 Closed-form variance and covariance of the normalized second-kind tempered
 fractional Brownian motion, on floats or elementwise on arrays; its Matern
-integrand (_matern), over a rectangle for the covariance (H > 1/2) and over
-a lag's triangle for the increment autocovariance; both kinds' increment
-spectral densities as one lattice sum, on floats or elementwise on arrays of
-omega; and exact Gaussian path sampling with a counter-based (Philox)
-generator, by circulant embedding of the stationary increment noise on
-regular grids from t = 0 (Davies-Harte / Wood-Chan), and by Cholesky on
-every other grid and where the embedding has a negative eigenvalue.
+integrand (_matern) over a lag's triangle for the increment autocovariance;
+both kinds' increment spectral densities as one lattice sum, on floats or
+elementwise on arrays of omega; and exact Gaussian path sampling with a
+counter-based (Philox) generator, by circulant embedding of the stationary
+increment noise on regular grids from t = 0 (Davies-Harte / Wood-Chan), and
+by Cholesky on every other grid and where the embedding has a negative
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def covariance_tfbm2(H: float, lam: float, s, t):
     args = [np.abs(t), np.abs(s), np.abs(t - s)]
     uniq = np.concatenate([a.ravel() for a in args])
     uniq.sort()  # by hand: faster than np.unique(..., return_inverse=True)
-    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+    uniq = uniq[np.concatenate((uniq[:1] >= 0.0, uniq[1:] != uniq[:-1]))]
     var = variance_tfbm2(H, lam, uniq)
     ct, cs, cd = (var[np.searchsorted(uniq, a)] for a in args)
     out = 0.5 * ((ct + cs) - cd)
@@ -257,34 +257,6 @@ def _matern(H: float, lam: float):
     appears with this form, double-counts the |u - v| symmetry)."""
     c = 1.0 / (_SQRT_PI * specfun.gamma_fn(H - 0.5) * (2.0 * lam) ** (H - 1.0))
     return (lambda w: w ** (H - 1.0) * specfun.bessel_k(H - 1.0, lam * w)), c
-
-
-def matern_cov_integral(H: float, lam: float, s: float, t: float,
-                        q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Covariance of TFBM II, c int_0^t int_0^s M(|u - v|) dv du with M and c
-    of _matern (H > 1/2), reduced to one dimension in the difference variable
-    w = |u - v|, whose occupation length on [0,t] x [0,s] (s <= t) is
-    rho(w) = min(s, t-w) + (s-w)_+; the integrable singularity at w = 0 sits
-    at a panel endpoint.  The integrand takes K_{H-1} at all nodes of a
-    quadrature sweep in one array call of specfun.bessel_k.  The tolerances
-    of q apply to the unscaled integral.
-    """
-    _check_params(H, lam, times=(s, t))
-    if H <= 0.5:
-        raise ValueError(f"the Matern representation requires H > 1/2, got {H}")
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    if s > t:
-        s, t = t, s
-    m, c = _matern(H, lam)
-
-    def f(w, rows):
-        return m(w) * (np.minimum(s, t - w) + np.maximum(s - w, 0.0))
-
-    splits = sorted({0.0, min(s, t - s), max(s, t - s), t})
-    return c * _quad(f, splits, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +474,10 @@ def _circulant_eigenvalues(H: float, lam: float, m: int, dt: float) -> np.ndarra
     return np.fft.rfft(np.concatenate((g, g[m - 1:0:-1]))).real
 
 
-def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
+def _circulant_paths(ev: np.ndarray, n_paths: int, streams) -> np.ndarray:
     """Paths at times 0, dt, .., m dt from the nonnegative eigenvalues ev.
 
-    Path i draws M = 2m normals z from stream i of ``philox_streams(seed)``:
+    Path i draws M = 2m normals z from the i-th generator of streams:
     w_0 = sqrt(ev_0) z_0, w_m = sqrt(ev_m) z_1 and, for 0 < k < m,
     w_k = sqrt(ev_k / 2) (z_{2k} + i z_{2k+1}), drawn into the floats of w
     (z_1 then moves to w_m).  The increments are the first m entries of
@@ -518,7 +490,6 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
     amp[1:m] *= math.sqrt(0.5)
     per_batch = max(1, _BATCH_NORMALS // size)
     paths = np.zeros((n_paths, m + 1))
-    streams = philox_streams(seed, range(n_paths))
     for i0 in range(0, n_paths, per_batch):
         i1 = min(i0 + per_batch, n_paths)
         w = np.empty((i1 - i0, m + 1), dtype=complex)
@@ -534,16 +505,16 @@ def _circulant_paths(ev: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
 
 
 def _cholesky_paths(H: float, lam: float, grid: SampleGrid, n_paths: int,
-                    seed: int) -> np.ndarray:
+                    streams) -> np.ndarray:
     """Paths L z with L the Cholesky factor of ``build_cov_matrix`` and z
-    stream i's normals at the positive-variance times."""
+    the i-th generator of streams' normals at the positive-variance times."""
     cov = build_cov_matrix(H, lam, grid)
     L = cov.cholesky()
     live = np.diag(cov.values) > 0.0
     lsub = L[np.ix_(live, live)]
     k = int(live.sum())
     paths = np.zeros((n_paths, grid.n))
-    for i, gen in enumerate(philox_streams(seed, range(n_paths))):
+    for i, gen in enumerate(streams):
         paths[i, live] = lsub @ gen.standard_normal(k)
     return paths
 
@@ -570,14 +541,15 @@ def simulate_gaussian_paths(H: float, lam: float, grid: SampleGrid,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    streams = philox_streams(seed, range(n_paths))
     ev = None
     if grid.n > 1 and grid.uniform and grid.times[0] == 0.0:
         ev = _circulant_eigenvalues(H, lam, grid.n - 1, grid.dt)
         if not ev.min() >= -EIGEN_ROUNDING * ev.max():
             ev = None
     if ev is None:
-        paths = _cholesky_paths(H, lam, grid, n_paths, seed)
+        paths = _cholesky_paths(H, lam, grid, n_paths, streams)
     else:
-        paths = _circulant_paths(np.maximum(ev, 0.0), n_paths, seed)
+        paths = _circulant_paths(np.maximum(ev, 0.0), n_paths, streams)
     params = ProcessParams(H=H, alpha=2.0, lam=lam, kind="II")
     return PathEnsemble(params=params, grid=grid, paths=paths, seed=int(seed))

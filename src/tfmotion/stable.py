@@ -74,7 +74,7 @@ class DiscretizationPlan:
         checks y_min and dy before the node count is taken from them."""
         if cutoff is None:
             cutoff = DEFAULT_QUAD.cutoff(p.lam)
-        plan = cls(y_min=min(float(grid.times[0]), 0.0) - cutoff, dy=dy, n_nodes=2)
+        plan = cls(y_min=-cutoff, dy=dy, n_nodes=2)
         n = math.ceil((float(grid.times[-1]) - plan.y_min) / dy)
         return replace(plan, n_nodes=n)
 
@@ -152,14 +152,6 @@ class KernelTable:
     def size(self) -> int:  # values stored
         return self.coef.size + self.powers.size + self.scale.size + self.near.size
 
-    def dense(self) -> np.ndarray:
-        """The table as one array; np.einsum sums its far block over n in order."""
-        out = np.hstack([np.empty((self.near.shape[0], self.scale.size)), self.near])
-        far = out[:, :self.scale.size]
-        np.einsum("in,nk->ik", self.coef, self.powers, out=far)
-        far *= self.scale
-        return out
-
 
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> KernelTable:
@@ -231,12 +223,12 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
     if plan.y_max < grid.times[-1] - 1e-12:
         raise PlanError(f"plan ends at y = {plan.y_max} but the grid reaches "
                         f"t = {grid.times[-1]}")
+    streams = philox_streams(seed, range(n_paths))
     table = kernel_node_table(p, grid, plan)
     m = table.scale.size
     paths = np.empty((n_paths, grid.n))
     rows = max(1, _BLOCK_VALUES // plan.n_nodes)
     dm = np.empty((min(rows, n_paths), plan.n_nodes))
-    streams = philox_streams(seed, range(n_paths))
     for i0 in range(0, n_paths, rows):
         d = dm[:min(rows, n_paths - i0)]
         for r in range(len(d)):

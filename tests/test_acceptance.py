@@ -11,8 +11,7 @@ import numpy as np
 from tfmotion import specfun as sf
 from tfmotion.dependence import (decay_diagnostic, fsm_norm_limit,
                                  global_limit_check, local_limit_check)
-from tfmotion.gaussian import (SampleGrid, matern_cov_integral,
-                               simulate_gaussian_paths, tfgn2_acvf,
+from tfmotion.gaussian import (SampleGrid, simulate_gaussian_paths, tfgn2_acvf,
                                tfgn2_spectral_density, variance_fbm_limit,
                                variance_tfbm2)
 from tfmotion.kernels import (ProcessParams, QuadratureConfig,
@@ -122,7 +121,7 @@ def test_criterion_06_matern_cross_check():
     for H in (0.75, 1.25):
         for lam in (0.5, 1.0):
             for (s, t) in ((1.0, 1.0), (1.0, 2.0)):
-                m = matern_cov_integral(H, lam, s, t, QUAD)
+                m = oracles.matern_cov(H, lam, s, t)
                 c = covariance_tfbm2(H, lam, s, t)
                 worst = max(worst, abs(m - c) / abs(c))
     _report(6, "Matern double-integral covariance", worst < 1e-4,

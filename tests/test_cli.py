@@ -266,6 +266,31 @@ class TestSimulate:
         assert "seed=99" in meta and "H=0.69999999999999996" in meta
         assert header == ["path_id", "t", "value"]
 
+    @pytest.mark.parametrize("alpha", ["2", "1.5"])
+    def test_seed_outside_key_range_exits_2(self, alpha, tmp_path, capsys,
+                                            monkeypatch):
+        # a seed outside a Philox key word's [0, 2^64) is refused before any
+        # table or path work, not folded onto another seed; the largest runs
+        from tfmotion import gaussian, stable
+
+        def banned(*args):
+            raise AssertionError("table or path work before the seed check")
+
+        args = ["simulate", "--H", "0.8", "--lambda", "0.3", "--alpha", alpha,
+                "--t-max", "1", "--n", "3", "--n-paths", "2",
+                "--plan-dy", "0.05", "--plan-cutoff", "30"]
+        with monkeypatch.context() as m:
+            for mod, name in ((stable, "kernel_node_table"),
+                              (gaussian, "_circulant_eigenvalues"),
+                              (gaussian, "build_cov_matrix")):
+                m.setattr(mod, name, banned)
+            for seed in ("-1", str(2 ** 64)):
+                rc, out = run_cli(args + ["--seed", seed], tmp_path)
+                assert rc == 2 and not out.exists()
+                assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        rc, out = run_cli(args + ["--seed", str(2 ** 64 - 1)], tmp_path)
+        assert rc == 0 and "seed=18446744073709551615" in read_csv(out)[0]
+
     def test_brownian_increment_variance(self, tmp_path):
         rc, out = run_cli(["simulate", "--H", "0.5", "--lambda", "0.2",
                            "--alpha", "2", "--t-max", "1", "--n", "5",

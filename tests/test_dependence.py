@@ -7,11 +7,10 @@ import pytest
 from tfmotion import cli, dependence, specfun as sf
 from tfmotion.dependence import (_limit_rows, codifference, decay_diagnostic,
                                  fsm_norm_limit, global_limit_check,
-                                 global_limit_constant, local_limit_check,
-                                 r_fn)
+                                 global_limit_constant, local_limit_check)
 from tfmotion.gaussian import tfgn2_acvf, variance_fbm_limit
 from tfmotion.kernels import (ProcessParams, QuadratureConfig, _quad, kernel,
-                              kernel_alpha_norm, kernel_g, kernel_h)
+                              kernel_g, kernel_h)
 
 import oracles
 
@@ -90,29 +89,6 @@ class TestCodifference:
         a = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
         b = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=5e-9))
         assert a == pytest.approx(b, rel=1e-8)
-
-
-class TestRFn:
-    def test_zero_weight(self):
-        assert r_fn(P_II, 5, 0.0, 1.0) == 0.0
-
-    def test_small_codifference_expansion(self):
-        t = 20
-        i_t = codifference(P_II, t, 1.0, 1.0)
-        n0 = kernel_alpha_norm(P_II, 1.0)
-        k = math.exp(-2.0 * n0)
-        r = r_fn(P_II, t, 1.0, 1.0)
-        assert abs(r + k * i_t) <= 0.5 * i_t * abs(k * i_t)
-
-    def test_sign_survey_finite(self):
-        # signs at finite lags are recorded, not asserted
-        for t in (5, 10, 20, 40):
-            assert math.isfinite(r_fn(P_II, t, 1.0, 1.0))
-
-    def test_skewed_rejected(self):
-        p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, beta=0.5, kind="II")
-        with pytest.raises(ValueError):
-            r_fn(p, 5, 1.0, 1.0)
 
 
 class TestDecayDiagnostic:

@@ -9,8 +9,7 @@ from tfmotion import gaussian, specfun
 from tfmotion.errors import NumericsError, PoleError
 from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, SampleGrid,
                                _circulant_eigenvalues, build_cov_matrix,
-                               covariance_tfbm2,
-                               matern_cov_integral, simulate_gaussian_paths,
+                               covariance_tfbm2, simulate_gaussian_paths,
                                tfgn1_spectral_density, tfgn2_spectral_density,
                                tfgn2_acvf, variance_fbm_limit, variance_tfbm2)
 import oracles
@@ -133,6 +132,13 @@ class TestCovariance:
         assert covariance_tfbm2(0.75, 0.5, 1.0, 2.0) == covariance_tfbm2(
             0.75, 0.5, 2.0, 1.0)
 
+    def test_empty_arrays(self):
+        # no times, no values: an empty array of the broadcast shape
+        for s, t in ((np.empty(0), np.empty(0)), (np.empty((0, 1)), np.empty(3)),
+                     (np.empty((2, 0)), 1.0)):
+            out = covariance_tfbm2(0.7, 0.15, s, t)
+            assert out.shape == np.broadcast_shapes(np.shape(s), np.shape(t))
+
     def test_one_variance_call_per_array_call(self, monkeypatch):
         # C_t^2 at the distinct |s|, |t| and |t - s| of a call in one call
         calls = []
@@ -151,38 +157,25 @@ class TestCovariance:
 
 
 class TestMatern:
-    def test_zero_range(self):
-        assert matern_cov_integral(0.75, 0.5, 0.0, 2.0) == 0.0
-        assert matern_cov_integral(0.75, 0.5, 1.0, 0.0) == 0.0
-
-    def test_symmetry(self):
-        a = matern_cov_integral(0.75, 0.5, 1.0, 2.0)
-        b = matern_cov_integral(0.75, 0.5, 2.0, 1.0)
-        assert a == pytest.approx(b, rel=1e-12)
-
     @pytest.mark.parametrize("H", [0.75, 1.25])
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("st", [(1.0, 1.0), (1.0, 2.0)])
     def test_matches_closed_form(self, H, lam, st):
         s, t = st
-        m = matern_cov_integral(H, lam, s, t)
+        m = oracles.matern_cov(H, lam, s, t)
         c = covariance_tfbm2(H, lam, s, t)
         assert m == pytest.approx(c, rel=1e-6)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            matern_cov_integral(0.4, 0.5, 1.0, 1.0)
-
     def test_one_bessel_call_per_sweep(self, monkeypatch):
-        # the integrand evaluates K_{H-1} at all nodes of a quadrature sweep
-        # in one array call, not once per node
+        # tfgn2_acvf's Matern integrand evaluates K_{H-1} at all nodes of a
+        # quadrature sweep in one array call, not once per node
         from tfmotion import kernels
         calls, sweeps = [], []
         bessel_k, qk15 = specfun.bessel_k, kernels._qk15
         monkeypatch.setattr(specfun, "bessel_k",
                             lambda *a: calls.append(1) or bessel_k(*a))
         monkeypatch.setattr(kernels, "_qk15", lambda *a: sweeps.append(1) or qk15(*a))
-        matern_cov_integral(0.75, 0.5, 1.0, 2.0)
+        tfgn2_acvf(0.75, 0.5, 2)
         assert len(calls) == len(sweeps) > 0
 
 

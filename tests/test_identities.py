@@ -1,0 +1,78 @@
+"""Identities between independent code paths, as property tests over the
+parameter domain.
+
+hypothesis draws the examples derandomized and without a database, so every
+run checks the same ones.  Each tolerance is the identity's error budget:
+variance_tfbm2 is within 1e-13 of mpmath for lam t <= 1 and within 1e-8
+above (README), so each C^2 value a side is built from contributes that
+share of itself, times the size of its coefficient; the other side adds its
+quadrature tolerance relative to its value.
+
+Domain: H at least 0.01 from every integer.  The closed form's two terms
+each carry a pole of Gamma(1 - H) at H = 1 and H = 2 and cancel near them,
+past the budget (H = 0.99999, lam = s = t = 1 is off by 2.9e-11 relative)
+or into NumericsError below lam t = 12 (H = 1.000000001, lam = t = 1).
+tfgn2_acvf raises QuadratureError for H near 0 (H = 0.001953125, lam = 1,
+j = 1).  lam s and lam t are 0 or at least 1e-60, so that C^2 ~ t^{2H}
+stays a normal float, whose relative accuracy the budget assumes.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tfmotion.gaussian import covariance_tfbm2, tfgn2_acvf, variance_tfbm2
+
+import oracles
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=200,
+                    deadline=None)
+
+
+def _off_integers(lo: float, hi: float):
+    """H in (lo, hi] at least 0.01 from 1 (hi <= 1.99 keeps it from 2)."""
+    return st.floats(lo, hi, exclude_min=True).filter(lambda H: abs(H - 1.0) >= 0.01)
+
+
+@st.composite
+def _lag_and_lam(draw):
+    """A lag j >= 1 and lam >= 1e-3 with lam (j + 1) <= 12."""
+    j = draw(st.integers(1, 1000))
+    return j, draw(st.floats(1e-3, 12.0 / (j + 1)))
+
+
+def _variance_budget(H: float, lam: float, coef, x) -> float:
+    """sum_k |coef_k| eps(lam x_k) C^2(x_k), eps = 1e-13 for lam x <= 1 and
+    1e-8 above: the error of sum_k coef_k variance_tfbm2(H, lam, x_k)."""
+    x = np.asarray(x, dtype=float)
+    eps = np.where(lam * x <= 1.0, 1e-13, 1e-8)
+    return float(np.sum(np.abs(coef) * eps * variance_tfbm2(H, lam, x)))
+
+
+@SETTINGS
+@given(H=_off_integers(0.5, 1.99), lam=st.floats(1e-3, 10.0),
+       ls=st.just(0.0) | st.floats(1e-60, 12.0),
+       lt=st.just(0.0) | st.floats(1e-60, 12.0))
+def test_covariance_is_the_matern_double_integral(H, lam, ls, lt):
+    # covariance_tfbm2's closed form against SciPy quadrature of the Matern
+    # integrand (oracles.matern_cov, held to 1e-12 relative), for H > 1/2
+    # and lam max(s, t) <= 12
+    s, t = ls / lam, lt / lam
+    c = covariance_tfbm2(H, lam, s, t)
+    m = oracles.matern_cov(H, lam, s, t)
+    budget = 0.5 * _variance_budget(H, lam, [1.0, 1.0, 1.0], [s, t, abs(t - s)])
+    assert abs(c - m) <= budget + 1e-12 * abs(m), (c, m, budget)
+
+
+@SETTINGS
+@given(H=_off_integers(0.01, 1.99), lag_lam=_lag_and_lam())
+def test_acvf_is_the_second_difference_of_the_variance(H, lag_lam):
+    # tfgn2_acvf's triangle quadrature (held to rel_tol = 1e-9 relative)
+    # against half the second difference of C^2 at lags j >= 1, for
+    # lam (j + 1) <= 12
+    j, lam = lag_lam
+    x = np.array([j + 1.0, j, j - 1.0])
+    coef = np.array([0.5, -1.0, 0.5])
+    d = float(coef @ variance_tfbm2(H, lam, x))
+    r = tfgn2_acvf(H, lam, j)
+    budget = _variance_budget(H, lam, coef, x)
+    assert abs(r - d) <= budget + 1e-9 * abs(r), (r, d, budget)

@@ -6,7 +6,7 @@ from tfmotion.rng import philox_streams
 import oracles
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, -3])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
 def test_streams_draw_as_fresh_generators(seed):
     # each re-keyed stream draws what a newly built Philox keyed by
     # (seed, stream) draws, whatever the stream before it left behind: a
@@ -28,3 +28,19 @@ def test_streams_are_independent_of_order():
     a = [g.random(4).tobytes() for g in philox_streams(11, [0, 1, 2])]
     b = [g.random(4).tobytes() for g in philox_streams(11, [2, 1, 0])]
     assert a == b[::-1]
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 2 ** 64, 2 ** 70, -2 ** 64])
+def test_seed_outside_key_range_is_refused(seed):
+    # a key word holds [0, 2^64): a seed outside it is refused at the call,
+    # not folded onto another seed's streams
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        philox_streams(seed, [0])
+
+
+@pytest.mark.parametrize("stream", [-1, 2 ** 64])
+def test_stream_index_outside_key_range_is_refused(stream):
+    streams = philox_streams(5, [0, stream])
+    next(streams)
+    with pytest.raises(ValueError, match="stream index"):
+        next(streams)

@@ -181,7 +181,7 @@ class TestSimulate:
             paths = (d[:, m:] @ table.near.T
                      + ((d[:, :m] * table.scale) @ table.powers.T) @ table.coef.T)
             assert np.array_equal(ens.paths[i0:i0 + rows], paths)
-        dense = table.dense()
+        dense = oracles.dense_table(table)
         bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
         assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
 
@@ -207,7 +207,7 @@ class TestSimulate:
         ens = simulate_tfsm_paths(p, grid, plan, 3, seed=2)
         dm = np.array([path_increments(p, plan, rng)
                        for rng in philox_streams(2, range(3))])
-        dense = table.dense()
+        dense = oracles.dense_table(table)
         bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
         assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
         if t == [0.0] or p.kappa == 0.0 and kind == "II":
@@ -424,12 +424,13 @@ class TestNodeTable:
         plan = DiscretizationPlan.for_grid(grid, p, dy=0.5)
         table = kernel_node_table(p, grid, plan)
         assert table.scale.size == plan.n_nodes and table.near.shape == (1, 0)
-        assert table.dense().tolist() == [[0.0] * plan.n_nodes]
+        assert oracles.dense_table(table).tolist() == [[0.0] * plan.n_nodes]
 
     def test_dense_is_the_einsum_table(self):
-        # README plan: dense() is the far block np.einsum(coef, powers)
-        # times the node prefactor, then the near block, whose rows are
-        # bitwise kernel calls with one time; size counts the stored values
+        # README plan: the dense table the tests compare with
+        # (oracles.dense_table) is the far block np.einsum(coef, powers) times
+        # the node prefactor, then the near block, whose rows are bitwise
+        # kernel calls with one time; size counts the stored values
         grid = SampleGrid.regular(1.0, 65)
         for kind in ("I", "II"):
             p = replace(P15, kind=kind)
@@ -438,7 +439,7 @@ class TestNodeTable:
             assert (table.coef.shape, table.powers.shape, table.near.shape) == (
                 (65, 21), (21, 7933), (65, 451))
             assert table.size == 65 * 21 + 21 * 7933 + 7933 + 65 * 451
-            dense = table.dense()
+            dense = oracles.dense_table(table)
             far = np.einsum("in,nk->ik", table.coef, table.powers)
             far *= table.scale
             assert dense[:, :7933].tobytes() == far.tobytes()
@@ -454,10 +455,10 @@ class TestNodeTable:
         for kind in ("I", "II"):
             p = replace(P15, kind=kind)
             plan = DiscretizationPlan.for_grid(grid, p, dy=0.02)
-            one_call = kernel_node_table(p, grid, plan).dense()
+            one_call = oracles.dense_table(kernel_node_table(p, grid, plan))
             for values in (1000, 1):
                 monkeypatch.setattr(stable, "_NEAR_VALUES", values)
-                table = kernel_node_table(p, grid, plan).dense()
+                table = oracles.dense_table(kernel_node_table(p, grid, plan))
                 assert table.tobytes() == one_call.tobytes()
             monkeypatch.undo()
 
@@ -501,7 +502,7 @@ class TestNodeTable:
             grid = SampleGrid.regular(1.0, 65)
             plan = DiscretizationPlan.for_grid(grid, p, dy=0.02,
                                                cutoff=20.0 + 1.0 / 3.0)
-        table = kernel_node_table(p, grid, plan).dense()
+        table = oracles.dense_table(kernel_node_table(p, grid, plan))
         ys = plan.nodes()
         mp_kernel = oracles.mp_kernel_g if kind == "I" else oracles.mp_kernel_h
         for i in (0, 1, grid.n // 2, grid.n - 1):
