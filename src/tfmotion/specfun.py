@@ -20,18 +20,22 @@ import math
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import NumericsError, PoleError
 
 _EPS = 2.220446049250313e-16
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for finite non-pole x (math.gamma); OverflowError past 171.6."""
+    """Gamma(x) for finite non-pole x (math.gamma); NumericsError where it
+    overflows (past 171.6, or within about 5.6e-309 of 0)."""
     if not math.isfinite(x):
         raise ValueError(f"gamma_fn requires finite x, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma_fn pole at nonpositive integer x = {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError as exc:
+        raise NumericsError(f"gamma_fn overflows at x = {x!r}") from exc
 
 
 def _elementwise(name: str):

@@ -19,7 +19,10 @@ the rest dense, from kernels.kernel, one call with one time per element
 over each block of whole time rows of at most _NEAR_VALUES values.  The
 sampler runs in the calling thread over blocks of whole paths, about 2^17
 cell values each, whose paths are one matrix product with the near block
-and two through the far block's factors.
+and two through the far block's factors.  It skips the leading far nodes
+whose values are below 2^-53 of the table's largest (KernelTable.first:
+2,288 and 3,232 of the README plan's 8,384 for kinds I and II), advancing
+each path's Philox stream past them.
 """
 
 from __future__ import annotations
@@ -152,6 +155,20 @@ class KernelTable:
     def size(self) -> int:  # values stored
         return self.coef.size + self.powers.size + self.scale.size + self.near.size
 
+    @property
+    def first(self) -> int:
+        """Even length of the leading run of far nodes whose values are all
+        below 2^-53 of the table's largest |value| (bounded below by the near
+        block and the last far node), by the bound |scale_j| max_i|coef_i| @
+        powers_j on node j's values."""
+        if self.scale.size == 0:
+            return 0
+        bound = np.abs(self.scale) * (np.abs(self.coef).max(axis=0) @ self.powers)
+        top = max(np.abs(self.near).max(initial=0.0),
+                  np.abs(self.coef @ self.powers[:, -1] * self.scale[-1]).max())
+        first = int(np.argmax(np.append(bound >= 2.0 ** -53 * top, True)))
+        return first - first % 2
+
 
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> KernelTable:
@@ -186,15 +203,23 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
 
 
 def path_increments(p: ProcessParams, plan: DiscretizationPlan,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Stable cell increments of one path, drawn from rng; simulate_tfsm_paths
-    passes path i stream i of rng.philox_streams(seed).
+                    rng: np.random.Generator, first: int = 0) -> np.ndarray:
+    """Stable cell increments of one path at the plan nodes from an even
+    index first on, drawn from rng; simulate_tfsm_paths passes path i
+    stream i of rng.philox_streams(seed) and its KernelTable.first.
 
-    The keying ignores p.kind, so first- and second-kind runs at the same
-    seed are coupled through identical driving noise.  simulate_tfsm_paths
-    makes one call per path, so these are bitwise the increments it used.
+    A node takes two doubles and a Philox counter step four, so a Philox rng
+    advances first // 2 steps and this is bitwise the tail [first:] of a
+    full draw.  The keying ignores p.kind, so first- and second-kind runs at
+    the same seed are coupled through identical driving noise.
+    simulate_tfsm_paths makes one call per path, so these are bitwise the
+    increments it used.
     """
-    u = rng.random((plan.n_nodes, 2))
+    if first % 2 or not 0 <= first <= plan.n_nodes:
+        raise ValueError(f"first must be even and in [0, {plan.n_nodes}], got {first}")
+    if first:
+        rng.bit_generator.advance(first // 2)
+    u = rng.random((plan.n_nodes - first, 2))
     u[u == 0.0] = 0.5 ** 53  # CMS transform needs open-interval uniforms
     cell_sigma = p.sigma * plan.dy ** (1.0 / p.alpha)
     return cell_sigma * _cms(p.alpha, p.beta, u[:, 0], u[:, 1])
@@ -212,9 +237,11 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
     the calling thread: each path's increments (path_increments) fill one
     row of the block dM, whose paths are the products with the kernel
     table's factors dM_near @ near.T + ((dM_far * scale) @ powers.T) @ coef.T.
-    The block bounds depend on the plan alone, so the output bytes depend on
-    neither n_workers (accepted for callers that pass it, and ignored) nor
-    the BLAS thread count.
+    The nodes before KernelTable.first are neither drawn nor multiplied,
+    which moves a path by at most 2^-53 max|k| sum_k |dM_k|.  The block
+    bounds depend on the plan alone, so the output bytes depend on neither
+    n_workers (accepted for callers that pass it, and ignored) nor the BLAS
+    thread count.
     """
     if p.alpha == 2.0:
         raise ValueError("alpha = 2 is simulated exactly by the gaussian module")
@@ -225,14 +252,15 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
                         f"t = {grid.times[-1]}")
     streams = philox_streams(seed, range(n_paths))
     table = kernel_node_table(p, grid, plan)
-    m = table.scale.size
+    first = table.first
+    m = table.scale.size - first
     paths = np.empty((n_paths, grid.n))
     rows = max(1, _BLOCK_VALUES // plan.n_nodes)
-    dm = np.empty((min(rows, n_paths), plan.n_nodes))
+    dm = np.empty((min(rows, n_paths), plan.n_nodes - first))
     for i0 in range(0, n_paths, rows):
         d = dm[:min(rows, n_paths - i0)]
         for r in range(len(d)):
-            d[r] = path_increments(p, plan, next(streams))
-        far = (d[:, :m] * table.scale) @ table.powers.T
+            d[r] = path_increments(p, plan, next(streams), first)
+        far = (d[:, :m] * table.scale[first:]) @ table.powers[:, first:].T
         paths[i0:i0 + len(d)] = d[:, m:] @ table.near.T + far @ table.coef.T
     return PathEnsemble(params=p, grid=grid, paths=paths, seed=int(seed))

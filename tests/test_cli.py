@@ -104,6 +104,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tfmotion: numeric failure: ") and err.count("\n") == 1
 
+    def test_gamma_overflow_names_function_and_x(self, tmp_path, capsys):
+        # Gamma(H) past the float range at a subnormal H is the package's
+        # numeric failure, not a bare "math range error"
+        rc, out = run_cli(["covariance", "--H", "5e-324", "--lambda", "0.01",
+                           "--t-max", "2", "--n", "3"], tmp_path)
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == (
+            "tfmotion: numeric failure: gamma_fn overflows at x = 5e-324\n")
+
     def test_spectrum_near_zero_frequency(self, tmp_path):
         # near omega = 0 the densities neither cancel nor divide by omega^2
         # (omega^2 is 0.0 here): the first kind's column is 0 and the

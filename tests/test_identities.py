@@ -6,7 +6,9 @@ run checks the same ones.  Each tolerance is the identity's error budget:
 variance_tfbm2 is within 1e-13 of mpmath for lam t <= 1 and within 1e-8
 above (README), so each C^2 value a side is built from contributes that
 share of itself, times the size of its coefficient; the other side adds its
-quadrature tolerance relative to its value.
+quadrature tolerance relative to its value.  The two sides of the
+alpha-norm scaling, both quadratures, are each held to max(abs_tol,
+rel_tol |value|) of DEFAULT_QUAD, the tolerance its adaptive rule stops on.
 
 Domain: H at least 0.01 from every integer.  The closed form's two terms
 each carry a pole of Gamma(1 - H) at H = 1 and H = 2 and cancel near them,
@@ -15,12 +17,20 @@ or into NumericsError below lam t = 12 (H = 1.000000001, lam = t = 1).
 tfgn2_acvf raises QuadratureError for H near 0 (H = 0.001953125, lam = 1,
 j = 1).  lam s and lam t are 0 or at least 1e-60, so that C^2 ~ t^{2H}
 stays a normal float, whose relative accuracy the budget assumes.
+kernel_alpha_norm raises QuadratureError where alpha kappa falls below
+about -0.8, whose kernel is singular at y = 0 and y = t as
+|y|^(alpha kappa) (H = 0.0625, lam = t = 1 at alpha = 2; H = 0.09 fails
+at lam = 0.1, t = 1), so the alpha = 2 identity keeps H above 0.15, and
+the scaling, over alpha in [1.05, 2], H in (0.55, 1.95).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tfmotion.gaussian import covariance_tfbm2, tfgn2_acvf, variance_tfbm2
+from tfmotion.kernels import DEFAULT_QUAD, ProcessParams, kernel_alpha_norm
 
 import oracles
 
@@ -76,3 +86,35 @@ def test_acvf_is_the_second_difference_of_the_variance(H, lag_lam):
     r = tfgn2_acvf(H, lam, j)
     budget = _variance_budget(H, lam, coef, x)
     assert abs(r - d) <= budget + 1e-9 * abs(r), (r, d, budget)
+
+
+@SETTINGS
+@given(H=_off_integers(0.15, 1.99), lam=st.floats(1e-3, 10.0),
+       lt=st.just(0.0) | st.floats(1e-60, 12.0))
+def test_gaussian_kernel_norm_is_the_variance(H, lam, lt):
+    # kernel_alpha_norm of the second kind at alpha = 2 (quadrature, held
+    # to rel_tol) against Gamma(H + 1/2)^2 C_t^2, for lam t <= 12
+    t = lt / lam
+    p = ProcessParams(H=H, alpha=2.0, lam=lam, kind="II")
+    norm = kernel_alpha_norm(p, t)
+    g2 = math.gamma(H + 0.5) ** 2
+    v = g2 * float(variance_tfbm2(H, lam, t))
+    budget = g2 * _variance_budget(H, lam, [1.0], [t])
+    assert abs(norm - v) <= budget + DEFAULT_QUAD.rel_tol * abs(norm), (norm, v, budget)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["I", "II"]), H=st.floats(0.55, 1.95, exclude_min=True,
+                                                     exclude_max=True),
+       alpha=st.floats(1.05, 2.0), lam=st.floats(1e-3, 10.0),
+       t=st.floats(1e-3, 10.0), b=st.floats(0.1, 10.0))
+def test_kernel_norm_scaling(kind, H, alpha, lam, t, b):
+    # ||k_lam(b t)||^alpha = b^{alpha H} ||k_{b lam}(t)||^alpha: substituting
+    # y = b u in k_lam(b t; y) = b^kappa k_{b lam}(t; u)
+    lhs = kernel_alpha_norm(ProcessParams(H=H, alpha=alpha, lam=lam, kind=kind), b * t)
+    rhs = b ** (alpha * H) * kernel_alpha_norm(
+        ProcessParams(H=H, alpha=alpha, lam=b * lam, kind=kind), t)
+    q = DEFAULT_QUAD
+    budget = (max(q.abs_tol, q.rel_tol * abs(lhs))
+              + max(b ** (alpha * H) * q.abs_tol, q.rel_tol * abs(rhs)))
+    assert abs(lhs - rhs) <= budget, (lhs, rhs, budget)

@@ -52,6 +52,15 @@ class TestGamma:
             with pytest.raises(PoleError):
                 sf.gamma_fn(x)
 
+    def test_overflow_is_numerics_error(self):
+        # math.gamma's bare OverflowError ("math range error") becomes a
+        # package error naming the function and x, also through a caller
+        for x in (171.7, 5e-324, -5e-324):
+            with pytest.raises(NumericsError, match=rf"gamma_fn overflows at x = {x!r}$"):
+                sf.gamma_fn(x)
+        with pytest.raises(NumericsError, match=r"gamma_fn overflows at x = 5e-324$"):
+            variance_tfbm2(5e-324, 0.01, np.array([51.0, 50.0, 49.0]))
+
 
 class TestBesselK:
     def test_half_order_closed_form(self):

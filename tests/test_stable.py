@@ -163,8 +163,9 @@ class TestSimulate:
     def test_blocks_are_one_product_of_path_increments(self):
         # 4,100 plan nodes: blocks of 31 paths, so 40 paths make a full block
         # and a partial one; each block's paths are bitwise the factored
-        # product of that block's path_increments rows with the kernel
-        # table, and within rounding of the product with its dense form
+        # product of that block's path_increments rows, from the table's
+        # first kept node on, with the kernel table's kept factors, and
+        # within rounding of the product with its dense form
         grid = SampleGrid.regular(1.0, 9)
         plan = DiscretizationPlan.for_grid(grid, P15, dy=0.01, cutoff=40.0)
         rows = stable._BLOCK_VALUES // plan.n_nodes
@@ -172,14 +173,17 @@ class TestSimulate:
         assert rows < n < 2 * rows
         ens = simulate_tfsm_paths(P15, grid, plan, n, seed=7)
         table = kernel_node_table(P15, grid, plan)
-        m = table.scale.size
+        f, m = table.first, table.scale.size
         assert 0 < m < plan.n_nodes
         dm = np.array([path_increments(P15, plan, rng)
                        for rng in philox_streams(7, range(n))])
+        kept = np.array([path_increments(P15, plan, rng, f)
+                         for rng in philox_streams(7, range(n))])
         for i0 in (0, rows):
-            d = dm[i0:i0 + rows]
-            paths = (d[:, m:] @ table.near.T
-                     + ((d[:, :m] * table.scale) @ table.powers.T) @ table.coef.T)
+            d = kept[i0:i0 + rows]
+            paths = (d[:, m - f:] @ table.near.T
+                     + ((d[:, :m - f] * table.scale[f:]) @ table.powers[:, f:].T)
+                     @ table.coef.T)
             assert np.array_equal(ens.paths[i0:i0 + rows], paths)
         dense = oracles.dense_table(table)
         bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
@@ -212,6 +216,57 @@ class TestSimulate:
         assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
         if t == [0.0] or p.kappa == 0.0 and kind == "II":
             assert not dense[:, :m].any()
+
+    @pytest.mark.parametrize("first", [0, 2, 6, 100, 1000, 1010])
+    def test_path_increments_from_first_are_the_tail(self, first):
+        # advancing the Philox stream by first // 2 counter steps skips
+        # exactly the uniform pairs of the first nodes
+        plan = DiscretizationPlan(y_min=-10.0, dy=0.01, n_nodes=1010)
+        full = path_increments(P15, plan, next(philox_streams(4, [3])))
+        tail = path_increments(P15, plan, next(philox_streams(4, [3])), first)
+        assert np.array_equal(tail, full[first:])
+
+    @pytest.mark.parametrize("first", [1, -2, 1012])
+    def test_path_increments_first_checked(self, first):
+        plan = DiscretizationPlan(y_min=-10.0, dy=0.01, n_nodes=1010)
+        with pytest.raises(ValueError, match="first must be even"):
+            path_increments(P15, plan, next(philox_streams(4, [3])), first)
+
+    @pytest.mark.parametrize("kind,lam,t_max,n,cutoff,first", [
+        ("I", 0.3, 1.0, 65, None, 2288),     # README plan
+        ("II", 0.3, 1.0, 65, None, 3232),
+        ("I", 10.0, 1.0, 65, None, "far"),   # every far node negligible
+        ("II", 10.0, 1.0, 65, None, "far"),
+        ("I", 0.3, 1.0, 65, 20.0, 0),        # short cutoff: nothing skipped
+        ("II", 0.3, 1.0, 65, 20.0, 0),
+        ("I", 1.0, 0.0, 1, None, 0),         # t = 0: every value 0, no near block
+        ("II", 1.0, 0.0, 1, None, 0),
+    ])
+    def test_skipped_prefix_within_dense_bound(self, kind, lam, t_max, n, cutoff,
+                                               first):
+        # the skipped far nodes' values are below 2^-53 of the table's
+        # largest, so the sampler stays within rounding of the full dense
+        # product, and is bitwise the product of the kept factors
+        p = ProcessParams(H=0.8, alpha=1.5, lam=lam, kind=kind)
+        grid = SampleGrid(np.linspace(0.0, t_max, n))
+        plan = DiscretizationPlan.for_grid(grid, p, dy=0.02, cutoff=cutoff)
+        table = kernel_node_table(p, grid, plan)
+        f, m = table.first, table.scale.size
+        assert f == (m if first == "far" else first)
+        assert m == 2100 if first == "far" else f < m
+        assert (table.near.size == 0) == (t_max == 0.0)
+        dense = oracles.dense_table(table)
+        assert np.abs(dense[:, :f]).max(initial=0.0) <= 2.0 ** -53 * np.abs(dense).max()
+        ens = simulate_tfsm_paths(p, grid, plan, 3, seed=2)
+        dm = np.array([path_increments(p, plan, rng)
+                       for rng in philox_streams(2, range(3))])
+        bound = 1e-13 * (np.abs(dm) @ np.abs(dense).T)
+        assert np.all(np.abs(ens.paths - dm @ dense.T) <= bound)
+        d = dm[:, f:]
+        paths = (d[:, m - f:] @ table.near.T
+                 + ((d[:, :m - f] * table.scale[f:]) @ table.powers[:, f:].T)
+                 @ table.coef.T)
+        assert np.array_equal(ens.paths, paths)
 
     def test_plan_errors_reach_simulate(self, monkeypatch):
         # a singular node and an unallocatable plan raise PlanError through
