@@ -280,7 +280,11 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     if H == 0.5:
         return float(j == 0)
     m, c = _matern(H, lam)
-    base, edges, weight = 0.0, (j - 1.0, j, j + 1.0), lambda w: 1.0 - np.abs(w - j)
+    # 1 - |w - j| as the distance to the nearer foot, exact next to both
+    # feet: at j = 1, 1 - |w - 1| would lose the digits of w at the
+    # singular end w = 0
+    base, edges = 0.0, (j - 1.0, j, j + 1.0)
+    weight = lambda w: np.minimum(w - (j - 1.0), (j + 1.0) - w)
     if j == 0 and H > 0.5:
         edges, weight = (0.0, 1.0), lambda w: 2.0 - 2.0 * w
     elif j == 0:  # lam^{1-2H} less the triangles of every lag j != 0

@@ -225,6 +225,16 @@ class TestAcvf:
         # ref: oracles.mp_tfgn2_acvf, the 2F3 second difference in mpmath
         assert tfgn2_acvf(H, lam, j) == pytest.approx(ref, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("H,lam", [(0.05, 200.0), (0.002, 5.0),
+                                       (0.001953125, 1.0), (1e-4, 1.0)])
+    def test_lag_one_near_zero_H(self, H, lam):
+        # the lag-1 triangle's weight times M(w) ~ w^(2H-2) leaves w^(2H-1)
+        # at w = 0; the weight, the distance to the nearer foot, keeps its
+        # digits there (as 1 - |w - 1| it raised QuadratureError for
+        # H <= 0.002 and was 1.5e-9 off at H = 0.05, lam = 200)
+        assert tfgn2_acvf(H, lam, 1) == pytest.approx(
+            oracles.mp_tfgn2_acvf(H, lam, 1), rel=1e-9)
+
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_continuous_across_H_one(self, j):
         # c and M have no pole at H = 1, where the 2F3 variance has one

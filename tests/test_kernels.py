@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import tfmotion
-from tfmotion import gaussian, kernels, specfun as sf
+from tfmotion import cli, gaussian, kernels, specfun as sf
 from tfmotion import dependence
 from tfmotion.dependence import codifference, decay_diagnostic
 from tfmotion.errors import QuadratureError
@@ -31,6 +31,15 @@ P_STABLE_LO = ProcessParams(H=0.55, alpha=1.5, lam=0.8)
 
 GRID_T = np.linspace(0.07, 4.0, 12)
 GRID_Y = np.linspace(-6.3, 4.7, 17)  # avoids y = 0 and y = t
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """One entry per quadrature sweep (_qk15 call) made during the test."""
+    calls = []
+    qk15 = kernels._qk15
+    monkeypatch.setattr(kernels, "_qk15", lambda *a: calls.append(1) or qk15(*a))
+    return calls
 
 
 class TestProcessParams:
@@ -685,6 +694,18 @@ class TestAlphaNorm:
         ref = sf.gamma_fn(1.2) ** 2 * variance_tfbm2(0.7, 0.15, 1.0)
         assert v == pytest.approx(ref, rel=1e-6)
 
+    @pytest.mark.parametrize("q", [DEFAULT_QUAD, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)])
+    def test_gaussian_norm_at_limit_scales(self, q):
+        # the limits command's default scales at alpha = 2 (its own
+        # tolerances and the default ones): kappa = 0.2 puts kinks |y|^0.4
+        # at y = 0 and y = t, which _quad extrapolates; the norm is
+        # Gamma(H + 1/2)^2 C_b^2 (mpmath's 2F3 form)
+        bs = [25.0, 50.0, 100.0, 200.0, 0.1, 0.01, 0.001]
+        g2 = oracles.mp_gamma(1.2) ** 2
+        for b, v in zip(bs, kernel_alpha_norm(P_HI, np.array(bs), q)):
+            ref = g2 * float(oracles.mp_variance_tfbm2(0.7, 0.15, b))
+            assert v == pytest.approx(ref, rel=1e-10), b
+
 
 class TestQuadHelper:
     def test_raises_when_error_exceeds_budget(self):
@@ -744,7 +765,7 @@ class TestQuadHelper:
         with pytest.raises(QuadratureError):
             _quad(lambda x, rows: x ** p, edges)
 
-    def test_divergence_test_keeps_convergent_singular_integrals(self, monkeypatch):
+    def test_divergence_test_keeps_convergent_singular_integrals(self, sweeps):
         # integrable x^p on (0, 1) still extrapolates, however slow its
         # decay; so does a sign-changing integrand whose value, 1e-6, is far
         # below the integral of its absolute value (dqagse's ksgn case): its
@@ -753,9 +774,7 @@ class TestQuadHelper:
         assert _quad(lambda x, rows: x ** -0.9, (0.0, 1.0))[0] == pytest.approx(10.0, rel=1e-9)
         assert _quad(lambda x, rows: x ** -0.999, (0.0, 1.0))[0] == pytest.approx(
             1000.0, rel=1e-8)
-        sweeps = []
-        qk15 = kernels._qk15
-        monkeypatch.setattr(kernels, "_qk15", lambda *a: sweeps.append(1) or qk15(*a))
+        sweeps.clear()
         v, _ = _quad(lambda x, rows: x ** -0.5 * (2.0 + np.log(x)) + 1e-6, (0.0, 1.0))
         assert v == pytest.approx(1e-6, abs=1e-11) and len(sweeps) <= 16
 
@@ -775,7 +794,8 @@ class TestQuadHelper:
         (("I", 0.5), 2.377296073326821), (("I", 1.0), 3.146891842606504),
         (("II", 0.5), 2.3293165828144495), (("II", 1.0), 3.203217466756861),
         ("matern", 0.941274098706759)])
-    def test_endpoint_singular_integrals_extrapolate(self, case, parent, monkeypatch):
+    def test_endpoint_singular_integrals_extrapolate(self, case, parent, sweeps,
+                                                     monkeypatch):
         # integrable endpoint singularities: |kernel|^alpha at y = 0 and
         # y = t for kappa < 0, and the Matern integrand w^(2H - 2) at w = 0
         # for H near 1/2.  Bisection alone would halve the singular panel
@@ -783,9 +803,7 @@ class TestQuadHelper:
         # extrapolation finishes in a few sweeps without SciPy.  The
         # reference values are those of the per-panel SciPy quadrature that
         # served every integral before the batched rule.
-        sweeps, calls = [], []
-        qk15 = kernels._qk15
-        monkeypatch.setattr(kernels, "_qk15", lambda *a: sweeps.append(1) or qk15(*a))
+        calls = []
         monkeypatch.setattr(integrate, "quad", lambda *a, **k: calls.append(a))
         if case == "matern":  # C_1^2 = c int_0^1 2 (1 - w) M(w) dw at H = 0.55
             m, c = gaussian._matern(0.55, 0.5)
@@ -795,6 +813,60 @@ class TestQuadHelper:
             v = kernel_alpha_norm(p, case[1])
         assert v == pytest.approx(parent, rel=1e-9)
         assert len(sweeps) <= 16 and not calls
+
+    @pytest.mark.parametrize("s", [0.1, 0.133, 0.3])
+    @pytest.mark.parametrize("edges,value", [((0.0, 1.0), 1.0), ((-1.0, 0.0, 1.0), 2.0)],
+                             ids=["one_side", "both_sides"])
+    def test_edge_kinks_extrapolate(self, s, edges, value, sweeps):
+        # |x|^s with s > 0 has a kink at the edge 0: each sweep halves the
+        # panel there, whose error falls only by 2^-(1+s) (0.46 at
+        # s = 0.133), so the summed error never halves per sweep.  The
+        # integral extrapolates once its panels below the deepest level are
+        # within budget: 8 sweeps, where bisection alone takes 24-27
+        v, _ = _quad(lambda x, rows: np.abs(x) ** s, edges)
+        assert v == pytest.approx(value / (1.0 + s), rel=0.0, abs=1e-12)
+        assert len(sweeps) <= 12
+
+    def test_decay_sweeps(self, sweeps):
+        # decay --kind II as the benchmark runs it: the kernels' |y|^kappa
+        # kinks at the edges (kappa = 0.133) extrapolate in 14 sweeps, 30
+        # while the summed error had to stop halving per sweep first
+        p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
+        decay_diagnostic(p, range(2, 61), 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
+        assert len(sweeps) <= 16
+
+    def test_limits_sweeps(self, sweeps, tmp_path):
+        # the limits command at the benchmark's settings: 37 sweeps over
+        # its three batches (69 before the level test)
+        argv = ["limits", "--H", "0.7", "--alpha", "2", "--lambda", "0.15"]
+        assert cli.main(argv + ["--out", str(tmp_path / "limits.csv")]) == 0
+        assert len(sweeps) <= 40
+
+    @pytest.mark.parametrize("edges", [(0.0, 0.005, 1.0, 2.0), (0.0, 1.0, 2.0)])
+    def test_singular_panel_beside_a_steep_one(self, edges):
+        # tfgn2_acvf's lag-1 triangle at H = 0.05, lam = 200: w M(w) ~ w^-0.9
+        # at w = 0, beside a panel where e^(-lam w) falls steeply.  The part
+        # beyond w = 1 is of order e^-200, so the value is
+        # int_0^inf w M(w) dw = 2^(H-1) lam^(-H-1) Gamma(H).  The weight is
+        # min(w, 2 - w): as 1 - |w - 1| it has no correct digit at the
+        # deepest nodes (w ~ 1e-11), and no rule converged on (0, 0.005, 1, 2)
+        H, lam = 0.05, 200.0
+        m, _ = gaussian._matern(H, lam)
+        v, _ = _quad(lambda w, rows: np.minimum(w, 2.0 - w) * m(w), edges)
+        ref = 2.0 ** (H - 1.0) * lam ** (-H - 1.0) * oracles.mp_gamma(H)
+        assert v == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=QuadratureError,
+                       reason="the nodes next to y = t leave t - y few digits")
+    def test_norm_of_a_strongly_singular_kernel(self):
+        # kind II, alpha kappa = -0.875: |h|^2 ~ |t - y|^-0.875 at y = t
+        # (and at y = 0).  A node y a distance 1e-13 left of t = 1 holds
+        # t - y to about 1e-3 relative, and the extrapolation's error
+        # estimates stall between 1.5e-8 and 4e-7, over the budget of
+        # 3.6e-9; the error estimate ends at 0.19 on a value of 14.4
+        p = ProcessParams(H=0.0625, alpha=2.0, lam=1.0, kind="II")
+        ref = oracles.mp_gamma(0.5625) ** 2 * float(oracles.mp_variance_tfbm2(0.0625, 1.0, 1.0))
+        assert kernel_alpha_norm(p, 1.0) == pytest.approx(ref, rel=1e-9)
 
     def test_only_quadrature_site(self):
         # every library integral runs on the batched NumPy rule of _quad:
