@@ -223,11 +223,13 @@ def _kronrod(f, edges, epsabs, epsrel):
 
     Each sweep bisects the panels above their share of their integral's
     budget, and each panel carries its level, the number of bisections from
-    its edge panel.  Every singular point of the library's integrands lies
-    on an edge, so an endpoint singularity or kink (|y|^s with s > -1 at an
-    edge), whose error falls only by 2^-(1+s) per sweep, leaves the panel
-    at that end the deepest.  QUADPACK's erlarg test, in dqagpe's level
-    form, starts the extrapolation: an unfinished integral whose panels
+    its edge panel.  The singular points and kinks of the library's
+    integrands lie on edges (_norm_edges, dependence._codifference_edges;
+    the one exception is the codifference bracket's kink where its two
+    kernels sum to 0), so an endpoint singularity or kink (|y|^s with
+    s > -1 at an edge), whose error falls only by 2^-(1+s) per sweep,
+    leaves the panel at that end the deepest.  QUADPACK's erlarg test, in
+    dqagpe's level form, starts the extrapolation: an unfinished integral whose panels
     below its deepest level have a summed error within budget (only its
     deepest panels keep it from finishing) is extrapolated as QAGS does,
     by Wynn's epsilon algorithm over its last sweep totals (_epsilon).
@@ -236,8 +238,8 @@ def _kronrod(f, edges, epsabs, epsrel):
     within 1% of the integral of |f|, whose sign then changes (dqagse's ier = 6
     test: a divergent integral's totals extrapolate to a finite wrong value).
     int_0^1 x^s dx for s in [0.1, 0.3] takes 8 sweeps, where bisection
-    alone takes 24-27, and decay_diagnostic of the second kind at H = 0.8,
-    alpha = 1.5, lam = 0.3 over lags 2 to 60 takes 14.
+    alone takes 24-27, and decay_diagnostic at H = 0.8, alpha = 1.5,
+    lam = 0.3 over lags 2 to 60 takes 9 (second kind) and 22 (first kind).
     Returns the values and error estimates.  An integral it cannot finish
     (a panel too narrow to bisect, or still over budget at _LIMIT panels)
     keeps its last total and summed error, and one with a non-finite panel
@@ -512,18 +514,35 @@ def kernel(p: ProcessParams, t, y):
     return kernel_g(p, t, y) if p.kind == "I" else kernel_h(p, t, y)
 
 
+def _kinks(p: ProcessParams, t: float) -> list[float]:
+    """The y at which |kernel(t; y)|^alpha, t > 0, has a kink off the edges
+    0 and t: for the first kind with alpha < 2, kappa > 0 and lam > 0 the
+    one sign change of g(t; .), where (1 + t/a)^kappa = e^(lam t) at a = -y,
+    so y = -t / expm1(lam t / kappa) (no kink at alpha = 2, where |g|^2 is
+    smooth, and no sign change otherwise).  Empty when lam t / kappa > 700,
+    past which expm1 overflows (the root lies within t e^-700 of 0)."""
+    if p.kind != "I" or p.alpha >= 2.0 or p.kappa <= 0.0 or p.lam <= 0.0:
+        return []
+    x = p.lam * t / p.kappa
+    return [-t / math.expm1(x)] if x <= 700.0 else []
+
+
 def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
     """Panel edges of the alpha-norm integral at time t > 0: graded
     geometrically, -t 10^k, from -t down to -cutoff, so that the mass on
     [-t, 0] and just left of it has panels of its own scale at any t; then
-    0 and t.  The left tail is one infinite panel (-inf, -cutoff)."""
+    0 and t, and the kink of the first kind's sign change (_kinks) when it
+    lies right of -cutoff.  The left tail is one infinite panel
+    (-inf, -cutoff).  Every kink and singular point of the integrand is an
+    edge, so _kronrod extrapolates it in a few sweeps."""
     a = q.cutoff(p.lam)
     left = []
     y = t
     while y < a:
         left.append(-y)
         y *= 10.0
-    return [-math.inf, -a] + left[::-1] + [0.0, t]
+    kinks = [y for y in _kinks(p, t) if y > -a]
+    return sorted({-math.inf, -a, *left, 0.0, t, *kinks})
 
 
 @specfun._elementwise("t")
@@ -533,9 +552,10 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     batch, and each sweep is one kernel call (_kernel_step) at the times of
     its nodes' integrals.
 
-    The panels are graded geometrically from -t to -cutoff (_norm_edges),
-    and the left tail below -cutoff is one panel to -infinity through
-    QUADPACK's infinite map, for every lambda.  H = 1/alpha
+    The panels are graded geometrically from -t to -cutoff, with the first
+    kind's sign change as an edge (_norm_edges), and the left tail below
+    -cutoff is one panel to -infinity through QUADPACK's infinite map, for
+    every lambda.  H = 1/alpha
     short-circuits to the exact value t.  Kernels with kappa < 0 are
     singular at y = 0 and y = t; _quad extrapolates those integrals.
     """

@@ -10,9 +10,11 @@ whose alpha = 2 case is a centered normal with variance 2 sigma^2.  Paths are
 left-truncated Riemann-sum moving averages driven by independent stable cell
 increments with scale sigma * dy^(1/alpha), generated from the shared
 counter-based (Philox) keying so that first- and second-kind runs with the
-same seed are driven by identical noise.  The variates come from one
-Chambers-Mallows-Stuck transform (_cms) whose sines and cosines are taken
-from the uniforms without cancellation, by half-angle tangents.  The kernel
+same seed are driven by identical noise.  Each path's uniforms are made
+from one call for its Philox stream's raw 64-bit words (_uniforms), and its
+variates come from one Chambers-Mallows-Stuck transform (_cms), computed in
+place, whose sines and cosines are taken from the uniforms without
+cancellation, by half-angle tangents.  The kernel
 table of either kind (kernel_node_table) keeps the nodes y <= -8 t_max as
 the factors of the separable far-field series of kernels._far_kernel, and
 the rest dense, from kernels.kernel, one call with one time per element
@@ -82,10 +84,28 @@ class DiscretizationPlan:
         return replace(plan, n_nodes=n)
 
 
-def _cms(alpha: float, beta: float, u1, u2):
-    """Chambers-Mallows-Stuck variate of unit scale from uniforms in (0, 1),
-    elementwise over arrays (Weron's parameterization, Statist. Probab. Lett.
-    28, 1996):
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms (u1, u2) of n nodes, a contiguous 2 x n array, from 2n
+    raw Philox words, node k's pair from words 2k and 2k + 1.
+
+    Each is (word >> 11) 2^-53, bit for bit the double that
+    Generator.random makes of the same word, except that 0 (words below
+    2^11) becomes 2^-53: the CMS transform needs uniforms in (0, 1).  The
+    words are shifted in place.
+    """
+    words >>= 11
+    np.maximum(words, 1, out=words)
+    u = np.empty((2, words.size // 2))
+    np.multiply(words.reshape(-1, 2).T, 2.0 ** -53, out=u)
+    return u
+
+
+def _cms(alpha: float, beta: float, u1: np.ndarray, u2: np.ndarray,
+         scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Chambers-Mallows-Stuck variates times scale from uniforms in (0, 1),
+    elementwise over 1-D arrays u1, u2 of one size, written into out (a new
+    array by default); Weron's parameterization (Statist. Probab. Lett. 28,
+    1996):
 
         X = s0 sin a / cos th (cos(th - a) / (w cos th))^((1 - alpha)/alpha),
 
@@ -101,9 +121,13 @@ def _cms(alpha: float, beta: float, u1, u2):
     c1,2 = g -+ delta (exactly 0 at beta = +-1, where sin a and cos(th - a)
     vanish together at one end), and each sine is 2 tau / (1 + tau^2) with
     tau the tangent of the half angle.  alpha = 2 gives 2 sin(th) sqrt(w).
+    The arithmetic runs in place through four work arrays of the size of
+    u1, operation for operation that of the one expression
+    s0 ta q / (ta^2 + 1) (tb q / (w (tb^2 + 1)))^((1 - alpha)/alpha) with
+    q = (tt^2 + 1) / tt and ta, tt, tb the three tangents, so the values
+    are those of the expression bit for bit; the last step multiplies by
+    scale.
     """
-    w = -np.log(u2)
-    v = 1.0 - u1
     g = 0.5 * math.pi * (2.0 - alpha)
     tg = math.tan(g)
     # halves of c1 = g - delta and c2 = g + delta, by atan2 on [0, pi)
@@ -111,16 +135,49 @@ def _cms(alpha: float, beta: float, u1, u2):
     c2 = 0.5 * math.atan2((1.0 + beta) * tg, 1.0 - beta * tg * tg)
     delta = math.atan(beta * tg)
     s0 = (1.0 + (beta * tg) ** 2) ** (0.5 / alpha)
+    v, ta, tt, tb = np.empty((4, u1.size))
+    np.subtract(1.0, u1, out=v)
     # tangents of the half angles, each in [-pi/4, pi/4]
     k = 0.5 * alpha * math.pi
-    ta = np.tan(np.minimum(k * v + c2,
-                           np.maximum(-k * u1 - c1, k * (u1 - 0.5) - 0.5 * delta)))
-    tt = np.tan(0.5 * math.pi * np.minimum(u1, v))
+    np.multiply(k, v, out=ta)
+    ta += c2
+    np.multiply(-k, u1, out=tt)
+    tt -= c1
+    np.subtract(u1, 0.5, out=tb)
+    tb *= k
+    tb -= 0.5 * delta
+    np.maximum(tt, tb, out=tt)
+    np.tan(np.minimum(ta, tt, out=ta), out=ta)
+    np.minimum(u1, v, out=tt)
+    tt *= 0.5 * math.pi
+    np.tan(tt, out=tt)
     k = 0.5 * (alpha - 1.0) * math.pi
-    tb = np.tan(np.minimum(k * u1 + c1, k * v + c2))
-    q = (tt * tt + 1.0) / tt  # 2 / cos th
-    return (s0 * ta * q / (ta * ta + 1.0)
-            * (tb * q / (w * (tb * tb + 1.0))) ** ((1.0 - alpha) / alpha))
+    np.multiply(k, u1, out=tb)
+    tb += c1
+    v *= k
+    v += c2
+    np.tan(np.minimum(tb, v, out=tb), out=tb)
+    q = v  # 2 / cos th
+    np.multiply(tt, tt, out=q)
+    q += 1.0
+    q /= tt
+    w = tt  # w = -log u2, then w (tb^2 + 1)
+    np.negative(np.log(u2, out=w), out=w)
+    out = np.empty(u1.size) if out is None else out
+    np.multiply(tb, tb, out=out)
+    out += 1.0
+    w *= out
+    tb *= q
+    tb /= w
+    np.power(tb, (1.0 - alpha) / alpha, out=tb)
+    np.multiply(ta, ta, out=out)
+    out += 1.0
+    np.multiply(s0, ta, out=ta)
+    ta *= q
+    ta /= out
+    np.multiply(ta, tb, out=out)
+    out *= scale
+    return out
 
 
 def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | float:
@@ -132,11 +189,11 @@ def sample_stable(alpha: float, beta: float, sigma: float, u) -> np.ndarray | fl
     (through the same transform), matching the variance-2 sigma^2 convention.
     """
     _check_params(sigma=sigma, alpha=alpha, beta=beta)
-    u1 = np.asarray(u[0], dtype=float)
-    u2 = np.asarray(u[1], dtype=float)
+    u1, u2 = np.broadcast_arrays(np.asarray(u[0], dtype=float),
+                                 np.asarray(u[1], dtype=float))
     if np.any((u1 <= 0.0) | (u1 >= 1.0)) or np.any((u2 <= 0.0) | (u2 >= 1.0)):
         raise ValueError("uniforms must lie strictly inside (0, 1)")
-    out = sigma * np.asarray(_cms(alpha, beta, u1, u2))
+    out = _cms(alpha, beta, u1.ravel(), u2.ravel(), sigma).reshape(u1.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -203,26 +260,31 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
 
 
 def path_increments(p: ProcessParams, plan: DiscretizationPlan,
-                    rng: np.random.Generator, first: int = 0) -> np.ndarray:
+                    rng: np.random.Generator, first: int = 0,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Stable cell increments of one path at the plan nodes from an even
     index first on, drawn from rng; simulate_tfsm_paths passes path i
     stream i of rng.philox_streams(seed) and its KernelTable.first.
 
-    A node takes two doubles and a Philox counter step four, so a Philox rng
-    advances first // 2 steps and this is bitwise the tail [first:] of a
-    full draw.  The keying ignores p.kind, so first- and second-kind runs at
-    the same seed are coupled through identical driving noise.
-    simulate_tfsm_paths makes one call per path, so these are bitwise the
-    increments it used.
+    The uniforms are 2 n raw words of rng's bit generator, one random_raw
+    call (_uniforms), bitwise the doubles of rng.random((n, 2)) with 0
+    raised to 2^-53, and the increments are their CMS variates (_cms) times
+    the cell scale sigma dy^(1/alpha), written into out when given (a 1-D
+    array of the n = n_nodes - first values).  A node takes two words and a
+    Philox counter step four, so a Philox rng advances first // 2 steps and
+    this is bitwise the tail [first:] of a full draw.  The keying ignores
+    p.kind, so first- and second-kind runs at the same seed are coupled
+    through identical driving noise.  simulate_tfsm_paths makes one call
+    per path, into its block's row, so these are bitwise the increments it
+    used.
     """
     if first % 2 or not 0 <= first <= plan.n_nodes:
         raise ValueError(f"first must be even and in [0, {plan.n_nodes}], got {first}")
     if first:
         rng.bit_generator.advance(first // 2)
-    u = rng.random((plan.n_nodes - first, 2))
-    u[u == 0.0] = 0.5 ** 53  # CMS transform needs open-interval uniforms
+    u1, u2 = _uniforms(rng.bit_generator.random_raw(2 * (plan.n_nodes - first)))
     cell_sigma = p.sigma * plan.dy ** (1.0 / p.alpha)
-    return cell_sigma * _cms(p.alpha, p.beta, u[:, 0], u[:, 1])
+    return _cms(p.alpha, p.beta, u1, u2, cell_sigma, out)
 
 
 def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
@@ -260,7 +322,7 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
     for i0 in range(0, n_paths, rows):
         d = dm[:min(rows, n_paths - i0)]
         for r in range(len(d)):
-            d[r] = path_increments(p, plan, next(streams), first)
+            path_increments(p, plan, next(streams), first, d[r])
         far = (d[:, :m] * table.scale[first:]) @ table.powers[:, first:].T
         paths[i0:i0 + len(d)] = d[:, m:] @ table.near.T + far @ table.coef.T
     return PathEnsemble(params=p, grid=grid, paths=paths, seed=int(seed))

@@ -298,6 +298,29 @@ def float_cms(alpha: float, beta: float, u1, u2) -> np.ndarray:
             * (np.cos(theta - alpha * (theta + b0)) / w) ** ((1.0 - alpha) / alpha))
 
 
+def expression_cms(alpha: float, beta: float, u1, u2) -> np.ndarray:
+    """The half-angle CMS transform of stable._cms as one NumPy expression of
+    fresh temporaries: the same IEEE operations in the same order, so the
+    in-place library form must match it bit for bit."""
+    w = -np.log(u2)
+    v = 1.0 - u1
+    g = 0.5 * math.pi * (2.0 - alpha)
+    tg = math.tan(g)
+    c1 = 0.5 * math.atan2((1.0 - beta) * tg, 1.0 + beta * tg * tg)
+    c2 = 0.5 * math.atan2((1.0 + beta) * tg, 1.0 - beta * tg * tg)
+    delta = math.atan(beta * tg)
+    s0 = (1.0 + (beta * tg) ** 2) ** (0.5 / alpha)
+    k = 0.5 * alpha * math.pi
+    ta = np.tan(np.minimum(k * v + c2,
+                           np.maximum(-k * u1 - c1, k * (u1 - 0.5) - 0.5 * delta)))
+    tt = np.tan(0.5 * math.pi * np.minimum(u1, v))
+    k = 0.5 * (alpha - 1.0) * math.pi
+    tb = np.tan(np.minimum(k * u1 + c1, k * v + c2))
+    q = (tt * tt + 1.0) / tt
+    return (s0 * ta * q / (ta * ta + 1.0)
+            * (tb * q / (w * (tb * tb + 1.0))) ** ((1.0 - alpha) / alpha))
+
+
 def dense_table(table) -> np.ndarray:
     """A stable.KernelTable as one n_times x n_nodes array: its far block
     (coef @ powers) * scale, summed over n in order by np.einsum, and then

@@ -154,16 +154,27 @@ class TestDecayDiagnostic:
         # evaluates it at every node
         lags = np.arange(2.0, 16.0)
         q = QuadratureConfig(rel_tol=1e-8)
-        edges = (-math.inf, -q.cutoff(p.lam), 0.0, 1.0)
+        edges = [dependence._codifference_edges(p, lag, q) for lag in lags]
 
         def every_node(x, rows):
             a = 0.7 * kernel(p, 1.0, x - lags[rows])
             b = 1.3 * kernel(p, 1.0, x)
             return dependence._stable_bracket(a, b, p.alpha)
 
-        ref = _quad(every_node, [edges] * lags.size, q, epsabs=0.0)[0]
+        ref = _quad(every_node, edges, q, epsabs=0.0)[0]
         d = decay_diagnostic(p, lags, 0.7, 1.3, q)
         assert np.array_equal(d.i_values, ref)
+
+    def test_first_kind_within_1e8_of_a_tighter_run(self):
+        # decay --kind I at the benchmark's settings (rel_tol 1e-8) against
+        # rel_tol 1e-10: the sign changes of the kernels are panel edges, so
+        # the extrapolated integrals hold their tolerance (2.1e-9; 7.7e-9
+        # with the kinks inside panels)
+        p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
+        lags = range(2, 61)
+        d = decay_diagnostic(p, lags, 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
+        ref = decay_diagnostic(p, lags, 1.0, 1.0, QuadratureConfig(rel_tol=1e-10))
+        assert np.all(np.abs(d.i_values - ref.i_values) <= 1e-8 * np.abs(ref.i_values))
 
     def test_ratio_positive_and_finite(self):
         d = decay_diagnostic(P_II, range(5, 21, 5), 1.0, 1.0)

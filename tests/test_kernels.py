@@ -706,6 +706,35 @@ class TestAlphaNorm:
             ref = g2 * float(oracles.mp_variance_tfbm2(0.7, 0.15, b))
             assert v == pytest.approx(ref, rel=1e-10), b
 
+    @pytest.mark.parametrize("H,alpha,lam,t", [(0.8, 1.5, 0.3, 1.0), (0.9, 1.2, 2.0, 0.01),
+                                               (1.5, 1.8, 0.05, 30.0), (0.7, 1.9, 0.01, 1.0)])
+    def test_sign_change_is_an_edge(self, H, alpha, lam, t):
+        # the first kind's kernel changes sign once, from - to +, at
+        # y0 = -t / expm1(lam t / kappa), a kink of |g|^alpha for alpha < 2:
+        # y0 is a panel edge of the alpha-norm integral
+        p = ProcessParams(H=H, alpha=alpha, lam=lam, kind="I")
+        (y0,) = kernels._kinks(p, t)
+        assert y0 == -t / math.expm1(lam * t / p.kappa)
+        assert -DEFAULT_QUAD.cutoff(lam) < y0 < 0.0
+        edges = kernels._norm_edges(p, t, DEFAULT_QUAD)
+        assert y0 in edges and edges == sorted(set(edges))
+        d = 1e-6 * abs(y0)
+        assert kernel_g(p, t, y0 - d) < 0.0 < kernel_g(p, t, y0 + d)
+
+    @pytest.mark.parametrize("p,t", [
+        (ProcessParams(H=0.8, alpha=2.0, lam=0.3, kind="I"), 1.0),   # |g|^2 smooth
+        (ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II"), 1.0),  # h > 0
+        (ProcessParams(H=0.6, alpha=1.5, lam=0.3, kind="I"), 1.0),   # kappa < 0
+        (ProcessParams(H=0.8, alpha=1.5, lam=0.0, kind="I"), 1.0),   # untempered
+        (ProcessParams(H=0.8, alpha=1.5, lam=1.0, kind="I"), 200.0),  # expm1 overflows
+    ])
+    def test_no_kink_edge(self, p, t):
+        # no sign change, or no kink, or a root within t e^-700 of 0: the
+        # edges are the graded ones alone
+        assert kernels._kinks(p, t) == []
+        graded = {-math.inf, -DEFAULT_QUAD.cutoff(p.lam), 0.0, t, -t, -10 * t, -100 * t}
+        assert set(kernels._norm_edges(p, t, DEFAULT_QUAD)) <= graded
+
 
 class TestQuadHelper:
     def test_raises_when_error_exceeds_budget(self):
@@ -829,11 +858,29 @@ class TestQuadHelper:
 
     def test_decay_sweeps(self, sweeps):
         # decay --kind II as the benchmark runs it: the kernels' |y|^kappa
-        # kinks at the edges (kappa = 0.133) extrapolate in 14 sweeps, 30
-        # while the summed error had to stop halving per sweep first
+        # kinks at the edges 0 and 1 (kappa = 0.133) extrapolate, and the
+        # graded edges -100, -10, -1 spare the halving of one (-cutoff, 0)
+        # panel down to scale 1: 9 sweeps (14 on that one panel, 30 while
+        # the summed error had to stop halving per sweep first)
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
         decay_diagnostic(p, range(2, 61), 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
-        assert len(sweeps) <= 16
+        assert len(sweeps) <= 11
+
+    def test_first_kind_decay_sweeps(self, sweeps):
+        # decay --kind I as the benchmark runs it, on the graded edges and
+        # the |.|^alpha kinks where its kernels change sign: 22 sweeps (23
+        # with those kinks inside panels, 27 with one (-cutoff, 0) panel too)
+        p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
+        decay_diagnostic(p, range(2, 61), 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
+        assert len(sweeps) <= 24
+
+    def test_first_kind_norm_sweeps(self, sweeps):
+        # the kink of |g|^alpha at the first kind's sign change is an edge:
+        # the norms at five times from 0.01 to 50 take 11 sweeps (15 with
+        # the kink inside a panel)
+        p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
+        kernel_alpha_norm(p, np.array([0.01, 0.1, 1.0, 10.0, 50.0]))
+        assert len(sweeps) <= 13
 
     def test_limits_sweeps(self, sweeps, tmp_path):
         # the limits command at the benchmark's settings: 37 sweeps over

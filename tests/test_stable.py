@@ -79,6 +79,84 @@ class TestSampleStable:
             assert abs(emp - tgt) <= 4.0 / math.sqrt(n), th
 
 
+class TestDraw:
+    """The sampler's draw: uniforms from raw Philox words (stable._uniforms)
+    and the in-place CMS transform (stable._cms), each bitwise the NumPy
+    expression it replaces."""
+
+    ALPHAS = (1.01, 1.5, 1.9, 2.0)
+    BETAS = (-1.0, 0.0, 0.7, 1.0)
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (4, 3), (2 ** 64 - 1, 2 ** 40)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("first", [0, 2, 100])
+    def test_uniforms_are_the_generator_doubles(self, seed, stream, n, first):
+        # NumPy makes a Philox double of one word as (word >> 11) 2^-53, so
+        # 2n raw words are, bit for bit, Generator.random((n, 2)) transposed,
+        # after the same advance
+        raw, ref = (next(philox_streams(seed, [stream])) for _ in range(2))
+        for g in (raw, ref):
+            g.bit_generator.advance(first // 2)
+        u = stable._uniforms(raw.bit_generator.random_raw(2 * n))
+        want = ref.random((n, 2)).T
+        want[want == 0.0] = 0.5 ** 53
+        assert u.shape == (2, n) and u.flags.c_contiguous
+        assert u.tobytes() == np.ascontiguousarray(want).tobytes()
+        # both generators stand at the same word afterwards
+        assert raw.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+    def test_smallest_words_map_to_two_to_the_minus_53(self):
+        # words below 2^11 would give the uniform 0, which the CMS transform
+        # cannot take: they become 2^-53, as the generator's next word does
+        words = np.array([0, 2 ** 11 - 1, 2 ** 11, 2 ** 12, 2 ** 64 - 1, 2 ** 63],
+                         dtype=np.uint64)
+        u = stable._uniforms(words)
+        tiny = 0.5 ** 53
+        # node k takes words 2k and 2k + 1
+        assert u.tolist() == [[tiny, tiny, 1.0 - tiny], [tiny, 2.0 * tiny, 0.5]]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_cms_is_the_expression_bit_for_bit(self, alpha, beta):
+        ends = [2.0 ** -53, 1e-10, 0.5, 1.0 - 1e-10, 1.0 - 2.0 ** -53]
+        pts = np.concatenate([ends, next(philox_streams(21, [0])).random(40)])
+        u1, u2 = (g.ravel() for g in np.meshgrid(pts, pts, indexing="ij"))
+        want = oracles.expression_cms(alpha, beta, u1, u2)
+        assert stable._cms(alpha, beta, u1, u2).tobytes() == want.tobytes()
+        out = np.empty(u1.size)
+        got = stable._cms(alpha, beta, u1, u2, 0.37, out)
+        assert got is out and out.tobytes() == (0.37 * want).tobytes()
+        assert sample_stable(alpha, beta, 0.37, (u1, u2)).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("alpha,beta", [(1.1, -0.5), (1.5, 0.3), (1.9, 1.0)])
+    @pytest.mark.parametrize("first", [0, 2, 100])
+    def test_path_increments_are_the_expression_of_generator_doubles(
+            self, alpha, beta, first):
+        # the whole draw against the generator's doubles through the
+        # expression, scaled by the cell scale sigma dy^(1/alpha)
+        p = ProcessParams(H=0.8, alpha=alpha, lam=0.3, sigma=1.7, beta=beta)
+        plan = DiscretizationPlan(y_min=-10.0, dy=0.01, n_nodes=1010)
+        ref = next(philox_streams(9, [5]))
+        ref.bit_generator.advance(first // 2)
+        u = ref.random((plan.n_nodes - first, 2))
+        u[u == 0.0] = 0.5 ** 53
+        want = (p.sigma * plan.dy ** (1.0 / alpha)
+                * oracles.expression_cms(alpha, beta, u[:, 0], u[:, 1]))
+        got = path_increments(p, plan, next(philox_streams(9, [5])), first)
+        assert got.tobytes() == want.tobytes()
+        out = np.empty(plan.n_nodes - first)
+        assert path_increments(p, plan, next(philox_streams(9, [5])), first, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_sample_stable_shapes(self):
+        # scalars give a float, arrays their shape, through 1-D _cms calls
+        x = sample_stable(1.5, 0.3, 2.0, (0.4, 0.7))
+        assert isinstance(x, float)
+        u1 = np.array([[0.1, 0.4, 0.9], [0.2, 0.5, 0.6]])
+        y = sample_stable(1.5, 0.3, 2.0, (u1, 0.7))
+        assert y.shape == (2, 3) and y[0, 1] == x
+
+
 class TestCmsAccuracy:
     """sample_stable against mp_cms at 40 digits, over uniforms at both ends
     of (0, 1) (2^-53 up to 1e-3 and their mirror images), 1/2 and Philox
