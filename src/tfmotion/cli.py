@@ -8,18 +8,19 @@ process option keeps its ``ProcessParams`` default.  The library checks the
 parameter ranges and that H, lambda, sigma, times and lags are finite; the
 CLI's float type ``finite`` also rejects NaN and inf in the numbers the
 library does not check (tolerances, weights, grid specs, value lists), and
-the CLI adds simulate's lambda > 0 and its refusal of first-kind Gaussian
-paths.  Every command computes through the library modules and emits one
-table as CSV or JSON; spectrum makes one array call of each density for its
-whole grid.  Runs are deterministic given the flags and seed, and every
-command computes in the calling thread.  Gaussian paths are made in
-batches that share one inverse FFT, stable paths in blocks whose bounds
-depend on the plan alone, each block one matrix product with the kernel
-table.  limits integrates each kind's global and local scales as one
-quadrature batch, and the untempered limit constant once for both kinds.
-simulate's CSV is formatted in NumPy, one block of paths at a time, as the
-bytes Python's %.17g gives.  Exit codes: 0 ok, 2 invalid usage/parameters,
-3 numeric failure (a NumericsError or a float overflow).
+the CLI adds simulate's refusal of first-kind Gaussian paths.  Every command
+computes through the library modules and emits one table as CSV or JSON
+(JSON writes a non-finite float as null); spectrum makes one array call of
+each density for its whole grid.  Runs are deterministic given the flags
+and seed, and every command computes in the calling thread.  Gaussian
+paths are made in batches that share one inverse FFT, stable paths in
+blocks whose bounds depend on the plan alone, each block one matrix
+product with the kernel table.  limits integrates each kind's global and
+local scales as one quadrature batch, and the untempered limit constant
+once for both kinds.  simulate's CSV is formatted in NumPy, one block of
+paths at a time, as the bytes Python's %.17g gives.  Exit codes: 0 ok, 2
+invalid usage/parameters, 3 numeric failure (a NumericsError or a float
+overflow).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .kernels import ProcessParams, QuadratureConfig
 from .gaussian import (SampleGrid, build_cov_matrix, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density)
 from .stable import DiscretizationPlan, simulate_tfsm_paths
-from .dependence import _limit_rows, decay_diagnostic, fsm_norm_limit
+from .dependence import _limit_rows, decay_diagnostic
 
 _FLOAT_FMT = "%.17g"  # round-trip exact for binary64
 
@@ -51,6 +52,11 @@ def _spec(v) -> str:
 
 def _cell(v):
     return ("true" if v else "false") if isinstance(v, bool) else v
+
+
+def _json_cell(v):
+    """v, or None for a non-finite float: JSON has no NaN or infinity."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 # simulate's CSV is built in NumPy, one block of paths at a time, as rows of
@@ -218,7 +224,8 @@ def _emit(path: str | None, fmt: str, command: str, meta: dict,
     """Write one table.  CSV writes a path view one block of paths at a time
     (``_PathRows.csv_chunks``); any other table applies one %-format per row,
     built from the cell types of the first row (every row must share them).
-    JSON materializes the rows."""
+    JSON materializes the rows, with each non-finite cell as null
+    (``_json_cell``)."""
     meta = {k: meta[k] for k in sorted(meta)}
     fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="\n")
     try:
@@ -234,8 +241,8 @@ def _emit(path: str | None, fmt: str, command: str, meta: dict,
                 fh.write(row_fmt * len(rows)
                          % tuple(_cell(v) for row in rows for v in row))
         else:
-            payload = {"command": command, "meta": meta,
-                       "columns": columns, "rows": list(rows)}
+            payload = {"command": command, "meta": meta, "columns": columns,
+                       "rows": [[_json_cell(v) for v in row] for row in rows]}
             fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     finally:
         if fh is not sys.stdout:
@@ -318,8 +325,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _build_params(args)
-    if params.lam <= 0.0:
-        raise ValueError("simulate requires lambda > 0")
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=True)
     if params.alpha == 2.0:
         if params.kind != "II":
@@ -374,12 +379,9 @@ def cmd_limits(args) -> int:
     q = QuadratureConfig(abs_tol=1e-12, rel_tol=args.tol)
     b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
     kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
-    # the untempered limit of the local rows is the same for both kinds
-    fsm = fsm_norm_limit(kinds[0], q) if 0.0 < args.H < 1.0 else None
-    per_kind = [_limit_rows(p, b_global, b_local, q, fsm) for p in kinds]
+    rows_g, rows_l = _limit_rows(kinds, b_global, b_local, q)
     rows = [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-             r["rel_gap"], r["in_theorem_range"]]
-            for regime in (0, 1) for kind_rows in per_kind for r in kind_rows[regime]]
+             r["rel_gap"], r["in_theorem_range"]] for r in rows_g + rows_l]
     meta = {"H": args.H, "alpha": kinds[0].alpha, "lambda": args.lam}
     _emit(args.out, args.format, "limits", meta,
           ["regime", "kind", "b", "normalized", "limit", "rel_gap",

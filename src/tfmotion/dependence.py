@@ -14,10 +14,12 @@ tolerances raises QuadratureError instead of passing silently.  The lags of
 decay_diagnostic run as one _quad batch, each sweep evaluating the kernels
 of every lag in array calls of kernels.kernel, the second kind's lag-0
 kernel once per distinct node; codifference is the one-lag case of the
-decay batch.  The global and local scales b of one kind are one
-kernel_alpha_norm batch (_limit_rows, the one place of the limit rows'
-formulas, behind global_limit_check and local_limit_check), whose every
-sweep is one kernel call.
+decay batch, and the batch alone checks the lags.  The global and local
+scales b of one kind are one kernel_alpha_norm batch, whose every sweep is
+one kernel call, and the untempered limit of the local rows is integrated
+once for both kinds (_limit_rows, the one place of the limit rows'
+formulas, behind global_limit_check, local_limit_check and the CLI's
+limits table).
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
     once (np.unique) and the values are gathered back to every row.  The
     first kind's kernel costs less than that sort, so it is evaluated at
     every node.  kernel is elementwise, so each value is the one an
-    evaluation at every node would give."""
+    evaluation at every node would give.  Each lag must be an integer >= 1;
+    a weight of 0 makes every bracket, and so I(t), +0.0."""
     lags = np.asarray(lags, dtype=float)
+    if np.any(lags != np.floor(lags)) or np.any(lags < 1):
+        raise ValueError(f"codifference needs integer lags >= 1, got {lags.tolist()}")
 
     def integrand(x, rows):
         a = theta1 * kernel(p, 1.0, x - lags[rows])
@@ -102,17 +107,13 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     the bracket integrand over x in (-inf, 1], with one panel through
     QUADPACK's infinite map below -cutoff, to the relative tolerance alone,
     with the near-cancellation between the lag-t and lag-0 kernels
-    evaluated through log1p/expm1.
+    evaluated through log1p/expm1; a zero weight gives +0.0.
     """
     _check_params(times=(t,), weights=(theta1, theta2))
-    if t < 1 or not float(t).is_integer():
-        raise ValueError(f"codifference is defined for integer t >= 1, got {t}")
-    if theta1 == 0.0 or theta2 == 0.0:
-        return 0.0
-    return float(_codifferences(p, [int(t)], theta1, theta2, q)[0])
+    return float(_codifferences(p, [t], theta1, theta2, q)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayDiagnostic:
     """Codifference decay against the theoretical envelope e^{-lam t} t^p."""
 
@@ -149,8 +150,6 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     if ts.size < 2:
         raise ValueError("need at least two lags")
     p_used = p.H - 1.0 / p.alpha - (1.0 if p.kind == "II" else 0.0)
-    if np.any(ts != np.floor(ts)) or ts[0] < 1:
-        raise ValueError("codifference is defined for integer lags t >= 1")
     ivals = _codifferences(p, ts, theta1, theta2, q)
     if np.any(ivals == 0.0):
         raise ValueError("codifference vanished over the requested lags; "
@@ -184,9 +183,8 @@ def global_limit_constant(p: ProcessParams) -> float:
 
 def fsm_norm_limit(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Small-time limit constant: the untempered kernel norm at t = 1,
-    shared by both kinds (0 < H < 1)."""
-    if not 0.0 < p.H < 1.0:
-        raise ValueError("the untempered limit requires H in (0, 1)")
+    shared by both kinds and every lambda.  It exists for 0 < H < 1 alone,
+    the range ProcessParams checks at lambda = 0 (ValueError outside it)."""
     p0 = replace(p, lam=0.0, kind="I")
     return kernel_alpha_norm(p0, 1.0, q)
 
@@ -199,15 +197,17 @@ def _scales(b_values) -> list[float]:
     return bs
 
 
-def _limit_rows(p: ProcessParams, b_global, b_local,
-                q: QuadratureConfig = DEFAULT_QUAD,
-                fsm_limit: float | None = None) -> tuple[list[dict], list[dict]]:
+def _limit_rows(ps, b_global, b_local,
+                q: QuadratureConfig = DEFAULT_QUAD) -> tuple[list[dict], list[dict]]:
     """The rows of global_limit_check(p, b_global, q) and of
-    local_limit_check(p, b_local, q), from one kernel_alpha_norm batch over
-    both lists of scales: the integrals of a batch are independent, so the
-    values are those of the two checks.  fsm_limit, when given, is
-    fsm_norm_limit(p, q), which is the same for both kinds and every
-    lambda, so that a caller checking both kinds integrates it once.
+    local_limit_check(p, b_local, q) for each process p of ps in turn, as
+    two lists: the global rows of every p, then their local rows.  The ps
+    are the processes of one table, which share H, alpha and lambda (the
+    CLI's limits passes one per kind).  Each p's scales are one
+    kernel_alpha_norm batch, and its integrals are independent, so the
+    values are those of the two checks.  The local limit,
+    fsm_norm_limit(ps[0], q), is the same for both kinds and every lambda,
+    and is integrated once for all of ps.
 
     A global row normalizes the norm at b by b for the second kind and
     leaves it as it is for the first; a local row by b^{-alpha H}.  Outside
@@ -215,30 +215,31 @@ def _limit_rows(p: ProcessParams, b_global, b_local,
     emitted with the range flag cleared, and NaN as limit and gap.
     """
     bg, bl = _scales(b_global), _scales(b_local)[::-1]
-    in_range = bool(0.0 < p.H < 1.0)
-    limit_g = global_limit_constant(p) if bg else math.nan
-    limit_l = math.nan
-    if bl and in_range:
-        limit_l = fsm_norm_limit(p, q) if fsm_limit is None else fsm_limit
-    norms = kernel_alpha_norm(p, bg + bl, q).tolist()
+    in_range = bool(0.0 < ps[0].H < 1.0)
+    limit_l = fsm_norm_limit(ps[0], q) if bl and in_range else math.nan
 
-    def row(regime, b, normalized, limit):
+    def row(p, regime, b, normalized, limit):
         return {"regime": regime, "kind": p.kind, "b": b,
                 "normalized": normalized, "limit": limit,
                 "rel_gap": abs(normalized - limit) / limit,
                 "in_theorem_range": in_range}
 
-    return ([row("global", b, norm / b if p.kind == "II" else norm, limit_g)
-             for b, norm in zip(bg, norms)],
-            [row("local", b, b ** (-p.alpha * p.H) * norm, limit_l)
-             for b, norm in zip(bl, norms[len(bg):])])
+    rows_g, rows_l = [], []
+    for p in ps:
+        limit_g = global_limit_constant(p) if bg else math.nan
+        norms = kernel_alpha_norm(p, bg + bl, q).tolist()
+        rows_g += [row(p, "global", b, norm / b if p.kind == "II" else norm, limit_g)
+                   for b, norm in zip(bg, norms)]
+        rows_l += [row(p, "local", b, b ** (-p.alpha * p.H) * norm, limit_l)
+                   for b, norm in zip(bl, norms[len(bg):])]
+    return rows_g, rows_l
 
 
 def global_limit_check(p: ProcessParams, b_values,
                        q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
     """Normalized alpha-norms against the large-b limit, one row per b
     (_limit_rows)."""
-    return _limit_rows(p, b_values, (), q)[0]
+    return _limit_rows([p], b_values, (), q)[0]
 
 
 def local_limit_check(p: ProcessParams, b_values,
@@ -249,4 +250,4 @@ def local_limit_check(p: ProcessParams, b_values,
     Outside 0 < H < 1 the limit constant does not exist; rows are still
     emitted with the range flag cleared and no limit value.
     """
-    return _limit_rows(p, (), b_values, q)[1]
+    return _limit_rows([p], (), b_values, q)[1]

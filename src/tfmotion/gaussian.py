@@ -14,7 +14,7 @@ eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,13 @@ _TWO_PI = 2.0 * math.pi
 # grids, matrices, ensembles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value for ==
 class SampleGrid:
-    """Strictly increasing time points with uniform-spacing metadata."""
+    """Strictly increasing time points; uniform and dt, read-only properties
+    computed from the times, describe their spacing.  Like every record
+    that holds arrays, a grid compares and hashes by identity."""
 
     times: np.ndarray
-    uniform: bool = field(init=False)
-    dt: float | None = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -47,15 +47,21 @@ class SampleGrid:
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", t)
-        if t.size > 1:
-            d = np.diff(t)
-            scale = max(abs(t[0]), abs(t[-1]), 1.0)
-            uniform = bool(np.max(np.abs(d - d[0])) <= 1e-12 * scale)
-            object.__setattr__(self, "uniform", uniform)
-            object.__setattr__(self, "dt", float(d[0]) if uniform else None)
-        else:
-            object.__setattr__(self, "uniform", True)
-            object.__setattr__(self, "dt", None)
+
+    @property
+    def uniform(self) -> bool:
+        """Whether every spacing is the first to 1e-12 max(|t_0|, |t_-1|, 1);
+        true for one point."""
+        d = np.diff(self.times)
+        scale = max(abs(self.times[0]), abs(self.times[-1]), 1.0)
+        return bool(d.size == 0 or np.max(np.abs(d - d[0])) <= 1e-12 * scale)
+
+    @property
+    def dt(self) -> float | None:
+        """The spacing of a uniform grid of two or more points, else None."""
+        if self.n == 1 or not self.uniform:
+            return None
+        return float(self.times[1] - self.times[0])
 
     @classmethod
     def regular(cls, t_max: float, n: int, include_zero: bool = True) -> "SampleGrid":
@@ -74,7 +80,7 @@ class SampleGrid:
 JITTER_LADDER = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
 
-@dataclass
+@dataclass(eq=False)
 class CovarianceMatrix:
     """Covariance of TFBM II over a grid, with a cached Cholesky factor.
 
@@ -118,7 +124,7 @@ class CovarianceMatrix:
             f"(n={n}); this indicates a closed-form or series bug")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated paths (n_paths x n_times) plus the provenance to rebuild them."""
 

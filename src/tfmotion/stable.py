@@ -74,11 +74,16 @@ class DiscretizationPlan:
     @classmethod
     def for_grid(cls, grid: SampleGrid, p: ProcessParams, dy: float,
                  cutoff: float | None = None) -> "DiscretizationPlan":
-        """Plan covering the kernel support of every grid time, truncated on
-        the left where the exponential tail is negligible.  The constructor
-        checks y_min and dy before the node count is taken from them."""
+        """Plan covering the kernel support of every grid time from y = -cutoff
+        (DEFAULT_QUAD.cutoff(p.lam) by default), where the tempered tail is
+        negligible.  A cutoff <= 0 raises ValueError: the plan would drop the
+        mass left of 0 of every kernel but the second kind's indicator at
+        H = 1/alpha.  The constructor checks y_min and dy before the node
+        count is taken from them."""
         if cutoff is None:
             cutoff = DEFAULT_QUAD.cutoff(p.lam)
+        if not cutoff > 0.0:
+            raise ValueError(f"the plan cutoff must be > 0, got {cutoff}")
         plan = cls(y_min=-cutoff, dy=dy, n_nodes=2)
         n = math.ceil((float(grid.times[-1]) - plan.y_min) / dy)
         return replace(plan, n_nodes=n)
@@ -263,25 +268,25 @@ def path_increments(p: ProcessParams, plan: DiscretizationPlan,
                     rng: np.random.Generator, first: int = 0,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Stable cell increments of one path at the plan nodes from an even
-    index first on, drawn from rng; simulate_tfsm_paths passes path i
-    stream i of rng.philox_streams(seed) and its KernelTable.first.
+    index first on, drawn from rng, whose bit generator must have advance
+    (Philox, PCG64); simulate_tfsm_paths passes path i stream i of
+    rng.philox_streams(seed) and its KernelTable.first.
 
     The uniforms are 2 n raw words of rng's bit generator, one random_raw
     call (_uniforms), bitwise the doubles of rng.random((n, 2)) with 0
     raised to 2^-53, and the increments are their CMS variates (_cms) times
     the cell scale sigma dy^(1/alpha), written into out when given (a 1-D
     array of the n = n_nodes - first values).  A node takes two words and a
-    Philox counter step four, so a Philox rng advances first // 2 steps and
-    this is bitwise the tail [first:] of a full draw.  The keying ignores
-    p.kind, so first- and second-kind runs at the same seed are coupled
-    through identical driving noise.  simulate_tfsm_paths makes one call
-    per path, into its block's row, so these are bitwise the increments it
-    used.
+    Philox counter step four, so a Philox rng advances first // 2 steps (none
+    at first = 0) and this is bitwise the tail [first:] of a full draw.  The
+    keying ignores p.kind, so first- and second-kind runs at the same seed
+    are coupled through identical driving noise.  simulate_tfsm_paths
+    makes one call per path, into its block's row, so these are bitwise the
+    increments it used.
     """
     if first % 2 or not 0 <= first <= plan.n_nodes:
         raise ValueError(f"first must be even and in [0, {plan.n_nodes}], got {first}")
-    if first:
-        rng.bit_generator.advance(first // 2)
+    rng.bit_generator.advance(first // 2)
     u1, u2 = _uniforms(rng.bit_generator.random_raw(2 * (plan.n_nodes - first)))
     cell_sigma = p.sigma * plan.dy ** (1.0 / p.alpha)
     return _cms(p.alpha, p.beta, u1, u2, cell_sigma, out)
@@ -293,7 +298,10 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
     """Monte Carlo TFSM / TFSM II paths: Z(t_i) = sum_k k(t_i; y_k) dM_k.
 
     alpha must be < 2 here; the Gaussian case has an exact sampler in the
-    gaussian module.  The plan must cover [y_min, max(grid.times)].
+    gaussian module.  lambda must be > 0: the plan's left cutoff rests on
+    the tempering, and untempered kernels leave mass beyond any cutoff (4.7%
+    of Z(1)'s alpha-mass lies left of -50 at H = 0.8, alpha = 1.5).  The
+    plan must cover [y_min, max(grid.times)].
 
     Paths are made in blocks of max(1, _BLOCK_VALUES // n_nodes) paths in
     the calling thread: each path's increments (path_increments) fill one
@@ -307,6 +315,9 @@ def simulate_tfsm_paths(p: ProcessParams, grid: SampleGrid,
     """
     if p.alpha == 2.0:
         raise ValueError("alpha = 2 is simulated exactly by the gaussian module")
+    if p.lam <= 0.0:
+        raise ValueError("stable paths require lambda > 0: the plan's cutoff "
+                         "rests on the tempering")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if plan.y_max < grid.times[-1] - 1e-12:

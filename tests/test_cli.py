@@ -132,6 +132,14 @@ class TestExitCodes:
         ["covariance", "--H", "0", "--lambda", "0.5"],
         ["covariance", "--H", "0.7", "--lambda", "-1"],
         ["limits", "--H", "0.7", "--lambda", "0"],
+        # the stable sampler and the Gaussian variance refuse lambda = 0
+        ["simulate", "--H", "0.8", "--alpha", "1.5", "--lambda", "0", "--n", "5"],
+        ["simulate", "--H", "0.8", "--alpha", "2", "--lambda", "0", "--n", "5"],
+        # a plan from y >= 0 drops the kernels' mass left of 0
+        ["simulate", "--H", "0.8", "--alpha", "1.5", "--lambda", "0.3", "--n", "5",
+         "--plan-dy", "0.01", "--plan-cutoff", "-0.5"],
+        ["simulate", "--H", "0.8", "--alpha", "1.5", "--lambda", "0.3", "--n", "5",
+         "--plan-dy", "0.01", "--plan-cutoff", "0"],
     ])
     def test_library_range_checks_exit_2(self, args, tmp_path, capsys):
         # the library, not the CLI, checks these ranges; they stay usage errors
@@ -420,6 +428,23 @@ class TestFormats:
         _, o1 = run_cli(args, tmp_path, "l1.json", fmt="json")
         _, o2 = run_cli(args, tmp_path, "l2.json", fmt="json")
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_json_writes_nan_as_null(self, tmp_path):
+        # outside 0 < H < 1 the local rows have no limit: NaN in the CSV,
+        # null in the JSON, which a strict parser accepts
+        args = ["limits", "--H", "1.3", "--alpha", "1.5", "--lambda", "0.3",
+                "--b-global", "25", "--b-local", "0.1"]
+        _, oc = run_cli(args, tmp_path, "l.csv")
+        _, oj = run_cli(args, tmp_path, "l.json", fmt="json")
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(oj.read_text(), parse_constant=no_constant)["rows"]
+        _, _, csv_rows = read_csv(oc)
+        assert [r[4:6] for r in rows if r[0] == "local"] == [[None, None]] * 2
+        assert [r[4:6] for r in csv_rows if r[0] == "local"] == [["nan", "nan"]] * 2
+        assert all(math.isfinite(v) for r in rows for v in r[2:6] if v is not None)
 
 
 GAUSS_33 = ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,20 @@ class TestIncrementKernel:
 
 class TestCodifference:
     def test_zero_weights(self):
-        assert codifference(P_II, 3, 0.0, 1.0) == 0.0
-        assert codifference(P_II, 3, 1.0, 0.0) == 0.0
+        # no shortcut: every bracket of the quadrature is +0.0
+        for p in (P_II, P_I):
+            for theta in ((0.0, 1.0), (1.0, 0.0), (-0.0, 2.0)):
+                v = codifference(p, 3, *theta)
+                assert v == 0.0 and math.copysign(1.0, v) == 1.0, (p.kind, theta)
 
     def test_lag_domain(self):
-        with pytest.raises(ValueError):
-            codifference(P_II, 0, 1.0, 1.0)
+        # _codifferences checks the lags of both callers
+        for t in (0, 2.5, -1):
+            with pytest.raises(ValueError, match="integer lags >= 1"):
+                codifference(P_II, t, 1.0, 1.0)
+        for lags in ([0, 2], [2.5, 3]):
+            with pytest.raises(ValueError, match="integer lags >= 1"):
+                decay_diagnostic(P_II, lags, 1.0, 1.0)
 
     def test_gaussian_case_ties_to_acvf(self):
         # alpha = 2: I(t) = 2 th1 th2 Gamma(H+1/2)^2 r(t)
@@ -207,6 +216,10 @@ class TestLimitChecks:
         c2 = fsm_norm_limit(P_G)
         ref = sf.gamma_fn(1.2) ** 2 * variance_fbm_limit(0.7, 1.0)
         assert c2 == pytest.approx(ref, rel=1e-8)
+        # the untempered process exists for 0 < H < 1 alone (ProcessParams)
+        for H in (1.0, 1.3):
+            with pytest.raises(ValueError, match="requires H in"):
+                fsm_norm_limit(replace(P_G, H=H))
 
     def test_local_rows_share_limit_across_kinds(self):
         q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-9)
@@ -248,12 +261,15 @@ class TestLimitChecks:
         p = ProcessParams(H=H, alpha=1.5, lam=0.3, kind=kind)
         q = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
         bg, bl = [50.0, 25.0], [0.01, 0.1]
-        rows_g, rows_l = _limit_rows(p, bg, bl, q)
+        rows_g, rows_l = _limit_rows([p], bg, bl, q)
         assert repr(rows_g) == repr(global_limit_check(p, bg, q))
         assert repr(rows_l) == repr(local_limit_check(p, bl, q))
-        if H < 1.0:  # a given untempered limit is used as it is
-            fsm = fsm_norm_limit(p, q)
-            assert repr(_limit_rows(p, bg, bl, q, fsm)) == repr((rows_g, rows_l))
+        # both kinds in one call, sharing the untempered limit, equal each
+        # kind alone
+        other = replace(p, kind="I" if kind == "II" else "II")
+        alone_g, alone_l = _limit_rows([other], bg, bl, q)
+        assert (repr(_limit_rows([p, other], bg, bl, q))
+                == repr((rows_g + alone_g, rows_l + alone_l)))
 
     def test_cli_limits_rows_match_checks(self, tmp_path, monkeypatch):
         # limits makes one batch per kind and one untempered limit: three

@@ -6,9 +6,11 @@ import pytest
 from scipy import integrate
 
 from tfmotion import gaussian, specfun
+from tfmotion.dependence import DecayDiagnostic
 from tfmotion.errors import NumericsError, PoleError
-from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, SampleGrid,
-                               _circulant_eigenvalues, build_cov_matrix,
+from tfmotion.kernels import ProcessParams
+from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, PathEnsemble,
+                               SampleGrid, _circulant_eigenvalues, build_cov_matrix,
                                covariance_tfbm2, simulate_gaussian_paths,
                                tfgn1_spectral_density, tfgn2_spectral_density,
                                tfgn2_acvf, variance_fbm_limit, variance_tfbm2)
@@ -475,6 +477,26 @@ class TestSampleGrid:
         assert g.uniform and g.dt == pytest.approx(0.5)
         g2 = SampleGrid(np.array([0.0, 0.1, 0.5]))
         assert not g2.uniform and g2.dt is None
+        g1 = SampleGrid(np.array([3.0]))
+        assert g1.uniform and g1.dt is None
+        with pytest.raises(AttributeError):  # read from the times
+            g.dt = 1.0
+
+    def test_array_records_compare_by_identity(self):
+        # the generated == would compare arrays, which have no truth value
+        grid = SampleGrid.regular(1.0, 3)
+        p = ProcessParams(H=0.7, alpha=2.0, lam=0.15)
+        one = np.ones(2)
+        records = [
+            (grid, SampleGrid.regular(1.0, 3)),
+            (PathEnsemble(p, grid, np.zeros((1, 3)), 0),
+             PathEnsemble(p, grid, np.zeros((1, 3)), 0)),
+            (CovarianceMatrix(grid, np.eye(3)), CovarianceMatrix(grid, np.eye(3))),
+            (DecayDiagnostic(one, one, one, 0.0, 0.0, 3.0, True),
+             DecayDiagnostic(one, one, one, 0.0, 0.0, 3.0, True)),
+        ]
+        for a, b in records:
+            assert a == a and a != b and len({a, b}) == 2, type(a).__name__
 
 
 class TestCovMatrix:

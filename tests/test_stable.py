@@ -472,6 +472,21 @@ class TestPlan:
         with pytest.raises(ValueError):
             DiscretizationPlan.for_grid(grid, P15, dy)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -0.5, math.nan])
+    def test_for_grid_rejects_nonpositive_cutoff(self, cutoff):
+        # a plan from y >= 0 would drop the kernel mass left of 0
+        grid = SampleGrid.regular(1.0, 5)
+        with pytest.raises(ValueError, match="cutoff must be > 0"):
+            DiscretizationPlan.for_grid(grid, P15, 0.01, cutoff=cutoff)
+
+    def test_sampler_requires_tempering(self):
+        # untempered kernels leave mass beyond any left cutoff
+        p = replace(P15, lam=0.0)
+        grid = SampleGrid.regular(1.0, 5)
+        plan = DiscretizationPlan.for_grid(grid, P15, 0.05)
+        with pytest.raises(ValueError, match="lambda > 0"):
+            simulate_tfsm_paths(p, grid, plan, 1, seed=0)
+
 
 class TestNodeTable:
     def test_singular_node_rejected(self):
