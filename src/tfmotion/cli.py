@@ -64,11 +64,16 @@ def _json_cell(v):
 # cell right-aligned, the "t," cell left-aligned, the value and a newline.
 # A value with 1e-4 <= |x| < 1e16 prints in %.17g's fixed notation with the
 # exponent k of its 17-digit rounding, and its digits are the integer
-# D = round-half-even(|x| 10^(16-k)).  The value is right-aligned up to its
-# point (the sign, the integer part and the point, dropped when no fraction
-# digit is nonzero) and left-aligned after it (the fraction in 20 digits
-# without trailing zeros).  Python formats every other value (0, |x| < 1e-4
-# or >= 1e16, and non-finite ones) and the t cells.
+# D = round-half-even(|x| 10^(16-k)) = g0 10^16 + r, g0 its first digit.
+# Only constant powers of ten split D.  Two words of _PREFIX hold the sign,
+# g0 and, for k <= 0, the point and the zeros before g0.  For k >= 1 the
+# other k integer digits follow in 4-digit words counted from the point (the
+# leftmost holds k mod 4 of them, or 4), then a point word, empty when the
+# fraction is 0; only a block holding such a value has these columns and
+# divides by per-value powers of ten.  The fraction's digits come last,
+# left-aligned to 16 digits, in four words without trailing zeros.  Python
+# formats every other value (0, |x| < 1e-4 or >= 1e16, and non-finite ones)
+# and the t cells.
 _BLOCK_VALUES = 1 << 15  # values per block, rounded up to whole paths
 _POW10 = np.array([float(10 ** p) for p in range(22)])  # exact in binary64
 _IPOW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -94,24 +99,32 @@ def _digits17(v: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _word_table() -> np.ndarray:
-    """The ASCII words of 0..9999 with NUL for a dropped digit, in runs of
-    10,000: all four digits, without leading zeros, without trailing zeros;
-    then those of 0..999 as three digits and a point, all and without
-    leading zeros but the units digit."""
-    dig = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T.copy()
-    nz = dig > 0
-    asc = dig + np.uint8(48)
-    lead = asc * np.logical_or.accumulate(nz, axis=1)
-    trail = asc * np.logical_or.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
-    point = np.concatenate([asc[:1000, 1:], np.full((1000, 1), 46, np.uint8)], axis=1)
-    keep = np.logical_or.accumulate(nz[:1000, 1:], axis=1)
-    keep[:, 2] = True
-    point_lead = point * np.concatenate([keep, keep[:, 2:]], axis=1)
-    return np.concatenate([asc, lead, trail, point, point_lead]).view(np.uint32).ravel()
+    """The ASCII words of 0..9999 with NUL for a dropped digit, in runs: all
+    four digits and without trailing zeros (10,000 each), then exactly the
+    last 1, 2 and 3 digits of 0..9, 0..99 and 0..999, then a point."""
+    asc = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(48)
+    trail = asc * np.logical_or.accumulate(asc[:, ::-1] > 48, axis=1)[:, ::-1]
+    exact = [np.pad(asc[:10 ** m, 4 - m:], ((0, 0), (0, 4 - m))) for m in (1, 2, 3)]
+    point = np.array([[46, 0, 0, 0]], np.uint8)
+    return np.concatenate([asc, trail, *exact, point]).view(np.uint32).ravel()
 
 
 _WORDS = _word_table()
-_LEAD, _TRAIL, _POINT, _POINT_LEAD = 10000, 20000, 30000, 31000  # runs of _WORDS
+_TRAIL, _DOT = 10000, 21110  # runs of _WORDS; _TRAIL is also the empty word
+_EXACT = np.array([_TRAIL, 20000, 20010, 20110, 0])  # words of m = 0..4 digits
+
+
+def _prefix_table() -> np.ndarray:
+    """The words of each value's text through its first digit: two rows of
+    cells, indexed by 40 min(k, 1) + 20 sign + 2 g0 + (r == 0) + 160."""
+    cells = [f"{sign}0.{'0' * (-k - 1)}{g0}" if k < 0 else
+             f"{sign}{g0}{'' if k or rest_zero else '.'}"
+             for k in range(-4, 2) for sign in ("", "-") for g0 in range(10)
+             for rest_zero in (False, True)]
+    return np.array(cells, "S8").view(np.uint32).reshape(-1, 2).T.copy()
+
+
+_PREFIX = _prefix_table()
 
 
 def _cells(texts: list[bytes], right: bool = False) -> np.ndarray:
@@ -124,42 +137,56 @@ def _cells(texts: list[bytes], right: bool = False) -> np.ndarray:
 
 
 def _value_words(x: np.ndarray):
-    """The values x in %.17g's fixed notation as columns of indices into
-    _WORDS, left to right: the integer words (the last ends in the point)
-    and five fraction words.  Returns (ok, k, point, words): ok marks the
-    values this covers, the integer part of x[i] has max(k[i], 0) + 1
-    digits, and point[i] is false when the point must be dropped."""
+    """The values x in %.17g's fixed notation as columns of word indices,
+    left to right: the prefix cell (a column of _PREFIX), then, when some
+    value has k >= 1, the integer words and a point word, then four fraction
+    words (these into _WORDS).  Returns (ok, cell, words), ok marking the
+    values this covers."""
     a = np.abs(x)
     ok = (a >= 1e-4) & (a < 1e16)
     v = np.where(ok, a, 1.0)
     k = np.floor(np.log10(v)).astype(np.int64)
     d = _digits17(v, k)
-    ok &= (d >= 10 ** 16) & (d < 10 ** 17)  # else log10 put k one off, or D carried
-    k = np.where(ok, k, 0)
-    d = np.where(ok, d, 10 ** 16)
-    e = np.take(_IPOW10, np.minimum(16 - k, 18))
-    ip = d // e  # the integer part, 0 when k < 0
-    f = d - ip * e  # the 16 - k fraction digits
-    s = k + 4  # the fraction in 20 digits: f 10^s = hi 10^12 + lo
-    e = np.take(_IPOW10, np.maximum(12 - s, 0))
-    hi = f // e
-    lo = (f - hi * e) * np.take(_IPOW10, np.minimum(s, 12))
-    hi *= np.take(_IPOW10, np.maximum(s - 12, 0))
-    n_int = (max(int(k.max()), 0) + 6) // 4  # words of sign, integer part, point
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))  # log10 put k one off
+    if off.size:
+        k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off] = _digits17(v[off], k[off])
+        ok &= (d >= 10 ** 16) & (d < 10 ** 17)
+    g0 = d // 10 ** 16
+    r = d - g0 * 10 ** 16
+    top = max(int(k.max()), 0)
     words = []
-    for j in range(n_int - 1, 0, -1):  # word j holds the digits 4j-1 .. 4j+2
-        g = ip // 10 ** (4 * j - 1)
-        words.append(g - g // 10000 * 10000 + (ip < 10 ** (4 * j + 3)) * _LEAD)
-    words.append(ip - ip // 1000 * 1000 + np.where(ip < 1000, _POINT_LEAD, _POINT))
-    g0 = hi // 10000
-    g1 = hi - g0 * 10000
-    g2 = lo // 10 ** 8
-    rest = lo - g2 * 10 ** 8
-    g3 = rest // 10000
-    g4 = rest - g3 * 10000
-    words += [g0 + ((g1 == 0) & (lo == 0)) * _TRAIL, g1 + (lo == 0) * _TRAIL,
-              g2 + (rest == 0) * _TRAIL, g3 + (g4 == 0) * _TRAIL, g4 + _TRAIL]
-    return ok, k, f != 0, words
+    if top:  # the k digits after g0, then the point; per-value powers only here
+        kp = np.maximum(k, 0)
+        e = np.take(_IPOW10, 16 - kp)
+        ip = r // e
+        r = (r - ip * e) * np.take(_IPOW10, kp)  # the fraction in 16 digits
+        for j in range((top - 1) // 4, -1, -1):  # digits 4j..4j+3 from the right
+            g = ip // 10 ** (4 * j)
+            if 4 * j + 4 < top:
+                g -= g // 10000 * 10000
+            words.append(g + np.take(_EXACT, np.clip(kp - 4 * j, 0, 4)))
+        words.append(np.where((k > 0) & (r != 0), _DOT, _TRAIL))
+        np.minimum(k, 1, out=k)
+    cell = k * 40
+    cell += g0 * 2 + 160
+    np.add(cell, 1, out=cell, where=r == 0)
+    np.add(cell, 20, out=cell, where=x < 0)
+    g1 = r // 10 ** 12
+    t1 = r - g1 * 10 ** 12
+    g2 = t1 // 10 ** 8
+    t2 = t1 - g2 * 10 ** 8
+    g3 = t2 // 10000
+    g4 = t2 - g3 * 10000
+    for g, rest in ((g1, t1), (g2, t2), (g3, g4)):  # trailing zeros dropped
+        np.add(g, _TRAIL, out=g, where=rest == 0)
+    g4 += _TRAIL
+    return ok, cell, words + [g1, g2, g3, g4]
+
+
+def _slow_texts(x: np.ndarray) -> list[bytes]:
+    """Python's %.17g of the values _value_words does not cover."""
+    return [b"%.17g" % y for y in x.tolist()]
 
 
 def _csv_block(i0: int, tcells: np.ndarray, paths: np.ndarray) -> bytes:
@@ -167,25 +194,21 @@ def _csv_block(i0: int, tcells: np.ndarray, paths: np.ndarray) -> bytes:
     holds the "t," cells of the times (``_cells``)."""
     p, n = paths.shape
     x = paths.ravel()
-    ok, k, point, words = _value_words(x)
-    n_int = len(words) - 5
+    ok, cell, words = _value_words(x)
     ids = _cells([b"%d," % i for i in range(i0, i0 + p)], right=True)
     w0 = ids.shape[1] + tcells.shape[1]  # the value's first word
-    cols = np.empty((w0 + len(words) + 1, p, n), np.uint32)  # the rows' columns
+    cols = np.empty((w0 + 2 + len(words) + 1, p, n), np.uint32)  # the rows' columns
     cols[:ids.shape[1]] = ids.T[:, :, None]
     cols[ids.shape[1]:w0] = tcells.T[:, None, :]
-    for c, w in enumerate(words, w0):
+    for c, table in enumerate(_PREFIX, w0):
+        np.take(table, cell, out=cols[c].ravel(), mode="clip")
+    for c, w in enumerate(words, w0 + 2):
         np.take(_WORDS, w, out=cols[c].ravel(), mode="clip")
     cols[-1] = np.frombuffer(b"\n\0\0\0", np.uint32)
     cols = cols.reshape(len(cols), -1)
-    cols[w0 + n_int - 1].view(np.uint8)[3::4] *= point
-    neg = np.flatnonzero(ok & (x < 0))
-    off = 4 * n_int - 3 - np.maximum(k[neg], 0)  # the sign's byte in the integer words
-    sign = cols[w0:w0 + n_int].reshape(-1).view(np.uint8)
-    sign[(off // 4 * x.size + neg) * 4 + off % 4] = 45  # "-"
     slow = np.flatnonzero(~ok)
     if slow.size:
-        texts = np.array([b"%.17g" % y for y in x[slow].tolist()], f"S{4 * len(words)}")
+        texts = np.array(_slow_texts(x[slow]), f"S{4 * (len(cols) - w0 - 1)}")
         cols[w0:-1, slow] = texts.view(np.uint32).reshape(slow.size, -1).T
     return cols.T.tobytes().translate(None, b"\0")
 

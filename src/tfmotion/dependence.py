@@ -69,22 +69,20 @@ def _codifference_edges(p: ProcessParams, lag: float,
 def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
                    theta2: float, q: QuadratureConfig) -> np.ndarray:
     """I(t) at every integer lag of lags as one _quad batch over the panels
-    of _codifference_edges, to the relative tolerance alone (epsabs = 0):
-    at H = 0.8, alpha = 1.5, lam = 0.3 over lags 2 to 60 (decay at the
-    benchmark's settings) 22 sweeps for the first kind and 9 for the
-    second.  Each sweep evaluates the lag-t kernels of all lags in one
-    kernel call, and the lag-0 kernel in another.  The lag-0 kernel
-    depends on the node alone, and the lags without a sign change of their
+    of _codifference_edges, to the relative tolerance alone (epsabs = 0).
+    Each sweep evaluates the lag-t kernels of all lags in one kernel call,
+    and the lag-0 kernel in another.  The lag-0 kernel depends on the node
+    alone, and the lags without a sign change of their
     own integrate over the same edges, so most nodes of a sweep repeat
     across lags: for the second kind that call takes each distinct node
     once (np.unique) and the values are gathered back to every row.  The
     first kind's kernel costs less than that sort, so it is evaluated at
     every node.  kernel is elementwise, so each value is the one an
-    evaluation at every node would give.  Each lag must be an integer >= 1;
-    a weight of 0 makes every bracket, and so I(t), +0.0."""
+    evaluation at every node would give.  Each lag must be a finite integer
+    >= 1; a weight of 0 makes every bracket, and so I(t), +0.0."""
     lags = np.asarray(lags, dtype=float)
-    if np.any(lags != np.floor(lags)) or np.any(lags < 1):
-        raise ValueError(f"codifference needs integer lags >= 1, got {lags.tolist()}")
+    if not np.all((lags >= 1) & (lags < math.inf) & (lags == np.floor(lags))):
+        raise ValueError(f"codifference needs finite integer lags >= 1, got {lags.tolist()}")
 
     def integrand(x, rows):
         a = theta1 * kernel(p, 1.0, x - lags[rows])
@@ -109,7 +107,7 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     with the near-cancellation between the lag-t and lag-0 kernels
     evaluated through log1p/expm1; a zero weight gives +0.0.
     """
-    _check_params(times=(t,), weights=(theta1, theta2))
+    _check_params(weights=(theta1, theta2))
     return float(_codifferences(p, [t], theta1, theta2, q)[0])
 
 

@@ -237,9 +237,6 @@ def _kronrod(f, edges, epsabs, epsrel):
     is within a factor 100 of the plain total and of its sign, or both are
     within 1% of the integral of |f|, whose sign then changes (dqagse's ier = 6
     test: a divergent integral's totals extrapolate to a finite wrong value).
-    int_0^1 x^s dx for s in [0.1, 0.3] takes 8 sweeps, where bisection
-    alone takes 24-27, and decay_diagnostic at H = 0.8, alpha = 1.5,
-    lam = 0.3 over lags 2 to 60 takes 9 (second kind) and 22 (first kind).
     Returns the values and error estimates.  An integral it cannot finish
     (a panel too narrow to bisect, or still over budget at _LIMIT panels)
     keeps its last total and summed error, and one with a non-finite panel

@@ -22,9 +22,8 @@ over each block of whole time rows of at most _NEAR_VALUES values.  The
 sampler runs in the calling thread over blocks of whole paths, about 2^17
 cell values each, whose paths are one matrix product with the near block
 and two through the far block's factors.  It skips the leading far nodes
-whose values are below 2^-53 of the table's largest (KernelTable.first:
-2,288 and 3,232 of the README plan's 8,384 for kinds I and II), advancing
-each path's Philox stream past them.
+whose values are below 2^-53 of the table's largest (KernelTable.first),
+advancing each path's Philox stream past them.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ from .kernels import (DEFAULT_QUAD, ProcessParams, _check_params, _far_kernel,
                       kernel)
 from .rng import philox_streams
 
-# cell values per block of paths: 15 paths at 8,384 nodes
+# cell values per block of paths, rounded down to whole paths (at least one)
 _BLOCK_VALUES = 2 ** 17
 # most values of one kernel call of a kernel table's near block, in whole
-# time rows (at least one); on a 2-core x86-64 VM, calls of 2^14 values took
-# a 65 x 3,000 first-kind block about 1.5 times as long as calls of 2^13, in
-# page faults of their temporaries
+# time rows (at least one): larger calls pay more in page faults of their
+# temporaries than they save in calls
 _NEAR_VALUES = 2 ** 13
 
 

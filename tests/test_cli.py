@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -570,6 +571,66 @@ class TestFloatText:
         self.check([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5,
                     np.finfo(float).max, 1e300, np.inf, np.nan])
 
+    def dyadic(self, k, j, n):
+        """n values in [10^k, 10^(k+1)) with exactly j fraction digits (odd
+        multiples of 2^-j below 2^53 2^-j, so each is exact), or none when
+        that range holds too few."""
+        lo = math.ceil(Fraction(10) ** k * 2 ** j)
+        hi = min(math.ceil(Fraction(10) ** (k + 1) * 2 ** j), 2 ** 53)
+        if hi - lo < 3:
+            return np.empty(0)
+        return (2 * self.rng.integers(lo // 2, (hi - 1) // 2, n) + 1) / 2.0 ** j
+
+    def test_integers_drop_the_point(self):
+        # k = 1..15: g0 in the prefix and the other k digits in the integer
+        # words, whose leftmost holds k mod 4 of them; no fraction, no point
+        for k in range(1, 16):
+            n = self.rng.integers(10 ** k, min(10 ** (k + 1), 2 ** 53), 2_000)
+            self.check(np.concatenate([n, n[:1] // 10 ** k * 10 ** k]).astype(float))
+
+    def test_integer_part_fills_its_leftmost_word(self):
+        # 1, 2, 3 and 4 digits after g0 in the leftmost integer word, with
+        # fractions of every length, and in blocks whose values span k <= 0
+        for k in range(1, 16):
+            x = 10.0 ** k * (1 + 9 * self.rng.random(2_000))
+            self.check(np.concatenate([x, self.rng.random(500) * 10]))
+
+    def test_fraction_ends_at_each_group_edge(self):
+        # the last nonzero digit is the last of a fraction word, or one
+        # either side of it: for k <= 0 the words hold D's 16 digits after
+        # g0, for k >= 1 the 16 - k fraction digits left-aligned
+        x = []
+        for k in range(-4, 16):
+            for edge in (4, 8, 12, 16):
+                for j in (edge - 1, edge, edge + 1):
+                    frac = j - min(k, 0)  # fraction digits
+                    if k + frac <= 16:
+                        x.append(self.dyadic(k, frac, 300))
+        x = np.concatenate(x)
+        assert x.size > 20_000
+        self.check(x)
+
+    def test_python_formats_only_values_outside_the_layout(self, monkeypatch):
+        # the NumPy layout covers every finite 1e-4 <= |x| < 1e16, the
+        # values next to each power of ten included
+        seen = []
+        real = cli._slow_texts
+
+        def spy(x):
+            seen.append(x.copy())
+            return real(x)
+
+        monkeypatch.setattr(cli, "_slow_texts", spy)
+        p = 10.0 ** np.arange(-5, 18)
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                            self.random_doubles(100_000, (1003, 1083)),
+                            self.random_doubles(2_000, (0, 2047)),
+                            [0.0, np.inf, np.nan]])
+        self.check(x)
+        a = np.abs(np.concatenate(seen))
+        assert a.size >= 6
+        assert not np.any((a >= 1e-4) & (a < 1e16))
+
 
 # 34 paths at n = 2049 are three CSV blocks of 16, 16 and 2 paths
 GAUSS_3_BLOCKS = ["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2",
@@ -905,3 +966,28 @@ class TestEntryPoint:
         outs = [run(None), run(None), run("1"), run("2")]
         assert outs[0].count("# tfmotion") == 7
         assert all(o == outs[0] for o in outs[1:])
+
+    def test_blas_threads_leave_simulate_files_alone(self, tmp_path):
+        # README's stable example of both kinds (50 paths, four blocks) and
+        # circulant Gaussian paths at n = 2049 write the same files under one
+        # and two OpenBLAS threads; Cholesky grids are the documented exception
+        stable = ("--H 0.8 --alpha 1.5 --lambda 0.3 --t-max 1 --n 65 --n-paths 50 "
+                  "--seed 7 --plan-dy 0.02")
+        commands = {"stable_I": "simulate --kind I " + stable,
+                    "stable_II": "simulate --kind II " + stable,
+                    "gauss": "simulate --alpha 2 --H 0.7 --lambda 0.15 --t-max 1 "
+                             "--n 2049 --n-paths 20 --seed 1"}
+        code = ("import sys\nfrom tfmotion import cli\n"
+                "for a, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+                "    assert cli.main(a.split() + ['--out', out]) == 0")
+        for threads in ("1", "2"):
+            env = package_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            args = [a for name, command in commands.items()
+                    for a in (command, str(tmp_path / f"{name}_{threads}.csv"))]
+            proc = subprocess.run([sys.executable, "-c", code, *args],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        for name in commands:
+            one, two = (tmp_path / f"{name}_{t}.csv" for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name

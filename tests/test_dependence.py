@@ -72,10 +72,10 @@ class TestCodifference:
 
     def test_lag_domain(self):
         # _codifferences checks the lags of both callers
-        for t in (0, 2.5, -1):
+        for t in (0, 2.5, -1, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="integer lags >= 1"):
                 codifference(P_II, t, 1.0, 1.0)
-        for lags in ([0, 2], [2.5, 3]):
+        for lags in ([0, 2], [2.5, 3], [2, math.inf], [2, -math.inf], [math.nan, 3]):
             with pytest.raises(ValueError, match="integer lags >= 1"):
                 decay_diagnostic(P_II, lags, 1.0, 1.0)
 
