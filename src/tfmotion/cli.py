@@ -8,13 +8,14 @@ process option keeps its ``ProcessParams`` default.  The library checks the
 parameter ranges and that H, lambda, sigma, times and lags are finite; the
 CLI's float type ``finite`` also rejects NaN and inf in the numbers the
 library does not check (tolerances, weights, grid specs, value lists), and
-the CLI adds simulate's refusal of first-kind Gaussian paths.  Every command
-computes through the library modules and emits one table as CSV or JSON
-(JSON writes a non-finite float as null); spectrum makes one array call of
-each density for its whole grid.  Runs are deterministic given the flags
-and seed, and every command computes in the calling thread.  Gaussian
-paths are made in batches that share one inverse FFT, stable paths in
-blocks whose bounds depend on the plan alone, each block one matrix
+the CLI adds simulate's refusal of first-kind Gaussian paths and of --sigma
+and --beta with alpha = 2, which the Gaussian sampler has no use for.
+Every command computes through the library modules and emits one table as
+CSV or JSON (JSON writes a non-finite float as null); spectrum makes one
+array call of each density for its whole grid.  Runs are deterministic
+given the flags and seed, and every command computes in the calling thread.
+Gaussian paths are made in batches that share one inverse FFT, stable paths
+in blocks whose bounds depend on the plan alone, each block one matrix
 product with the kernel table.  limits integrates each kind's global and
 local scales as one quadrature batch, and the untempered limit constant
 once for both kinds.  simulate's CSV is formatted in NumPy, one block of
@@ -61,7 +62,7 @@ def _json_cell(v):
 
 # simulate's CSV is built in NumPy, one block of paths at a time, as rows of
 # 4-byte words of ASCII padded with NULs, which are then dropped: the "id,"
-# cell right-aligned, the "t," cell left-aligned, the value and a newline.
+# cell, the "t," cell, the value and a newline.
 # A value with 1e-4 <= |x| < 1e16 prints in %.17g's fixed notation with the
 # exponent k of its 17-digit rounding, and its digits are the integer
 # D = round-half-even(|x| 10^(16-k)) = g0 10^16 + r, g0 its first digit.
@@ -127,12 +128,10 @@ def _prefix_table() -> np.ndarray:
 _PREFIX = _prefix_table()
 
 
-def _cells(texts: list[bytes], right: bool = False) -> np.ndarray:
-    """The texts as rows of 4-byte words padded with NULs, left-aligned or
-    right-aligned."""
+def _cells(texts: list[bytes]) -> np.ndarray:
+    """The texts as rows of 4-byte words, each padded on the right with NULs
+    (which the CSV drops wherever they sit)."""
     width = -(-max(map(len, texts)) // 4) * 4
-    if right:
-        texts = [t.rjust(width, b"\0") for t in texts]
     return np.array(texts, f"S{width}").view(np.uint32).reshape(len(texts), -1)
 
 
@@ -195,7 +194,7 @@ def _csv_block(i0: int, tcells: np.ndarray, paths: np.ndarray) -> bytes:
     p, n = paths.shape
     x = paths.ravel()
     ok, cell, words = _value_words(x)
-    ids = _cells([b"%d," % i for i in range(i0, i0 + p)], right=True)
+    ids = _cells([b"%d," % i for i in range(i0, i0 + p)])
     w0 = ids.shape[1] + tcells.shape[1]  # the value's first word
     cols = np.empty((w0 + 2 + len(words) + 1, p, n), np.uint32)  # the rows' columns
     cols[:ids.shape[1]] = ids.T[:, :, None]
@@ -353,6 +352,9 @@ def cmd_simulate(args) -> int:
         if params.kind != "II":
             raise ValueError("exact Gaussian simulation covers kind=II only; "
                              "use alpha < 2 for first-kind paths")
+        if args.sigma is not None or args.beta is not None:
+            raise ValueError("exact Gaussian simulation (alpha = 2) takes no "
+                             "--sigma or --beta; leave them unset")
         ens = simulate_gaussian_paths(params.H, params.lam, grid,
                                       args.n_paths, args.seed)
     else:

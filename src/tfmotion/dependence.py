@@ -36,19 +36,18 @@ from . import specfun
 
 def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     """|a+b|^alpha - |a|^alpha - |b|^alpha elementwise, without losing the
-    small term: with |small| <= |large| and r = small/large > -1 the bracket
-    is |large|^alpha expm1(alpha log1p(r)) - |small|^alpha."""
+    small term: with |small| <= |large| and r = small/large >= -1 the bracket
+    is |large|^alpha expm1(alpha log1p(r)) - |small|^alpha, exact at r = -1
+    too (expm1(-inf) = -1).  A zero weight gives +0.0."""
     swap = np.abs(a) > np.abs(b)
     small = np.where(swap, b, a)
     large = np.where(swap, a, b)
     out = np.zeros(a.shape)
-    nz = (small != 0.0) & (large != 0.0)
+    nz = small != 0.0  # large is then nonzero too
     small, large = small[nz], large[nz]
-    r = small / large
-    main = np.abs(small + large) ** alpha - np.abs(large) ** alpha
-    near = r > -1.0
-    main[near] = np.abs(large[near]) ** alpha * np.expm1(alpha * np.log1p(r[near]))
-    out[nz] = main - np.abs(small) ** alpha
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+        log1p = np.log1p(small / large)
+    out[nz] = np.abs(large) ** alpha * np.expm1(alpha * log1p) - np.abs(small) ** alpha
     return out
 
 

@@ -311,15 +311,14 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
     first omitted binomial term plus the Euler-Maclaurin remainders of the
     zeta values used, each times its term's coefficient.  An element leaves
     the sum once its bound is within its tol (or 1e-18 of its value), so its
-    values are those of a call with it alone.  Requires
-    2 pi (L+1) - pi > sqrt(2) lam so the expansion converges.
+    values are those of a call with it alone.  The expansion converges when
+    2 pi (L+1) - pi > sqrt(2) lam; _spectral_density, the one caller, calls
+    it only then, and it is not checked again here.
     """
     omega = np.ravel(omega)
     tol = np.full(omega.shape, tol)
     x_min = _TWO_PI * (L + 1.0) - math.pi
     u_max = (lam / x_min) ** 2
-    if u_max >= 0.5:
-        raise ValueError("lattice tail expansion needs 2 pi (L+1) - pi > sqrt(2) lam")
     value, bound = np.empty(omega.shape), np.empty(omega.shape)
     live = np.arange(omega.size)  # the elements still summing
     q = L + 1.0 + np.stack([omega, -omega]) / _TWO_PI  # q+ and q- of each

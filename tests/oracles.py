@@ -553,3 +553,36 @@ def mp_codifference_untempered(H: float, alpha: float, t: int, theta1: float,
         return abs(a + b) ** al - abs(a) ** al - abs(b) ** al
 
     return float(mp.quad(f, [-mp.inf, -1e4, -1e3, -100, -10, -1, 0, 1]))
+
+
+def two_formula_bracket(a, b, alpha: float) -> np.ndarray:
+    """|a+b|^alpha - |a|^alpha - |b|^alpha in the two-formula form the
+    library's bracket replaced: |small+large|^alpha - |large|^alpha at every
+    node, then |large|^alpha expm1(alpha log1p(r)) wherever r = small/large
+    > -1, less |small|^alpha; +0.0 where either weight is zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    swap = np.abs(a) > np.abs(b)
+    small = np.where(swap, b, a)
+    large = np.where(swap, a, b)
+    out = np.zeros(a.shape)
+    nz = (small != 0.0) & (large != 0.0)
+    small, large = small[nz], large[nz]
+    r = small / large
+    main = np.abs(small + large) ** alpha - np.abs(large) ** alpha
+    near = r > -1.0
+    main[near] = np.abs(large[near]) ** alpha * np.expm1(alpha * np.log1p(r[near]))
+    out[nz] = main - np.abs(small) ** alpha
+    return out
+
+
+def matern_tail(H: float, lam: float, J: int) -> float:
+    """|c| int_J^inf M(w) dw with M and c of matern_cov (J >= 1; c = 0 at
+    H = 1/2):
+    a bound on sum_{j > J} |r(j)| of the TFGN II autocovariance, since
+    r(j) = c int (1 - |w - j|)_+ M(w) dw, M > 0, and the triangles of the
+    lags j > J sum to at most 1 on [J, inf) and to 0 below it.  SciPy's quad
+    in u = w - J with K_{H-1} from scipy.special.kv."""
+    c = 1.0 / (math.sqrt(math.pi) * special.gamma(H - 0.5) * (2.0 * lam) ** (H - 1.0))
+    m = lambda u: (J + u) ** (H - 1.0) * special.kv(H - 1.0, lam * (J + u))
+    return abs(c) * integrate.quad(m, 0.0, math.inf, epsabs=0.0, epsrel=1e-10,
+                                   limit=200)[0]

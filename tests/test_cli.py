@@ -69,6 +69,53 @@ class TestExitCodes:
                          "--alpha", "2.0", "--kind", "I"], tmp_path)
         assert rc == 2
 
+    @pytest.mark.parametrize("option", ["sigma", "beta"])
+    @pytest.mark.parametrize("alpha", [["--alpha", "2"], []], ids=["alpha2", "default"])
+    def test_gaussian_sigma_beta_rejected(self, option, alpha, tmp_path, capsys):
+        # the Gaussian sampler has no use for them, so a header naming them
+        # would describe rows they did not shape; unset --alpha is 2
+        base = ["simulate", "--H", "0.7", "--lambda", "0.15", "--n", "5", *alpha]
+        rc, out = run_cli(base + ["--" + option, "0.5"], tmp_path)
+        assert rc == 2 and not out.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: 0.5}))
+        rc, out = run_cli(base + ["--config", str(cfg)], tmp_path)
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["tfmotion: error: exact Gaussian simulation (alpha = 2) "
+                       "takes no --sigma or --beta; leave them unset"] * 2
+
+    @pytest.mark.parametrize("args,message", [
+        (["decay", "--H", "0.8", "--lambda", "0"], "decay theory requires lambda > 0"),
+        (["decay", "--H", "0.8", "--lambda", "0.3", "--t-min", "5", "--t-max", "5"],
+         "need at least two lags"),
+        (["spectrum", "--H", "0.7", "--lambda", "0.15", "--tol", "0"],
+         "tol must be positive"),
+        (["spectrum", "--H", "0.7", "--lambda", "0.15", "--omega-grid=1:0:5"],
+         "grid spec needs max > min and count >= 2, got '1:0:5'"),
+        (["limits", "--H", "0.7", "--lambda", "0.15", "--b-local", ","],
+         "empty value list ','"),
+        (["spectrum", "--config", "LIST_CONFIG"], "config file must hold a JSON object"),
+        (["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "2", "--n-paths", "0"],
+         "n_paths must be >= 1"),
+        (["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "1.5",
+          "--n-paths", "0"], "n_paths must be >= 1"),
+        (["simulate", "--H", "0.7", "--lambda", "0.15", "--n", "0"],
+         "need n >= 1 points and t_max > 0"),
+        (["covariance", "--H", "0.7", "--lambda", "0.15", "--n", "0"],
+         "need n >= 1 points and t_max > 0"),
+        (["simulate", "--H", "0.7", "--lambda", "0.15", "--alpha", "1.5",
+          "--plan-dy", "1000"], "need at least 2 nodes"),
+    ])
+    def test_invalid_input_exits_2_with_one_line(self, args, message, tmp_path, capsys):
+        # LIST_CONFIG names a config file holding a JSON list, not an object
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        args = [str(cfg) if a == "LIST_CONFIG" else a for a in args]
+        rc, out = run_cli(args, tmp_path)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"tfmotion: error: {message}\n"
+
     @pytest.mark.parametrize("args", [
         ["limits", "--H", "0.7", "--lambda", "0.15", "--b-global", "0"],
         ["limits", "--H", "0.7", "--lambda", "0.15", "--b-local", "0"],

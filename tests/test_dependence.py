@@ -70,6 +70,24 @@ class TestCodifference:
                 v = codifference(p, 3, *theta)
                 assert v == 0.0 and math.copysign(1.0, v) == 1.0, (p.kind, theta)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+    def test_bracket_matches_two_formula_form(self, alpha):
+        # one formula, |large|^alpha expm1(alpha log1p(r)) - |small|^alpha,
+        # gives bit for bit the two-formula bracket it replaced, also at
+        # r = -1 (expm1(-inf) = -1) and at zero weights of either sign
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, 200_000)) * 10.0 ** rng.uniform(-8, 8, (2, 200_000))
+        a[:1000] = -b[:1000]  # r = -1
+        a[1000:1100], a[1100:1200] = 0.0, -0.0
+        b[1200:1300], b[1300:1400] = 0.0, -0.0
+        with np.errstate(divide="ignore"):
+            ref = oracles.two_formula_bracket(a, b, alpha)
+        got = dependence._stable_bracket(a, b, alpha)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(got[:1000], -2.0 * np.abs(b[:1000]) ** alpha)
+        zero = got[1000:1400]
+        assert np.all(zero == 0.0) and not np.signbit(zero).any()
+
     def test_lag_domain(self):
         # _codifferences checks the lags of both callers
         for t in (0, 2.5, -1, math.inf, -math.inf, math.nan):

@@ -24,15 +24,20 @@ QuadratureError where alpha kappa falls below about -0.8, whose kernel is
 singular at y = 0 and y = t as |y|^(alpha kappa) (H = 0.0625,
 lam = t = 1 at alpha = 2; H = 0.09 fails at lam = 0.1, t = 1), so the
 alpha = 2 identity keeps H above 0.15, and the scaling, over alpha in
-[1.05, 2], H in (0.55, 1.95).
+[1.05, 2], H in (0.55, 1.95).  The spectral density's identity takes H in
+[1e-3, 1.99], integers included (neither the lattice sum nor the Matern
+triangle has a pole there), and lam in [0.6, 6], where the cosine series
+of tfgn2_acvf reaches its tail bound within 50 lags.
 """
 
+import functools
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tfmotion.gaussian import covariance_tfbm2, tfgn2_acvf, variance_tfbm2
+from tfmotion.gaussian import (covariance_tfbm2, tfgn2_acvf, tfgn2_spectral_density,
+                               variance_tfbm2)
 from tfmotion.kernels import DEFAULT_QUAD, ProcessParams, kernel_alpha_norm
 
 import oracles
@@ -121,3 +126,33 @@ def test_kernel_norm_scaling(kind, H, alpha, lam, t, b):
     budget = (max(q.abs_tol, q.rel_tol * abs(lhs))
               + max(b ** (alpha * H) * q.abs_tol, q.rel_tol * abs(rhs)))
     assert abs(lhs - rhs) <= budget, (lhs, rhs, budget)
+
+
+@functools.lru_cache
+def _acvf_series(H: float, lam: float):
+    """r(0..J) of tfgn2_acvf with J = ceil((18 + 6 H) / lam), and the bound
+    oracles.matern_tail / pi on the cosine series' terms past J; the examples
+    of one (H, lam) differ in omega alone, and share these."""
+    J = math.ceil((18.0 + 6.0 * H) / lam)
+    r = np.array([tfgn2_acvf(H, lam, j) for j in range(J + 1)])
+    return r, oracles.matern_tail(H, lam, J) / math.pi
+
+
+@SETTINGS
+@given(H=st.floats(1e-3, 1.99), lam=st.floats(0.6, 6.0),
+       omega=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+def test_spectral_density_is_the_acvf_cosine_series(H, lam, omega):
+    # tfgn2_spectral_density's lattice sum against the Fourier series of
+    # tfgn2_acvf, h(w) = (r(0) + 2 sum_{j >= 1} r(j) cos(j w)) / 2pi, cut at
+    # J = ceil((18 + 6 H) / lam) <= 50 lags, where the tail is below about
+    # 1e-11 of r(0).  Budget: the density's reported bound, rel_tol of each
+    # r(j) (each held to it relative), the series' tail (oracles.matern_tail
+    # bounds sum_{j > J} |r(j)|), and 1e-14 of the series' magnitude for
+    # the rounding of both sums
+    r, tail = _acvf_series(H, lam)
+    w = np.array(omega)
+    h, bound = tfgn2_spectral_density(H, lam, w)
+    series = (r[0] + 2.0 * np.cos(np.outer(w, np.arange(1, r.size))) @ r[1:]) / (2.0 * math.pi)
+    size = (abs(r[0]) + 2.0 * np.sum(np.abs(r[1:]))) / (2.0 * math.pi)
+    budget = bound + tail + (DEFAULT_QUAD.rel_tol + 1e-14) * size
+    assert np.all(np.abs(h - series) <= budget), (h, series, budget)
