@@ -10,10 +10,11 @@ CLI's float type ``finite`` also rejects NaN and inf in the numbers the
 library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's refusal of first-kind Gaussian paths and of --sigma
 and --beta with alpha = 2, which the Gaussian sampler has no use for.
-Every command computes through the library modules and emits one table as
-CSV or JSON (JSON writes a non-finite float as null); spectrum makes one
-array call of each density for its whole grid.  Runs are deterministic
-given the flags and seed, and every command computes in the calling thread.
+Every command computes through the library modules and returns one table,
+(meta, columns, rows), which main writes as CSV or JSON (JSON writes a
+non-finite float as null); spectrum makes one array call of each density
+for its whole grid.  Runs are deterministic given the flags and seed, and
+every command computes in the calling thread.
 Gaussian paths are made in batches that share one inverse FFT, stable paths
 in blocks whose bounds depend on the plan alone, each block one matrix
 product with the kernel table.  limits integrates each kind's global and
@@ -30,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def _csv_block(i0: int, tcells: np.ndarray, paths: np.ndarray) -> bytes:
     return cols.T.tobytes().translate(None, b"\0")
 
 
-class _PathRows(Sequence):
+class _PathRows:
     """Rows [path_id, t, value] of an ensemble, read from its paths on demand."""
 
     def __init__(self, ens):
@@ -222,9 +222,11 @@ class _PathRows(Sequence):
     def __len__(self) -> int:
         return self.paths.size
 
-    def __getitem__(self, k: int) -> list:
-        i, j = divmod(k, self.times.size)
-        return [i, float(self.times[j]), float(self.paths[i, j])]
+    def __iter__(self):
+        times = self.times.tolist()
+        for i, path in enumerate(self.paths.tolist()):
+            for t, x in zip(times, path):
+                yield [i, t, x]
 
     def csv_chunks(self):
         """ASCII CSV of each block of paths in turn (``_csv_block``).  A block
@@ -242,19 +244,17 @@ class _PathRows(Sequence):
 
 
 def _emit(path: str | None, fmt: str, command: str, meta: dict,
-          columns: list[str], rows: Sequence) -> None:
-    """Write one table.  CSV writes a path view one block of paths at a time
-    (``_PathRows.csv_chunks``); any other table applies one %-format per row,
-    built from the cell types of the first row (every row must share them).
-    JSON materializes the rows, with each non-finite cell as null
-    (``_json_cell``)."""
-    meta = {k: meta[k] for k in sorted(meta)}
+          columns: list[str], rows: list | _PathRows) -> None:
+    """Write the table a command returns; ``main`` is the one caller.  CSV
+    writes a path view one block of paths at a time (``_PathRows.csv_chunks``);
+    any other table applies one %-format per row, built from the cell types
+    of the first row (every row must share them).  JSON materializes the
+    rows, with each non-finite cell as null (``_json_cell``)."""
     fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="\n")
     try:
         if fmt == "csv":
-            fh.write("# tfmotion " + command + " "
-                     + " ".join(f"{k}={_spec(v) % (_cell(v),)}" for k, v in meta.items())
-                     + "\n" + ",".join(columns) + "\n")
+            cells = (f"{k}={_spec(v) % (_cell(v),)}" for k, v in sorted(meta.items()))
+            fh.write(f"# tfmotion {command} {' '.join(cells)}\n{','.join(columns)}\n")
             if isinstance(rows, _PathRows):
                 fh.flush()  # the header goes first: the bytes bypass the text layer
                 fh.buffer.writelines(rows.csv_chunks())
@@ -333,19 +333,17 @@ def _build_params(args, **fixed) -> ProcessParams:
     return ProcessParams(H=args.H, lam=args.lam, **{**given, **fixed})
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     omega = _parse_grid_spec(args.omega_grid)
     h1, e1 = tfgn1_spectral_density(args.H, args.lam, omega, args.tol)
     h2, e2 = tfgn2_spectral_density(args.H, args.lam, omega, args.tol)
     rows = np.column_stack([omega, h1, h2, e1, e2]).tolist()
     meta = {"H": args.H, "lambda": args.lam, "tol": args.tol}
-    _emit(args.out, args.format, "spectrum", meta,
-          ["omega", "tfgn_density", "tfgn2_density", "err_bound_1", "err_bound_2"],
-          rows)
-    return 0
+    return meta, ["omega", "tfgn_density", "tfgn2_density", "err_bound_1",
+                  "err_bound_2"], rows
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     params = _build_params(args)
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=True)
     if params.alpha == 2.0:
@@ -366,22 +364,19 @@ def cmd_simulate(args) -> int:
             "sigma": params.sigma, "beta": params.beta, "kind": params.kind,
             "seed": args.seed, "t_max": args.t_max, "n": args.n,
             "n_paths": args.n_paths}
-    _emit(args.out, args.format, "simulate", meta, ["path_id", "t", "value"],
-          _PathRows(ens))
-    return 0
+    return meta, ["path_id", "t", "value"], _PathRows(ens)
 
 
-def cmd_covariance(args) -> int:
+def cmd_covariance(args):
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=False)
     times = grid.times.tolist()
     cov = build_cov_matrix(args.H, args.lam, grid).values.tolist()
     rows = [[s, t, c] for s, cs in zip(times, cov) for t, c in zip(times, cs)]
     meta = {"H": args.H, "lambda": args.lam, "t_max": args.t_max, "n": args.n}
-    _emit(args.out, args.format, "covariance", meta, ["s", "t", "cov"], rows)
-    return 0
+    return meta, ["s", "t", "cov"], rows
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args):
     params = _build_params(args)
     q = QuadratureConfig(rel_tol=args.tol)
     if args.t_step < 1:
@@ -395,23 +390,18 @@ def cmd_decay(args) -> int:
             "kind": params.kind, "theta1": args.theta1, "theta2": args.theta2,
             "p_used": diag.p_used, "slope": diag.slope,
             "band_factor": diag.band_factor, "band_ok": diag.band_ok}
-    _emit(args.out, args.format, "decay", meta,
-          ["t", "codifference", "ratio", "p_used"], rows)
-    return 0
+    return meta, ["t", "codifference", "ratio", "p_used"], rows
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args):
     q = QuadratureConfig(abs_tol=1e-12, rel_tol=args.tol)
     b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
     kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
     rows_g, rows_l = _limit_rows(kinds, b_global, b_local, q)
-    rows = [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-             r["rel_gap"], r["in_theorem_range"]] for r in rows_g + rows_l]
+    columns = ["regime", "kind", "b", "normalized", "limit", "rel_gap",
+               "in_theorem_range"]
     meta = {"H": args.H, "alpha": kinds[0].alpha, "lambda": args.lam}
-    _emit(args.out, args.format, "limits", meta,
-          ["regime", "kind", "b", "normalized", "limit", "rel_gap",
-           "in_theorem_range"], rows)
-    return 0
+    return meta, columns, [[r[c] for c in columns] for r in rows_g + rows_l]
 
 
 # The options: flag -> (default, type or tuple of choices).  None is unset:
@@ -469,7 +459,8 @@ def main(argv=None) -> int:
             args = ap.parse_args(argv)
         if args.H is None or args.lam is None:
             raise ValueError(f"{args.command} requires --H and --lambda")
-        return args.func(args)
+        _emit(args.out, args.format, args.command, *args.func(args))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"tfmotion: error: {exc}", file=sys.stderr)
         return 2

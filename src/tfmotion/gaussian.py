@@ -212,7 +212,9 @@ def variance_tfbm2(H: float, lam: float, t):
     Negative t uses |t|.  The terms grow like e^{lam t} and cancel as lam t
     grows: a C_t^2 below _CANCEL of their sizes' sum (negative or NaN too)
     raises NumericsError naming the first such t; that is from lam t of 16
-    to 32, by H, and never up to 12.
+    to 32, by H, and never up to 12 for H in (0, 2) at least 0.01 from 1
+    and 2.  Nearer those poles it raises at lam t = 12 already (at H =
+    0.9999, 1.0001 and 1.999, for one; ROADMAP item 22).
     """
     _check_params(H, lam, times=(t,))
     t = np.abs(t)
@@ -311,9 +313,12 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
     first omitted binomial term plus the Euler-Maclaurin remainders of the
     zeta values used, each times its term's coefficient.  An element leaves
     the sum once its bound is within its tol (or 1e-18 of its value), so its
-    values are those of a call with it alone.  The expansion converges when
-    2 pi (L+1) - pi > sqrt(2) lam; _spectral_density, the one caller, calls
-    it only then, and it is not checked again here.
+    values are those of a call with it alone.  lam^(2i) overflows past
+    i = 154/log10(lam) while the zeta sums underflow: an element whose terms
+    stop being finite ends there, failed, with a bound of inf or NaN.  The
+    expansion converges when 2 pi (L+1) - pi > sqrt(2) lam;
+    _spectral_density, the one caller, calls it only then, and it is not
+    checked again here.
     """
     omega = np.ravel(omega)
     tol = np.full(omega.shape, tol)
@@ -334,17 +339,18 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
     zsum, zrem = zeta_pair(power)
     for i in range(60):
         scale = coef * lam2i * _TWO_PI ** (-(power + 2 * i))
-        total += scale * zsum
-        zeta_rem += abs(scale) * zrem
         coef_next = coef * (expo - i) / (i + 1.0)
         lam2i_next = lam2i * lam * lam
         # remainder: first omitted term with geometric domination; its zeta
         # sum is the next term's
         zs_next, zr_next = zeta_pair(power + 2 * i + 2)
-        rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
-            * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 ends its element
+            total += scale * zsum
+            zeta_rem += abs(scale) * zrem
+            rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
+                * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
+            more = np.isfinite(total + rem) & (rem >= tol) & (rem >= 1e-18 * np.abs(total))
         value[live], bound[live] = total, rem
-        more = ~((rem < tol) | (rem < 1e-18 * np.abs(total)))
         if not more.any():
             break
         live, q, tol = live[more], q[:, more], tol[more]
@@ -396,7 +402,9 @@ def _spectral_density(kind: str, H: float, lam: float, omega,
     L, converges = 4, False
     while (live := np.flatnonzero(~(err <= tol))).size:  # L = 8, 16, .., 4096
         if L == 4096:
-            why = (f"bound {err[live[0]]:.3g} above tol {tol:.3g}" if converges else
+            e = err[live[0]]
+            why = (f"bound {e:.3g} above tol {tol:.3g}" if e < math.inf else
+                   "the tail's binomial terms overflow" if converges else
                    "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
             raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
         L *= 2

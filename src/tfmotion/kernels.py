@@ -246,9 +246,6 @@ def _kronrod(f, edges, epsabs, epsrel):
     row, pan = [], []
     for r, e in enumerate(edges):
         for a, b in zip(e[:-1], e[1:]):
-            a, b = float(a), float(b)
-            if a == b:
-                continue
             if math.isinf(a) and math.isinf(b):
                 raise ValueError("a panel may have at most one infinite edge")
             row.append(r)
@@ -259,11 +256,9 @@ def _kronrod(f, edges, epsabs, epsrel):
             else:
                 pan.append((a, b, 0.0, 0.0))
     value, error = np.zeros(n), np.zeros(n)
-    if not row:
-        return value, error
     row = np.array(row, dtype=np.intp)
     pan = np.array(pan)
-    active = np.bincount(row, minlength=n) > 0
+    active = np.ones(n, dtype=bool)
     val, err, vabs = _qk15(f, row, pan)
     level = np.zeros(len(row), dtype=np.intp)
     totals = []
@@ -322,18 +317,22 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
 
     Every integral of the library goes through here.  edges is one row of
     increasing edges (one integral; floats are returned) or a sequence of
-    rows (a batch; arrays are returned), and f(x, rows) is an array
-    integrand: x holds the 15 Kronrod nodes of every active panel and
-    rows[i] the index of the integral that x[i] belongs to.  The batch runs
-    QUADPACK's adaptive G7/K15 rule in NumPy (_kronrod): each sweep makes one
-    call of f, and an integral stops once its summed error is within
-    max(epsabs, epsrel |value|), with epsabs default 0.25 q.abs_tol and
-    epsrel = 0.25 q.rel_tol; until then only its panels whose error exceeds
-    their share of that budget are bisected, up to _LIMIT panels.  Infinite
-    edges use QUADPACK's qk15i map.  An integral whose error lies only in
-    its most bisected panels (an endpoint singularity or kink, whose panel
-    is halved each sweep) is extrapolated from its sweep totals as in
-    QUADPACK's QAGS, by dqagpe's level form of the erlarg test.  Raises
+    rows (a batch; arrays are returned).  Each row must hold at least two
+    strictly increasing edges, and a panel at most one infinite end (one
+    with two raises ValueError); _norm_edges and _codifference_edges are
+    sorted sets, and tfgn2_acvf's rows are fixed increasing tuples.
+    f(x, rows) is an array integrand: x holds the 15 Kronrod nodes of every
+    active panel and rows[i] the index of the integral that x[i] belongs to.
+    The batch runs QUADPACK's adaptive G7/K15 rule in NumPy (_kronrod): each
+    sweep makes one call of f, and an integral stops once its summed error
+    is within max(epsabs, epsrel |value|), with epsabs default
+    0.25 q.abs_tol and epsrel = 0.25 q.rel_tol; until then only its panels
+    whose error exceeds their share of that budget are bisected, up to
+    _LIMIT panels.  Infinite edges use QUADPACK's qk15i map.  An integral
+    whose error lies only in its most bisected panels (an endpoint
+    singularity or kink, whose panel is halved each sweep) is extrapolated
+    from its sweep totals as in QUADPACK's QAGS, by dqagpe's level form of
+    the erlarg test.  Raises
     QuadratureError when an integral's error estimate exceeds
     40 max(q.abs_tol, q.rel_tol |value|) or is NaN or inf, as for an
     integrand that is not finite.
@@ -556,9 +555,8 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     short-circuits to the exact value t.  Kernels with kappa < 0 are
     singular at y = 0 and y = t; _quad extrapolates those integrals.
     """
-    _check_params(times=(t,))
-    if np.any(t < 0.0):
-        raise ValueError(f"t must be >= 0, got {t.min()}")
+    specfun._check_x("kernel_alpha_norm", t, (t >= 0.0) & (t < np.inf),
+                     "finite t >= 0")
     if p.kappa == 0.0 and p.kind == "II":
         return t.copy()  # indicator kernel
     out = np.zeros(t.size)

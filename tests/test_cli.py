@@ -238,6 +238,25 @@ class TestExitCodes:
         assert rc == 3
         assert "L = 4096" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"])
+    def test_lattice_tail_overflow_exits_3(self, warnings, tmp_path):
+        # lambda^(2i) of the lattice tail's terms overflows at this lambda and
+        # tol: one error line that names it, and no warning, whether or not
+        # a RuntimeWarning is an error
+        env = package_env()
+        env.pop("PYTHONWARNINGS", None)
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        proc = subprocess.run(
+            [sys.executable, "-m", "tfmotion.cli", "spectrum", "--H", "0.1",
+             "--lambda", "18000", "--tol", "1e-16", "--omega-grid=-3:3:5",
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "tfmotion: numeric failure: lattice sum at lambda = 18000.0: "
+            "the tail's binomial terms overflow at L = 4096"]
+
     @pytest.mark.parametrize("step", ["0", "-1"])
     def test_nonpositive_t_step_exits_2(self, step, tmp_path, capsys):
         rc, out = run_cli(["decay", "--H", "0.8", "--lambda", "0.3",

@@ -84,6 +84,17 @@ class TestVariance:
                     continue
                 assert v == pytest.approx(ref, rel=1e-13 if lt <= 1.0 else 1e-8, abs=0.0), (H, lt)
 
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
+    def test_no_cancellation_error_up_to_lam_t_12(self, lam):
+        # H across (0, 2) at least 0.01 from the poles 1 and 2, lam t up to
+        # 12: every C_t^2 is finite and positive (nearer the poles, H =
+        # 0.9999 already raises at lam t = 12)
+        Hs = [0.001, 0.005, *np.arange(0.01, 1.995, 0.01).round(2).tolist()]
+        lt = np.append(np.logspace(-3.0, 1.0, 9), 12.0)
+        for H in (H for H in Hs if H != 1.0):
+            v = variance_tfbm2(H, lam, lt / lam)
+            assert np.all(np.isfinite(v) & (v > 0.0)), H
+
     def test_array_names_first_negative_time(self):
         with pytest.raises(NumericsError, match=r"t = 100\.0:"):
             variance_tfbm2(0.75, 0.5, np.array([1.0, 100.0, 120.0]))
@@ -374,6 +385,19 @@ class TestSpectralDensities:
             density(0.7, 1e8, np.array([0.0, 0.5, 3.0]))
         with pytest.raises(NumericsError, match="above tol"):
             density(0.3, 0.15, np.array([0.0, 0.5]), tol=1e-30)
+
+    def test_lattice_tail_overflow(self):
+        # lam^(2i) of the tail's binomial terms overflows while their zeta
+        # sums underflow; an element whose terms stop being finite ends
+        # failed, without a warning (pyproject's filter makes one an error).
+        # At lam = 9000 the doubled L then converges: the values are those
+        # of a looser tol within both bounds.  At 1.8e4 no L is left.
+        w = np.array([0.0, 0.5, 3.0])
+        v, e = tfgn1_spectral_density(0.1, 9000.0, w, tol=1e-16)
+        ref, e_ref = tfgn1_spectral_density(0.1, 9000.0, w, tol=1e-12)
+        assert np.all(e <= 1e-16) and np.all(np.abs(v - ref) <= e + e_ref)
+        with pytest.raises(NumericsError, match="binomial terms overflow"):
+            tfgn1_spectral_density(0.1, 18000.0, w, tol=1e-16)
 
     @pytest.mark.parametrize("density", [tfgn1_spectral_density,
                                          tfgn2_spectral_density])

@@ -13,9 +13,9 @@ from tfmotion import cli, gaussian, kernels, specfun as sf
 from tfmotion import dependence
 from tfmotion.dependence import codifference, decay_diagnostic
 from tfmotion.errors import QuadratureError
-from tfmotion.gaussian import (SampleGrid, tfgn1_spectral_density, tfgn2_acvf,
-                               tfgn2_spectral_density, variance_fbm_limit,
-                               variance_tfbm2)
+from tfmotion.gaussian import (PathEnsemble, SampleGrid, tfgn1_spectral_density,
+                               tfgn2_acvf, tfgn2_spectral_density,
+                               variance_fbm_limit, variance_tfbm2)
 from tfmotion.stable import DiscretizationPlan, kernel_node_table, sample_stable
 from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
                               _kernel_step, _quad, kernel, kernel_alpha_norm,
@@ -124,14 +124,24 @@ NON_FINITE = {
     "codifference_theta2_inf": lambda: codifference(P_STABLE, 3, 1.0, math.inf),
     "decay_theta1_nan": lambda: decay_diagnostic(P_STABLE, [2, 3], math.nan, 1.0),
     "decay_theta2_inf": lambda: decay_diagnostic(P_STABLE, [2, 3], 1.0, math.inf),
+    "ensemble_paths_nan": lambda: PathEnsemble(
+        P_HI, SampleGrid.regular(1.0, 3), np.array([[0.0, math.nan, 1.0]]), 0),
+}
+
+# calls with finite input outside its domain that no CLI option builds, held
+# to the same rule
+OUT_OF_DOMAIN = {
+    "params_kind_III": lambda: ProcessParams(H=0.7, kind="III"),
+    "ensemble_paths_shape": lambda: PathEnsemble(
+        P_HI, SampleGrid.regular(1.0, 3), np.zeros((1, 4)), 0),
 }
 
 
-@pytest.mark.parametrize("name", list(NON_FINITE))
+@pytest.mark.parametrize("name", [*NON_FINITE, *OUT_OF_DOMAIN])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_input_is_value_error(name):
     with pytest.raises(ValueError):
-        NON_FINITE[name]()
+        {**NON_FINITE, **OUT_OF_DOMAIN}[name]()
 
 
 class TestKernelH:
@@ -497,6 +507,9 @@ CONTRACT = {
     "bessel_k": (lambda x: sf.bessel_k(0.3, x), [1e-20, 1e-3, 0.4, 2.0, 30.0, 700.0],
                  [(lambda x: sf.bessel_k(0.3, x), 0.0),
                   (lambda x: sf.bessel_k(0.3, x), math.nan)]),
+    "kernel_alpha_norm": (lambda t: kernel_alpha_norm(P_STABLE, t),
+                          [0.0, 1e-3, 0.4, 1.0, 2.5, 7.0],
+                          [(lambda t: kernel_alpha_norm(P_STABLE, t), -1.0)]),
     "variance_tfbm2": (lambda t: variance_tfbm2(1.3, 0.15, t),
                        [0.0, 1e-3, 0.5, -1.0, 2.0, 7.0],
                        [(lambda t: variance_tfbm2(-0.7, 0.15, t), 1.0),
@@ -765,6 +778,9 @@ class TestQuadHelper:
         assert v == pytest.approx(math.pi, rel=1e-12) and e <= 1e-9
         v, _ = _quad(lambda x, rows: np.exp(-x * x), (-math.inf, -1.0))
         assert v == pytest.approx(0.5 * math.sqrt(math.pi) * math.erfc(1.0), rel=1e-12)
+        # the map takes one infinite end: a panel with two is refused
+        with pytest.raises(ValueError, match="at most one infinite edge"):
+            _quad(lambda x, rows: np.exp(-x * x), (-math.inf, math.inf))
 
     def test_batch_matches_single_calls(self):
         # each integral's bisections depend on its own panels only
