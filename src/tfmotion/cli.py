@@ -11,10 +11,12 @@ library does not check (tolerances, weights, grid specs, value lists), and
 the CLI adds simulate's refusal of first-kind Gaussian paths and of --sigma
 and --beta with alpha = 2, which the Gaussian sampler has no use for.
 Every command computes through the library modules and returns one table,
-(meta, columns, rows), which main writes as CSV or JSON (JSON writes a
-non-finite float as null); spectrum makes one array call of each density
-for its whole grid.  Runs are deterministic given the flags and seed, and
-every command computes in the calling thread.
+(meta, columns, rows), which main writes as CSV or JSON in one byte stream,
+to the --out file or to stdout's bytes (CSV gives each small-table cell its
+%.17g, true/false or str text; JSON writes a non-finite float as null);
+spectrum makes one array call of each density for its whole grid.  Runs
+are deterministic given the flags and seed, and every command computes in
+the calling thread.
 Gaussian paths are made in batches that share one inverse FFT, stable paths
 in blocks whose bounds depend on the plan alone, each block one matrix
 product with the kernel table.  limits integrates each kind's global and
@@ -41,18 +43,13 @@ from .gaussian import (SampleGrid, build_cov_matrix, simulate_gaussian_paths,
 from .stable import DiscretizationPlan, simulate_tfsm_paths
 from .dependence import _limit_rows, decay_diagnostic
 
-_FLOAT_FMT = "%.17g"  # round-trip exact for binary64
 
-
-def _spec(v) -> str:
-    """%-conversion of one cell: %.17g floats, %d ints, %s anything else."""
+def _text(v) -> str:
+    """A header or small-table cell: %.17g for a float (round-trip exact for
+    binary64), true or false for a bool, str for anything else."""
     if isinstance(v, float):
-        return _FLOAT_FMT
-    return "%d" if isinstance(v, int) and not isinstance(v, bool) else "%s"
-
-
-def _cell(v):
-    return ("true" if v else "false") if isinstance(v, bool) else v
+        return "%.17g" % v
+    return ("true" if v else "false") if isinstance(v, bool) else str(v)
 
 
 def _json_cell(v):
@@ -245,29 +242,31 @@ class _PathRows:
 
 def _emit(path: str | None, fmt: str, command: str, meta: dict,
           columns: list[str], rows: list | _PathRows) -> None:
-    """Write the table a command returns; ``main`` is the one caller.  CSV
-    writes a path view one block of paths at a time (``_PathRows.csv_chunks``);
-    any other table applies one %-format per row, built from the cell types
-    of the first row (every row must share them).  JSON materializes the
-    rows, with each non-finite cell as null (``_json_cell``)."""
-    fh = sys.stdout if path is None or path == "-" else open(path, "w", newline="\n")
+    """Write the table a command returns as bytes, to the file or to
+    stdout's byte stream (``sys.stdout.buffer``, after flushing the text
+    layer, so ``--out -`` needs a stdout with one); ``main`` is the one caller.  CSV writes a path view
+    one block of paths at a time (``_PathRows.csv_chunks``) and every other
+    cell, the header's too, as its ``_text``.  JSON materializes the rows,
+    with each non-finite cell as null (``_json_cell``)."""
+    sys.stdout.flush()  # text printed to stdout before the table goes first
+    fh = sys.stdout.buffer if path in (None, "-") else open(path, "wb")
     try:
         if fmt == "csv":
-            cells = (f"{k}={_spec(v) % (_cell(v),)}" for k, v in sorted(meta.items()))
-            fh.write(f"# tfmotion {command} {' '.join(cells)}\n{','.join(columns)}\n")
+            cells = " ".join(f"{k}={_text(v)}" for k, v in sorted(meta.items()))
+            fh.write(f"# tfmotion {command} {cells}\n{','.join(columns)}\n".encode())
             if isinstance(rows, _PathRows):
-                fh.flush()  # the header goes first: the bytes bypass the text layer
-                fh.buffer.writelines(rows.csv_chunks())
-            elif rows:
-                row_fmt = ",".join(_spec(v) for v in rows[0]) + "\n"
-                fh.write(row_fmt * len(rows)
-                         % tuple(_cell(v) for row in rows for v in row))
+                fh.writelines(rows.csv_chunks())
+            else:
+                fh.write("".join(",".join(map(_text, row)) + "\n"
+                                 for row in rows).encode())
         else:
             payload = {"command": command, "meta": meta, "columns": columns,
                        "rows": [[_json_cell(v) for v in row] for row in rows]}
-            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            fh.write((json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
     finally:
-        if fh is not sys.stdout:
+        if path in (None, "-"):
+            fh.flush()
+        else:
             fh.close()
 
 

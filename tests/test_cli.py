@@ -575,6 +575,15 @@ class TestOutputBytes:
         text = oracles.render_table(fmt, command, meta, columns, legacy_rows(rows))
         assert capsys.readouterr().out == text
 
+    def test_cells_need_not_share_types(self, tmp_path):
+        # each cell is its own text, whatever the type of the cell above it
+        out = tmp_path / "mixed.csv"
+        cli._emit(str(out), "csv", "t", {"b": True, "f": 0.1, "i": 3}, ["u", "v"],
+                  [[1, 0.5], [0.25, None], [False, "s"], [2 ** 70, math.nan]])
+        assert out.read_bytes() == (
+            b"# tfmotion t b=true f=0.10000000000000001 i=3\nu,v\n"
+            b"1,0.5\n0.25,None\nfalse,s\n1180591620717411303424,nan\n")
+
 
 def path_csv(x) -> bytes:
     """The CLI's CSV rows of the values x as path 0 with empty t cells,
@@ -739,16 +748,28 @@ class TestCsvFanOut:
                               (32, 2, main_thread)] * 3
 
     def test_stdout_through_workers(self, tmp_path):
-        # a buffered pipe: the header must reach it before the blocks, which
-        # bypass the text layer
-        _, out = run_cli(GAUSS_3_BLOCKS, tmp_path)
+        # one interpreter writes every command's table, CSV and JSON, to a
+        # buffered pipe, one after another, each after a line printed to the
+        # text layer: each reaches the pipe whole and in order, after its line,
+        # as the bytes of its --out file (simulate's in three blocks)
+        tables = [[c, *a] for c, a in BASE_ARGV.items() if c != "simulate"]
+        cases = [[*argv, "--format", fmt] for argv in tables + [GAUSS_3_BLOCKS]
+                 for fmt in ("csv", "json")]
+        want = []
+        for i, argv in enumerate(cases):
+            rc, out = run_cli(argv, tmp_path, f"{i}.out")
+            assert rc == 0, argv
+            want.append(b"%d\n" % i + out.read_bytes())
         env = package_env()
         env.pop("PYTHONUNBUFFERED", None)
-        proc = subprocess.run([sys.executable, "-m", "tfmotion.cli", *GAUSS_3_BLOCKS,
-                               "--out", "-"],
+        script = ("import json, sys\nfrom tfmotion.cli import main\n"
+                  "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+                  "    print(i)\n"
+                  "    assert main(argv + ['--out', '-']) == 0, argv\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(cases)],
                               capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == out.read_bytes()
+        assert proc.stdout == b"".join(want)
 
     def test_one_block_stays_serial(self, tmp_path, csv_blocks):
         rc, _ = run_cli(GAUSS_33, tmp_path)

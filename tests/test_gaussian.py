@@ -70,10 +70,12 @@ class TestVariance:
     def test_against_mpmath_over_lam_t(self):
         # H across (0, 2) and lam t log-spaced over [1e-10, 1e3], mpmath at
         # 30 + lam t / 2.3 digits, and more as 1 - F1 ~ (lam t)^2 shrinks:
-        # within 1e-13 up to lam t = 1; above it within 1e-8 or NumericsError,
-        # and no error up to lam t = 12
+        # within 1e-13 up to lam t = 1 for H at least 0.003 from 1 and 2 (the
+        # error grows like 1e-16 / |H - 1| nearer them, ROADMAP item 22);
+        # above it within 1e-8 or NumericsError, and no error up to lam t = 12
         lam = 0.15
-        for H in (0.05, 0.3, 0.5001, 0.7, 0.9, 0.99, 1.01, 1.3, 1.7, 1.9, 1.99):
+        for H in (0.05, 0.3, 0.5001, 0.7, 0.9, 0.99, 0.997, 1.003, 1.01, 1.3,
+                  1.7, 1.9, 1.99, 1.997):
             for lt in np.logspace(-10.0, 3.0, 27).tolist():
                 with mp.workdps(30 + int(lt / 2.3) + max(0, int(-2.0 * math.log10(lt)))):
                     ref = float(oracles.mp_variance_tfbm2(H, lam, lt / lam))

@@ -409,6 +409,18 @@ def test_incomplete_gamma_domain_slice(a):
             assert vi == pytest.approx(ref(xi), rel=rel, abs=1e-300), (f.__name__, xi)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_upper_gamma_near_zero_a(sign):
+    # below the seam x = 0.3, Gamma(a) - gamma(a, x) would cancel as a nears
+    # 0, both being near 1/a; the series form of _upper_near_zero holds
+    # 2e-15 for every 0 < |a| < 0.1
+    x = np.append(np.geomspace(1e-8, 0.3, 25, endpoint=False), np.nextafter(0.3, 0.0))
+    for a in sign * np.append(np.geomspace(1e-12, 0.09, 12), np.nextafter(0.1, 0.0)):
+        for xi, vi in zip(x.tolist(), sf.upper_gamma(float(a), x).tolist()):
+            ref = oracles.mp_gammainc(float(a), xi, math.inf)
+            assert abs(vi - ref) <= 2e-15 * abs(ref), (a, xi)
+
+
 @pytest.mark.parametrize("a", [30.0, 100.0, 160.0])
 def test_upper_scaled_step_shrinks_with_a(a):
     # the trapezoidal rule alone, next to the seam: G(a, x) = Gamma(a, x)
