@@ -393,7 +393,7 @@ def cmd_decay(args):
 
 
 def cmd_limits(args):
-    q = QuadratureConfig(abs_tol=1e-12, rel_tol=args.tol)
+    q = QuadratureConfig(rel_tol=args.tol)
     b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
     kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
     rows_g, rows_l = _limit_rows(kinds, b_global, b_local, q)

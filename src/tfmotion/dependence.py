@@ -10,7 +10,7 @@ an integral over the increment kernels that decays like e^{-lam t} t^{p} with
 p = H - 1/alpha - 1 for the second kind and p = H - 1/alpha for the first,
 the measurable distinction between the two processes.  Every integral here
 runs through kernels._quad, so an error estimate above the QuadratureConfig
-tolerances raises QuadratureError instead of passing silently.  The lags of
+tolerance raises QuadratureError instead of passing silently.  The lags of
 decay_diagnostic run as one _quad batch, each sweep evaluating the kernels
 of every lag in array calls of kernels.kernel, the second kind's lag-0
 kernel once per distinct node; codifference is the one-lag case of the
@@ -32,6 +32,7 @@ import numpy as np
 from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
                       _kinks, _norm_edges, _quad, kernel, kernel_alpha_norm)
 from . import specfun
+from .errors import NumericsError
 
 
 def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -68,7 +69,7 @@ def _codifference_edges(p: ProcessParams, lag: float,
 def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
                    theta2: float, q: QuadratureConfig) -> np.ndarray:
     """I(t) at every integer lag of lags as one _quad batch over the panels
-    of _codifference_edges, to the relative tolerance alone (epsabs = 0).
+    of _codifference_edges, to the relative tolerance of _quad.
     Each sweep evaluates the lag-t kernels of all lags in one kernel call,
     and the lag-0 kernel in another.  The lag-0 kernel depends on the node
     alone, and the lags without a sign change of their
@@ -93,7 +94,7 @@ def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
         return _stable_bracket(a, b, p.alpha)
 
     edges = [_codifference_edges(p, lag, q) for lag in lags.tolist()]
-    return _quad(integrand, edges, q, epsabs=0.0)[0]
+    return _quad(integrand, edges, q)[0]
 
 
 def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
@@ -212,6 +213,10 @@ def _limit_rows(ps, b_global, b_local,
     emitted with the range flag cleared, and NaN as limit and gap.
     """
     bg, bl = _scales(b_global), _scales(b_local)[::-1]
+    try:  # each local row's b^{-alpha H}, before any integral
+        scale_l = [b ** (-ps[0].alpha * ps[0].H) for b in bl]
+    except OverflowError:  # the least b, bl[-1], overflows first
+        raise NumericsError(f"local limit: b^(-alpha H) overflows at b = {bl[-1]}") from None
     in_range = bool(0.0 < ps[0].H < 1.0)
     limit_l = fsm_norm_limit(ps[0], q) if bl and in_range else math.nan
 
@@ -227,8 +232,8 @@ def _limit_rows(ps, b_global, b_local,
         norms = kernel_alpha_norm(p, bg + bl, q).tolist()
         rows_g += [row(p, "global", b, norm / b if p.kind == "II" else norm, limit_g)
                    for b, norm in zip(bg, norms)]
-        rows_l += [row(p, "local", b, b ** (-p.alpha * p.H) * norm, limit_l)
-                   for b, norm in zip(bl, norms[len(bg):])]
+        rows_l += [row(p, "local", b, scale * norm, limit_l)
+                   for b, scale, norm in zip(bl, scale_l, norms[len(bg):])]
     return rows_g, rows_l
 
 

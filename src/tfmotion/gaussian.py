@@ -278,7 +278,7 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     panel edges at the lag points (at j = 0 its halves fold onto [0, 1]).
     For H < 1/2 that lag-0 integral diverges, and sum_j r(j) = lam^{1-2H}
     gives r(0) = lam^{1-2H} - 2c int_0^inf min(w, 1) M(w) dw.  The error is
-    held to q.rel_tol relative, with no absolute floor, so r(j) ~ e^{-lam j}
+    held to q.rel_tol relative, as every _quad is, so r(j) ~ e^{-lam j}
     keeps its digits.  H = 1/2 is white noise.
     """
     _check_params(H, lam, times=(j,))
@@ -298,8 +298,7 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     elif j == 0:  # lam^{1-2H} less the triangles of every lag j != 0
         base, edges = lam ** (1.0 - 2.0 * H), (0.0, 1.0, math.inf)
         weight = lambda w: -2.0 * np.minimum(w, 1.0)
-    return base + c * _quad(lambda w, rows: weight(w) * m(w), edges, q,
-                            epsabs=0.0)[0]
+    return base + c * _quad(lambda w, rows: weight(w) * m(w), edges, q)[0]
 
 
 def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
@@ -313,49 +312,48 @@ def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,
     first omitted binomial term plus the Euler-Maclaurin remainders of the
     zeta values used, each times its term's coefficient.  An element leaves
     the sum once its bound is within its tol (or 1e-18 of its value), so its
-    values are those of a call with it alone.  lam^(2i) overflows past
-    i = 154/log10(lam) while the zeta sums underflow: an element whose terms
-    stop being finite ends there, failed, with a bound of inf or NaN.  The
+    values are those of a call with it alone.  With c = L + 1, term i is
+    binom(expo, i) (2 pi c)^-power r^(2i) times the zeta sums scaled by
+    c^s, s = power + 2i, and r = lam / (2 pi c): r^2 is below the
+    expansion's ratio and each scaled sum at most about
+    c/(s-1) + (c/(c-1/2))^s, so every term is finite at any lam and L,
+    where lam^(2i) and the unscaled sums leave the float range.  The
     expansion converges when 2 pi (L+1) - pi > sqrt(2) lam;
     _spectral_density, the one caller, calls it only then, and it is not
     checked again here.
     """
     omega = np.ravel(omega)
     tol = np.full(omega.shape, tol)
-    x_min = _TWO_PI * (L + 1.0) - math.pi
-    u_max = (lam / x_min) ** 2
+    c = L + 1.0
+    u_max = (lam / (_TWO_PI * c - math.pi)) ** 2
+    r2 = (lam / (_TWO_PI * c)) ** 2
     value, bound = np.empty(omega.shape), np.empty(omega.shape)
     live = np.arange(omega.size)  # the elements still summing
-    q = L + 1.0 + np.stack([omega, -omega]) / _TWO_PI  # q+ and q- of each
+    q = c + np.stack([omega, -omega]) / _TWO_PI  # q+ and q- of each
 
-    def zeta_pair(s):  # zeta(s, q+) + zeta(s, q-) and its remainder bound
-        v, r = specfun.hurwitz_zeta(s, q)
-        return v[0] + v[1], r[0] + r[1]
+    def zeta_pair(s):  # c^s (zeta(s, q+) + zeta(s, q-)) and its remainder bound
+        v, rem = specfun.hurwitz_zeta(s, q, c)
+        return v[0] + v[1], rem[0] + rem[1]
 
     total = np.zeros(omega.shape)
     zeta_rem = np.zeros(omega.shape)  # sum of |term coefficient| * zeta remainder
-    coef = 1.0  # binom(expo, i)
-    lam2i = 1.0
+    coef = (_TWO_PI * c) ** -power  # binom(expo, i) (2 pi c)^-power r^(2i)
     zsum, zrem = zeta_pair(power)
     for i in range(60):
-        scale = coef * lam2i * _TWO_PI ** (-(power + 2 * i))
-        coef_next = coef * (expo - i) / (i + 1.0)
-        lam2i_next = lam2i * lam * lam
+        coef_next = coef * (expo - i) / (i + 1.0) * r2
         # remainder: first omitted term with geometric domination; its zeta
         # sum is the next term's
         zs_next, zr_next = zeta_pair(power + 2 * i + 2)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 ends its element
-            total += scale * zsum
-            zeta_rem += abs(scale) * zrem
-            rem = abs(coef_next) * lam2i_next * _TWO_PI ** (-(power + 2 * i + 2)) \
-                * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
-            more = np.isfinite(total + rem) & (rem >= tol) & (rem >= 1e-18 * np.abs(total))
+        total += coef * zsum
+        zeta_rem += abs(coef) * zrem
+        rem = abs(coef_next) * (zs_next + zr_next) / (1.0 - u_max) + zeta_rem
+        more = (rem >= tol) & (rem >= 1e-18 * np.abs(total))
         value[live], bound[live] = total, rem
         if not more.any():
             break
         live, q, tol = live[more], q[:, more], tol[more]
         total, zeta_rem = total[more], zeta_rem[more]
-        coef, lam2i, zsum, zrem = coef_next, lam2i_next, zs_next[more], zr_next[more]
+        coef, zsum, zrem = coef_next, zs_next[more], zr_next[more]
     return value, bound
 
 
@@ -399,17 +397,15 @@ def _spectral_density(kind: str, H: float, lam: float, omega,
         w * w / (w * w + d) if d else 1.0)
     tail, err = np.zeros(w.shape), np.full(w.shape, math.inf)
     ells = np.zeros(w.shape, dtype=int)  # each element's L
-    L, converges = 4, False
+    L = 4
     while (live := np.flatnonzero(~(err <= tol))).size:  # L = 8, 16, .., 4096
         if L == 4096:
             e = err[live[0]]
             why = (f"bound {e:.3g} above tol {tol:.3g}" if e < math.inf else
-                   "the tail's binomial terms overflow" if converges else
                    "the tail expansion needs 2 pi (L+1) - pi > sqrt(2) lambda")
             raise NumericsError(f"lattice sum at lambda = {lam}: {why} at L = 4096")
         L *= 2
-        converges = (lam / (_TWO_PI * (L + 1.0) - math.pi)) ** 2 < 0.5
-        if converges:
+        if (lam / (_TWO_PI * (L + 1.0) - math.pi)) ** 2 < 0.5:  # it converges
             tail[live], rem = _lattice_tail_zeta(
                 1.0 + 2.0 * H, expo, lam, w[live], L,
                 tol * _TWO_PI / np.maximum(w2[live], 1e-300))

@@ -28,7 +28,7 @@ for every lambda, as is the codifference's (QuadratureConfig); and _quad,
 the one quadrature helper through which every integral of the package
 runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
 extrapolation (_epsilon) in NumPy, over a batch of integrals, raising
-QuadratureError past the QuadratureConfig tolerances.  An integral is
+QuadratureError past the QuadratureConfig relative tolerance.  An integral is
 extrapolated once the error of its panels below its deepest bisection
 level is within budget (QUADPACK's erlarg test, by level as in dqagpe),
 so a kink or singularity at an edge ends in a few sweeps.  No other module
@@ -110,19 +110,18 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the library's integrals (see _quad), and
-    cutoff(lam) = max(50/lambda, 50) (50 at lambda = 0): the first finite
-    panel edge, -cutoff, of every left tail, which runs on to -infinity, and
-    the left truncation of the stable plan (DiscretizationPlan.for_grid)."""
+    """The relative tolerance rel_tol in (0, 1e-2] of the library's
+    integrals, the one rule for when _quad stops and when it raises (there
+    is no absolute floor), and cutoff(lam) = max(50/lambda, 50) (50 at
+    lambda = 0): the first finite panel edge, -cutoff, of every left tail,
+    which runs on to -infinity, and the left truncation of the stable plan
+    (DiscretizationPlan.for_grid)."""
 
-    abs_tol: float = 1e-11
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
+        if not 0.0 < self.rel_tol <= 1e-2:
+            raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
 
     def cutoff(self, lam: float) -> float:
         if lam > 0.0:
@@ -218,12 +217,12 @@ def _epsilon(s):
     return best, best_err
 
 
-def _kronrod(f, edges, epsabs, epsrel):
+def _kronrod(f, edges, epsrel):
     """Batched adaptive G7/K15 quadrature of one integral per row of edges.
 
     Each sweep bisects the panels above their share of their integral's
-    budget, and each panel carries its level, the number of bisections from
-    its edge panel.  The singular points and kinks of the library's
+    budget, epsrel |total|, and each panel carries its level, the number of
+    bisections from its edge panel.  The singular points and kinks of the library's
     integrands lie on edges (_norm_edges, dependence._codifference_edges;
     the one exception is the codifference bracket's kink where its two
     kernels sum to 0), so an endpoint singularity or kink (|y|^s with
@@ -268,7 +267,7 @@ def _kronrod(f, edges, epsabs, epsrel):
         tot = np.bincount(row, val, n)
         tot_err = np.where(bad, np.inf, np.bincount(row, err, n))
         count = np.bincount(row, minlength=n)
-        budget = np.maximum(epsabs, epsrel * np.abs(tot))
+        budget = epsrel * np.abs(tot)
         done = active & (tot_err <= budget)
         totals.append(tot)
         # summed error of the panels below their integral's deepest level
@@ -281,7 +280,7 @@ def _kronrod(f, edges, epsabs, epsrel):
             plain, absf = tot[ready], np.bincount(row, vabs, n)[ready]
             with np.errstate(divide="ignore", invalid="ignore"):  # plain = 0
                 near = (0.01 <= ext / plain) & (ext / plain <= 100.0)
-            ok = (ext_err <= np.maximum(epsabs, epsrel * np.abs(ext))) & (
+            ok = (ext_err <= epsrel * np.abs(ext)) & (
                 near | (np.maximum(np.abs(ext), np.abs(plain)) <= 0.01 * absf))
             ready = ready[ok]
             tot[ready], tot_err[ready], done[ready] = ext[ok], ext_err[ok], True
@@ -310,8 +309,7 @@ def _kronrod(f, edges, epsabs, epsrel):
         level = np.concatenate([level[keep], np.tile(level[split] + 1, 2)])
 
 
-def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
-          epsabs: float | None = None):
+def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD):
     """(value, error estimate) of integral f over [e[0], e[-1]] for each row
     e of edges, panel by panel between consecutive edges.
 
@@ -325,29 +323,26 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD, *,
     active panel and rows[i] the index of the integral that x[i] belongs to.
     The batch runs QUADPACK's adaptive G7/K15 rule in NumPy (_kronrod): each
     sweep makes one call of f, and an integral stops once its summed error
-    is within max(epsabs, epsrel |value|), with epsabs default
-    0.25 q.abs_tol and epsrel = 0.25 q.rel_tol; until then only its panels
-    whose error exceeds their share of that budget are bisected, up to
-    _LIMIT panels.  Infinite edges use QUADPACK's qk15i map.  An integral
-    whose error lies only in its most bisected panels (an endpoint
-    singularity or kink, whose panel is halved each sweep) is extrapolated
-    from its sweep totals as in QUADPACK's QAGS, by dqagpe's level form of
-    the erlarg test.  Raises
-    QuadratureError when an integral's error estimate exceeds
-    40 max(q.abs_tol, q.rel_tol |value|) or is NaN or inf, as for an
-    integrand that is not finite.
+    is within 0.25 q.rel_tol |value|, relative error alone, so a small
+    value keeps its digits; until then only its panels whose error
+    exceeds their share of that budget are bisected, up to _LIMIT panels.
+    Infinite edges use QUADPACK's qk15i map.  An integral whose error lies
+    only in its most bisected panels (an endpoint singularity or kink,
+    whose panel is halved each sweep) is extrapolated from its sweep totals
+    as in QUADPACK's QAGS, by dqagpe's level form of the erlarg test.
+    Raises QuadratureError when an integral's error estimate exceeds
+    40 q.rel_tol |value| or is NaN or inf, as for an integrand that is not
+    finite.
     """
     single = np.ndim(edges[0]) == 0
     rows = [edges] if single else list(edges)
-    total, err = _kronrod(f, rows, 0.25 * q.abs_tol if epsabs is None else epsabs,
-                          0.25 * q.rel_tol)
-    bound = 40.0 * np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
-    over = np.flatnonzero(~(err <= bound) | np.isinf(err))
+    total, err = _kronrod(f, rows, 0.25 * q.rel_tol)
+    over = np.flatnonzero(~(err <= 40.0 * q.rel_tol * np.abs(total)) | np.isinf(err))
     if over.size:
         raise QuadratureError(
             f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
             f"estimate {err[over[0]]:.3e} exceeds tolerance "
-            f"(abs={q.abs_tol:.1e}, rel={q.rel_tol:.1e}, value={total[over[0]]:.6e})")
+            f"(rel={q.rel_tol:.1e}, value={total[over[0]]:.6e})")
     if single:
         return float(total[0]), float(err[0])
     return total, err
@@ -551,9 +546,11 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     The panels are graded geometrically from -t to -cutoff, with the first
     kind's sign change as an edge (_norm_edges), and the left tail below
     -cutoff is one panel to -infinity through QUADPACK's infinite map, for
-    every lambda.  H = 1/alpha
-    short-circuits to the exact value t.  Kernels with kappa < 0 are
-    singular at y = 0 and y = t; _quad extrapolates those integrals.
+    every lambda.  Each integral stops on q.rel_tol relative to its value,
+    as every integral does, so the small-t norms, which shrink like
+    t^(alpha H), keep their digits.  H = 1/alpha short-circuits to the exact
+    value t.  Kernels with kappa < 0 are singular at y = 0 and y = t; _quad
+    extrapolates those integrals.
     """
     specfun._check_x("kernel_alpha_norm", t, (t >= 0.0) & (t < np.inf),
                      "finite t >= 0")

@@ -317,11 +317,13 @@ _HZ_REM = 4.0 / (2.0 * math.pi) ** 24
 
 
 @_elementwise("q")
-def hurwitz_zeta(s: float, q):
-    """Hurwitz zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1 and q > 0, and
-    a bound on the truncation error of the formula that computes it, at a
-    float q (two floats) or elementwise over an array of q (two arrays of
-    its shape, each element's values those of a call with it alone).
+def hurwitz_zeta(s: float, q, c: float = 1.0):
+    """Hurwitz zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1 and q > 0,
+    times c^s, and a bound on the truncation error of the formula that
+    computes it, at a float q (two floats) or elementwise over an array of q
+    (two arrays of its shape, each element's values those of a call with it
+    alone).  Every power is taken of (q + k)/c, so with c near q the value
+    stays in range where zeta(s, q) itself underflows; c = 1 gives zeta.
 
     Euler-Maclaurin summation: the terms k < N = 9 directly, then, with
     x = q + N, the integral x^(1-s)/(s-1), the half term x^-s/2 and
@@ -337,15 +339,15 @@ def hurwitz_zeta(s: float, q):
         raise ValueError(f"hurwitz_zeta requires s > 1, got s = {s}")
     _check_x("hurwitz_zeta", q, q > 0.0, "q > 0")
     x = q + _HZ_DIRECT
-    xs = x ** -s
+    xs = (x / c) ** -s
     term = s * xs / x  # (s)_(2j-1) x^(-s-2j+1) at j = 1
     em = _HZ_BERNOULLI[0] * term
-    for j, c in enumerate(_HZ_BERNOULLI[1:], 2):
+    for j, b in enumerate(_HZ_BERNOULLI[1:], 2):
         term *= (s + 2 * j - 3) * (s + 2 * j - 2) / (x * x)
-        em += c * term
+        em += b * term
     value = em + 0.5 * xs + x * xs / (s - 1.0)
     for k in range(_HZ_DIRECT - 1, -1, -1):
-        value += (q + k) ** -s
+        value += ((q + k) / c) ** -s
     return value, _HZ_REM * term
 
 

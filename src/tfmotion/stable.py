@@ -239,18 +239,22 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
     other nodes, the near block, are one call of kernels.kernel with one
     time per element for each block of whole time rows of at most
     _NEAR_VALUES values (one row if a row is longer), whose temporaries stay
-    that size.  A plan whose nodes or table cannot be allocated raises
-    PlanError naming both sizes.
+    that size.  A plan whose nodes or table NumPy cannot index or allocate
+    raises PlanError naming both sizes.
     """
+    size = 8 * grid.n * plan.n_nodes  # bytes of the dense table
+    too_big = PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
+                        f"{plan.n_nodes} kernel table ({size:.3g} bytes), more "
+                        f"than can be allocated; raise dy")
+    if size > np.iinfo(np.intp).max:
+        raise too_big
     try:
         ys = plan.nodes()
         coef, powers, scale = _far_kernel(p, -ys, grid.times)
         ys = ys[scale.size:]
         near = np.empty((grid.n, ys.size))
     except MemoryError as exc:
-        raise PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
-                        f"{plan.n_nodes} kernel table ({8 * grid.n * plan.n_nodes:.3g} "
-                        f"bytes), more than can be allocated; raise dy") from exc
+        raise too_big from exc
     rows = max(1, _NEAR_VALUES // max(1, ys.size))
     for i in range(0, grid.n, rows):
         t = grid.times[i:i + rows]

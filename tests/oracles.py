@@ -386,6 +386,28 @@ def mp_lattice_density(H: float, lam: float, omega: float, second_kind: bool) ->
         return float(4 * mp.sin(w / 2) ** 2 * (term(w) + rest) / (2 * mp.pi))
 
 
+def mp_lattice_density_far(H: float, lam: float, omega: float, second_kind: bool,
+                           M: int) -> float:
+    """mp_lattice_density for large lam, where Levin's transformation fails
+    (it is off by 99% at lam = 18000): the terms |l| <= M summed directly in
+    mpmath at 30 digits, and the rest by the binomial series in lam^2/x^2,
+    each power a pair of mpmath Hurwitz zetas, which converges fast once
+    2 pi M is well above lam (60 terms; ratio 0.12 at lam = 18000,
+    M = 8192)."""
+    with mp.workdps(30):
+        H, lam, w = mp.mpf(H), mp.mpf(lam), mp.mpf(omega)
+        d = 0 if second_kind else lam ** 2
+        expo = mp.mpf(0.5) - H - (0 if second_kind else 1)
+        term = lambda x: (lam ** 2 + x ** 2) ** (mp.mpf(0.5) - H) / (x ** 2 + d)
+        s = term(w) + mp.fsum(term(w + 2 * mp.pi * l) + term(w - 2 * mp.pi * l)
+                              for l in range(1, M + 1))
+        for i in range(60):
+            p = 1 + 2 * H + 2 * i
+            s += (mp.binomial(expo, i) * lam ** (2 * i) * (2 * mp.pi) ** -p
+                  * (mp.zeta(p, M + 1 + w / (2 * mp.pi)) + mp.zeta(p, M + 1 - w / (2 * mp.pi))))
+        return float(4 * mp.sin(w / 2) ** 2 * s / (2 * mp.pi))
+
+
 def riemann_alpha_norm(kern, alpha: float, t: float, y_min: float,
                        n: int = 2_000_000) -> float:
     """Brute midpoint Riemann sum of int |kern(t, y)|^alpha dy over [y_min, t],

@@ -21,7 +21,7 @@ from tfmotion.cli import main as cli_main
 
 import oracles
 
-QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
+QUAD = QuadratureConfig(rel_tol=1e-9)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

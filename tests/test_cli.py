@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -239,23 +240,36 @@ class TestExitCodes:
         assert "L = 4096" in capsys.readouterr().err
 
     @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"])
-    def test_lattice_tail_overflow_exits_3(self, warnings, tmp_path):
-        # lambda^(2i) of the lattice tail's terms overflows at this lambda and
-        # tol: one error line that names it, and no warning, whether or not
-        # a RuntimeWarning is an error
+    def test_lattice_tail_at_large_lambda_exits_0(self, warnings, tmp_path):
+        # lambda^(2i) of the lattice tail's terms would leave the float range
+        # at this lambda and tol; the scaled terms stay finite: exit 0, every
+        # bound within tol, and no warning, whether or not a RuntimeWarning
+        # is an error
         env = package_env()
         env.pop("PYTHONWARNINGS", None)
         if warnings:
             env["PYTHONWARNINGS"] = warnings
+        out = tmp_path / "out.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "tfmotion.cli", "spectrum", "--H", "0.1",
              "--lambda", "18000", "--tol", "1e-16", "--omega-grid=-3:3:5",
-             "--out", str(tmp_path / "out.csv")],
+             "--out", str(out)],
             capture_output=True, text=True, env=env)
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [
-            "tfmotion: numeric failure: lattice sum at lambda = 18000.0: "
-            "the tail's binomial terms overflow at L = 4096"]
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, header, rows = read_csv(out)
+        bounds = [float(r[header.index(c)]) for r in rows
+                  for c in ("err_bound_1", "err_bound_2")]
+        assert len(rows) == 5 and max(bounds) <= 1e-16
+
+    def test_local_scale_overflow_names_b(self, tmp_path, capsys):
+        # b^(-alpha H) of a local row overflows at b = 1e-300: a numeric
+        # failure that names b, raised before any integral
+        rc, out = run_cli(["limits", "--H", "0.7", "--lambda", "0.15",
+                           "--alpha", "1.5", "--b-local", "0.1,1e-300"], tmp_path)
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == (
+            "tfmotion: numeric failure: local limit: b^(-alpha H) overflows "
+            "at b = 1e-300\n")
 
     @pytest.mark.parametrize("step", ["0", "-1"])
     def test_nonpositive_t_step_exits_2(self, step, tmp_path, capsys):
@@ -278,6 +292,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tfmotion: error: plan of 334333333334 nodes")
         assert "3 x 334333333334 kernel table" in err
+
+    @pytest.mark.parametrize("flag", ["--plan-dy", "--t-max"])
+    def test_unindexable_plan_exits_2(self, flag, tmp_path, capsys):
+        # a plan of about 1e302 nodes (--plan-dy, or --t-max whose dy is
+        # t_max / 256) is past what NumPy can index: refused before any
+        # allocation, with the plan error that names both sizes
+        rc, out = run_cli(["simulate", "--H", "0.7", "--lambda", "0.15",
+                           "--alpha", "1.5", "--n", "3", flag, "1e-300"], tmp_path)
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("tfmotion: error: plan of ")
+        assert re.search(r"needs a 3 x \d{300,} kernel table \(\d\.\d+e\+30\d bytes\)", err)
 
 
 class TestSpectrum:

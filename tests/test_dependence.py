@@ -188,7 +188,7 @@ class TestDecayDiagnostic:
             b = 1.3 * kernel(p, 1.0, x)
             return dependence._stable_bracket(a, b, p.alpha)
 
-        ref = _quad(every_node, edges, q, epsabs=0.0)[0]
+        ref = _quad(every_node, edges, q)[0]
         d = decay_diagnostic(p, lags, 0.7, 1.3, q)
         assert np.array_equal(d.i_values, ref)
 
@@ -240,7 +240,7 @@ class TestLimitChecks:
                 fsm_norm_limit(replace(P_G, H=H))
 
     def test_local_rows_share_limit_across_kinds(self):
-        q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-9)
+        q = QuadratureConfig(rel_tol=1e-9)
         rII = local_limit_check(P_G, [0.01], q)
         rI = local_limit_check(
             ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="I"), [0.01], q)
@@ -248,7 +248,7 @@ class TestLimitChecks:
         assert rII[0]["in_theorem_range"] and rI[0]["in_theorem_range"]
 
     def test_local_gaps_monotone(self):
-        q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-9)
+        q = QuadratureConfig(rel_tol=1e-9)
         rows = local_limit_check(P_G, [0.1, 0.01, 0.001], q)
         gaps = [r["rel_gap"] for r in rows]  # rows sorted by decreasing b
         assert gaps[0] > gaps[1] > gaps[2]
@@ -277,7 +277,7 @@ class TestLimitChecks:
         # batch; its integrals are independent, so the rows are those of
         # the two checks bit for bit (repr: NaN gaps outside 0 < H < 1)
         p = ProcessParams(H=H, alpha=1.5, lam=0.3, kind=kind)
-        q = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
+        q = QuadratureConfig(rel_tol=1e-9)
         bg, bl = [50.0, 25.0], [0.01, 0.1]
         rows_g, rows_l = _limit_rows([p], bg, bl, q)
         assert repr(rows_g) == repr(global_limit_check(p, bg, q))
@@ -305,7 +305,7 @@ class TestLimitChecks:
                          "--format", "json", "--out", str(out)]) == 0
         assert norms == [("I", 0.0, 1), ("II", 0.15, 7), ("I", 0.15, 7)]
         monkeypatch.setattr(dependence, "kernel_alpha_norm", real)
-        q = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)
+        q = QuadratureConfig(rel_tol=1e-9)
         want = []
         for check, bs in ((global_limit_check, [25, 50, 100, 200]),
                           (local_limit_check, [0.1, 0.01, 0.001])):

@@ -388,18 +388,22 @@ class TestSpectralDensities:
         with pytest.raises(NumericsError, match="above tol"):
             density(0.3, 0.15, np.array([0.0, 0.5]), tol=1e-30)
 
-    def test_lattice_tail_overflow(self):
-        # lam^(2i) of the tail's binomial terms overflows while their zeta
-        # sums underflow; an element whose terms stop being finite ends
-        # failed, without a warning (pyproject's filter makes one an error).
-        # At lam = 9000 the doubled L then converges: the values are those
-        # of a looser tol within both bounds.  At 1.8e4 no L is left.
+    def test_lattice_tail_terms_stay_finite(self):
+        # each tail term is binom(expo, i) (2 pi c)^-power r^(2i) times zeta
+        # sums scaled by c^s, c = L + 1, r = lam / (2 pi c): lam^(2i) and the
+        # unscaled zeta sums would leave the float range at lam = 1.8e4,
+        # L = 4096 (i = 37), where the expansion converges.  The values are
+        # those of a looser tol within both bounds (at lam = 9000), and of
+        # mpmath within the bound and the rounding of the sum, which the
+        # bound does not cover (a few units in the last place)
         w = np.array([0.0, 0.5, 3.0])
         v, e = tfgn1_spectral_density(0.1, 9000.0, w, tol=1e-16)
         ref, e_ref = tfgn1_spectral_density(0.1, 9000.0, w, tol=1e-12)
         assert np.all(e <= 1e-16) and np.all(np.abs(v - ref) <= e + e_ref)
-        with pytest.raises(NumericsError, match="binomial terms overflow"):
-            tfgn1_spectral_density(0.1, 18000.0, w, tol=1e-16)
+        v, e = tfgn1_spectral_density(0.1, 18000.0, 3.0, tol=1e-16)
+        ref = oracles.mp_lattice_density_far(0.1, 18000.0, 3.0, False, 8192)
+        assert e <= 1e-16
+        assert abs(v - ref) <= e + 8 * np.finfo(float).eps * abs(v), (v, ref, e)
 
     @pytest.mark.parametrize("density", [tfgn1_spectral_density,
                                          tfgn2_spectral_density])
@@ -473,9 +477,9 @@ class TestSpectralDensities:
         calls = []
         real = specfun.hurwitz_zeta
 
-        def spy(s, q):
+        def spy(s, q, c=1.0):
             calls.extend((s, x) for x in np.ravel(q).tolist())
-            return real(s, q)
+            return real(s, q, c)
 
         monkeypatch.setattr(specfun, "hurwitz_zeta", spy)
         total, rem = gaussian._lattice_tail_zeta(1.0 + 2.0 * H, -H, lam, w, 8, 1e-14)

@@ -7,8 +7,8 @@ variance_tfbm2 is within 1e-13 of mpmath for lam t <= 1 and within 1e-8
 above (README), so each C^2 value a side is built from contributes that
 share of itself, times the size of its coefficient; the other side adds its
 quadrature tolerance relative to its value.  The two sides of the
-alpha-norm scaling, both quadratures, are each held to max(abs_tol,
-rel_tol |value|) of DEFAULT_QUAD, the tolerance its adaptive rule stops on.
+alpha-norm scaling, both quadratures, are each held to rel_tol |value| of
+DEFAULT_QUAD, the one tolerance its adaptive rule stops on.
 
 Domain: H at least 0.01 from 1 and 2.  The closed form's two terms
 each carry a pole of Gamma(1 - H) at H = 1 and H = 2 and cancel near them,
@@ -122,9 +122,7 @@ def test_kernel_norm_scaling(kind, H, alpha, lam, t, b):
     lhs = kernel_alpha_norm(ProcessParams(H=H, alpha=alpha, lam=lam, kind=kind), b * t)
     rhs = b ** (alpha * H) * kernel_alpha_norm(
         ProcessParams(H=H, alpha=alpha, lam=b * lam, kind=kind), t)
-    q = DEFAULT_QUAD
-    budget = (max(q.abs_tol, q.rel_tol * abs(lhs))
-              + max(b ** (alpha * H) * q.abs_tol, q.rel_tol * abs(rhs)))
+    budget = DEFAULT_QUAD.rel_tol * (abs(lhs) + abs(rhs))
     assert abs(lhs - rhs) <= budget, (lhs, rhs, budget)
 
 

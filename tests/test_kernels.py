@@ -686,7 +686,7 @@ class TestAlphaNorm:
 
     def test_scaling_consistency(self):
         # b^{-alpha H} ||h_lam(b)||^alpha == ||h_{b lam}(1)||^alpha
-        q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)
+        q = QuadratureConfig(rel_tol=1e-10)
         b = 1e-3
         small = kernel_alpha_norm(P_HI, b, q)
         ref = kernel_alpha_norm(
@@ -713,17 +713,31 @@ class TestAlphaNorm:
         ref = sf.gamma_fn(1.2) ** 2 * variance_tfbm2(0.7, 0.15, 1.0)
         assert v == pytest.approx(ref, rel=1e-6)
 
-    @pytest.mark.parametrize("q", [DEFAULT_QUAD, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-9)])
+    @pytest.mark.parametrize("q", [DEFAULT_QUAD, QuadratureConfig(rel_tol=1e-11)])
     def test_gaussian_norm_at_limit_scales(self, q):
-        # the limits command's default scales at alpha = 2 (its own
-        # tolerances and the default ones): kappa = 0.2 puts kinks |y|^0.4
-        # at y = 0 and y = t, which _quad extrapolates; the norm is
-        # Gamma(H + 1/2)^2 C_b^2 (mpmath's 2F3 form)
+        # the limits command's default scales at alpha = 2 (at its default
+        # tolerance, DEFAULT_QUAD's, and a tighter one): kappa = 0.2 puts
+        # kinks |y|^0.4 at y = 0 and y = t, which _quad extrapolates; the
+        # norm is Gamma(H + 1/2)^2 C_b^2 (mpmath's 2F3 form)
         bs = [25.0, 50.0, 100.0, 200.0, 0.1, 0.01, 0.001]
         g2 = oracles.mp_gamma(1.2) ** 2
         for b, v in zip(bs, kernel_alpha_norm(P_HI, np.array(bs), q)):
             ref = g2 * float(oracles.mp_variance_tfbm2(0.7, 0.15, b))
             assert v == pytest.approx(ref, rel=1e-10), b
+
+    @pytest.mark.parametrize("H", [0.3, 0.7, 1.3, 1.8699])
+    @pytest.mark.parametrize("lt", [2.0 ** -14, 1e-3, 1.0])
+    def test_gaussian_norm_keeps_its_digits_at_small_times(self, H, lt):
+        # the norm shrinks like t^(2H), and each integral stops on rel_tol
+        # alone: it is Gamma(H + 1/2)^2 C_t^2 within 1e-10 relative, and
+        # within 1e-12 at H = lam = 1.8699, lam t = 2^-14, which was 7.8e-8
+        # off when the norms stopped on an absolute floor
+        lam = 1.8699
+        p = ProcessParams(H=H, alpha=2.0, lam=lam, kind="II")
+        v = kernel_alpha_norm(p, lt / lam)
+        ref = sf.gamma_fn(H + 0.5) ** 2 * variance_tfbm2(H, lam, lt / lam)
+        rel = 1e-12 if (H, lt) == (lam, 2.0 ** -14) else 1e-10
+        assert v == pytest.approx(ref, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("H,alpha,lam,t", [(0.8, 1.5, 0.3, 1.0), (0.9, 1.2, 2.0, 0.01),
                                                (1.5, 1.8, 0.05, 30.0), (0.7, 1.9, 0.01, 1.0)])
@@ -821,12 +835,15 @@ class TestQuadHelper:
         # decay; so does a sign-changing integrand whose value, 1e-6, is far
         # below the integral of its absolute value (dqagse's ksgn case): its
         # plain totals, still far from 1e-6, fail the factor-100 test, and
-        # without that exception it would take 29 sweeps
+        # without that exception it would take 29 sweeps.  Its rel_tol of
+        # 1e-5 is a budget of 2.5e-12; the default's, 2.5e-16, is below the
+        # least error qk15 reports, 50 eps times the integral of |f| (2.9)
         assert _quad(lambda x, rows: x ** -0.9, (0.0, 1.0))[0] == pytest.approx(10.0, rel=1e-9)
         assert _quad(lambda x, rows: x ** -0.999, (0.0, 1.0))[0] == pytest.approx(
             1000.0, rel=1e-8)
         sweeps.clear()
-        v, _ = _quad(lambda x, rows: x ** -0.5 * (2.0 + np.log(x)) + 1e-6, (0.0, 1.0))
+        v, _ = _quad(lambda x, rows: x ** -0.5 * (2.0 + np.log(x)) + 1e-6, (0.0, 1.0),
+                     QuadratureConfig(rel_tol=1e-5))
         assert v == pytest.approx(1e-6, abs=1e-11) and len(sweeps) <= 16
 
     def test_epsilon_extrapolates_geometric_sums(self):
@@ -947,7 +964,7 @@ class TestQuadHelper:
             for token in ("scipy.integrate", "integrate.quad(", "catch_warnings",
                           "from scipy import integrate"):
                 assert token not in src, (f.name, token)
-        assert list(inspect.signature(_quad).parameters) == ["f", "edges", "q", "epsabs"]
+        assert list(inspect.signature(_quad).parameters) == ["f", "edges", "q"]
         for mod in (sf, kernels):
             src = Path(mod.__file__).read_text()
             assert not re.search(r"def _\w*_array\(", src), mod.__name__

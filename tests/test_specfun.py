@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -551,6 +552,19 @@ class TestHurwitzZeta:
             err = abs(oracles.mp_hurwitz_em(s, q, 9, 12) - exact)
             assert err <= bound + 5e-324, (s, q)
             assert bound <= 1e-19 * exact, (s, q)
+
+    @pytest.mark.parametrize("q", _ZETA_Q)
+    def test_scaled_against_mpmath(self, q):
+        # c^s zeta(s, q) at c = L + 1 stays in range where zeta(s, q)
+        # underflows (s = 124.9 at L = 4096); rounding (q + k)/c costs about
+        # s/2 units in the last place, as the rounding of q itself does
+        c = math.floor(q + 0.5)
+        for s in _ZETA_S:
+            with mp.workdps(40):
+                ref = float(mp.power(c, s) * oracles.mp_hurwitz_em(s, q, 60, 40))
+            v, bound = sf.hurwitz_zeta(s, q, c)
+            assert abs(v - ref) <= (2e-15 + 2e-16 * s) * ref, (s, q)
+            assert bound <= 1e-19 * ref, (s, q)
 
     @pytest.mark.parametrize("s", (1.0 + 2e-7, 1.4, 10.3, 124.9))
     def test_reference_matches_integral_representation(self, s):
