@@ -7,8 +7,8 @@ Monte Carlo stable simulation, and dependence/self-similarity diagnostics.
 from .errors import (FactorizationError, NumericsError, PlanError, PoleError,
                      QuadratureError)
 from .specfun import bessel_k, gamma_fn
-from .kernels import (ProcessParams, QuadratureConfig, kernel, kernel_g,
-                      kernel_h, kernel_alpha_norm)
+from .kernels import (ProcessParams, kernel, kernel_g, kernel_h,
+                      kernel_alpha_norm)
 from .gaussian import (CovarianceMatrix, PathEnsemble, SampleGrid,
                        build_cov_matrix, covariance_tfbm2, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density,
@@ -23,8 +23,7 @@ __all__ = [
     "FactorizationError", "NumericsError", "PlanError", "PoleError",
     "QuadratureError",
     "bessel_k", "gamma_fn",
-    "ProcessParams", "QuadratureConfig", "kernel", "kernel_g", "kernel_h",
-    "kernel_alpha_norm",
+    "ProcessParams", "kernel", "kernel_g", "kernel_h", "kernel_alpha_norm",
     "CovarianceMatrix", "PathEnsemble", "SampleGrid",
     "build_cov_matrix", "covariance_tfbm2", "simulate_gaussian_paths",
     "tfgn1_spectral_density", "tfgn2_spectral_density", "tfgn2_acvf",

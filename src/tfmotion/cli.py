@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .errors import NumericsError
-from .kernels import ProcessParams, QuadratureConfig
+from .kernels import ProcessParams
 from .gaussian import (SampleGrid, build_cov_matrix, simulate_gaussian_paths,
                        tfgn1_spectral_density, tfgn2_spectral_density)
 from .stable import DiscretizationPlan, simulate_tfsm_paths
@@ -377,11 +377,10 @@ def cmd_covariance(args):
 
 def cmd_decay(args):
     params = _build_params(args)
-    q = QuadratureConfig(rel_tol=args.tol)
     if args.t_step < 1:
         raise ValueError(f"--t-step must be >= 1, got {args.t_step}")
     lags = range(int(args.t_min), int(args.t_max) + 1, int(args.t_step))
-    diag = decay_diagnostic(params, lags, args.theta1, args.theta2, q,
+    diag = decay_diagnostic(params, lags, args.theta1, args.theta2, args.tol,
                             band_factor=args.band_factor)
     rows = [[int(t), float(i), float(r), diag.p_used]
             for t, i, r in zip(diag.t_values, diag.i_values, diag.ratio)]
@@ -393,10 +392,9 @@ def cmd_decay(args):
 
 
 def cmd_limits(args):
-    q = QuadratureConfig(rel_tol=args.tol)
     b_global, b_local = _parse_list(args.b_global), _parse_list(args.b_local)
     kinds = [_build_params(args, kind=kind) for kind in ("II", "I")]
-    rows_g, rows_l = _limit_rows(kinds, b_global, b_local, q)
+    rows_g, rows_l = _limit_rows(kinds, b_global, b_local, args.tol)
     columns = ["regime", "kind", "b", "normalized", "limit", "rel_gap",
                "in_theorem_range"]
     meta = {"H": args.H, "alpha": kinds[0].alpha, "lambda": args.lam}

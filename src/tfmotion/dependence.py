@@ -9,8 +9,9 @@ The codifference of the unit-lag noise Y(t) = Z(t+1) - Z(t) is
 an integral over the increment kernels that decays like e^{-lam t} t^{p} with
 p = H - 1/alpha - 1 for the second kind and p = H - 1/alpha for the first,
 the measurable distinction between the two processes.  Every integral here
-runs through kernels._quad, so an error estimate above the QuadratureConfig
-tolerance raises QuadratureError instead of passing silently.  The lags of
+runs through kernels._quad, so an error estimate above the relative
+tolerance rel_tol, a float that every function here passes on to _quad,
+raises QuadratureError instead of passing silently.  The lags of
 decay_diagnostic run as one _quad batch, each sweep evaluating the kernels
 of every lag in array calls of kernels.kernel, the second kind's lag-0
 kernel once per distinct node; codifference is the one-lag case of the
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
-                      _kinks, _norm_edges, _quad, kernel, kernel_alpha_norm)
+from .kernels import (ProcessParams, _check_params, _cutoff, _kinks, _norm_edges,
+                      _quad, kernel, kernel_alpha_norm)
 from . import specfun
 from .errors import NumericsError
 
@@ -52,8 +53,7 @@ def _stable_bracket(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _codifference_edges(p: ProcessParams, lag: float,
-                        q: QuadratureConfig) -> list[float]:
+def _codifference_edges(p: ProcessParams, lag: float) -> list[float]:
     """Panel edges of I(lag) over (-inf, 1]: those of the lag-0 kernel's
     alpha-norm at t = 1 (_norm_edges: -inf, -cutoff, the graded -100, -10,
     -1 that fit above it, the first kind's sign change -s with
@@ -61,15 +61,15 @@ def _codifference_edges(p: ProcessParams, lag: float,
     kernel's own sign change lag - s where it lies inside (-cutoff, 1): at
     lag 1 alone when s < 1.  The bracket's one remaining kink, where the
     two kernels sum to 0, lies inside a panel."""
-    lo = -q.cutoff(p.lam)
+    lo = -_cutoff(p.lam)
     own = [lag + y for y in _kinks(p, 1.0) if lo < lag + y < 1.0]
-    return sorted({*_norm_edges(p, 1.0, q), *own})
+    return sorted({*_norm_edges(p, 1.0), *own})
 
 
 def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
-                   theta2: float, q: QuadratureConfig) -> np.ndarray:
+                   theta2: float, rel_tol: float) -> np.ndarray:
     """I(t) at every integer lag of lags as one _quad batch over the panels
-    of _codifference_edges, to the relative tolerance of _quad.
+    of _codifference_edges, to the relative tolerance rel_tol.
     Each sweep evaluates the lag-t kernels of all lags in one kernel call,
     and the lag-0 kernel in another.  The lag-0 kernel depends on the node
     alone, and the lags without a sign change of their
@@ -93,12 +93,12 @@ def _codifferences(p: ProcessParams, lags: np.ndarray, theta1: float,
             b = theta2 * kernel(p, 1.0, nodes)[at]
         return _stable_bracket(a, b, p.alpha)
 
-    edges = [_codifference_edges(p, lag, q) for lag in lags.tolist()]
-    return _quad(integrand, edges, q)[0]
+    edges = [_codifference_edges(p, lag) for lag in lags.tolist()]
+    return _quad(integrand, edges, rel_tol)[0]
 
 
 def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
-                 q: QuadratureConfig = DEFAULT_QUAD) -> float:
+                 rel_tol: float = 1e-9) -> float:
     """Codifference I(t) of the unit-lag noise at integer lag t >= 1.
 
     The one-lag case of the batch behind decay_diagnostic: quadrature of
@@ -108,7 +108,7 @@ def codifference(p: ProcessParams, t: int, theta1: float, theta2: float,
     evaluated through log1p/expm1; a zero weight gives +0.0.
     """
     _check_params(weights=(theta1, theta2))
-    return float(_codifferences(p, [t], theta1, theta2, q)[0])
+    return float(_codifferences(p, [t], theta1, theta2, rel_tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +125,7 @@ class DecayDiagnostic:
 
 
 def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
-                     q: QuadratureConfig = DEFAULT_QUAD,
+                     rel_tol: float = 1e-9,
                      band_factor: float = 3.0) -> DecayDiagnostic:
     """Ratios |I(t)| / (e^{-lam t} t^p) and the fitted log-log slope.
 
@@ -148,7 +148,7 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     if ts.size < 2:
         raise ValueError("need at least two lags")
     p_used = p.H - 1.0 / p.alpha - (1.0 if p.kind == "II" else 0.0)
-    ivals = _codifferences(p, ts, theta1, theta2, q)
+    ivals = _codifferences(p, ts, theta1, theta2, rel_tol)
     if np.any(ivals == 0.0):
         raise ValueError("codifference vanished over the requested lags; "
                          "the envelope ratio is undefined")
@@ -179,12 +179,12 @@ def global_limit_constant(p: ProcessParams) -> float:
         p.lam * p.alpha) ** (p.H * p.alpha)
 
 
-def fsm_norm_limit(p: ProcessParams, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def fsm_norm_limit(p: ProcessParams, rel_tol: float = 1e-9) -> float:
     """Small-time limit constant: the untempered kernel norm at t = 1,
     shared by both kinds and every lambda.  It exists for 0 < H < 1 alone,
     the range ProcessParams checks at lambda = 0 (ValueError outside it)."""
     p0 = replace(p, lam=0.0, kind="I")
-    return kernel_alpha_norm(p0, 1.0, q)
+    return kernel_alpha_norm(p0, 1.0, rel_tol)
 
 
 def _scales(b_values) -> list[float]:
@@ -196,16 +196,16 @@ def _scales(b_values) -> list[float]:
 
 
 def _limit_rows(ps, b_global, b_local,
-                q: QuadratureConfig = DEFAULT_QUAD) -> tuple[list[dict], list[dict]]:
-    """The rows of global_limit_check(p, b_global, q) and of
-    local_limit_check(p, b_local, q) for each process p of ps in turn, as
-    two lists: the global rows of every p, then their local rows.  The ps
-    are the processes of one table, which share H, alpha and lambda (the
-    CLI's limits passes one per kind).  Each p's scales are one
+                rel_tol: float = 1e-9) -> tuple[list[dict], list[dict]]:
+    """The rows of global_limit_check(p, b_global, rel_tol) and of
+    local_limit_check(p, b_local, rel_tol) for each process p of ps in
+    turn, as two lists: the global rows of every p, then their local rows.
+    The ps are the processes of one table, which share H, alpha and lambda
+    (the CLI's limits passes one per kind).  Each p's scales are one
     kernel_alpha_norm batch, and its integrals are independent, so the
     values are those of the two checks.  The local limit,
-    fsm_norm_limit(ps[0], q), is the same for both kinds and every lambda,
-    and is integrated once for all of ps.
+    fsm_norm_limit(ps[0], rel_tol), is the same for both kinds and every
+    lambda, and is integrated once for all of ps.
 
     A global row normalizes the norm at b by b for the second kind and
     leaves it as it is for the first; a local row by b^{-alpha H}.  Outside
@@ -218,7 +218,7 @@ def _limit_rows(ps, b_global, b_local,
     except OverflowError:  # the least b, bl[-1], overflows first
         raise NumericsError(f"local limit: b^(-alpha H) overflows at b = {bl[-1]}") from None
     in_range = bool(0.0 < ps[0].H < 1.0)
-    limit_l = fsm_norm_limit(ps[0], q) if bl and in_range else math.nan
+    limit_l = fsm_norm_limit(ps[0], rel_tol) if bl and in_range else math.nan
 
     def row(p, regime, b, normalized, limit):
         return {"regime": regime, "kind": p.kind, "b": b,
@@ -229,7 +229,7 @@ def _limit_rows(ps, b_global, b_local,
     rows_g, rows_l = [], []
     for p in ps:
         limit_g = global_limit_constant(p) if bg else math.nan
-        norms = kernel_alpha_norm(p, bg + bl, q).tolist()
+        norms = kernel_alpha_norm(p, bg + bl, rel_tol).tolist()
         rows_g += [row(p, "global", b, norm / b if p.kind == "II" else norm, limit_g)
                    for b, norm in zip(bg, norms)]
         rows_l += [row(p, "local", b, scale * norm, limit_l)
@@ -238,18 +238,18 @@ def _limit_rows(ps, b_global, b_local,
 
 
 def global_limit_check(p: ProcessParams, b_values,
-                       q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
+                       rel_tol: float = 1e-9) -> list[dict]:
     """Normalized alpha-norms against the large-b limit, one row per b
     (_limit_rows)."""
-    return _limit_rows([p], b_values, (), q)[0]
+    return _limit_rows([p], b_values, (), rel_tol)[0]
 
 
 def local_limit_check(p: ProcessParams, b_values,
-                      q: QuadratureConfig = DEFAULT_QUAD) -> list[dict]:
+                      rel_tol: float = 1e-9) -> list[dict]:
     """b^{-alpha H}-scaled alpha-norms against the small-b limit, one row per
     b from the largest (_limit_rows).
 
     Outside 0 < H < 1 the limit constant does not exist; rows are still
     emitted with the range flag cleared and no limit value.
     """
-    return _limit_rows([p], (), b_values, q)[1]
+    return _limit_rows([p], (), b_values, rel_tol)[1]

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, NumericsError, PoleError
-from .kernels import (ProcessParams, QuadratureConfig, DEFAULT_QUAD, _check_params,
-                      _quad)
+from .kernels import ProcessParams, _check_params, _quad
 from .rng import philox_streams
 from . import specfun
 
@@ -271,15 +270,15 @@ def _matern(H: float, lam: float):
 # increment noise: autocovariance and spectral densities
 
 
-def tfgn2_acvf(H: float, lam: float, j: int,
-               q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def tfgn2_acvf(H: float, lam: float, j: int, rel_tol: float = 1e-9) -> float:
     """Autocovariance r(j) of TFGN II: one _quad of M and c of _matern over
     the lag's triangle, r(j) = c int_{j-1}^{j+1} (1 - |w - j|) M(w) dw, with
     panel edges at the lag points (at j = 0 its halves fold onto [0, 1]).
     For H < 1/2 that lag-0 integral diverges, and sum_j r(j) = lam^{1-2H}
     gives r(0) = lam^{1-2H} - 2c int_0^inf min(w, 1) M(w) dw.  The error is
-    held to q.rel_tol relative, as every _quad is, so r(j) ~ e^{-lam j}
-    keeps its digits.  H = 1/2 is white noise.
+    held to rel_tol relative, as every _quad is, so r(j) ~ e^{-lam j}
+    keeps its digits.  H = 1/2 is white noise, which integrates nothing
+    and so does not read rel_tol (_quad checks it).
     """
     _check_params(H, lam, times=(j,))
     if not float(j).is_integer():
@@ -298,7 +297,7 @@ def tfgn2_acvf(H: float, lam: float, j: int,
     elif j == 0:  # lam^{1-2H} less the triangles of every lag j != 0
         base, edges = lam ** (1.0 - 2.0 * H), (0.0, 1.0, math.inf)
         weight = lambda w: -2.0 * np.minimum(w, 1.0)
-    return base + c * _quad(lambda w, rows: weight(w) * m(w), edges, q)[0]
+    return base + c * _quad(lambda w, rows: weight(w) * m(w), edges, rel_tol)[0]
 
 
 def _lattice_tail_zeta(power: float, expo: float, lam: float, omega, L: int,

@@ -24,15 +24,15 @@ of x, whose 21 terms leave a tail below 2^-56, in factors of rank 21.
 Also here: _check_params, the one check of H, alpha, lambda, sigma, beta,
 times, lags and weights; quadrature of integral |kernel|^alpha dy (one
 batch over many t), whose left tail is one infinite panel (-inf, -cutoff)
-for every lambda, as is the codifference's (QuadratureConfig); and _quad,
-the one quadrature helper through which every integral of the package
-runs: QUADPACK's adaptive G7/K15 rule (_qk15, _kronrod) and epsilon
-extrapolation (_epsilon) in NumPy, over a batch of integrals, raising
-QuadratureError past the QuadratureConfig relative tolerance.  An integral is
-extrapolated once the error of its panels below its deepest bisection
-level is within budget (QUADPACK's erlarg test, by level as in dqagpe),
-so a kink or singularity at an edge ends in a few sweeps.  No other module
-names those three.
+for every lambda, as is the codifference's (_cutoff); and _quad, the one
+quadrature helper through which every integral of the package runs, and
+the one check of its relative tolerance rel_tol: QUADPACK's adaptive
+G7/K15 rule (_qk15, _kronrod) and epsilon extrapolation (_epsilon) in
+NumPy, over a batch of integrals, raising QuadratureError past rel_tol.
+An integral is extrapolated once the error of its panels below its
+deepest bisection level is within budget (QUADPACK's erlarg test, by
+level as in dqagpe), so a kink or singularity at an edge ends in a few
+sweeps.  No other module names those three.
 The convention (x)_+^p = x^p for x > 0 and 0 otherwise is used throughout;
 for kappa < 0 the primitive at x = 0 takes its infinite right limit, so the
 kernels return the signed infinite limit at the singular points y = 0 and
@@ -108,28 +108,11 @@ class ProcessParams:
         return self.H - 1.0 / self.alpha
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """The relative tolerance rel_tol in (0, 1e-2] of the library's
-    integrals, the one rule for when _quad stops and when it raises (there
-    is no absolute floor), and cutoff(lam) = max(50/lambda, 50) (50 at
-    lambda = 0): the first finite panel edge, -cutoff, of every left tail,
-    which runs on to -infinity, and the left truncation of the stable plan
-    (DiscretizationPlan.for_grid)."""
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-
-    def cutoff(self, lam: float) -> float:
-        if lam > 0.0:
-            return max(50.0 / lam, 50.0)
-        return 50.0
-
-
-DEFAULT_QUAD = QuadratureConfig()
+def _cutoff(lam: float) -> float:
+    """max(50/lambda, 50) (50 at lambda = 0): the first finite panel edge,
+    -cutoff, of every left tail, which runs on to -infinity, and the left
+    truncation of the stable plan (DiscretizationPlan.for_grid)."""
+    return max(50.0 / lam, 50.0) if lam > 0.0 else 50.0
 
 
 # QUADPACK's qk15 rule (Piessens et al., QUADPACK, Springer 1983): the 15
@@ -309,11 +292,13 @@ def _kronrod(f, edges, epsrel):
         level = np.concatenate([level[keep], np.tile(level[split] + 1, 2)])
 
 
-def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD):
+def _quad(f, edges, rel_tol: float = 1e-9):
     """(value, error estimate) of integral f over [e[0], e[-1]] for each row
     e of edges, panel by panel between consecutive edges.
 
-    Every integral of the library goes through here.  edges is one row of
+    Every integral of the library goes through here, and this is the one
+    check of its relative tolerance: rel_tol outside (0, 1e-2] raises
+    ValueError before any integrand is evaluated.  edges is one row of
     increasing edges (one integral; floats are returned) or a sequence of
     rows (a batch; arrays are returned).  Each row must hold at least two
     strictly increasing edges, and a panel at most one infinite end (one
@@ -323,26 +308,29 @@ def _quad(f, edges, q: QuadratureConfig = DEFAULT_QUAD):
     active panel and rows[i] the index of the integral that x[i] belongs to.
     The batch runs QUADPACK's adaptive G7/K15 rule in NumPy (_kronrod): each
     sweep makes one call of f, and an integral stops once its summed error
-    is within 0.25 q.rel_tol |value|, relative error alone, so a small
-    value keeps its digits; until then only its panels whose error
-    exceeds their share of that budget are bisected, up to _LIMIT panels.
+    is within 0.25 rel_tol |value|, relative error alone (there is no
+    absolute floor), so a small value keeps its digits; until then only
+    its panels whose error exceeds their share of that budget are
+    bisected, up to _LIMIT panels.
     Infinite edges use QUADPACK's qk15i map.  An integral whose error lies
     only in its most bisected panels (an endpoint singularity or kink,
     whose panel is halved each sweep) is extrapolated from its sweep totals
     as in QUADPACK's QAGS, by dqagpe's level form of the erlarg test.
     Raises QuadratureError when an integral's error estimate exceeds
-    40 q.rel_tol |value| or is NaN or inf, as for an integrand that is not
+    40 rel_tol |value| or is NaN or inf, as for an integrand that is not
     finite.
     """
+    if not 0.0 < rel_tol <= 1e-2:
+        raise ValueError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
     single = np.ndim(edges[0]) == 0
     rows = [edges] if single else list(edges)
-    total, err = _kronrod(f, rows, 0.25 * q.rel_tol)
-    over = np.flatnonzero(~(err <= 40.0 * q.rel_tol * np.abs(total)) | np.isinf(err))
+    total, err = _kronrod(f, rows, 0.25 * rel_tol)
+    over = np.flatnonzero(~(err <= 40.0 * rel_tol * np.abs(total)) | np.isinf(err))
     if over.size:
         raise QuadratureError(
             f"{getattr(f, '__qualname__', 'integrand')}: quadrature error "
             f"estimate {err[over[0]]:.3e} exceeds tolerance "
-            f"(rel={q.rel_tol:.1e}, value={total[over[0]]:.6e})")
+            f"(rel={rel_tol:.1e}, value={total[over[0]]:.6e})")
     if single:
         return float(total[0]), float(err[0])
     return total, err
@@ -518,15 +506,15 @@ def _kinks(p: ProcessParams, t: float) -> list[float]:
     return [-t / math.expm1(x)] if x <= 700.0 else []
 
 
-def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
+def _norm_edges(p: ProcessParams, t: float) -> list[float]:
     """Panel edges of the alpha-norm integral at time t > 0: graded
-    geometrically, -t 10^k, from -t down to -cutoff, so that the mass on
-    [-t, 0] and just left of it has panels of its own scale at any t; then
-    0 and t, and the kink of the first kind's sign change (_kinks) when it
-    lies right of -cutoff.  The left tail is one infinite panel
+    geometrically, -t 10^k, from -t down to -cutoff (_cutoff), so that the
+    mass on [-t, 0] and just left of it has panels of its own scale at any
+    t; then 0 and t, and the kink of the first kind's sign change (_kinks)
+    when it lies right of -cutoff.  The left tail is one infinite panel
     (-inf, -cutoff).  Every kink and singular point of the integrand is an
     edge, so _kronrod extrapolates it in a few sweeps."""
-    a = q.cutoff(p.lam)
+    a = _cutoff(p.lam)
     left = []
     y = t
     while y < a:
@@ -537,7 +525,7 @@ def _norm_edges(p: ProcessParams, t: float, q: QuadratureConfig) -> list[float]:
 
 
 @specfun._elementwise("t")
-def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
+def kernel_alpha_norm(p: ProcessParams, t, rel_tol: float = 1e-9):
     """integral_R |kernel(t; y)|^alpha dy by adaptive quadrature (_quad), at
     a float or an array of times t.  The times of an array are one _quad
     batch, and each sweep is one kernel call (_kernel_step) at the times of
@@ -546,11 +534,12 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     The panels are graded geometrically from -t to -cutoff, with the first
     kind's sign change as an edge (_norm_edges), and the left tail below
     -cutoff is one panel to -infinity through QUADPACK's infinite map, for
-    every lambda.  Each integral stops on q.rel_tol relative to its value,
-    as every integral does, so the small-t norms, which shrink like
+    every lambda.  Each integral stops on rel_tol relative to its value, as
+    every integral does, so the small-t norms, which shrink like
     t^(alpha H), keep their digits.  H = 1/alpha short-circuits to the exact
-    value t.  Kernels with kappa < 0 are singular at y = 0 and y = t; _quad
-    extrapolates those integrals.
+    value t, and t = 0 gives 0: neither integrates, so neither reads
+    rel_tol, which _quad checks.  Kernels with kappa < 0 are singular at
+    y = 0 and y = t; _quad extrapolates those integrals.
     """
     specfun._check_x("kernel_alpha_norm", t, (t >= 0.0) & (t < np.inf),
                      "finite t >= 0")
@@ -565,5 +554,5 @@ def kernel_alpha_norm(p: ProcessParams, t, q: QuadratureConfig = DEFAULT_QUAD):
     def f(y, rows):
         return np.abs(_kernel_step(p.kind, p.kappa, p.lam, -y, tp[rows])) ** p.alpha
 
-    out[pos], _ = _quad(f, [_norm_edges(p, ti, q) for ti in tp], q)
+    out[pos], _ = _quad(f, [_norm_edges(p, ti) for ti in tp], rel_tol)
     return out

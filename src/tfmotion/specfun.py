@@ -257,6 +257,13 @@ _GL_REL_WIDTH = 0.5
 _GL_MAX_WIDTH = 1.0
 
 
+def _gamma_median(a: float) -> float:
+    """m(a) = max(a - 1/3, exp((log Gamma(1 + a) - log 2) / a)) for a > 0,
+    near the median of the Gamma(a) law: gamma_interval's seam between its
+    lower and upper differences."""
+    return max(a - 1.0 / 3.0, math.exp((math.lgamma(1.0 + a) - math.log(2.0)) / a))
+
+
 @_elementwise("x")
 def gamma_interval(a: float, x, h):
     """integral_x^{x+h} s^(a-1) e^(-s) ds = Gamma(a, x) - Gamma(a, x+h), for
@@ -270,11 +277,21 @@ def gamma_interval(a: float, x, h):
     and e^-s is entire; against mpmath the worst relative error over a in
     [-0.95, 3), x in [1e-3, 60] is 2.5e-14, the rule's own error at
     a = -0.95, x = 2, h = 1, and 1.7e-15 for a >= 0.
-    A longer cell is a difference of upper gammas, or of lower gammas for
-    a > 1 and x < a, where Gamma(a, x) is close to Gamma(a) and the upper
-    difference would cancel; either loses at most about three digits.
-    Both ends of a difference go through one incomplete-gamma call; a short
-    cell makes none.
+    A longer cell is the lower difference gamma(a, x + h) - gamma(a, x)
+    where a > 0 and x < m(a), and the upper difference otherwise (at every
+    x for a < 0, whose lower gamma diverges), with
+
+        m(a) = max(a - 1/3, exp((log Gamma(1 + a) - log 2) / a))
+
+    near the median of the Gamma(a) law (K. P. Choi, Proc. Amer. Math.
+    Soc. 121, 1994; the second term solves x^a / Gamma(1 + a) = 1/2, the
+    small-a median).  Left of m(a), Gamma(a, x) is near Gamma(a), so the
+    upper difference would cancel; right of it, gamma(a, x) is, so the
+    lower one would.  Against mpmath the worst relative error of a long
+    cell over a in (0, 2), x in [1e-300, 5] and h in [1e-6, 10] is below
+    5e-15, and 3e-14 beside m(a) at a = 20 (the incomplete gammas' own
+    error, as the cell is a tenth of them).  Both ends of a difference go
+    through one incomplete-gamma call; a short cell makes none.
     """
     _check_upper_a("gamma_interval", a)
     h = np.full(x.shape, np.ravel(h), dtype=float)  # ValueError unless one per x
@@ -288,18 +305,14 @@ def gamma_interval(a: float, x, h):
         d = r * (1.0 + u)
         total += w * np.exp((a - 1.0) * np.log(xg + d) - d)
     out[gl] = r * np.exp(-xg) * total
-    up = ~gl
-    if a > 1.0:
-        low = up & (x < a)
-        xl = x[low]
-        if xl.size:
-            g = lower_gamma(a, np.concatenate([xl + h[low], xl]))
-            out[low] = g[:xl.size] - g[xl.size:]
-        up &= ~low
-    xu = x[up]
-    if xu.size:
-        g = upper_gamma(a, np.concatenate([xu, xu + h[up]]))
-        out[up] = g[:xu.size] - g[xu.size:]
+    low = ~gl & (x < _gamma_median(a)) if a > 0.0 else np.zeros(x.shape, dtype=bool)
+    # the upper difference as -(G(x + h) - G(x)), bit for bit G(x) - G(x + h)
+    sides = ((low, lower_gamma, 1.0), (~(gl | low), upper_gamma, -1.0))
+    for cells, g_fn, sign in sides:
+        xc = x[cells]
+        if xc.size:  # a side with no cell makes no call
+            g = g_fn(a, np.concatenate([xc, xc + h[cells]]))
+            out[cells] = sign * (g[xc.size:] - g[:xc.size])
     return out
 
 

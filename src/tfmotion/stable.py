@@ -23,7 +23,10 @@ sampler runs in the calling thread over blocks of whole paths, about 2^17
 cell values each, whose paths are one matrix product with the near block
 and two through the far block's factors.  It skips the leading far nodes
 whose values are below 2^-53 of the table's largest (KernelTable.first),
-advancing each path's Philox stream past them.
+advancing each path's Philox stream past them.  A plan's default left
+truncation is kernels._cutoff(lambda), the quadrature's left-tail edge,
+and a plan whose table NumPy cannot index or allocate, or whose node
+count no float holds, raises one PlanError (_too_big).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import PlanError
 from .gaussian import PathEnsemble, SampleGrid
-from .kernels import (DEFAULT_QUAD, ProcessParams, _check_params, _far_kernel,
+from .kernels import (ProcessParams, _check_params, _cutoff, _far_kernel,
                       kernel)
 from .rng import philox_streams
 
@@ -73,18 +76,22 @@ class DiscretizationPlan:
     def for_grid(cls, grid: SampleGrid, p: ProcessParams, dy: float,
                  cutoff: float | None = None) -> "DiscretizationPlan":
         """Plan covering the kernel support of every grid time from y = -cutoff
-        (DEFAULT_QUAD.cutoff(p.lam) by default), where the tempered tail is
+        (kernels._cutoff(p.lam) by default), where the tempered tail is
         negligible.  A cutoff <= 0 raises ValueError: the plan would drop the
         mass left of 0 of every kernel but the second kind's indicator at
         H = 1/alpha.  The constructor checks y_min and dy before the node
-        count is taken from them."""
+        count is taken from them, and a count past every float (a dy near
+        the least subnormal) raises the PlanError (_too_big) that
+        kernel_node_table raises for a table it cannot index."""
         if cutoff is None:
-            cutoff = DEFAULT_QUAD.cutoff(p.lam)
+            cutoff = _cutoff(p.lam)
         if not cutoff > 0.0:
             raise ValueError(f"the plan cutoff must be > 0, got {cutoff}")
         plan = cls(y_min=-cutoff, dy=dy, n_nodes=2)
-        n = math.ceil((float(grid.times[-1]) - plan.y_min) / dy)
-        return replace(plan, n_nodes=n)
+        n = (float(grid.times[-1]) - plan.y_min) / dy
+        if n == math.inf:
+            raise _too_big(grid.n, n)
+        return replace(plan, n_nodes=math.ceil(n))
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -230,6 +237,15 @@ class KernelTable:
         return first - first % 2
 
 
+def _too_big(n_times: int, n_nodes: float) -> PlanError:
+    """The PlanError of a plan of n_nodes nodes whose n_times x n_nodes
+    kernel table cannot be indexed or allocated, with both counts and the
+    table's bytes in %.3g."""
+    return PlanError(f"plan of {n_nodes:.3g} nodes needs a {n_times} x "
+                     f"{n_nodes:.3g} kernel table ({8.0 * n_times * n_nodes:.3g} "
+                     f"bytes), more than can be allocated; raise dy")
+
+
 def kernel_node_table(p: ProcessParams, grid: SampleGrid,
                       plan: DiscretizationPlan) -> KernelTable:
     """Kernel values k(t_i; y_k) on the plan nodes as a KernelTable.
@@ -242,11 +258,8 @@ def kernel_node_table(p: ProcessParams, grid: SampleGrid,
     that size.  A plan whose nodes or table NumPy cannot index or allocate
     raises PlanError naming both sizes.
     """
-    size = 8 * grid.n * plan.n_nodes  # bytes of the dense table
-    too_big = PlanError(f"plan of {plan.n_nodes} nodes needs a {grid.n} x "
-                        f"{plan.n_nodes} kernel table ({size:.3g} bytes), more "
-                        f"than can be allocated; raise dy")
-    if size > np.iinfo(np.intp).max:
+    too_big = _too_big(grid.n, plan.n_nodes)
+    if 8 * grid.n * plan.n_nodes > np.iinfo(np.intp).max:  # the table's bytes
         raise too_big
     try:
         ys = plan.nodes()

@@ -14,14 +14,13 @@ from tfmotion.dependence import (decay_diagnostic, fsm_norm_limit,
 from tfmotion.gaussian import (SampleGrid, simulate_gaussian_paths, tfgn2_acvf,
                                tfgn2_spectral_density, variance_fbm_limit,
                                variance_tfbm2)
-from tfmotion.kernels import (ProcessParams, QuadratureConfig,
-                              kernel_alpha_norm, kernel_g, kernel_h)
+from tfmotion.kernels import ProcessParams, kernel_alpha_norm, kernel_g, kernel_h
 from tfmotion.stable import DiscretizationPlan, simulate_tfsm_paths
 from tfmotion.cli import main as cli_main
 
 import oracles
 
-QUAD = QuadratureConfig(rel_tol=1e-9)
+REL_TOL = 1e-9
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -168,8 +167,8 @@ def test_criterion_09_global_limit():
     bs = [25.0, 50.0, 100.0, 200.0]
     pII = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="II")
     pI = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="I")
-    rII = global_limit_check(pII, bs, QUAD)
-    rI = global_limit_check(pI, bs, QUAD)
+    rII = global_limit_check(pII, bs, REL_TOL)
+    rI = global_limit_check(pI, bs, REL_TOL)
     gapsII = [r["rel_gap"] for r in rII]
     gapsI = [r["rel_gap"] for r in rI]
     ok = (gapsII[-1] < 0.05 and gapsI[-1] < 0.05
@@ -186,10 +185,10 @@ def test_criterion_10_local_limit():
     for (H, alpha, lam) in ((0.7, 2.0, 0.15), (0.75, 1.5, 0.4)):
         for kind in ("II", "I"):
             p = ProcessParams(H=H, alpha=alpha, lam=lam, kind=kind)
-            row = local_limit_check(p, [1e-3], QUAD)[0]
+            row = local_limit_check(p, [1e-3], REL_TOL)[0]
             ok &= row["rel_gap"] < 0.02
             details.append(f"{kind}@(H={H},a={alpha}): {row['rel_gap']:.4f}")
-    c2 = fsm_norm_limit(ProcessParams(H=0.7, alpha=2.0, lam=0.15), QUAD)
+    c2 = fsm_norm_limit(ProcessParams(H=0.7, alpha=2.0, lam=0.15), REL_TOL)
     ref = sf.gamma_fn(1.2) ** 2 * variance_fbm_limit(0.7, 1.0)
     alpha2_gap = abs(c2 - ref) / ref
     ok &= alpha2_gap < 0.01
@@ -234,7 +233,7 @@ def test_criterion_13_stable_monte_carlo():
     p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
     grid = SampleGrid(np.array([1.0]))
     n = 10_000
-    exact_norm = kernel_alpha_norm(p, 1.0, QUAD)
+    exact_norm = kernel_alpha_norm(p, 1.0, REL_TOL)
     plan = DiscretizationPlan.for_grid(grid, p, dy=1.0 / 64)
     ens = simulate_tfsm_paths(p, grid, plan, n, seed=77)
     f = kernel_h(p, 1.0, plan.nodes())

@@ -227,7 +227,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["decay", "limits"])
     def test_tol_above_quadrature_range_exits_2(self, command, tmp_path):
-        # QuadratureConfig's range (0, 1e-2] is the one rule for --tol
+        # _quad's range of rel_tol, (0, 1e-2], is the one rule for --tol
         rc, out = run_cli([command, "--H", "0.7", "--lambda", "0.15",
                            "--tol", "0.5"], tmp_path)
         assert rc == 2 and not out.exists()
@@ -290,20 +290,27 @@ class TestExitCodes:
                           tmp_path)
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("tfmotion: error: plan of 334333333334 nodes")
-        assert "3 x 334333333334 kernel table" in err
+        assert err.startswith("tfmotion: error: plan of 3.34e+11 nodes")
+        assert "3 x 3.34e+11 kernel table" in err
 
-    @pytest.mark.parametrize("flag", ["--plan-dy", "--t-max"])
-    def test_unindexable_plan_exits_2(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value,size", [
+        ("--plan-dy", "1e-300", r"\d\.\d\de\+30\d"),
+        ("--t-max", "1e-300", r"\d\.\d\de\+30\d"),
+        ("--plan-dy", "5e-324", "inf"),
+    ], ids=["--plan-dy", "--t-max", "--plan-dy=5e-324"])
+    def test_unindexable_plan_exits_2(self, flag, value, size, tmp_path, capsys):
         # a plan of about 1e302 nodes (--plan-dy, or --t-max whose dy is
-        # t_max / 256) is past what NumPy can index: refused before any
-        # allocation, with the plan error that names both sizes
+        # t_max / 256) is past what NumPy can index, and one at the least
+        # subnormal dy has more nodes than a float holds: each is refused
+        # before any allocation, with the plan error that names both sizes
+        # and the bytes in %.3g
         rc, out = run_cli(["simulate", "--H", "0.7", "--lambda", "0.15",
-                           "--alpha", "1.5", "--n", "3", flag, "1e-300"], tmp_path)
+                           "--alpha", "1.5", "--n", "3", flag, value], tmp_path)
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("tfmotion: error: plan of ")
-        assert re.search(r"needs a 3 x \d{300,} kernel table \(\d\.\d+e\+30\d bytes\)", err)
+        assert re.fullmatch(rf"tfmotion: error: plan of {size} nodes needs a 3 x "
+                            rf"{size} kernel table \({size} bytes\), more than "
+                            rf"can be allocated; raise dy\n", err), err
 
 
 class TestSpectrum:
@@ -500,6 +507,19 @@ class TestLimits:
         for r in rows:
             if r[0] == "global" and r[1] == "II":
                 assert float(r[5]) == 0.0
+
+    def test_local_limit_at_tiny_scales(self, tmp_path):
+        # kind II's kernel near y = 0 at b down to 1e-200 is a difference of
+        # lower incomplete gammas (specfun.gamma_interval): both kinds reach
+        # the FSM constant within 1e-11, where upper differences cancelled
+        # (a QuadratureError at 1e-40, 10% off at 1e-100)
+        rc, out = run_cli(["limits", "--H", "0.7", "--alpha", "2", "--lambda", "0.15",
+                           "--b-local", "1e-20,1e-40,1e-100,1e-200"], tmp_path)
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        local = [r for r in rows if r[0] == "local"]
+        assert sorted(r[1] for r in local) == ["I"] * 4 + ["II"] * 4
+        assert all(float(r[5]) <= 1e-11 for r in local), local
 
 
 class TestFormats:

@@ -10,8 +10,7 @@ from tfmotion.dependence import (_limit_rows, codifference, decay_diagnostic,
                                  fsm_norm_limit, global_limit_check,
                                  global_limit_constant, local_limit_check)
 from tfmotion.gaussian import tfgn2_acvf, variance_fbm_limit
-from tfmotion.kernels import (ProcessParams, QuadratureConfig, _quad, kernel,
-                              kernel_g, kernel_h)
+from tfmotion.kernels import ProcessParams, _quad, kernel, kernel_g, kernel_h
 
 import oracles
 
@@ -113,8 +112,8 @@ class TestCodifference:
         assert codifference(p, 5, 1.0, 1.0) == pytest.approx(ref, rel=1e-8)
 
     def test_tolerance_halving_stability(self):
-        a = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
-        b = codifference(P_II, 10, 1.0, 1.0, QuadratureConfig(rel_tol=5e-9))
+        a = codifference(P_II, 10, 1.0, 1.0, 1e-8)
+        b = codifference(P_II, 10, 1.0, 1.0, 5e-9)
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -180,16 +179,16 @@ class TestDecayDiagnostic:
         # distinct nodes gives, bit for bit, the values of an integrand that
         # evaluates it at every node
         lags = np.arange(2.0, 16.0)
-        q = QuadratureConfig(rel_tol=1e-8)
-        edges = [dependence._codifference_edges(p, lag, q) for lag in lags]
+        tol = 1e-8
+        edges = [dependence._codifference_edges(p, lag) for lag in lags]
 
         def every_node(x, rows):
             a = 0.7 * kernel(p, 1.0, x - lags[rows])
             b = 1.3 * kernel(p, 1.0, x)
             return dependence._stable_bracket(a, b, p.alpha)
 
-        ref = _quad(every_node, edges, q)[0]
-        d = decay_diagnostic(p, lags, 0.7, 1.3, q)
+        ref = _quad(every_node, edges, tol)[0]
+        d = decay_diagnostic(p, lags, 0.7, 1.3, tol)
         assert np.array_equal(d.i_values, ref)
 
     def test_first_kind_within_1e8_of_a_tighter_run(self):
@@ -199,8 +198,8 @@ class TestDecayDiagnostic:
         # with the kinks inside panels)
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
         lags = range(2, 61)
-        d = decay_diagnostic(p, lags, 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
-        ref = decay_diagnostic(p, lags, 1.0, 1.0, QuadratureConfig(rel_tol=1e-10))
+        d = decay_diagnostic(p, lags, 1.0, 1.0, 1e-8)
+        ref = decay_diagnostic(p, lags, 1.0, 1.0, 1e-10)
         assert np.all(np.abs(d.i_values - ref.i_values) <= 1e-8 * np.abs(ref.i_values))
 
     def test_ratio_positive_and_finite(self):
@@ -240,16 +239,16 @@ class TestLimitChecks:
                 fsm_norm_limit(replace(P_G, H=H))
 
     def test_local_rows_share_limit_across_kinds(self):
-        q = QuadratureConfig(rel_tol=1e-9)
-        rII = local_limit_check(P_G, [0.01], q)
+        tol = 1e-9
+        rII = local_limit_check(P_G, [0.01], tol)
         rI = local_limit_check(
-            ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="I"), [0.01], q)
+            ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind="I"), [0.01], tol)
         assert rII[0]["limit"] == rI[0]["limit"]
         assert rII[0]["in_theorem_range"] and rI[0]["in_theorem_range"]
 
     def test_local_gaps_monotone(self):
-        q = QuadratureConfig(rel_tol=1e-9)
-        rows = local_limit_check(P_G, [0.1, 0.01, 0.001], q)
+        tol = 1e-9
+        rows = local_limit_check(P_G, [0.1, 0.01, 0.001], tol)
         gaps = [r["rel_gap"] for r in rows]  # rows sorted by decreasing b
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -277,16 +276,16 @@ class TestLimitChecks:
         # batch; its integrals are independent, so the rows are those of
         # the two checks bit for bit (repr: NaN gaps outside 0 < H < 1)
         p = ProcessParams(H=H, alpha=1.5, lam=0.3, kind=kind)
-        q = QuadratureConfig(rel_tol=1e-9)
+        tol = 1e-9
         bg, bl = [50.0, 25.0], [0.01, 0.1]
-        rows_g, rows_l = _limit_rows([p], bg, bl, q)
-        assert repr(rows_g) == repr(global_limit_check(p, bg, q))
-        assert repr(rows_l) == repr(local_limit_check(p, bl, q))
+        rows_g, rows_l = _limit_rows([p], bg, bl, tol)
+        assert repr(rows_g) == repr(global_limit_check(p, bg, tol))
+        assert repr(rows_l) == repr(local_limit_check(p, bl, tol))
         # both kinds in one call, sharing the untempered limit, equal each
         # kind alone
         other = replace(p, kind="I" if kind == "II" else "II")
-        alone_g, alone_l = _limit_rows([other], bg, bl, q)
-        assert (repr(_limit_rows([p, other], bg, bl, q))
+        alone_g, alone_l = _limit_rows([other], bg, bl, tol)
+        assert (repr(_limit_rows([p, other], bg, bl, tol))
                 == repr((rows_g + alone_g, rows_l + alone_l)))
 
     def test_cli_limits_rows_match_checks(self, tmp_path, monkeypatch):
@@ -295,9 +294,9 @@ class TestLimitChecks:
         norms = []
         real = dependence.kernel_alpha_norm
 
-        def spy(p, t, q):
+        def spy(p, t, tol):
             norms.append((p.kind, p.lam, np.size(t)))
-            return real(p, t, q)
+            return real(p, t, tol)
 
         monkeypatch.setattr(dependence, "kernel_alpha_norm", spy)
         out = tmp_path / "limits.json"
@@ -305,14 +304,14 @@ class TestLimitChecks:
                          "--format", "json", "--out", str(out)]) == 0
         assert norms == [("I", 0.0, 1), ("II", 0.15, 7), ("I", 0.15, 7)]
         monkeypatch.setattr(dependence, "kernel_alpha_norm", real)
-        q = QuadratureConfig(rel_tol=1e-9)
+        tol = 1e-9
         want = []
         for check, bs in ((global_limit_check, [25, 50, 100, 200]),
                           (local_limit_check, [0.1, 0.01, 0.001])):
             for kind in ("II", "I"):
                 p = ProcessParams(H=0.7, alpha=2.0, lam=0.15, kind=kind)
                 want += [[r["regime"], r["kind"], r["b"], r["normalized"], r["limit"],
-                          r["rel_gap"], r["in_theorem_range"]] for r in check(p, bs, q)]
+                          r["rel_gap"], r["in_theorem_range"]] for r in check(p, bs, tol)]
         assert json.loads(out.read_text())["rows"] == want
 
     def test_local_out_of_range_flagged(self):

@@ -7,8 +7,8 @@ variance_tfbm2 is within 1e-13 of mpmath for lam t <= 1 and within 1e-8
 above (README), so each C^2 value a side is built from contributes that
 share of itself, times the size of its coefficient; the other side adds its
 quadrature tolerance relative to its value.  The two sides of the
-alpha-norm scaling, both quadratures, are each held to rel_tol |value| of
-DEFAULT_QUAD, the one tolerance its adaptive rule stops on.
+alpha-norm scaling, both quadratures, are each held to rel_tol |value| at
+the default rel_tol = 1e-9, the one tolerance its adaptive rule stops on.
 
 Domain: H at least 0.01 from 1 and 2.  The closed form's two terms
 each carry a pole of Gamma(1 - H) at H = 1 and H = 2 and cancel near them,
@@ -38,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfmotion.gaussian import (covariance_tfbm2, tfgn2_acvf, tfgn2_spectral_density,
                                variance_tfbm2)
-from tfmotion.kernels import DEFAULT_QUAD, ProcessParams, kernel_alpha_norm
+from tfmotion.kernels import ProcessParams, kernel_alpha_norm
 
 import oracles
 
@@ -108,7 +108,7 @@ def test_gaussian_kernel_norm_is_the_variance(H, lam, lt):
     g2 = math.gamma(H + 0.5) ** 2
     v = g2 * float(variance_tfbm2(H, lam, t))
     budget = g2 * _variance_budget(H, lam, [1.0], [t])
-    assert abs(norm - v) <= budget + DEFAULT_QUAD.rel_tol * abs(norm), (norm, v, budget)
+    assert abs(norm - v) <= budget + 1e-9 * abs(norm), (norm, v, budget)
 
 
 @SETTINGS
@@ -122,7 +122,7 @@ def test_kernel_norm_scaling(kind, H, alpha, lam, t, b):
     lhs = kernel_alpha_norm(ProcessParams(H=H, alpha=alpha, lam=lam, kind=kind), b * t)
     rhs = b ** (alpha * H) * kernel_alpha_norm(
         ProcessParams(H=H, alpha=alpha, lam=b * lam, kind=kind), t)
-    budget = DEFAULT_QUAD.rel_tol * (abs(lhs) + abs(rhs))
+    budget = 1e-9 * (abs(lhs) + abs(rhs))
     assert abs(lhs - rhs) <= budget, (lhs, rhs, budget)
 
 
@@ -152,5 +152,5 @@ def test_spectral_density_is_the_acvf_cosine_series(H, lam, omega):
     h, bound = tfgn2_spectral_density(H, lam, w)
     series = (r[0] + 2.0 * np.cos(np.outer(w, np.arange(1, r.size))) @ r[1:]) / (2.0 * math.pi)
     size = (abs(r[0]) + 2.0 * np.sum(np.abs(r[1:]))) / (2.0 * math.pi)
-    budget = bound + tail + (DEFAULT_QUAD.rel_tol + 1e-14) * size
+    budget = bound + tail + (1e-9 + 1e-14) * size
     assert np.all(np.abs(h - series) <= budget), (h, series, budget)

@@ -17,9 +17,8 @@ from tfmotion.gaussian import (PathEnsemble, SampleGrid, tfgn1_spectral_density,
                                tfgn2_acvf, tfgn2_spectral_density,
                                variance_fbm_limit, variance_tfbm2)
 from tfmotion.stable import DiscretizationPlan, kernel_node_table, sample_stable
-from tfmotion.kernels import (DEFAULT_QUAD, ProcessParams, QuadratureConfig,
-                              _kernel_step, _quad, kernel, kernel_alpha_norm,
-                              kernel_g, kernel_h)
+from tfmotion.kernels import (ProcessParams, _kernel_step, _quad, kernel,
+                              kernel_alpha_norm, kernel_g, kernel_h)
 
 import oracles
 
@@ -286,7 +285,7 @@ class TestFarKernel:
     @staticmethod
     def _nodes(lam, n=400):
         # descending a = -y over the stable plan's span [-1, cutoff(lam)]
-        return np.linspace(DEFAULT_QUAD.cutoff(lam), -1.0, n) + 1.0 / 3.0
+        return np.linspace(kernels._cutoff(lam), -1.0, n) + 1.0 / 3.0
 
     def _params(self, H, alpha, lam):
         return ProcessParams(H=H, alpha=alpha, lam=lam, kind=self.KIND)
@@ -486,7 +485,7 @@ def test_left_tail_is_one_infinite_panel(monkeypatch, lam):
     else:  # the decay theory needs lambda > 0; codifference is its one-lag case
         codifference(p, 3, 1.0, 1.0)
     assert len(rows) == (6 if lam > 0.0 else 4)
-    cut = DEFAULT_QUAD.cutoff(lam)
+    cut = kernels._cutoff(lam)
     assert all(list(r[:2]) == [-math.inf, -cut] for r in rows), rows
 
 
@@ -570,7 +569,7 @@ def test_keyword_calls_match_positional():
     assert (kernel_h(P_STABLE_LO, t=1.5, y=ys).tolist()
             == kernel_h(P_STABLE_LO, 1.5, ys).tolist())
     t = np.array([0.5, 1.0])
-    assert (kernel_alpha_norm(P_STABLE, t=t, q=DEFAULT_QUAD).tolist()
+    assert (kernel_alpha_norm(P_STABLE, t=t, rel_tol=1e-9).tolist()
             == kernel_alpha_norm(P_STABLE, t).tolist())
     with pytest.raises(TypeError):
         sf.lower_gamma(1.3)
@@ -686,11 +685,10 @@ class TestAlphaNorm:
 
     def test_scaling_consistency(self):
         # b^{-alpha H} ||h_lam(b)||^alpha == ||h_{b lam}(1)||^alpha
-        q = QuadratureConfig(rel_tol=1e-10)
         b = 1e-3
-        small = kernel_alpha_norm(P_HI, b, q)
+        small = kernel_alpha_norm(P_HI, b, 1e-10)
         ref = kernel_alpha_norm(
-            ProcessParams(H=0.7, alpha=2.0, lam=0.15 * b), 1.0, q) * b ** 1.4
+            ProcessParams(H=0.7, alpha=2.0, lam=0.15 * b), 1.0, 1e-10) * b ** 1.4
         assert small == pytest.approx(ref, rel=1e-8)
 
     def test_brute_force(self):
@@ -713,15 +711,15 @@ class TestAlphaNorm:
         ref = sf.gamma_fn(1.2) ** 2 * variance_tfbm2(0.7, 0.15, 1.0)
         assert v == pytest.approx(ref, rel=1e-6)
 
-    @pytest.mark.parametrize("q", [DEFAULT_QUAD, QuadratureConfig(rel_tol=1e-11)])
-    def test_gaussian_norm_at_limit_scales(self, q):
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+    def test_gaussian_norm_at_limit_scales(self, rel_tol):
         # the limits command's default scales at alpha = 2 (at its default
-        # tolerance, DEFAULT_QUAD's, and a tighter one): kappa = 0.2 puts
+        # tolerance, 1e-9, and a tighter one): kappa = 0.2 puts
         # kinks |y|^0.4 at y = 0 and y = t, which _quad extrapolates; the
         # norm is Gamma(H + 1/2)^2 C_b^2 (mpmath's 2F3 form)
         bs = [25.0, 50.0, 100.0, 200.0, 0.1, 0.01, 0.001]
         g2 = oracles.mp_gamma(1.2) ** 2
-        for b, v in zip(bs, kernel_alpha_norm(P_HI, np.array(bs), q)):
+        for b, v in zip(bs, kernel_alpha_norm(P_HI, np.array(bs), rel_tol)):
             ref = g2 * float(oracles.mp_variance_tfbm2(0.7, 0.15, b))
             assert v == pytest.approx(ref, rel=1e-10), b
 
@@ -748,8 +746,8 @@ class TestAlphaNorm:
         p = ProcessParams(H=H, alpha=alpha, lam=lam, kind="I")
         (y0,) = kernels._kinks(p, t)
         assert y0 == -t / math.expm1(lam * t / p.kappa)
-        assert -DEFAULT_QUAD.cutoff(lam) < y0 < 0.0
-        edges = kernels._norm_edges(p, t, DEFAULT_QUAD)
+        assert -kernels._cutoff(lam) < y0 < 0.0
+        edges = kernels._norm_edges(p, t)
         assert y0 in edges and edges == sorted(set(edges))
         d = 1e-6 * abs(y0)
         assert kernel_g(p, t, y0 - d) < 0.0 < kernel_g(p, t, y0 + d)
@@ -765,8 +763,8 @@ class TestAlphaNorm:
         # no sign change, or no kink, or a root within t e^-700 of 0: the
         # edges are the graded ones alone
         assert kernels._kinks(p, t) == []
-        graded = {-math.inf, -DEFAULT_QUAD.cutoff(p.lam), 0.0, t, -t, -10 * t, -100 * t}
-        assert set(kernels._norm_edges(p, t, DEFAULT_QUAD)) <= graded
+        graded = {-math.inf, -kernels._cutoff(p.lam), 0.0, t, -t, -10 * t, -100 * t}
+        assert set(kernels._norm_edges(p, t)) <= graded
 
 
 class TestQuadHelper:
@@ -843,7 +841,7 @@ class TestQuadHelper:
             1000.0, rel=1e-8)
         sweeps.clear()
         v, _ = _quad(lambda x, rows: x ** -0.5 * (2.0 + np.log(x)) + 1e-6, (0.0, 1.0),
-                     QuadratureConfig(rel_tol=1e-5))
+                     1e-5)
         assert v == pytest.approx(1e-6, abs=1e-11) and len(sweeps) <= 16
 
     def test_epsilon_extrapolates_geometric_sums(self):
@@ -902,7 +900,7 @@ class TestQuadHelper:
         # panel down to scale 1: 9 sweeps (14 on that one panel, 30 while
         # the summed error had to stop halving per sweep first)
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="II")
-        decay_diagnostic(p, range(2, 61), 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
+        decay_diagnostic(p, range(2, 61), 1.0, 1.0, 1e-8)
         assert len(sweeps) <= 11
 
     def test_first_kind_decay_sweeps(self, sweeps):
@@ -910,7 +908,7 @@ class TestQuadHelper:
         # the |.|^alpha kinks where its kernels change sign: 22 sweeps (23
         # with those kinks inside panels, 27 with one (-cutoff, 0) panel too)
         p = ProcessParams(H=0.8, alpha=1.5, lam=0.3, kind="I")
-        decay_diagnostic(p, range(2, 61), 1.0, 1.0, QuadratureConfig(rel_tol=1e-8))
+        decay_diagnostic(p, range(2, 61), 1.0, 1.0, 1e-8)
         assert len(sweeps) <= 24
 
     def test_first_kind_norm_sweeps(self, sweeps):
@@ -964,11 +962,41 @@ class TestQuadHelper:
             for token in ("scipy.integrate", "integrate.quad(", "catch_warnings",
                           "from scipy import integrate"):
                 assert token not in src, (f.name, token)
-        assert list(inspect.signature(_quad).parameters) == ["f", "edges", "q"]
+        assert list(inspect.signature(_quad).parameters) == ["f", "edges", "rel_tol"]
         for mod in (sf, kernels):
             src = Path(mod.__file__).read_text()
             assert not re.search(r"def _\w*_array\(", src), mod.__name__
             assert "kernel_row" not in src, mod.__name__
+
+
+# _quad and every public function that integrates, at a point where it
+# integrates, as a function of rel_tol
+_REL_TOL_CALLS = {
+    "_quad": lambda tol: _quad(lambda x, rows: np.cos(x), (0.0, 1.0), tol),
+    "kernel_alpha_norm": lambda tol: kernel_alpha_norm(P_STABLE, 1.0, tol),
+    "codifference": lambda tol: codifference(P_STABLE, 3, 1.0, 1.0, tol),
+    "decay_diagnostic": lambda tol: decay_diagnostic(P_STABLE, [2, 3], 1.0, 1.0, tol),
+    "fsm_norm_limit": lambda tol: dependence.fsm_norm_limit(P_STABLE, tol),
+    "global_limit_check": lambda tol: dependence.global_limit_check(P_STABLE, [10.0], tol),
+    "local_limit_check": lambda tol: dependence.local_limit_check(P_STABLE, [0.1], tol),
+    "tfgn2_acvf": lambda tol: tfgn2_acvf(0.7, 0.3, 2, tol),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, 0.5, math.nan])
+@pytest.mark.parametrize("name", list(_REL_TOL_CALLS))
+def test_rel_tol_outside_its_range_raises(name, rel_tol):
+    # _quad's check of (0, 1e-2] is the one check of every integral's rel_tol
+    with pytest.raises(ValueError, match=r"^rel_tol must lie in \(0, 1e-2\], got "):
+        _REL_TOL_CALLS[name](rel_tol)
+
+
+def test_rel_tol_unread_without_an_integral():
+    # the indicator kernel, t = 0 and white noise integrate nothing, so
+    # they never reach _quad's check
+    assert kernel_alpha_norm(ProcessParams(H=0.5, alpha=2.0, lam=0.7), 2.7, 0.5) == 2.7
+    assert kernel_alpha_norm(P_STABLE, 0.0, math.nan) == 0.0
+    assert tfgn2_acvf(0.5, 0.3, 0, 0.0) == 1.0 and tfgn2_acvf(0.5, 0.3, 2, 0.5) == 0.0
 
 
 def _package_statements():

@@ -260,19 +260,22 @@ A_NEG = (-0.93, -0.5, -0.2, -0.01)
 
 # widths h and points x on both sides of the Gauss-Legendre seam
 # h = min(x/2, 1) of gamma_interval (x = 2h, and h = 1 for x > 2), and for
-# a > 1 of the seam x = a between the lower and upper gamma differences;
-# x = 50 is the plan cutoff in units of lam
+# a > 0 of the seam x = m(a) (_gamma_median) between the lower and upper
+# gamma differences; x down to 1e-100, and to 1e-300 for a > 0, where upper
+# differences cancelled for a in (0, 1); x = 50 is the plan cutoff in units
+# of lam
 GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, float(np.nextafter(1.0, 0.0)), 1.0,
              float(np.nextafter(1.0, 2.0)), 2.0)
 
 
 def _interval_points(a, h):
-    x = {1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0, 50.0}
+    x = {1e-100, 1e-10, 1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0, 50.0}
     if h > 0.0:
         s = 2.0 * h
         x |= {float(np.nextafter(s, 0.0)), s, float(np.nextafter(s, np.inf))}
-    if a > 1.0:
-        x |= {float(np.nextafter(a, 0.0)), a, float(np.nextafter(a, np.inf))}
+    if a > 0.0:
+        m = sf._gamma_median(a)
+        x |= {1e-300, float(np.nextafter(m, 0.0)), m, float(np.nextafter(m, np.inf))}
     return np.array(sorted(x))
 
 
@@ -320,8 +323,8 @@ class TestIncompleteGammaArray:
     @pytest.mark.parametrize("a", A_NEG + A_POS)
     def test_gamma_interval_width_array(self, a):
         # one width per cell, every width of GI_WIDTHS at each of its points
-        # (both sides of the Gauss-Legendre seam, and for a > 1 the lower
-        # difference at x < a and the upper one past it), interleaved: each
+        # (both sides of the Gauss-Legendre seam, and for a > 0 the lower
+        # difference at x < m(a) and the upper one past it), interleaved: each
         # value is bit for bit that of the call with its width alone
         x = np.concatenate([_interval_points(a, h) for h in GI_WIDTHS])
         h = np.concatenate([np.full(_interval_points(a, h).size, h)
@@ -335,6 +338,20 @@ class TestIncompleteGammaArray:
         n = x.size // 2 * 2  # an array of widths shaped like x
         assert (sf.gamma_interval(a, x[:n].reshape(2, -1), h[:n].reshape(2, -1)).tolist()
                 == v[:n].reshape(2, -1).tolist())
+
+    @pytest.mark.parametrize("a", [5.0, 20.0, 60.0])
+    def test_gamma_interval_seam_at_large_a(self, a):
+        # long cells on both sides of the seam m(a) = a - 1/3 between the
+        # lower and upper differences, and at a/e, where the small-a median
+        # term alone would put the seam (5.9e-8 off at a = 60)
+        m = sf._gamma_median(a)
+        assert m == a - 1.0 / 3.0
+        x = np.array([float(np.nextafter(m, 0.0)), m, float(np.nextafter(m, np.inf)),
+                      0.5 * m, a / math.e, a, a + 1.0, m + 5.0])
+        for h in (float(np.nextafter(1.0, 2.0)), 2.0, 10.0):
+            for xi, vi in zip(x.tolist(), sf.gamma_interval(a, x, h)):
+                ref = oracles.mp_gamma_interval(a, xi, h)
+                assert vi == pytest.approx(ref, rel=1e-12), (xi, h)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_gamma_interval_bad_width_element(self, bad):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import textwrap
 from dataclasses import replace
 
@@ -361,8 +362,8 @@ class TestSimulate:
 
         monkeypatch.setattr(DiscretizationPlan, "nodes", no_memory)
         plan = DiscretizationPlan.for_grid(grid, P15, dy=1e-9)
-        with pytest.raises(PlanError, match=rf"{plan.n_nodes} nodes needs a "
-                                            rf"1 x {plan.n_nodes} kernel table"):
+        n = f"{plan.n_nodes:.3g}"
+        with pytest.raises(PlanError, match=re.escape(f"{n} nodes needs a 1 x {n} kernel table")):
             simulate_tfsm_paths(P15, grid, plan, 2, seed=0)
 
     def test_alpha_two_rejected(self):
@@ -526,8 +527,8 @@ class TestNodeTable:
         monkeypatch.setattr(DiscretizationPlan, "nodes", no_memory)
         grid = SampleGrid.regular(1.0, 3)
         plan = DiscretizationPlan.for_grid(grid, P15, dy=1e-9)
-        with pytest.raises(PlanError, match=rf"{plan.n_nodes} nodes needs a "
-                                            rf"3 x {plan.n_nodes} kernel table"):
+        n = f"{plan.n_nodes:.3g}"
+        with pytest.raises(PlanError, match=re.escape(f"{n} nodes needs a 3 x {n} kernel table")):
             kernel_node_table(P15, grid, plan)
 
     def test_negative_time_rejected(self):
