@@ -3,13 +3,16 @@
 One table, ``_COMMANDS``, lists each command's own options with their
 defaults; every command also takes the run-wide options of ``_RUN_WIDE``.
 A value comes from its flag, else from the JSON ``--config`` file, else
-from the table.  --H and --lambda have no default, and an unset
-process option keeps its ``ProcessParams`` default.  The library checks the
-parameter ranges and that H, lambda, sigma, times and lags are finite; the
-CLI's float type ``finite`` also rejects NaN and inf in the numbers the
-library does not check (tolerances, weights, grid specs, value lists), and
-the CLI adds simulate's refusal of first-kind Gaussian paths and of --sigma
-and --beta with alpha = 2, which the Gaussian sampler has no use for.
+from the table.  The flag parser is the one checker of option text: a
+config key is parsed as the token --key=value ahead of the command line,
+so the flag, parsed last, wins.  --H and --lambda have no default, and an
+unset process option keeps its ``ProcessParams`` default.  The library
+checks the parameter ranges and that H, lambda, sigma, times and lags are
+finite; the CLI's float type ``finite`` also rejects NaN and inf in the
+numbers the library does not check (tolerances, weights, grid specs, value
+lists), and the CLI adds simulate's refusal, at alpha = 2, of --kind I,
+--sigma, --beta, --plan-dy and --plan-cutoff, which the Gaussian sampler
+cannot honor.
 Every command computes through the library modules and returns one table,
 (meta, columns, rows), which main writes as CSV or JSON in one byte stream,
 to the --out file or to stdout's bytes (CSV gives each small-table cell its
@@ -302,26 +305,16 @@ def _dest(flag: str) -> str:
     return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
 
 
-def _read_config(args) -> dict:
-    """The JSON object of --config keyed by option attribute, each value as
-    the text of its flag (a number or boolean as its JSON text, which
-    argparse converts like the flag's) and null values left out.  Each key
-    must name one of the command's options other than --config, and the
-    value of an option with choices must be one of them."""
-    with open(args.config) as fh:
+def _config_tokens(path: str) -> list[str]:
+    """The JSON object of a --config file as ``--key=text`` tokens for the
+    flag parser: a string as is, a number or boolean as its JSON text, and
+    a null left out (the option keeps its default)."""
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    kinds = {_dest(f): kind for f, (_, kind) in
-             {**_RUN_WIDE, **_COMMANDS[args.command][2]}.items() if f != "--config"}
-    for key, val in cfg.items():
-        kind = kinds.get(_dest("--" + key))
-        if kind is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(kind, tuple) and val not in kind:
-            raise ValueError(f"config value {val!r} of {key!r} is not one of {kind}")
-    return {_dest("--" + key): val if isinstance(val, str) else json.dumps(val)
-            for key, val in cfg.items() if val is not None}
+    return [f"--{key}={val if isinstance(val, str) else json.dumps(val)}"
+            for key, val in cfg.items() if val is not None]
 
 
 def _build_params(args, **fixed) -> ProcessParams:
@@ -345,13 +338,12 @@ def cmd_spectrum(args):
 def cmd_simulate(args):
     params = _build_params(args)
     grid = SampleGrid.regular(args.t_max, args.n, include_zero=True)
-    if params.alpha == 2.0:
-        if params.kind != "II":
-            raise ValueError("exact Gaussian simulation covers kind=II only; "
-                             "use alpha < 2 for first-kind paths")
-        if args.sigma is not None or args.beta is not None:
-            raise ValueError("exact Gaussian simulation (alpha = 2) takes no "
-                             "--sigma or --beta; leave them unset")
+    if params.alpha == 2.0:  # kind II, and every other option below unset
+        unused = [flag for flag in ("--kind", "--sigma", "--beta", "--plan-dy", "--plan-cutoff")
+                  if getattr(args, _dest(flag)) not in (None, "II")]
+        if unused:
+            raise ValueError("exact Gaussian simulation (alpha = 2) makes kind II paths "
+                             f"and cannot honor {', '.join(unused)}; use alpha < 2 for them")
         ens = simulate_gaussian_paths(params.H, params.lam, grid,
                                       args.n_paths, args.seed)
     else:
@@ -443,17 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, (default, kind) in {**_RUN_WIDE, **own}.items():
             how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             sp.add_argument(flag, dest=_dest(flag), default=default, **how)
-        sp.set_defaults(func=func, parser=sp)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
     try:
-        if args.config:  # flags > config > defaults: parse again over the config
-            args.parser.set_defaults(**_read_config(args))
-            args = ap.parse_args(argv)
+        if args.config:  # the file's options go first: argparse keeps the last
+            tokens = _config_tokens(args.config)
+            if ap.parse_args(argv[:1] + tokens).config is not None:
+                raise ValueError("a config file cannot set --config")
+            args = ap.parse_args(argv[:1] + tokens + argv[1:])
         if args.H is None or args.lam is None:
             raise ValueError(f"{args.command} requires --H and --lambda")
         _emit(args.out, args.format, args.command, *args.func(args))

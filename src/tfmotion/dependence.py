@@ -135,7 +135,8 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     negative at large lags, its anti-persistence signature).  Requires
     1/alpha < H < 1, lam > 0 and same-sign theta weights; the band flag
     reports whether max/min of the ratio over the top half of t_range stays
-    within band_factor.
+    within band_factor.  A codifference that underflows to 0 (e^{-lam t}
+    below the least double) raises NumericsError.
     """
     _check_params(weights=(theta1, theta2))
     if not (1.0 / p.alpha < p.H < 1.0):
@@ -150,8 +151,8 @@ def decay_diagnostic(p: ProcessParams, t_range, theta1: float, theta2: float,
     p_used = p.H - 1.0 / p.alpha - (1.0 if p.kind == "II" else 0.0)
     ivals = _codifferences(p, ts, theta1, theta2, rel_tol)
     if np.any(ivals == 0.0):
-        raise ValueError("codifference vanished over the requested lags; "
-                         "the envelope ratio is undefined")
+        raise NumericsError("codifference underflowed to 0 over the requested "
+                            "lags; the envelope ratio is undefined")
     # ratio computed in log space: e^{-lam t} underflows quickly
     log_ratio = np.log(np.abs(ivals)) + p.lam * ts - p_used * np.log(ts)
     ratio = np.exp(log_ratio)

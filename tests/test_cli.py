@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import threading
@@ -83,8 +84,32 @@ class TestExitCodes:
         rc, out = run_cli(base + ["--config", str(cfg)], tmp_path)
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == ["tfmotion: error: exact Gaussian simulation (alpha = 2) "
-                       "takes no --sigma or --beta; leave them unset"] * 2
+        assert err == ["tfmotion: error: exact Gaussian simulation (alpha = 2) makes "
+                       f"kind II paths and cannot honor --{option}; use alpha < 2 "
+                       "for them"] * 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--kind", "I"), ("--plan-dy", "0.1"), ("--plan-cutoff", "5")])
+    def test_gaussian_refuses_each_option_it_cannot_honor(self, flag, value, tmp_path,
+                                                          capsys):
+        # as --sigma and --beta above: the Gaussian sampler reads none of
+        # these, so it refuses each one, as a flag or as a config key, and
+        # names it (the plan options were once ignored); --kind II is honored
+        base = ["simulate", "--H", "0.7", "--lambda", "0.15", "--n", "3", "--alpha", "2"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            rc, out = run_cli(base + extra, tmp_path)
+            assert rc == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("tfmotion: error: exact Gaussian simulation")
+            assert f"cannot honor {flag};" in err
+        rc, out = run_cli(base + ["--kind", "II", "--plan-dy", "0.1", "--sigma", "1"],
+                          tmp_path)
+        assert rc == 2
+        assert "cannot honor --sigma, --plan-dy;" in capsys.readouterr().err
+        rc, _ = run_cli(base + ["--kind", "II"], tmp_path)
+        assert rc == 0
 
     @pytest.mark.parametrize("args,message", [
         (["decay", "--H", "0.8", "--lambda", "0"], "decay theory requires lambda > 0"),
@@ -394,8 +419,9 @@ class TestSimulate:
             raise AssertionError("table or path work before the seed check")
 
         args = ["simulate", "--H", "0.8", "--lambda", "0.3", "--alpha", alpha,
-                "--t-max", "1", "--n", "3", "--n-paths", "2",
-                "--plan-dy", "0.05", "--plan-cutoff", "30"]
+                "--t-max", "1", "--n", "3", "--n-paths", "2"]
+        if alpha != "2":  # the Gaussian sampler refuses the plan options
+            args += ["--plan-dy", "0.05", "--plan-cutoff", "30"]
         with monkeypatch.context() as m:
             for mod, name in ((stable, "kernel_node_table"),
                               (gaussian, "_circulant_eigenvalues"),
@@ -495,6 +521,15 @@ class TestDecay:
         pII = float(rII[0][3])
         pI = float(rI[0][3])
         assert pI - pII == pytest.approx(1.0)
+
+    def test_underflowed_codifference_exits_3(self, tmp_path, capsys):
+        # every argument is valid; e^{-lam t} at lam t = 1,000 is below the
+        # least double, so the codifference is a numeric failure
+        rc, out = run_cli(["decay", "--H", "0.9", "--lambda", "20", "--alpha", "1.5",
+                           "--t-min", "50", "--t-max", "54"], tmp_path)
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "tfmotion: numeric failure: codifference underflowed to 0")
 
 
 class TestLimits:
@@ -839,8 +874,9 @@ class TestRemovedFlags:
     def test_covariance_tol_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, "tol": 1e-3}))
-        rc, _ = run_cli(["covariance", "--config", str(cfg)], tmp_path)
-        assert rc == 2
+        with pytest.raises(SystemExit) as e:
+            run_cli(["covariance", "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2
 
 
     @pytest.mark.parametrize("command", ["decay", "limits"])
@@ -852,8 +888,9 @@ class TestRemovedFlags:
         assert e.value.code == 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, option: 0.5}))
-        rc, _ = run_cli([command, "--config", str(cfg)], tmp_path)
-        assert rc == 2
+        with pytest.raises(SystemExit) as e:
+            run_cli([command, "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2
 
 
 class TestConfigFile:
@@ -902,8 +939,9 @@ class TestConfigFile:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, "bogus": 1}))
-        rc, _ = run_cli(["spectrum", "--config", str(cfg)], tmp_path)
-        assert rc == 2
+        with pytest.raises(SystemExit) as e:
+            run_cli(["spectrum", "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2
 
     @pytest.mark.parametrize("command,key,val", [
         ("spectrum", "format", "xml"), ("covariance", "format", "CSV"),
@@ -913,21 +951,48 @@ class TestConfigFile:
         # a config value is held to the option's choices, as a flag is
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: val}))
-        rc, out = run_cli([command, "--config", str(cfg)], tmp_path)
-        assert rc == 2 and not out.exists()
+        with pytest.raises(SystemExit) as e:
+            run_cli([command, "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2 and not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command,key,val", [
         ("spectrum", "alpha", 1.5), ("spectrum", "kind", "I"),
         ("covariance", "alpha", 1.5), ("covariance", "kind", "I"),
         ("covariance", "sigma", 2.0), ("spectrum", "func", 0),
         ("simulate", "func", 0), ("limits", "command", "decay"),
+        ("covariance", "t_max", 3.0),
     ])
     def test_config_key_outside_command_options(self, command, key, val, tmp_path):
-        # only the command's own options are config keys, as for flags
+        # only the command's own options are config keys, as for flags: the
+        # attribute name t_max is no key, as --t_max is no flag
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: val}))
-        rc, _ = run_cli([command, "--config", str(cfg)], tmp_path)
-        assert rc == 2
+        with pytest.raises(SystemExit) as e:
+            run_cli([command, "--config", str(cfg)], tmp_path)
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("key", ["config", "conf", "c"])
+    def test_config_cannot_name_a_config(self, key, tmp_path, capsys):
+        # a key that the flag parser reads as --config, exactly or as a
+        # unique prefix, would be overridden by the command line's --config
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"H": 0.3}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lambda": 0.15, key: str(other)}))
+        rc, out = run_cli(["covariance", "--config", str(cfg)], tmp_path)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "tfmotion: error: a config file cannot set --config\n"
+
+    def test_prefix_keys_and_dash_leading_values(self, tmp_path):
+        # a unique prefix names its option, as on the command line, and a
+        # string value starting with '-' is a value, not a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"H": 0.7, "lam": 0.15, "omega": "-3:3:5"}))
+        rc, out = run_cli(["spectrum", "--config", str(cfg)], tmp_path)
+        assert rc == 0
+        meta, _, rows = read_csv(out)
+        assert "lambda=0.14999999999999999" in meta
+        assert [r[0] for r in rows] == ["-3", "-1.5", "0", "1.5", "3"]
 
 
 def parser_options():
@@ -1025,6 +1090,19 @@ class TestEntryPoint:
             capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_module_run_exits_with_main_code(self, tmp_path, monkeypatch):
+        # running the module calls main on sys.argv and exits with its code
+        out = tmp_path / "cli.csv"
+        monkeypatch.setattr(sys, "argv", ["tfmotion", "spectrum", "--H", "0.5",
+                                          "--lambda", "1.0", "--omega-grid", "0:1:3",
+                                          "--out", str(out)])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as e:
+                runpy.run_module("tfmotion.cli", run_name="__main__")
+        assert e.value.code == 0
+        assert read_csv(out)[1] == ["omega", "tfgn_density", "tfgn2_density",
+                                    "err_bound_1", "err_bound_2"]
 
     def test_import_leaves_scipy_unloaded(self):
         # the package never imports SciPy, a process or thread pool

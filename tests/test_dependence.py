@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tfmotion import cli, dependence, specfun as sf
+from tfmotion.errors import NumericsError
 from tfmotion.dependence import (_limit_rows, codifference, decay_diagnostic,
                                  fsm_norm_limit, global_limit_check,
                                  global_limit_constant, local_limit_check)
@@ -212,6 +213,13 @@ class TestDecayDiagnostic:
         with pytest.raises(ValueError):
             decay_diagnostic(ProcessParams(H=0.5, alpha=1.5, lam=0.3), range(5, 20),
                              1.0, 1.0)
+
+    def test_underflowed_codifference_is_a_numeric_failure(self):
+        # valid input whose e^{-lam t} is below the least double: a numeric
+        # failure, not invalid input
+        p = ProcessParams(H=0.9, alpha=1.5, lam=20.0)
+        with pytest.raises(NumericsError, match="codifference underflowed to 0"):
+            decay_diagnostic(p, range(50, 55), 1.0, 1.0, 1e-8)
 
 
 class TestLimitChecks:

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from tfmotion import gaussian, specfun
 from tfmotion.dependence import DecayDiagnostic
-from tfmotion.errors import NumericsError, PoleError
+from tfmotion.errors import FactorizationError, NumericsError, PoleError
 from tfmotion.kernels import ProcessParams
 from tfmotion.gaussian import (EIGEN_ROUNDING, CovarianceMatrix, PathEnsemble,
                                SampleGrid, _circulant_eigenvalues, build_cov_matrix,
@@ -598,6 +598,28 @@ class TestCovMatrix:
         L = m.cholesky()
         assert m.jitter > 0.0
         assert np.max(np.abs(L @ L.T - m.values)) <= 1e-13
+
+    def test_second_cholesky_returns_cached_factor(self, monkeypatch):
+        m = build_cov_matrix(0.7, 0.15, SampleGrid.regular(1.0, 6))
+        calls = []
+        real = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        first = m.cholesky()
+        assert calls == [(5, 5)]  # t = 0 is a zero-variance row, left out
+        assert m.cholesky() is first and calls == [(5, 5)]
+
+    def test_indefinite_matrix_raises_after_the_ladder(self):
+        # eigenvalues 3 and -1: no jitter of the ladder makes it definite
+        m = CovarianceMatrix(SampleGrid(np.array([1.0, 2.0])),
+                             np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(FactorizationError, match="indefinite beyond the jitter"):
+            m.cholesky()
+        assert m.chol is None and m.jitter is None
 
 
 class TestSimulation:

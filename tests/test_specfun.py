@@ -259,7 +259,8 @@ A_POS = (0.2, 0.7, 1.0, 1.3, 5.0)
 A_NEG = (-0.93, -0.5, -0.2, -0.01)
 
 # widths h and points x on both sides of the Gauss-Legendre seam
-# h = min(x/2, 1) of gamma_interval (x = 2h, and h = 1 for x > 2), and for
+# h = min(x/2, 1) of gamma_interval (x = 2h, and h = 1 for x > 2), of its
+# narrowed seam h = min(x/2, 1) 2/(a - 1) for a > 3 (x = (a - 1) h), and for
 # a > 0 of the seam x = m(a) (_gamma_median) between the lower and upper
 # gamma differences; x down to 1e-100, and to 1e-300 for a > 0, where upper
 # differences cancelled for a in (0, 1); x = 50 is the plan cutoff in units
@@ -270,8 +271,7 @@ GI_WIDTHS = (0.0, 1e-4, 0.01, 0.125, 0.3, float(np.nextafter(1.0, 0.0)), 1.0,
 
 def _interval_points(a, h):
     x = {1e-100, 1e-10, 1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 30.0, 50.0}
-    if h > 0.0:
-        s = 2.0 * h
+    for s in {2.0 * h, max(2.0, abs(a - 1.0)) * h} - {0.0}:
         x |= {float(np.nextafter(s, 0.0)), s, float(np.nextafter(s, np.inf))}
     if a > 0.0:
         m = sf._gamma_median(a)
@@ -352,6 +352,19 @@ class TestIncompleteGammaArray:
             for xi, vi in zip(x.tolist(), sf.gamma_interval(a, x, h)):
                 ref = oracles.mp_gamma_interval(a, xi, h)
                 assert vi == pytest.approx(ref, rel=1e-12), (xi, h)
+
+    @pytest.mark.parametrize("a", [5.0, 10.0, 20.0, 60.0])
+    def test_gamma_interval_short_cells_at_large_a(self, a):
+        # cells of width x/2 .. x/50 and 0.5 .. 3 over x in [1e-4, 80]: the
+        # Gauss-Legendre rule takes the narrow ones only, as 8 nodes cannot
+        # follow s^(a-1) across a cell of relative width above 2/(a - 1)
+        # (at a = 60 the cell [2e-4, 3e-4] was 1.8e-5 off)
+        x = np.geomspace(1e-4, 80.0, 25)
+        for h in (x / 2.0, x / 4.0, x / 10.0, x / 50.0, 0.5, 1.0, 3.0):
+            h = np.broadcast_to(h, x.shape)
+            for xi, hi, vi in zip(x.tolist(), h.tolist(), sf.gamma_interval(a, x, h)):
+                ref = oracles.mp_gamma_interval(a, xi, hi)
+                assert vi == pytest.approx(ref, rel=1e-12), (xi, hi)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_gamma_interval_bad_width_element(self, bad):
@@ -489,7 +502,7 @@ class TestGammaIntervalRule:
         monkeypatch.setattr(sf, "_lower_series", _no_recurrence)
         x = np.geomspace(1e-3, 60.0, 19)
         for h in (0.0, 1e-6, 1e-3, 0.1, 1.0):
-            xs = x[h <= np.minimum(x / 2.0, 1.0)]
+            xs = x[h <= np.minimum(x / 2.0, 1.0) * (2.0 / max(abs(a - 1.0), 2.0))]
             for xi, vi in zip(xs.tolist(), sf.gamma_interval(a, xs, h)):
                 ref = oracles.mp_gamma_interval(a, xi, h)
                 assert vi == pytest.approx(ref, rel=1e-12, abs=1e-300), (xi, h)
